@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import floor, gcd, isqrt
 
 import numpy as np
 
@@ -325,7 +325,6 @@ def count_points(
     *,
     want_points: bool = False,
     max_depth: int = 44,
-    _u_scale: float = 1.0,
 ) -> ConicCountResult:
     """Exact number of rational points on C with height <= B.
 
@@ -345,13 +344,13 @@ def count_points(
     except CannotCertify:
         certified = False
         m = _heuristic_min_m(C) / 4
-    u1 = _scaled(_ceil_sqrt_ratio(bound * m.denominator, m.numerator), _u_scale)
+    u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
     layer_bounds = []
     fd = factor(abs(C.pi_det))
     for g, sols in divisor_solutions(C.coeffs, fd):
         if not sols:
             continue
-        ug = _scaled(_ceil_sqrt_ratio(bound * g * m.denominator, m.numerator), _u_scale)
+        ug = _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator)
         layer_bounds.append((g, sols, ug))
     count, points, u_cap = _enumerate(C, bound, u1, layer_bounds, want_points)
     if not certified:
@@ -364,10 +363,6 @@ def count_points(
         certified=certified,
         layers=len(layer_bounds),
     )
-
-
-def _scaled(u: int, s: float) -> int:
-    return u if s == 1.0 else int(ceil(u * s))
 
 
 def _heuristic_min_m(C: FibreConic) -> Fraction:
@@ -399,7 +394,6 @@ def count_points_single_box(
     *,
     want_points: bool = False,
     max_depth: int = 44,
-    _u_scale: float = 1.0,
 ) -> ConicCountResult:
     """One box of radius sqrt(B*|det|/m), no lattice layering (small B only)."""
     bound = floor(B)
@@ -407,7 +401,7 @@ def count_points_single_box(
         raise ValueError("height bound must be >= 1")
     m = certified_min_m(C, max_depth=max_depth)
     d = abs(C.pi_det)
-    u_full = _scaled(_ceil_sqrt_ratio(bound * d * m.denominator, m.numerator), _u_scale)
+    u_full = _ceil_sqrt_ratio(bound * d * m.denominator, m.numerator)
     if (2 * u_full + 1) ** 2 > 4 * 10**8:
         raise ValueError("single-box search too large; use count_points")
     count, points, u_cap = _enumerate(C, bound, u_full, [], want_points)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conic import FibreConic, certified_min_m
 from .intervals import ParamIntervals
-from .modsolve import solutions_mod_prime_power
+from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
 from .surface import RATIONAL_FIELD, CubicSurfaceNF, FieldContext
 
@@ -49,20 +49,7 @@ def rho_star(C: FibreConic, p: int, d: int) -> int:
         raise ValueError("exponent must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    classes = solutions_mod_prime_power(C.coeffs, p, d)
-    return euler_phi(p**d) * len(classes)
-
-
-@dataclass(frozen=True)
-class RhoStarTable:
-    """All nonzero class counts for one conic, keyed by (p, exponent)."""
-
-    determinant: int
-    values: dict
-
-    def value(self, p: int, d: int) -> int:
-        # anything past the stored valuations is provably zero
-        return self.values.get((p, d), 0)
+    return euler_phi(p**d) * len(solutions_mod_prime_power(C.coeffs, p, d))
 
 
 def bad_primes(C: FibreConic) -> list[tuple[int, int]]:
@@ -70,12 +57,10 @@ def bad_primes(C: FibreConic) -> list[tuple[int, int]]:
     return list(factor(C.pi_det).factors)
 
 
-def rho_star_table(C: FibreConic) -> RhoStarTable:
-    values = {}
-    for p, v in bad_primes(C):
-        for d in range(1, v + 1):
-            values[(p, d)] = rho_star(C, p, d)
-    return RhoStarTable(C.pi_det, values)
+def _rho_levels(C: FibreConic, p: int, v: int) -> tuple[int, ...]:
+    """rho_star(C, p, d) for d = 1..v from one class_levels call."""
+    levels = class_levels(C.coeffs, p, v)
+    return tuple((p - 1) * p ** (d - 1) * len(cl) for d, cl in enumerate(levels, 1))
 
 
 def _sigma_p_from_rhos(p: int, rhos: tuple[int, ...]) -> Fraction:
@@ -98,8 +83,7 @@ def sigma_p(C: FibreConic, p: int) -> Fraction:
     while det % p == 0:
         det //= p
         v += 1
-    rhos = tuple(rho_star(C, p, d) for d in range(1, v + 1))
-    return _sigma_p_from_rhos(p, rhos)
+    return _sigma_p_from_rhos(p, _rho_levels(C, p, v))
 
 
 def bad_prime_product(C: FibreConic) -> Fraction:
@@ -307,7 +291,7 @@ def local_density_report(
     rows = []
     nonarch = Fraction(1)
     for p, v in bad_primes(C):
-        rhos = tuple(rho_star(C, p, d) for d in range(1, v + 1))
+        rhos = _rho_levels(C, p, v)
         sp = _sigma_p_from_rhos(p, rhos)
         rows.append(BadPrimeRow(p, v, rhos, sp))
         nonarch *= sp / Fraction(p * p - 1, p * p)

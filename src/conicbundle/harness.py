@@ -5,8 +5,8 @@ a cutoff, count points on each fibre conic exactly, and merge.  Expensive
 per-fibre results are cached in a content-addressed directory of plain-text
 records so growth tables and repeated runs reuse overlapping work.  The CLI
 exposes the analysis, counting, density, and prime-sum entry points; every
-command exits 0 on success, 2 on validation failure, and 3 on a tolerance
-failure in strict mode.
+command exits 0 on success, 2 on validation failure or an input too large to
+compute, and 3 on a tolerance failure in strict mode.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -158,9 +159,15 @@ class ResultCache:
     def put(self, surface_id: str, op: str, params: dict, result: dict) -> None:
         path = self._path(surface_id, op, params)
         record = {"surface": surface_id, "op": op, "params": params, "result": result}
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        # a temp name of its own per writer, so runs sharing the directory
+        # never replace or truncate each other's half-written file
+        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 # --------------------------------------------------------------------------
@@ -731,7 +738,9 @@ def main(argv=None) -> int:
     except SurfaceValidationError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CannotCertify, OSError) as exc:
+    except (ValueError, CannotCertify, OSError, OverflowError, MemoryError) as exc:
+        # OverflowError: coefficients too large for the int64 kernels;
+        # MemoryError: an input whose search arrays do not fit in memory
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,10 @@
 Engine for the layered conic count: find every class (sigma : tau) on the
 projective line over Z/g with all three parameterization quadratics zero,
 turn each class into the index-g sublattice {(u,v) : tau*u - sigma*v = 0
-mod g}, and stream the lattice points inside a sup-norm box.
+mod g}, and stream the lattice points inside a sup-norm box.  Classes mod
+p^k come from one exact route for every p and k: the level-1 roots of a
+linear (or, when p divides it, quadratic) congruence, then one Hensel digit
+per level from two linear congruences mod p.  CRT joins the prime powers.
 """
 from __future__ import annotations
 
@@ -14,141 +17,71 @@ import numpy as np
 
 from .numth import FactoredInteger, find_roots_mod_p
 
-_SCAN_BOUND = 10**6
 _COMBO_CAP = 10_000
 
 
-def _quad_triple_mod(coeffs, m):
-    cxx, cxy, cxz, cyz, czz = (c % m for c in coeffs)
-    return cxx, cxy, cxz, cyz, czz
+def _common_digits(congruences, p: int):
+    """Residues c mod p with alpha + beta*c = 0 mod p for every (alpha, beta)."""
+    digits = range(p)
+    for alpha, beta in congruences:
+        if beta % p:
+            c = -alpha * pow(beta, -1, p) % p
+            digits = [c] if c in digits else []
+        elif alpha % p:
+            return []
+    return digits
 
 
-def _scan_chart_solutions(coeffs, m: int, p: int) -> list[tuple[int, int]]:
-    """All of P^1(Z/m) with the three quadratics zero, m = p^k <= scan bound."""
-    cxx, cxy, cxz, cyz, czz = _quad_triple_mod(coeffs, m)
-    sols: list[tuple[int, int]] = []
-    # chart (1, t)
-    t = np.arange(m, dtype=np.int64)
-    tt = (t * t) % m
-    q1 = (cxy + cyz * t) % m
-    q2 = (cxx + cxz * t + czz * tt) % m
-    q3 = (cxy * t + cyz * tt) % m
-    for tv in t[(q1 == 0) & (q2 == 0) & (q3 == 0)]:
-        sols.append((1, int(tv)))
-    # chart (p*j, 1)
-    j = np.arange(m // p, dtype=np.int64)
-    u = (p * j) % m
-    uu = (u * u) % m
-    q1 = (cxy * uu + cyz * u) % m
-    q2 = (cxx * uu + cxz * u + czz) % m
-    q3 = (cxy * u + cyz) % m
-    for uv in u[(q1 == 0) & (q2 == 0) & (q3 == 0)]:
-        sols.append((int(uv), 1))
-    return sols
+def _chart_levels(a, b, c, e, f, p: int, k: int, roots: list[int]) -> list[list[int]]:
+    """Lift the common roots mod p of L = b + e*t and Q = a + c*t + f*t^2.
+
+    Returns the common roots mod p^j for j = 1..k.  A root t mod p^j lifts to
+    t + p^j*d exactly when L(t)/p^j + e*d and Q(t)/p^j + Q'(t)*d vanish mod p
+    (the d^2 term carries p^2j), so each digit solves two linear congruences.
+    """
+    levels = [roots]
+    pj = p
+    for _ in range(1, k):
+        nxt = []
+        for t in levels[-1]:
+            lin = ((b + e * t) // pj, e)
+            quad = ((a + c * t + f * t * t) // pj, c + 2 * f * t)
+            nxt.extend(t + pj * d for d in _common_digits((lin, quad), p))
+        levels.append(nxt)
+        pj *= p
+    return levels[:k]
 
 
-def _prime_solutions_algebraic(coeffs, p: int) -> list[tuple[int, int]]:
-    """Solutions mod a large prime via gcds of the dehomogenized quadratics."""
-    from .zpoly import gf_from_z, gf_gcd, deg
+def class_levels(coeffs, p: int, k: int) -> list[list[tuple[int, int]]]:
+    """Classes (sigma : tau) of P^1(Z/p^j) killing all three quadratics, j = 1..k.
 
-    cxx, cxy, cxz, cyz, czz = _quad_triple_mod(coeffs, p)
-    polys = [
-        gf_from_z((cxy, cyz), p),        # q1(1, t)
-        gf_from_z((cxx, cxz, czz), p),   # -q2(1, t)
-        gf_from_z((0, cxy, cyz), p),     # q3(1, t)
-    ]
-    nonzero = [q for q in polys if q]
-    if not nonzero:
-        # conic vanishes identically mod p: every class solves
-        return [(1, t) for t in range(p)] + [(0, 1)]
-    g = nonzero[0]
-    for q in nonzero[1:]:
-        g = gf_gcd(g, q, p)
-    if deg(g) == 0:
+    On the chart (1, t) the components are L(t), -Q(t) and t*L(t) with
+    L = cxy + cyz*t and Q = cxx + cxz*t + czz*t^2; the chart (u, 1) with
+    p | u is the same problem with (cxx, cxy) swapped against (czz, cyz).
+    Level 1 is the root of the linear L, or the roots of Q when p divides
+    both coefficients of L; every further level is one Hensel digit.
+    Representatives are (1, t) or (u, 1) with p | u; entry j-1 is level j.
+    """
+    cxx, cxy, cxz, cyz, czz = coeffs
+    if cyz % p:
+        t = -cxy * pow(cyz, -1, p) % p
+        roots = [t] if (cxx + cxz * t + czz * t * t) % p == 0 else []
+    elif cxy % p:
         roots = []
     else:
-        roots = find_roots_mod_p(g, p)
-    sols = [(1, int(r)) for r in sorted(roots)]
-    # lone second-chart class (0 : 1)
-    if cyz % p == 0 and czz % p == 0:
-        sols.append((0, 1))
-    return sols
-
-
-def _lift_solutions(coeffs, p: int, from_k: int, to_k: int, base: list[tuple[int, int]]):
-    """Chart-preserving lift of solution classes from mod p^from_k to mod p^to_k."""
-    sols = base
-    mod_prev = p**from_k
-    for k in range(from_k + 1, to_k + 1):
-        m = p**k
-        cxx, cxy, cxz, cyz, czz = _quad_triple_mod(coeffs, m)
-        nxt: list[tuple[int, int]] = []
-        use_numpy = m < 2**31
-        c = np.arange(p, dtype=np.int64) if use_numpy else range(p)
-        for (a, b) in sols:
-            if a == 1:
-                # lift (1, t): t' = t + mod_prev * c
-                if use_numpy:
-                    t = (b + mod_prev * c) % m
-                    tt = (t * t) % m
-                    ok = ((cxy + cyz * t) % m == 0)
-                    ok &= ((cxx + cxz * t + czz * tt) % m == 0)
-                    ok &= ((cxy * t + cyz * tt) % m == 0)
-                    nxt.extend((1, int(tv)) for tv in t[ok])
-                else:
-                    for ci in c:
-                        t = (b + mod_prev * ci) % m
-                        tt = t * t % m
-                        if (cxy + cyz * t) % m or (cxx + cxz * t + czz * tt) % m:
-                            continue
-                        if (cxy * t + cyz * tt) % m == 0:
-                            nxt.append((1, t))
-            else:
-                # lift (u, 1) with p | u: u' = u + mod_prev * c
-                if use_numpy:
-                    u = (a + mod_prev * c) % m
-                    uu = (u * u) % m
-                    ok = ((cxy * uu + cyz * u) % m == 0)
-                    ok &= ((cxx * uu + cxz * u + czz) % m == 0)
-                    ok &= ((cxy * u + cyz) % m == 0)
-                    nxt.extend((int(uv), 1) for uv in u[ok])
-                else:
-                    for ci in c:
-                        u = (a + mod_prev * ci) % m
-                        uu = u * u % m
-                        if (cxy * uu + cyz * u) % m or (cxx * uu + cxz * u + czz) % m:
-                            continue
-                        if (cxy * u + cyz) % m == 0:
-                            nxt.append((u, 1))
-        sols = nxt
-        mod_prev = m
-        if not sols:
-            break
-    return sols
+        roots = find_roots_mod_p([cxx, cxz, czz], p)
+    ts = _chart_levels(cxx, cxy, cxz, cyz, czz, p, k, roots)
+    zero = [0] if cyz % p == 0 and czz % p == 0 else []
+    us = _chart_levels(czz, cyz, cxz, cxy, cxx, p, k, zero)
+    return [
+        [(1, t) for t in sorted(tl)] + [(u, 1) for u in sorted(ul)]
+        for tl, ul in zip(ts, us)
+    ]
 
 
 def solutions_mod_prime_power(coeffs, p: int, k: int) -> list[tuple[int, int]]:
-    """Classes (sigma : tau) in P^1(Z/p^k) where all three quadratics vanish.
-
-    Representatives are (1, t) or (u, 1) with p | u.  Exhaustive chart scan up
-    to the scan bound, then one-digit-at-a-time lifting (each lift candidate
-    is checked directly, so the result is exact whether or not roots are
-    simple).
-    """
-    m = p**k
-    if m <= _SCAN_BOUND:
-        return _scan_chart_solutions(coeffs, m, p)
-    if p > _SCAN_BOUND:
-        base = _prime_solutions_algebraic(coeffs, p)
-        j0 = 1
-    else:
-        j0 = 1
-        while p ** (j0 + 1) <= _SCAN_BOUND:
-            j0 += 1
-        base = _scan_chart_solutions(coeffs, p**j0, p)
-    if k == j0:
-        return base
-    return _lift_solutions(coeffs, p, j0, k, base)
+    """Classes (sigma : tau) in P^1(Z/p^k) where all three quadratics vanish."""
+    return class_levels(coeffs, p, k)[-1]
 
 
 def _crt_combine(parts) -> list[tuple[int, int]]:
@@ -176,47 +109,26 @@ def _crt_combine(parts) -> list[tuple[int, int]]:
     return out
 
 
-def solutions_mod(coeffs, g: FactoredInteger) -> list[tuple[int, int]]:
-    """Solution classes modulo a factored positive integer, combined by CRT."""
-    m = abs(g.value)
-    if m == 1:
-        return [(1, 0)]
-    parts = []
-    for p, k in g.factors:
-        s = solutions_mod_prime_power(coeffs, p, k)
-        if not s:
-            return []
-        parts.append((p**k, s))
-    return _crt_combine(parts)
-
-
 def divisor_solutions(coeffs, fd: FactoredInteger):
     """Yield (g, classes) for every divisor g > 1 of |fd.value|.
 
-    Prime-power solving is done once per (p, k) and shared across divisors;
-    divisors whose class list is empty are skipped.
+    Each prime's classes come from one class_levels call shared across
+    divisors; divisors whose class list is empty are skipped (a level with
+    no classes has no lifts, so every higher level is empty too).
     """
-    per: list[tuple[int, dict[int, list]]] = []
+    per = []
     for p, k in fd.factors:
-        table = {}
-        for j in range(1, k + 1):
-            table[j] = solutions_mod_prime_power(coeffs, p, j)
-            if not table[j]:
-                # higher powers can only lose solutions
-                break
-        per.append((p, table))
+        levels = class_levels(coeffs, p, k)
+        per.append([(p**j, sols) for j, sols in enumerate(levels, 1) if sols])
 
     def rec(i, g, parts):
         if i == len(per):
             if g > 1:
                 yield g, _crt_combine(parts) if len(parts) > 1 else list(parts[0][1])
             return
-        p, table = per[i]
         yield from rec(i + 1, g, parts)
-        for j, sols in table.items():
-            if not sols:
-                break
-            yield from rec(i + 1, g * p**j, parts + [(p**j, sols)])
+        for pj, sols in per[i]:
+            yield from rec(i + 1, g * pj, parts + [(pj, sols)])
 
     yield from rec(0, 1, [])
 

@@ -171,17 +171,6 @@ def phi_dagger(a: int) -> Fraction:
     return out
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius wants a positive integer")
-    if n == 1:
-        return 1
-    fi = factor(n)
-    if not fi.is_squarefree():
-        return 0
-    return -1 if len(fi.factors) % 2 else 1
-
-
 class MultiplicativeFn:
     """A multiplicative function supported on squarefree integers.
 
@@ -213,19 +202,12 @@ class MultiplicativeFn:
 # ---------------------------------------------------------------------------
 # polynomial roots mod m
 
-_ROOT_SCAN_BOUND = 10**6
-
-
 def _poly_eval_mod(coeffs: list[int], x: int, m: int) -> int:
     # ascending coefficients
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
-
-
-def _poly_derivative(coeffs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:] or [0]
 
 
 def _modp_normalize(coeffs: list[int], p: int) -> list[int]:
@@ -290,63 +272,3 @@ def find_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
                 stack.append(q)
                 break
     return sorted(roots)
-
-
-def _roots_mod_prime_power(coeffs: list[int], p: int, k: int) -> int:
-    """Number of roots of f mod p^k, by scan for small p^k and lifting above."""
-    q = p**k
-    if q <= _ROOT_SCAN_BOUND and k == 1 and p <= 1000:
-        f = _modp_normalize(coeffs, p)
-        if not f:
-            return p
-        return sum(1 for x in range(p) if _poly_eval_mod(f, x, p) == 0)
-    # Lift root sets level by level.  Roots mod p^j are carried as explicit
-    # residues; a level where the polynomial vanishes identically keeps a
-    # "wildcard" count instead of materializing p^j residues.
-    fprime = _poly_derivative(coeffs)
-    level: list[int] = find_roots_mod_p(coeffs, p)
-    if len(level) == p:
-        # f == 0 mod p: every residue is a root; recurse on f/p when possible
-        shifted = [c // p for c in coeffs] if all(c % p == 0 for c in coeffs) else None
-        if shifted is None:
-            # f nonzero mod p yet p roots means p <= deg; fall back to scan
-            return sum(1 for x in range(q) if _poly_eval_mod(coeffs, x, q) == 0)
-        # roots of f mod p^k = roots of f/p mod p^{k-1}, each with p lifts
-        if k == 1:
-            return p
-        return p * _roots_mod_prime_power(shifted, p, k - 1)
-    count = 0
-    pj = p
-    for _ in range(k - 1):
-        nxt: list[int] = []
-        for r in level:
-            fr = _poly_eval_mod(coeffs, r, pj * p)
-            dr = _poly_eval_mod(fprime, r, p)
-            if dr % p != 0:
-                # simple root: unique lift
-                t = (-(fr // pj)) * pow(dr, -1, p) % p
-                nxt.append(r + t * pj)
-            elif fr % (pj * p) == 0:
-                # singular root, vanishing to next level: p branches
-                nxt.extend(r + t * pj for t in range(p))
-            # else: no lift
-        level = nxt
-        pj *= p
-        if not level:
-            return 0
-    count = len(level)
-    return count
-
-
-def roots_mod(coeffs: list[int], m: int) -> int:
-    """Count residues x mod m with f(x) = 0 mod m; f given by ascending coeffs."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return 1
-    total = 1
-    for p, e in factor(m).factors:
-        total *= _roots_mod_prime_power(coeffs, p, e)
-        if total == 0:
-            return 0
-    return total

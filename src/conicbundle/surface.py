@@ -427,7 +427,6 @@ class BruteForceResult:
     by_fibre: dict[FibreIndex, int]
     excluded_singular: int
     excluded_high_fibre: int
-    line_flagged: list[ProjPoint3]
 
 
 def brute_force_surface_count(
@@ -436,8 +435,6 @@ def brute_force_surface_count(
     *,
     restrict_to_nonsingular_fibres: bool = True,
     fibre_height_cap: int | None = None,
-    flag_lines: bool = False,
-    strict_lines: bool = False,
 ) -> BruteForceResult:
     """Exhaustive search of primitive quadruples of height <= B on the surface.
 
@@ -445,8 +442,7 @@ def brute_force_surface_count(
     the discriminant are dropped when restrict_to_nonsingular_fibres is set,
     and fibre_height_cap drops points whose fibre index exceeds the cap
     (those reached through the section line can sit over indices far higher
-    than B).  With flag_lines, pairs of found points spanning a line inside
-    the surface mark their members; strict_lines removes the marked points.
+    than B).
     """
     bound = int(B)
     if bound < 1:
@@ -474,21 +470,6 @@ def brute_force_surface_count(
             continue
         kept.append(p)
         by_fibre[idx] = by_fibre.get(idx, 0) + 1
-    flagged: list[ProjPoint3] = []
-    if flag_lines and kept:
-        flagged = _flag_line_points(X, kept)
-        if strict_lines and flagged:
-            flagset = set(flagged)
-            removed: list[ProjPoint3] = []
-            for p in kept:
-                if p in flagset:
-                    idx = fibration_index(X, p)
-                    by_fibre[idx] -= 1
-                    if by_fibre[idx] == 0:
-                        del by_fibre[idx]
-                else:
-                    removed.append(p)
-            kept = removed
     kept.sort()
     return BruteForceResult(
         count=len(kept),
@@ -496,7 +477,6 @@ def brute_force_surface_count(
         by_fibre=by_fibre,
         excluded_singular=excluded_singular,
         excluded_high_fibre=excluded_high,
-        line_flagged=sorted(flagged),
     )
 
 
@@ -535,49 +515,6 @@ def _raw_surface_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
                 continue
             out.append(ProjPoint3((0, 0, x2, x3)))
     return out
-
-
-def _flag_line_points(X: CubicSurfaceNF, pts: list[ProjPoint3]) -> list[ProjPoint3]:
-    """Points lying on a line contained in the surface, found via point pairs.
-
-    For P, Q on the cubic, the restriction of F to the line PQ is a binary
-    cubic vanishing at both ends; it vanishes identically iff it also
-    vanishes at P+Q and P-Q.  Exact integer test, no tolerances.
-    """
-    n = len(pts)
-    arr = np.array([p.coords for p in pts], dtype=np.int64)
-    flagged = np.zeros(n, dtype=bool)
-    for i in range(n):
-        P = arr[i]
-        S = arr[i + 1 :] + P
-        D = arr[i + 1 :] - P
-        fs = _eval_cubic_rows(X, S)
-        fd = _eval_cubic_rows(X, D)
-        hit = (fs == 0) & (fd == 0)
-        if hit.any():
-            flagged[i] = True
-            flagged[i + 1 :] |= hit
-    return [p for p, f in zip(pts, flagged) if f]
-
-
-def _eval_cubic_rows(X: CubicSurfaceNF, rows: np.ndarray) -> np.ndarray:
-    x0, x1, x2, x3 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-
-    def lin(form):
-        c = form.coeffs
-        return c[0] * x0 + c[1] * x1
-
-    def quad(form):
-        c = form.coeffs
-        return c[0] * x0 * x0 + c[1] * x0 * x1 + c[2] * x1 * x1
-
-    return (
-        lin(X.cxx) * x2 * x2
-        + lin(X.cxz) * x2 * x3
-        + lin(X.czz) * x3 * x3
-        + quad(X.cxy) * x2
-        + quad(X.cyz) * x3
-    )
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from conicbundle.densities import (
     nonarch_lower_bound_check,
     peyre_constant,
     rho_star,
-    rho_star_table,
     sigma_inf,
     sigma_p,
 )
@@ -72,10 +71,7 @@ def scan_sigma_p(C, p, D):
 
 def test_rho_star_c12_frozen(c12):
     assert rho_star(c12, 41, 1) == 40
-    table = rho_star_table(c12)
-    assert table.values == {(41, 1): 40}
-    assert table.value(41, 2) == 0
-    assert table.value(7, 1) == 0
+    assert rho_star(c12, 41, 2) == 0
 
 
 def test_rho_star_validation(c12):

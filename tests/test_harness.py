@@ -47,6 +47,33 @@ def test_cache_roundtrip(tmp_path):
     assert cache.get("deadbeef", "count_surface", {**params, "B": 31.0}) is None
 
 
+def test_cache_put_uses_its_own_temp_file(tmp_path):
+    cache = ResultCache(tmp_path)
+    params = {"B": 30.0}
+    key = ResultCache._key("deadbeef", "count_surface", params)
+    # a fixed "<key>.tmp" name would collide with another writer's file
+    (tmp_path / f"{key}.tmp").mkdir()
+    cache.put("deadbeef", "count_surface", params, {"count": 1})
+    assert cache.get("deadbeef", "count_surface", params) == {"count": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.tmp", f"{key}.txt"]
+    assert (tmp_path / f"{key}.txt").read_text() == json.dumps(
+        {"op": "count_surface", "params": params, "result": {"count": 1},
+         "surface": "deadbeef"}
+    ) + "\n"
+
+
+def test_cache_put_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("conicbundle.harness.os.replace", fail)
+    with pytest.raises(OSError):
+        cache.put("deadbeef", "count_surface", {"B": 30.0}, {"count": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_default_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("CONICBUNDLE_CACHE", str(tmp_path / "alt"))
     assert default_cache_dir() == tmp_path / "alt"
@@ -289,6 +316,30 @@ def test_cli_count_surface_direct_guard(s1_file, capsys):
     rc = run_cli("--no-cache", "count-surface", s1_file,
                  "--height", 250, "--method", "direct")
     assert rc == 2
+
+
+def test_cli_count_surface_direct_overflow_exits_2(tmp_path, capsys):
+    # a 21-digit coefficient does not fit the int64 surface kernel
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"a": [123456789123456789123, 0], "d": [0, 1],
+                               "f": [1, -1], "b": [1, 0, 1], "e": [0, 1, 0]}))
+    rc = run_cli("--no-cache", "count-surface", big,
+                 "--height", 3, "--method", "direct")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error[OverflowError]: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_memory_error_exits_2(s1_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.74 GiB")
+
+    monkeypatch.setattr("conicbundle.harness.count_points", exhausted)
+    rc = run_cli("--no-cache", "count-fibre", s1_file,
+                 "--s", 1, "--t", -3, "--height", 3)
+    assert rc == 2
+    assert capsys.readouterr().err == "error[MemoryError]: Unable to allocate 9.74 GiB\n"
 
 
 def test_cli_sum_constants(s1_file, capsys):

@@ -7,6 +7,7 @@ import pytest
 from conicbundle.conic import FibreConic, parameterize
 from conicbundle.modsolve import (
     class_lattice_basis,
+    class_levels,
     divisor_solutions,
     iter_lattice_points,
     lagrange_reduce,
@@ -62,12 +63,91 @@ def test_solutions_mod_prime_power_vs_pair_scan(coeffs, p, k):
         assert len(got) == _scan_classes(coeffs, m, p)
 
 
+def _triple_vanishes(coeffs, u, v, m):
+    cxx, cxy, cxz, cyz, czz = coeffs
+    x = cxy * u * u + cyz * u * v
+    y = cxx * u * u + cxz * u * v + czz * v * v
+    z = cxy * u * v + cyz * v * v
+    return x % m == 0 and y % m == 0 and z % m == 0
+
+
+def _lifted_scan_classes(coeffs, p, k):
+    """Per-level class sets: scan P^1(Z/p), then try all p lifts of each survivor.
+
+    A class mod p^(j+1) reduces to one mod p^j, so no class is missed; each
+    candidate is tested by evaluating the three quadratics mod p^(j+1).
+    """
+    level = [(1, t) for t in range(p) if _triple_vanishes(coeffs, 1, t, p)]
+    if _triple_vanishes(coeffs, 0, 1, p):
+        level.append((0, 1))
+    levels = [set(level)]
+    for j in range(1, k):
+        step, m = p**j, p ** (j + 1)
+        nxt = set()
+        for u, v in levels[-1]:
+            for c in range(p):
+                cand = (1, v + step * c) if u == 1 else (u + step * c, 1)
+                if _triple_vanishes(coeffs, *cand, m):
+                    nxt.add(cand)
+        levels.append(nxt)
+    return levels
+
+
 def test_solutions_lifting_path_matches_scan_route():
-    # force the lifting route by comparing against small-power scans composed
-    coeffs = (1, 5, 2, 2, -1)
-    for p, k in [(41, 1)]:
-        got = solutions_mod_prime_power(coeffs, p, k)
-        assert len(got) == _scan_classes(coeffs, p**k, p)
+    # levels past 10^6 residues, checked level by level against lifted scans
+    for coeffs, p, k in [
+        ((-11927645056, -4812032, 24, 16, 8), 2, 21),
+        ((330278378931, -1954935, 18, 27, -63), 3, 13),
+        ((-2981873432406455, -2020926417835, 7, 2036162, 3027), 1009, 2),
+    ]:
+        levels = class_levels(coeffs, p, k)
+        assert [set(s) for s in levels] == _lifted_scan_classes(coeffs, p, k)
+        assert all(len(s) == len(set(s)) for s in levels)
+        assert levels[-1]  # the deepest level is populated
+        assert solutions_mod_prime_power(coeffs, p, k) == levels[-1]
+
+
+def test_class_levels_random_vs_lifted_scan():
+    rng = random.Random(61)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 61])
+        k = rng.randint(1, 4)
+        coeffs = tuple(
+            rng.randint(-60, 60) * p ** rng.choice([0, 0, 1, 2]) for _ in range(5)
+        )
+        levels = class_levels(coeffs, p, k)
+        assert [set(s) for s in levels] == _lifted_scan_classes(coeffs, p, k), (
+            coeffs,
+            p,
+        )
+
+
+def test_solutions_large_prime_planted_classes():
+    p = 1_000_003
+    t0 = 123_457
+    # L = 5*(t - t0) exactly; Q(t0) = 0 mod p^2 but not over Z
+    coeffs = (-(3 * t0 + 7 * t0 * t0) + 11 * p * p, -5 * t0, 3, 5, 7)
+    assert solutions_mod_prime_power(coeffs, p, 1) == [(1, t0)]
+    assert class_levels(coeffs, p, 3) == [[(1, t0)], [(1, t0)], []]
+    # p | cxy, cyz: level 1 is the two roots of Q = 2*(t - r1)*(t - r2)
+    r1, r2 = 17, 999_983
+    coeffs = (2 * r1 * r2, 3 * p, -2 * (r1 + r2), 4 * p, 2)
+    assert solutions_mod_prime_power(coeffs, p, 1) == [(1, r1), (1, r2)]
+    # and the lone second-chart class once p | cyz, czz
+    coeffs = (1, 0, 0, p, p)
+    assert solutions_mod_prime_power(coeffs, p, 1) == [(0, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 1_000_003])
+def test_solutions_conic_vanishing_mod_p_is_all_of_p1(p):
+    coeffs = (p, p, 0, p, p)  # det 2p^3
+    got = solutions_mod_prime_power(coeffs, p, 1)
+    assert len(got) == p + 1
+    assert set(got) == {(1, t) for t in range(p)} | {(0, 1)}
+    if p < 100:
+        assert [set(s) for s in class_levels(coeffs, p, 3)] == _lifted_scan_classes(
+            coeffs, p, 3
+        )
 
 
 def test_divisor_solutions_covers_divisors():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -12,10 +11,8 @@ from conicbundle.numth import (
     factor,
     find_roots_mod_p,
     is_prime,
-    mobius,
     phi_dagger,
     primes_up_to,
-    roots_mod,
 )
 
 
@@ -67,10 +64,9 @@ def test_is_squarefree():
     assert not factor(12).is_squarefree()
 
 
-def test_euler_phi_and_mobius_against_sympy():
+def test_euler_phi_against_sympy():
     for n in range(1, 500):
         assert euler_phi(n) == sympy.totient(n)
-        assert mobius(n) == sympy.mobius(n)
 
 
 def test_phi_dagger_multiplicative():
@@ -125,24 +121,3 @@ def test_find_roots_large_prime_frobenius_path():
     coeffs = [-2, 0, 1]  # x^2 - 2
     got = sorted(find_roots_mod_p(coeffs, p))
     assert got == _brute_roots(coeffs, p)
-
-
-def test_roots_mod_crt_multiplicative():
-    coeffs = [3, 1, 1]  # x^2 + x + 3
-    for m, n in [(4, 9), (5, 8), (7, 9), (25, 3)]:
-        assert gcd(m, n) == 1
-        rm = roots_mod(coeffs, m)
-        rn = roots_mod(coeffs, n)
-        rmn = roots_mod(coeffs, m * n)
-        assert rmn == rm * rn
-        assert rmn == len(_brute_roots(coeffs, m * n))
-
-
-def test_roots_mod_brute_sweep():
-    rng = random.Random(11)
-    for _ in range(40):
-        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 4))]
-        m = rng.randint(2, 400)
-        if all(c == 0 for c in coeffs):
-            coeffs[0] = 1
-        assert roots_mod(coeffs, m) == len(_brute_roots(coeffs, m))
