@@ -1,9 +1,11 @@
 """Multiplicative-function sums over primes and squarefree integers.
 
 The engine room for the growth-exponent experiments: distinct-root counts
-of binary forms modulo p in bulk, the degeneracy count for the fibration
-discriminant, partial sums of multiplicative functions with exponent
-fitting, and the height-weighted lattice sums.
+of binary forms modulo every prime of an array at once (one numpy kernel
+per block of primes, exact in int64 while degree * p^2 < 2^63), the
+degeneracy count for the fibration discriminant, partial sums of
+multiplicative functions with exponent fitting, and the height-weighted
+lattice sums.
 
 Sums that a float cannot certify are accumulated in 96-bit fixed point
 (every term rounded down), so the returned rational is a lower bound with
@@ -21,10 +23,8 @@ import numpy as np
 from .forms import BinaryForm, factor_over_q, resultant
 from .numth import MultiplicativeFn, factor, find_roots_mod_p, primes_up_to
 from .surface import CubicSurfaceNF
-from .zpoly import gf_gcd, gf_pow_xp_mod, trim
 
 _FIX_BITS = 96
-_SCAN_CUT = 1000  # below this, counting roots by direct scan beats Frobenius
 
 
 class _FixedSum:
@@ -93,61 +93,146 @@ def projective_roots_mod_p(form: BinaryForm, p: int) -> int:
     return n + (1 if form.coeffs[0] % p == 0 else 0)
 
 
-def _frobenius_root_count(dehom_asc: tuple[int, ...], p: int) -> int:
-    # distinct roots of a squarefree-or-not polynomial mod p via gcd(x^p - x, f)
-    f = trim(tuple(c % p for c in dehom_asc))
-    if not f:
-        return p
-    if len(f) == 1:
-        return 0
-    if len(f) == 2:
-        return 1
-    if p <= _SCAN_CUT:
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(f):
-            acc = (acc * xs + c) % p
-        return int(np.count_nonzero(acc == 0))
-    xp = gf_pow_xp_mod(f, p)
-    g = list(xp) + [0] * max(0, 2 - len(xp))
-    g[1] = (g[1] - 1) % p
-    return len(gf_gcd(tuple(g), f, p)) - 1
+# Batched kernel: for a block of primes at once, x^p mod f by square-and-
+# multiply on an int64 array of residue polynomials, then
+# deg gcd(x^p - x, f) = n - rank of multiplication by (x^p - x) on
+# F_p[x]/(f), from a batched elimination mod p.  Operands are residues
+# below p and at most n products of two are summed before the next
+# reduction, so every intermediate is below n * p^2 (and the 30-bit limb
+# steps of _residues below 2^63 for any p < 2^32): the kernel is exact
+# while n * p^2 < 2^63, n = max(degree, 1).
+
+_BLOCK = 8192  # primes per kernel pass: memory is O(_BLOCK * n^2)
+_LIMB = 30
+
+
+def _residues(a: int, ps: np.ndarray) -> np.ndarray:
+    """a mod p for every p, for an integer of any size (30-bit limbs)."""
+    m = abs(a)
+    r = np.zeros(len(ps), dtype=np.int64)
+    for shift in range((m.bit_length() - 1) // _LIMB * _LIMB, -1, -_LIMB):
+        r = ((r << _LIMB) + ((m >> shift) & ((1 << _LIMB) - 1))) % ps
+    return (-r) % ps if a < 0 else r
+
+
+def _divides(a: int, ps: np.ndarray) -> np.ndarray:
+    """Mask of the p dividing a; only p <= |a| can, so most need no division."""
+    if a == 0:
+        return np.ones(len(ps), dtype=bool)
+    hit = ps <= abs(a)
+    hit[hit] = _residues(a, ps[hit]) == 0
+    return hit
+
+
+def _pow_vec(a: np.ndarray, e: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """a^e mod p elementwise (right-to-left binary powering)."""
+    out = np.ones_like(a)
+    while e.any():
+        out = np.where(e & 1, out * a % ps, out)
+        a = a * a % ps
+        e = e >> 1
+    return out
+
+
+def _mul_x(r: np.ndarray, xn: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """x * r mod f, given xn = x^n mod f (row j holds the x^j coefficients)."""
+    out = r[-1] * xn
+    out[1:] += r[:-1]
+    return out % ps
+
+
+def _affine_root_counts(monic_low: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Distinct roots in F_p of the monic f = x^n + sum monic_low[j] x^j.
+
+    Arrays are coefficient-major: axis 0 is the power of x, the last axis
+    runs over the primes, so every step is a contiguous vector operation.
+    """
+    n, nb = monic_low.shape
+    # reduction table: red[k] = x^(n+k) mod f, k = 0..n-2
+    red = np.empty((n - 1, n, nb), dtype=np.int64)
+    red[0] = (-monic_low) % ps
+    for k in range(1, n - 1):
+        red[k] = _mul_x(red[k - 1], red[0], ps)
+
+    r = np.zeros((n, nb), dtype=np.int64)
+    r[0] = 1
+    for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
+        sq = np.zeros((2 * n - 1, nb), dtype=np.int64)
+        for i in range(n):
+            sq[i : i + n] += r[i] * r
+        sq %= ps
+        r = sq[:n]
+        for k in range(n - 1):
+            r += sq[n + k] * red[k]
+        r %= ps
+        r = np.where((ps >> bit) & 1, _mul_x(r, red[0], ps), r)
+
+    # rows g * x^j mod f of the multiplication-by-g matrix, g = x^p - x
+    mat = np.empty((n, n, nb), dtype=np.int64)
+    r[1] = (r[1] - 1) % ps
+    mat[0] = r
+    for j in range(1, n):
+        mat[j] = _mul_x(mat[j - 1], red[0], ps)
+
+    # fraction-free row echelon mod p with a per-prime pivot row
+    rows = np.arange(n)[:, None]
+    idx = np.arange(nb)
+    rank = np.zeros(nb, dtype=np.int64)
+    for c in range(n):
+        cand = (mat[:, c] != 0) & (rows >= rank)
+        has = cand.any(axis=0)
+        piv = np.where(has, cand.argmax(axis=0), rank)
+        pivot_row = mat[piv, :, idx].T
+        mat[piv, :, idx] = mat[rank, :, idx]
+        mat[rank, :, idx] = pivot_row.T
+        below = (rows > rank) & has
+        scale = np.where(below, pivot_row[c], 1)
+        coef = np.where(below, mat[:, c], 0)
+        mat = mat * scale[:, None] - coef[:, None] * pivot_row
+        mat %= ps
+        rank += has
+    return n - rank
 
 
 def projective_root_counts(form: BinaryForm, ps: np.ndarray) -> np.ndarray:
     """Vector of projective root counts mod p over the given primes.
 
-    Degree-1 forms and quadratics get closed forms (the quadratic case is a
-    single Legendre symbol per prime); everything else runs the Frobenius
-    gcd prime by prime.
+    The affine part f(x, 1) of degree n >= 2 goes through one batched numpy
+    kernel per block of primes: x^p mod f by square-and-multiply, then
+    deg gcd(x^p - x, f) as n minus a rank mod p.  The finitely many primes
+    dividing the leading coefficient of f(x, 1) take the scalar
+    projective_roots_mod_p, and primes dividing the content every class.
+    Raises ValueError for a prime with n * p^2 >= 2^63, beyond which the
+    kernel's int64 arithmetic would wrap.
     """
     if form.is_zero():
         raise ValueError("zero form has no root count")
-    out = np.empty(len(ps), dtype=np.int64)
+    ps = np.asarray(ps, dtype=np.int64)
     c, prim = form.primitive()
-    coeffs = prim.coeffs
-    if prim.degree == 1:
-        out[:] = 1
-    elif prim.degree == 2:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c0 * c2
-        for i, p in enumerate(ps.tolist()):
-            if p == 2:
-                out[i] = projective_roots_mod_p(prim, 2)
-                continue
-            sym = pow(disc % p, (p - 1) >> 1, p)
-            # 0, 1, p-1 -> one root, two roots, none (projectively complete)
-            out[i] = 1 if sym == 0 else (2 if sym == 1 else 0)
-    else:
-        dehom = prim.dehomogenized()
-        lead = coeffs[0]
-        for i, p in enumerate(ps.tolist()):
-            out[i] = _frobenius_root_count(dehom, p) + (1 if lead % p == 0 else 0)
+    dehom = prim.dehomogenized()
+    n = len(dehom) - 1
+    if len(ps) and max(n, 1) * int(ps.max()) ** 2 >= 2**63:
+        raise ValueError(
+            f"prime {int(ps.max())} too large for a degree-{n} root count: "
+            "the int64 kernel needs degree * p^2 < 2^63"
+        )
+    out = _divides(prim.coeffs[0], ps).astype(np.int64)  # the root (1 : 0)
+    singular = _divides(dehom[-1], ps)
+    regular = np.flatnonzero(~singular)
+    if n == 1:
+        out[regular] += 1
+    elif n >= 2:
+        for lo in range(0, len(regular), _BLOCK):
+            sel = regular[lo : lo + _BLOCK]
+            pb = ps[sel]
+            inv = _pow_vec(_residues(dehom[-1], pb), pb - 2, pb)
+            monic_low = np.stack([_residues(a, pb) * inv % pb for a in dehom[:-1]])
+            out[sel] += _affine_root_counts(monic_low, pb)
+    for i in np.flatnonzero(singular).tolist():
+        out[i] = projective_roots_mod_p(prim, int(ps[i]))
     # primes dividing the content kill every class
-    for q, _ in factor(c).factors:
-        hit = np.searchsorted(ps, q)
-        if hit < len(ps) and ps[hit] == q:
-            out[hit] = ps[hit] + 1
+    dead = _divides(c, ps)
+    out[dead] = ps[dead] + 1
     return out
 
 

@@ -693,6 +693,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_wirsing_check(args) -> int:
+    if not args.x.is_integer():
+        raise ValueError(f"--x must be an integer, got {args.x:g}")
     if args.function == "squarefree-harmonic":
         g = squarefree_harmonic()
     else:

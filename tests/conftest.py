@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from conicbundle.conic import FibreConic
 from conicbundle.surface import validate
@@ -58,3 +59,9 @@ def split_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("surfaces") / "split.json"
     path.write_text(json.dumps(SPLIT_COEFFS))
     return str(path)
+
+
+# Tier-1 must be reproducible and must not flake on per-example deadlines on
+# a slow or shared machine: fixed example sequence, no deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conicbundle.analytic import (
     G_sum,
@@ -68,11 +70,63 @@ def test_projective_roots_frobenius_path(s1):
         assert projective_roots_mod_p(s1.disc, p) == scan_projective_roots(s1.disc, p)
 
 
-def test_projective_root_counts_vector_matches_scalar(s1):
-    ps = shared_primes(500)
-    vec = projective_root_counts(s1.disc, ps)
-    for p, n in zip(ps.tolist(), vec.tolist()):
-        assert n == projective_roots_mod_p(s1.disc, p)
+def test_projective_root_counts_vector_matches_scalar(s1, split_surface):
+    ps = shared_primes(2000)
+    for X in (s1, split_surface):
+        for f in (X.disc, *delta_factor_data(X).delta_i):
+            vec = projective_root_counts(f, ps)
+            for p, n in zip(ps.tolist(), vec.tolist()):
+                assert n == projective_roots_mod_p(f, p), (str(f), p)
+
+
+# primes near 10^6 and 10^7, and small ones to divide coefficients by
+_BIG_PRIMES = [999979, 999983, 1000003, 1000033, 9999971, 9999991, 10000019, 10000079]
+_SMALL_PRIMES = list(sympy.primerange(2, 60))
+_PRIME_POOL = _SMALL_PRIMES + _BIG_PRIMES
+_COEFF = st.integers(-(10**12), 10**12)
+
+
+@st.composite
+def _forms_and_primes(draw):
+    shape = draw(st.sampled_from(["random", "square", "zero-ends"]))
+    if shape == "square":  # g^2 h: not squarefree
+        g = BinaryForm(tuple(draw(st.lists(_COEFF, min_size=2, max_size=3))))
+        h = BinaryForm(tuple(draw(st.lists(_COEFF, min_size=1, max_size=3))))
+        form = g.mul(g).mul(h)
+    else:
+        coeffs = draw(st.lists(_COEFF, min_size=2, max_size=7))
+        if shape == "zero-ends":
+            coeffs[0] = 0
+            coeffs[-1] = draw(st.sampled_from([0, coeffs[-1]]))
+        form = BinaryForm(tuple(coeffs))
+    # a prime dividing the leading coefficient, and one dividing every coefficient
+    q_lead = draw(st.sampled_from(_PRIME_POOL))
+    q_all = draw(st.sampled_from(_PRIME_POOL))
+    coeffs = list(form.coeffs)
+    coeffs[0] *= q_lead
+    form = BinaryForm(tuple(c * q_all for c in coeffs))
+    extra = draw(st.lists(st.sampled_from(_PRIME_POOL), max_size=6))
+    ps = sorted({2, 3, q_lead, q_all, *extra})
+    return form, np.array(ps, dtype=np.int64)
+
+
+@given(_forms_and_primes())
+def test_projective_root_counts_batched_equals_scalar(case):
+    form, ps = case
+    assume(not form.is_zero())
+    vec = projective_root_counts(form, ps)
+    assert vec.tolist() == [projective_roots_mod_p(form, p) for p in ps.tolist()]
+
+
+def test_projective_root_counts_int64_bound(s1):
+    # the kernel is exact while degree * p^2 < 2^63
+    f = s1.disc
+    edge = math.isqrt((2**63 - 1) // f.degree)
+    below, above = sympy.prevprime(edge + 1), sympy.nextprime(edge)
+    vec = projective_root_counts(f, np.array([below], dtype=np.int64))
+    assert vec.tolist() == [projective_roots_mod_p(f, below)]
+    with pytest.raises(ValueError, match=r"degree \* p\^2 < 2\^63"):
+        projective_root_counts(f, np.array([above], dtype=np.int64))
 
 
 # ---------------------------------------------------------------- varrho*
@@ -101,7 +155,7 @@ def test_varrho_rejects_bad_moduli(s1):
 
 
 def test_rho_star_prime_vector_matches_scalar(s1, split_surface):
-    ps = shared_primes(100)
+    ps = shared_primes(2000)
     for X in (s1, split_surface):
         vec = rho_star_prime_vector(X, ps)
         for p, n in zip(ps.tolist(), vec.tolist()):

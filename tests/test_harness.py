@@ -384,3 +384,17 @@ def test_cli_wirsing_rho_delta(s1_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "k_hat:" in out
+
+
+def test_cli_wirsing_rejects_fractional_x(s1_file, capsys):
+    rc = run_cli("--no-cache", "wirsing-check", "--function", "rho-delta",
+                 "--surface", s1_file, "--x", "2.5")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error[ValueError]: --x must be an integer, got 2.5\n"
+    # integral spellings still run
+    rc = run_cli("--no-cache", "wirsing-check", "--function",
+                 "squarefree-harmonic", "--x", "1e4")
+    assert rc == 0
+    assert "x: 10000\n" in capsys.readouterr().out
