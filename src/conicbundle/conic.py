@@ -13,6 +13,12 @@ det(Pi) equals the conic invariant cxx*cyz^2 - cxy*cxz*cyz + czz*cxy^2, the
 content of q(u, v) divides |det(Pi)| for coprime (u, v); combined with a
 certified positive floor for the sup norm of q on the unit box boundary this
 turns "all points of height <= B" into a finite, provably complete search.
+
+Each point is counted once, by the one parameter pair that owns it: of
++-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
+image has content exactly g is counted only in the layer of g (the base box
+is the layer g = 1).  So no pair is ever found twice and nothing is
+deduplicated; the count is a running total.
 """
 from __future__ import annotations
 
@@ -133,17 +139,22 @@ def _ceil_frac_times(f: Fraction, scale: int) -> int:
     return -((-n) // d)
 
 
-@functools.lru_cache(maxsize=None)
-def _certified_min_m(C: FibreConic, max_depth: int, sample_bits: int) -> Fraction:
-    par = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
-    G = 1 << sample_bits
+def _sampled_min_norm(par: ParamIntervals, bits: int) -> Fraction:
+    """Smallest norm on the 2^bits grid of the two independent boundary edges."""
+    G = 1 << bits
     m_hat = min(
         min(par.norm_at(G, a) for a in range(-G, G + 1)),
         min(par.norm_at(a, G) for a in range(-G, G + 1)),
     )
     if m_hat <= 0:
         raise CannotCertify("sampled boundary norm is zero")
-    m_best = Fraction(m_hat, 4**sample_bits)
+    return Fraction(m_hat, 4**bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _certified_min_m(C: FibreConic, max_depth: int, sample_bits: int) -> Fraction:
+    par = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
+    m_best = _sampled_min_norm(par, sample_bits)
     tau = m_best / 2
     thresholds: dict[int, int] = {}
     # cells: (edge, a, k) is the segment [a/2^k, (a+1)/2^k] of the free
@@ -211,28 +222,29 @@ def _ceil_sqrt_ratio(num: int, den: int) -> int:
 
 
 def _pair_chunks_box(U: int, chunk: int):
-    """Full box max(|u|,|v|) <= U in row strips of roughly `chunk` cells."""
+    """Half box max(|u|,|v|) <= U owning one of each +-(u, v): the cell (0, 1),
+    then the rows u = 1..U in strips of roughly `chunk` cells."""
+    yield np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     width = 2 * U + 1
-    rows = max(1, min(width, chunk // width))
+    rows = max(1, min(U, chunk // width))
     v_line = np.arange(-U, U + 1, dtype=np.int64)
-    u0 = -U
+    u0 = 1
     while u0 <= U:
         u1 = min(u0 + rows - 1, U)
-        nu = u1 - u0 + 1
         u = np.repeat(np.arange(u0, u1 + 1, dtype=np.int64), width)
-        v = np.tile(v_line, nu)
+        v = np.tile(v_line, u1 - u0 + 1)
         yield u, v
         u0 = u1 + 1
 
 
 class _Collector:
-    """Chunk pipeline: coprime filter, sign normalization, height test."""
+    """Chunk pipeline: ownership filter, exact-content and height test, count."""
 
-    def __init__(self, C: FibreConic, bound: int, u_cap: int):
+    def __init__(self, C: FibreConic, bound: int, u_cap: int, want_points: bool):
         self.C = C
         self.bound = bound
-        self.parts_u: list[np.ndarray] = []
-        self.parts_v: list[np.ndarray] = []
+        self.count = 0
+        self.points: list[HeightedPoint] | None = [] if want_points else None
         maxc = max(1, max(abs(c) for c in C.coeffs))
         # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
         # and the bound*content comparison
@@ -241,15 +253,14 @@ class _Collector:
             and bound * abs(C.pi_det) < 2**62
         )
 
-    def feed(self, u: np.ndarray, v: np.ndarray) -> None:
+    def feed(self, u: np.ndarray, v: np.ndarray, g: int) -> None:
+        """Count the pairs of layer g: coprime, owner of +-(u, v), content g."""
+        half = (u > 0) | ((u == 0) & (v > 0))
+        u, v = u[half], v[half]
         keep = np.gcd(u, v) == 1
-        u = u[keep]
-        v = v[keep]
+        u, v = u[keep], v[keep]
         if not len(u):
             return
-        neg = (u < 0) | ((u == 0) & (v < 0))
-        u = np.where(neg, -u, u)
-        v = np.where(neg, -v, v)
         if self.int64_ok:
             C = self.C
             uu = u * u
@@ -260,72 +271,42 @@ class _Collector:
             q3 = np.abs(C.cxy * uv + C.cyz * vv)
             content = np.gcd(np.gcd(q1, q2), q3)
             hw = np.maximum(np.maximum(q1, C.weight * q2), q3)
-            ok = hw <= self.bound * content
-            u, v = u[ok], v[ok]
+            ok = (content == g) & (hw <= self.bound * g)
         else:
-            ok = [
-                self._accept_exact(int(a), int(b)) for a, b in zip(u.tolist(), v.tolist())
-            ]
-            ok = np.array(ok, dtype=bool)
-            u, v = u[ok], v[ok]
-        if len(u):
-            self.parts_u.append(u)
-            self.parts_v.append(v)
+            ok = np.array(
+                [self._accept_exact(a, b, g) for a, b in zip(u.tolist(), v.tolist())],
+                dtype=bool,
+            )
+        u, v = u[ok], v[ok]
+        self.count += len(u)
+        if self.points is not None:
+            self.points.extend(
+                point_from_pair(self.C, a, b) for a, b in zip(u.tolist(), v.tolist())
+            )
 
-    def _accept_exact(self, u: int, v: int) -> bool:
+    def _accept_exact(self, u: int, v: int, g: int) -> bool:
         q1, q2, q3 = parameterize(self.C, u, v)
         c = gcd(gcd(abs(q1), abs(q2)), abs(q3))
-        return max(abs(q1), self.C.weight * abs(q2), abs(q3)) <= self.bound * c
-
-    def unique_pairs(self) -> np.ndarray:
-        if not self.parts_u:
-            return np.empty((0, 2), dtype=np.int64)
-        u = np.concatenate(self.parts_u)
-        v = np.concatenate(self.parts_v)
-        if np.all(np.abs(u) < 2**31) and np.all(np.abs(v) < 2**31):
-            key = (u.astype(np.uint64) << np.uint64(32)) ^ (
-                (v + 2**31).astype(np.uint64)
-            )
-            _, idx = np.unique(key, return_index=True)
-            out = np.empty((len(idx), 2), dtype=np.int64)
-            out[:, 0] = u[idx]
-            out[:, 1] = v[idx]
-            return out
-        pairs = np.stack([u, v], axis=1)
-        return np.unique(pairs, axis=0)
-
-
-def _points_from_pairs(C: FibreConic, pairs: np.ndarray) -> list[HeightedPoint]:
-    pts = []
-    for u, v in pairs.tolist():
-        pts.append(point_from_pair(C, int(u), int(v)))
-    pts.sort()
-    return pts
+        return c == g and max(abs(q1), self.C.weight * abs(q2), abs(q3)) <= self.bound * g
 
 
 def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4_000_000):
-    """Shared enumeration core: a base box plus per-divisor lattice boxes."""
+    """Shared enumeration core: the base box (layer 1) plus per-divisor lattice
+    boxes, each pair counted in the layer of its exact content."""
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
-    col = _Collector(C, bound, u_cap)
+    col = _Collector(C, bound, u_cap, want_points)
     for u, v in _pair_chunks_box(u1, chunk):
-        col.feed(u, v)
+        col.feed(u, v, 1)
     for g, sols, ug in layer_bounds:
         for sigma, tau in sols:
             b1, b2 = class_lattice_basis(sigma, tau, g)
             for u, v in iter_lattice_points(b1, b2, ug, chunk=chunk):
-                col.feed(u, v)
-    pairs = col.unique_pairs()
-    points = _points_from_pairs(C, pairs) if want_points else None
-    return len(pairs), points, u_cap
+                col.feed(u, v, g)
+    points = sorted(col.points) if want_points else None
+    return col.count, points, u_cap
 
 
-def count_points(
-    C: FibreConic,
-    B,
-    *,
-    want_points: bool = False,
-    max_depth: int = 44,
-) -> ConicCountResult:
+def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountResult:
     """Exact number of rational points on C with height <= B.
 
     A base box covers all parameters giving points with unit content; for
@@ -334,13 +315,18 @@ def count_points(
     inside the correspondingly larger box.  Every candidate is verified by
     exact evaluation, so the floor `min_norm` only ever affects completeness,
     and it is certified.
+
+    Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
+    and v > 0, counted only in the layer of the exact content g of q(u, v).
+    That layer always reaches it, since max(|u|, |v|) <= sqrt(B*g/m) bounds
+    the layer's box and its class mod g is one of the layer's classes.
     """
     bound = floor(B)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
     certified = True
     try:
-        m = certified_min_m(C, max_depth=max_depth)
+        m = certified_min_m(C)
     except CannotCertify:
         certified = False
         m = _heuristic_min_m(C) / 4
@@ -368,14 +354,7 @@ def count_points(
 def _heuristic_min_m(C: FibreConic) -> Fraction:
     """Uncertified sampled boundary minimum (fallback when b&b gives up)."""
     par = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
-    G = 1 << 9
-    m_hat = min(
-        min(par.norm_at(G, a) for a in range(-G, G + 1)),
-        min(par.norm_at(a, G) for a in range(-G, G + 1)),
-    )
-    if m_hat <= 0:
-        raise CannotCertify("degenerate: boundary norm vanishes at a sample")
-    return Fraction(m_hat, 4**9)
+    return _sampled_min_norm(par, 9)
 
 
 def _heuristic_cross_check(C: FibreConic, bound: int, count: int) -> None:
@@ -386,33 +365,6 @@ def _heuristic_cross_check(C: FibreConic, bound: int, count: int) -> None:
         raise ArithmeticError(
             f"uncertified enumeration disagrees with direct scan: {count} vs {ref}"
         )
-
-
-def count_points_single_box(
-    C: FibreConic,
-    B,
-    *,
-    want_points: bool = False,
-    max_depth: int = 44,
-) -> ConicCountResult:
-    """One box of radius sqrt(B*|det|/m), no lattice layering (small B only)."""
-    bound = floor(B)
-    if bound < 1:
-        raise ValueError("height bound must be >= 1")
-    m = certified_min_m(C, max_depth=max_depth)
-    d = abs(C.pi_det)
-    u_full = _ceil_sqrt_ratio(bound * d * m.denominator, m.numerator)
-    if (2 * u_full + 1) ** 2 > 4 * 10**8:
-        raise ValueError("single-box search too large; use count_points")
-    count, points, u_cap = _enumerate(C, bound, u_full, [], want_points)
-    return ConicCountResult(
-        count=count,
-        points=points,
-        u_bound=u_cap,
-        min_norm=m,
-        certified=True,
-        layers=0,
-    )
 
 
 def count_points_reference(C: FibreConic, B) -> int:

@@ -19,7 +19,7 @@ from .conic import FibreConic, certified_min_m
 from .intervals import ParamIntervals
 from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
-from .surface import RATIONAL_FIELD, CubicSurfaceNF, FieldContext
+from .surface import PEYRE_PREFACTOR, CubicSurfaceNF, zeta2_bracket
 
 
 class ToleranceNotMet(Exception):
@@ -220,11 +220,19 @@ def sigma_inf(
 # assembly
 
 
+def _leading_constant(
+    a_lo: Fraction, a_hi: Fraction, nonarch: Fraction
+) -> tuple[Fraction, Fraction]:
+    """prefactor * sigma_inf * (1/zeta(2)) * nonarch, bracketed outward."""
+    z_lo, z_hi = zeta2_bracket()
+    return (
+        PEYRE_PREFACTOR * a_lo * nonarch / z_hi,
+        PEYRE_PREFACTOR * a_hi * nonarch / z_lo,
+    )
+
+
 def peyre_constant(
-    C: FibreConic,
-    tol: float = 1e-4,
-    max_depth: int = 24,
-    field: FieldContext = RATIONAL_FIELD,
+    C: FibreConic, tol: float = 1e-4, max_depth: int = 24
 ) -> tuple[Fraction, Fraction]:
     """Bracket for the leading constant of the linear point-count growth.
 
@@ -232,10 +240,7 @@ def peyre_constant(
     every factor exact except the two explicit brackets.
     """
     nonarch = bad_prime_product(C)
-    a_lo, a_hi = sigma_inf(C, tol=tol, max_depth=max_depth)
-    z_lo, z_hi = field.zeta2_bracket
-    pre = field.prefactor
-    return pre * a_lo * nonarch / z_hi, pre * a_hi * nonarch / z_lo
+    return _leading_constant(*sigma_inf(C, tol=tol, max_depth=max_depth), nonarch)
 
 
 def nonarch_lower_bound_check(
@@ -283,10 +288,7 @@ class LocalDensityReport:
 
 
 def local_density_report(
-    C: FibreConic,
-    tol: float = 1e-4,
-    max_depth: int = 24,
-    field: FieldContext = RATIONAL_FIELD,
+    C: FibreConic, tol: float = 1e-4, max_depth: int = 24
 ) -> LocalDensityReport:
     rows = []
     nonarch = Fraction(1)
@@ -296,8 +298,8 @@ def local_density_report(
         rows.append(BadPrimeRow(p, v, rhos, sp))
         nonarch *= sp / Fraction(p * p - 1, p * p)
     a_lo, a_hi = sigma_inf(C, tol=tol, max_depth=max_depth)
-    z_lo, z_hi = field.zeta2_bracket
-    pre = field.prefactor
+    z_lo, z_hi = zeta2_bracket()
+    c_lo, c_hi = _leading_constant(a_lo, a_hi, nonarch)
     return LocalDensityReport(
         determinant=C.pi_det,
         bad_primes=tuple(rows),
@@ -305,6 +307,6 @@ def local_density_report(
         sigma_inf_upper=a_hi,
         zeta2_lower=z_lo,
         zeta2_upper=z_hi,
-        constant_lower=pre * a_lo * nonarch / z_hi,
-        constant_upper=pre * a_hi * nonarch / z_lo,
+        constant_lower=c_lo,
+        constant_upper=c_hi,
     )

@@ -223,12 +223,6 @@ def _emit_rows(b1, b2, n2, lo, counts):
     return u, v
 
 
-def lattice_points_in_box(b1, b2, U: int):
-    """All lattice points n1*b1 + n2*b2 with sup norm <= U, as int64 arrays."""
-    n2, lo, counts = _row_ranges(b1, b2, U)
-    return _emit_rows(b1, b2, n2, lo, counts)
-
-
 def iter_lattice_points(b1, b2, U: int, chunk: int = 4_000_000):
     """Yield the box's lattice points in (u, v) array chunks of bounded size."""
     n2, lo, counts = _row_ranges(b1, b2, U)

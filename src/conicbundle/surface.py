@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -56,44 +56,11 @@ class SingularFibre(ValueError):
 
 
 # --------------------------------------------------------------------------
-# ground field bookkeeping (rationals)
+# ground field constants (the rationals)
 
-
-@dataclass(frozen=True)
-class FieldContext:
-    """Invariants of the ground field entering the leading constant.
-
-    Fixed to the rationals: one real place, no complex places, class number
-    one, trivial regulator and discriminant, unit group {+-1}.
-    """
-
-    real_places: int = 1
-    complex_places: int = 0
-    class_number: int = 1
-    regulator: Fraction = Fraction(1)
-    roots_of_unity: int = 2
-    abs_discriminant: int = 1
-
-    @property
-    def prefactor(self) -> Fraction:
-        """(1/2) * 2^r1 (2 pi)^r2 h R / (|mu| sqrt(|disc|)), exact here."""
-        if self.complex_places:
-            raise NotImplementedError("complex places would make this irrational")
-        if isqrt(self.abs_discriminant) ** 2 != self.abs_discriminant:
-            raise NotImplementedError("non-square discriminant")
-        return (
-            Fraction(1, 2)
-            * 2**self.real_places
-            * self.class_number
-            * self.regulator
-            / (self.roots_of_unity * isqrt(self.abs_discriminant))
-        )
-
-    @property
-    def zeta2_bracket(self) -> tuple[Fraction, Fraction]:
-        """Exact rational bracket around zeta(2) = pi^2/6."""
-        lo, hi = pi_bracket()
-        return lo * lo / 6, hi * hi / 6
+# (1/2) * 2^r1 (2 pi)^r2 h R / (|mu| sqrt|disc|) for Q: one real place, no
+# complex places, class number and regulator 1, units {+-1}, discriminant 1
+PEYRE_PREFACTOR = Fraction(1, 2)
 
 
 def pi_bracket() -> tuple[Fraction, Fraction]:
@@ -105,7 +72,10 @@ def pi_bracket() -> tuple[Fraction, Fraction]:
     return f - eps, f + eps
 
 
-RATIONAL_FIELD = FieldContext()
+def zeta2_bracket() -> tuple[Fraction, Fraction]:
+    """Exact rational bracket around zeta(2) = pi^2/6."""
+    lo, hi = pi_bracket()
+    return lo * lo / 6, hi * hi / 6
 
 
 # --------------------------------------------------------------------------

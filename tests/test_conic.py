@@ -1,19 +1,47 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from conicbundle import conic
 from conicbundle.conic import (
     FibreConic,
     certified_min_m,
     count_points,
     count_points_reference,
-    count_points_single_box,
     height,
     parameterize,
     point_from_pair,
 )
+from conicbundle.numth import is_prime
+
+# det(Pi) = 36: pairs of content 2 and 4 also lie inside the base box
+C36 = FibreConic(2, 6, 1, 3, 1)
+
+
+def _accepted_pairs(C, B, U=None):
+    """Coprime (u, v) of the half box max(|u|,|v|) <= U (u > 0, or u = 0 and
+    v > 0) whose image has height <= B, with the content of that image.
+
+    U defaults to sqrt(B*|det|/m), which reaches every point: one box, any
+    content, no lattice layers (small B only)."""
+    if U is None:
+        m = certified_min_m(C)
+        U = isqrt(B * abs(C.pi_det) * m.denominator // m.numerator) + 1
+    for u in range(0, U + 1):
+        for v in range(-U, U + 1):
+            if (u == 0 and v <= 0) or gcd(u, v) != 1:
+                continue
+            x, y, z = parameterize(C, u, v)
+            c = gcd(gcd(abs(x), abs(y)), abs(z))
+            if max(abs(x), C.weight * abs(y), abs(z)) <= B * c:
+                yield u, v, c
+
+
+def count_points_single_box(C, B):
+    """Independent oracle: the number of pairs of the one half box."""
+    return sum(1 for _ in _accepted_pairs(C, B))
 
 
 def test_pi_det_value_and_rejection():
@@ -114,6 +142,23 @@ def test_count_points_random_conics_vs_reference():
         B = rng.randint(1, 30)
         assert count_points(C, B).count == count_points_reference(C, B)
         done += 1
+    # composite determinants: pairs of content g > 1 inside the base box too,
+    # which only their own layer may count
+    done = inside = 0
+    while done < 25:
+        coeffs = [rng.randint(-6, 6) for _ in range(5)]
+        a, b, c, e, f = coeffs
+        det = abs(a * e * e - b * c * e + f * b * b)
+        if det < 4 or is_prime(det):
+            continue
+        C = FibreConic(*coeffs, weight=rng.randint(1, 3))
+        B = rng.randint(10, 60)
+        assert count_points(C, B).count == count_points_reference(C, B)
+        m = certified_min_m(C)
+        u1 = isqrt(B * m.denominator // m.numerator) + 1
+        inside += any(g > 1 for _, _, g in _accepted_pairs(C, B, u1))
+        done += 1
+    assert inside >= 5
 
 
 def test_count_points_monotone_in_height(c12):
@@ -124,22 +169,57 @@ def test_count_points_monotone_in_height(c12):
         last = n
 
 
-def test_count_points_single_box_agrees(c11):
-    for B in (5, 20, 60):
-        assert count_points_single_box(c11, B).count == count_points(c11, B).count
+def test_count_points_single_box_agrees(c11, c12):
+    for C in (c11, c12, C36):
+        for B in (5, 20, 60):
+            assert count_points_single_box(C, B) == count_points(C, B).count
 
 
 def test_count_points_want_points(c12):
-    res = count_points(c12, 17, want_points=True)
-    assert res.count == 13 == len(res.points)
-    seen = set()
-    for pt in res.points:
-        x, y, z = pt.triple
-        assert c12.quadratic(x, y, z) == 0
-        assert gcd(gcd(x, y), z) == 1
-        assert max(abs(x), c12.weight * abs(y), abs(z)) == pt.height <= 17
-        assert pt.triple not in seen
-        seen.add(pt.triple)
+    for C, B in ((c12, 17), (C36, 200)):
+        res = count_points(C, B, want_points=True)
+        assert res.count == len(res.points) == count_points_reference(C, B)
+        seen = set()
+        for pt in res.points:
+            x, y, z = pt.triple
+            assert C.quadratic(x, y, z) == 0
+            assert gcd(gcd(x, y), z) == 1
+            assert max(abs(x), C.weight * abs(y), abs(z)) == pt.height <= B
+            assert pt.triple not in seen
+            seen.add(pt.triple)
+        # C36's layers overlap: each point still comes from one pair only
+        assert seen == {point_from_pair(C, u, v).triple for u, v, _ in _accepted_pairs(C, B)}
+
+
+def test_count_points_chunk_independent(monkeypatch, c12):
+    default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
+    enumerate_default = conic._enumerate
+    monkeypatch.setattr(
+        conic, "_enumerate", lambda *args: enumerate_default(*args, chunk=7)
+    )
+    for C, res in zip((c12, C36), default):
+        small = count_points(C, 300, want_points=True)
+        assert small.count == res.count
+        assert small.points == res.points
+
+
+def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
+    default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
+    init = conic._Collector.__init__
+
+    def exact_only(self, *args):
+        init(self, *args)
+        self.int64_ok = False
+
+    monkeypatch.setattr(conic._Collector, "__init__", exact_only)
+    for C, res in zip((c12, C36), default):
+        exact = count_points(C, 300, want_points=True)
+        assert exact.count == res.count
+        assert exact.points == res.points
+    # coefficients too large for int64: det = 4 * 36 * (2^32 - 1)^2
+    C = FibreConic(4, 0, -5, 6 * (2**32 - 1), -2)
+    for B in (5, 40):
+        assert count_points(C, B).count == count_points_reference(C, B)
 
 
 def test_count_rejects_bad_bound(c12):

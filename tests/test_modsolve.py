@@ -6,15 +6,22 @@ import pytest
 
 from conicbundle.conic import FibreConic, parameterize
 from conicbundle.modsolve import (
+    _emit_rows,
+    _row_ranges,
     class_lattice_basis,
     class_levels,
     divisor_solutions,
     iter_lattice_points,
     lagrange_reduce,
-    lattice_points_in_box,
     solutions_mod_prime_power,
 )
 from conicbundle.numth import euler_phi, factor
+
+
+def lattice_points_in_box(b1, b2, U: int):
+    """All lattice points n1*b1 + n2*b2 with sup norm <= U, in one batch."""
+    n2, lo, counts = _row_ranges(b1, b2, U)
+    return _emit_rows(b1, b2, n2, lo, counts)
 
 
 def _scan_classes(coeffs, m, p):

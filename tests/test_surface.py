@@ -6,6 +6,7 @@ import pytest
 
 from conicbundle.conic import count_points
 from conicbundle.surface import (
+    PEYRE_PREFACTOR,
     CubicSurfaceNF,
     DegenerateForm,
     FibreIndex,
@@ -25,7 +26,7 @@ from conicbundle.surface import (
     section_base_directions,
     surface_from_dict,
     validate,
-    RATIONAL_FIELD,
+    zeta2_bracket,
 )
 
 
@@ -190,8 +191,8 @@ def test_pi_bracket_sane():
 
 
 def test_field_context_prefactor():
-    assert RATIONAL_FIELD.prefactor == Fraction(1, 2)
-    z_lo, z_hi = RATIONAL_FIELD.zeta2_bracket
+    assert PEYRE_PREFACTOR == Fraction(1, 2)
+    z_lo, z_hi = zeta2_bracket()
     # truncation of pi^2/6 = 1.64493406684822643647...
     assert z_lo <= Fraction(16449340668482264, 10**16) <= z_hi
     assert z_hi - z_lo < Fraction(1, 10**12)
