@@ -22,7 +22,7 @@ import numpy as np
 
 from .forms import BinaryForm, factor_over_q, resultant
 from .numth import MultiplicativeFn, factor, find_roots_mod_p, primes_up_to
-from .surface import CubicSurfaceNF
+from .surface import CubicSurfaceNF, singular_fibre_indices
 
 _FIX_BITS = 96
 
@@ -594,17 +594,7 @@ def G_sum(
     x = int(x)
     if x < 1:
         raise ValueError("need x >= 1")
-    # coprime zeros of the discriminant: one primitive pair per rational root
-    bad = set()
-    for f, _ in X.factorization.factors:
-        if f.degree != 1:
-            continue
-        c, d = f.coeffs
-        s0, t0 = d, -c
-        if s0 < 0 or (s0 == 0 and t0 < 0):
-            s0, t0 = -s0, -t0
-        if s0 > 0:
-            bad.add((s0, t0))
+    bad = [(i.s, i.t) for i in singular_fibre_indices(X) if i.s > 0]
     exact = x <= exact_threshold
     total = Fraction(0)
     acc = _FixedSum()
@@ -629,7 +619,7 @@ def G_sum(
             keep &= ((s_all - sigma) % a == 0) & ((t_all - tau) % a == 0)
         n = int(np.count_nonzero(keep))
         for s0, t0 in bad:
-            if max(s0, abs(t0)) == h and math.gcd(s0, abs(t0)) == 1:
+            if max(s0, abs(t0)) == h:
                 if (s0 - sigma) % a == 0 and (t0 - tau) % a == 0:
                     n -= 1
         if n <= 0:

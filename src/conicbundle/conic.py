@@ -13,6 +13,9 @@ det(Pi) equals the conic invariant cxx*cyz^2 - cxy*cxz*cyz + czz*cxy^2, the
 content of q(u, v) divides |det(Pi)| for coprime (u, v); combined with a
 certified positive floor for the sup norm of q on the unit box boundary this
 turns "all points of height <= B" into a finite, provably complete search.
+The floor comes from exact integer bounds of that norm on dyadic cells of
+the two box edges (1, t) and (s, 1); there is no sampled or uncertified
+fallback: a floor that cannot be certified raises CannotCertify.
 
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
@@ -22,20 +25,18 @@ deduplicated; the count is a running total.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
 import numpy as np
 
-from .intervals import ParamIntervals
 from .modsolve import class_lattice_basis, divisor_solutions, iter_lattice_points
-from .numth import factor
+from .numth import factor, projective_normal
 
 
 class CannotCertify(Exception):
-    """Branch-and-bound could not separate the boundary norm from zero."""
+    """The norm floor was not certified within the subdivision depth cap."""
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,6 @@ class HeightedPoint:
         return (self.x, self.y, self.z)
 
 
-def _normalize_triple(x: int, y: int, z: int) -> tuple[int, int, int]:
-    g = gcd(gcd(abs(x), abs(y)), abs(z))
-    if g == 0:
-        raise ValueError("zero vector has no projective normalization")
-    x, y, z = x // g, y // g, z // g
-    lead = x if x else (y if y else z)
-    if lead < 0:
-        x, y, z = -x, -y, -z
-    return x, y, z
-
-
 def parameterize(C: FibreConic, u: int, v: int) -> tuple[int, int, int]:
     """Raw image of (u, v) under the quadratic map; rejects (0, 0)."""
     if u == 0 and v == 0:
@@ -120,68 +110,95 @@ def parameterize(C: FibreConic, u: int, v: int) -> tuple[int, int, int]:
 
 def height(C: FibreConic, p) -> int:
     """Weighted sup-norm height of the primitive form of p."""
-    x, y, z = _normalize_triple(*p)
+    x, y, z = projective_normal(p)
     return max(abs(x), C.weight * abs(y), abs(z))
 
 
 def point_from_pair(C: FibreConic, u: int, v: int) -> HeightedPoint:
-    x, y, z = _normalize_triple(*parameterize(C, u, v))
+    x, y, z = projective_normal(parameterize(C, u, v))
     return HeightedPoint(x, y, z, max(abs(x), C.weight * abs(y), abs(z)))
 
 
 # --------------------------------------------------------------------------
-# certified floor for the parameterization norm on the unit box boundary
+# the norm on the two unit-box edges
+#
+# By q(-u, -v) = q(u, v) the boundary of the unit box is covered by the two
+# edges (1, t) and (s, 1), -1 <= s, t <= 1, and the edge (s, 1) of C is the
+# edge (1, t) of C with (cxx, cxy) swapped against (czz, cyz): x and z trade
+# places and y is unchanged.  A cell of level k is t in [a/S, (a+1)/S] with
+# S = 2^k; scaled by S^2 its components are integers at the cell ends.  The
+# cell arithmetic below uses only +, -, *, abs and // on exact halves, so one
+# formula serves Python ints and integer numpy arrays (int64 or object).
 
 
-def _ceil_frac_times(f: Fraction, scale: int) -> int:
-    n = f.numerator * scale
-    d = f.denominator
-    return -((-n) // d)
+def edge_coeffs(C: FibreConic):
+    """Coefficients whose edge (1, t) is C's edge (1, t), resp. (s, 1)."""
+    return C.coeffs, (C.czz, C.cyz, C.cxz, C.cxy, C.cxx)
 
 
-def _sampled_min_norm(par: ParamIntervals, bits: int) -> Fraction:
-    """Smallest norm on the 2^bits grid of the two independent boundary edges."""
-    G = 1 << bits
-    m_hat = min(
-        min(par.norm_at(G, a) for a in range(-G, G + 1)),
-        min(par.norm_at(a, G) for a in range(-G, G + 1)),
+def _max(a, b):
+    # a + b and a - b have the same parity, so the halving is exact
+    return (a + b + abs(a - b)) // 2
+
+
+def _edge_components(c, T, S):
+    """S^2 * q(1, T/S) for edge coefficients c."""
+    cxx, cxy, cxz, cyz, czz = c
+    return (
+        cxy * S * S + cyz * S * T,
+        -(cxx * S * S + cxz * S * T + czz * T * T),
+        cxy * S * T + cyz * T * T,
     )
-    if m_hat <= 0:
-        raise CannotCertify("sampled boundary norm is zero")
-    return Fraction(m_hat, 4**bits)
 
 
-@functools.lru_cache(maxsize=None)
-def _certified_min_m(C: FibreConic, max_depth: int, sample_bits: int) -> Fraction:
-    par = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
-    m_best = _sampled_min_norm(par, sample_bits)
-    tau = m_best / 2
-    thresholds: dict[int, int] = {}
-    # cells: (edge, a, k) is the segment [a/2^k, (a+1)/2^k] of the free
-    # coordinate, fixed coordinate = 1; the (-1,*) images follow by symmetry
+def edge_norm(c, w, T, S):
+    """S^2 * max(|x|, w|y|, |z|) of q(1, T/S), exact."""
+    x, y, z = _edge_components(c, T, S)
+    return _max(_max(abs(x), w * abs(y)), abs(z))
+
+
+def edge_cell_bounds(c, w, a, S):
+    """(lo, hi) with lo <= 4 S^2 max(|x|, w|y|, |z|) of q(1, t) <= hi on the
+    cell t in [a/S, (a+1)/S].
+
+    On the cell each scaled component is its chord through the two end
+    values plus alpha (T - a)(T - a - 1), alpha its T^2 coefficient, and that
+    product lies between -alpha/4 and 0; the factor 4 keeps it integral.
+    """
+    lo = hi = 0
+    ends = zip(_edge_components(c, a, S), _edge_components(c, a + 1, S))
+    for (f0, f1), alpha, wt in zip(ends, (0, -c[4], c[3]), (1, w, 1)):
+        f_lo = 2 * (f0 + f1 - abs(f0 - f1)) - (alpha + abs(alpha)) // 2
+        f_hi = 2 * (f0 + f1 + abs(f0 - f1)) + (abs(alpha) - alpha) // 2
+        lo = _max(lo, wt * _max(f_lo, -f_hi))
+        hi = _max(hi, wt * _max(f_hi, -f_lo))
+    return lo, hi
+
+
+def certified_min_m(C: FibreConic, max_depth: int = 44) -> Fraction:
+    """Positive rational floor for max(|x|,w|y|,|z|) of q on max(|u|,|v|) = 1.
+
+    Depth-first branch-and-bound over the dyadic cells of the edges (1, t)
+    and (s, 1) (the other two follow from q(-u, -v) = q(u, v)).  The target
+    is 16/17 of the smallest cell-end norm met so far, and a cell is done
+    once its lower bound reaches the target; lowering the target never
+    undoes a cell already done, so the last target is a floor.
+    """
+    edges = edge_coeffs(C)
+    w = C.weight
+    # smallest end norm met so far: best / 4^kb
+    best, kb = edge_norm(edges[0], w, 0, 1), 0
     stack = [(e, a, 0) for e in (0, 1) for a in (-1, 0)]
     while stack:
         e, a, k = stack.pop()
-        s = 1 << k
-        # a dip narrower than the phase-1 grid would make tau unprovable;
-        # cell corners keep the candidate honest, and lowering tau never
-        # invalidates a cell already accepted against a larger threshold
-        corner = par.norm_at(s, a) if e == 0 else par.norm_at(a, s)
-        if corner <= 0:
-            raise CannotCertify("boundary norm vanishes at a corner")
-        corner_val = Fraction(corner, 4**k)
-        if corner_val < m_best:
-            m_best = corner_val
-            tau = m_best / 2
-            thresholds.clear()
-        T = thresholds.get(k)
-        if T is None:
-            T = thresholds[k] = _ceil_frac_times(tau, 4**k)
-        if e == 0:
-            lo = par.norm_lower((s, s), (a, a + 1))
-        else:
-            lo = par.norm_lower((a, a + 1), (s, s))
-        if lo >= T:
+        S = 1 << k
+        c = edges[e]
+        corner = edge_norm(c, w, a, S)
+        if corner << (2 * kb) < best << (2 * k):
+            best, kb = corner, k
+        # the target 16/17 * best/4^kb on the scale 4 S^2 of the cell bounds
+        target = -((-64 * best << (2 * k)) // (17 << (2 * kb)))
+        if edge_cell_bounds(c, w, a, S)[0] >= target:
             continue
         if k >= max_depth:
             raise CannotCertify(
@@ -189,17 +206,7 @@ def _certified_min_m(C: FibreConic, max_depth: int, sample_bits: int) -> Fractio
             )
         stack.append((e, 2 * a, k + 1))
         stack.append((e, 2 * a + 1, k + 1))
-    return tau
-
-
-def certified_min_m(C: FibreConic, max_depth: int = 44) -> Fraction:
-    """Positive rational floor for max(|x|,w|y|,|z|) of q on max(|u|,|v|) = 1.
-
-    Phase 1 samples the two independent boundary edges for a candidate
-    minimum; phase 2 proves half that value by interval subdivision (the
-    other two edges follow from q(-u,-v) = q(u,v)).
-    """
-    return _certified_min_m(C, max_depth, 6)
+    return Fraction(16 * best, 17 << (2 * kb))
 
 
 # --------------------------------------------------------------------------
@@ -208,6 +215,8 @@ def certified_min_m(C: FibreConic, max_depth: int = 44) -> Fraction:
 
 @dataclass
 class ConicCountResult:
+    """`certified` is always True: an uncertified floor raises instead."""
+
     count: int
     points: list[HeightedPoint] | None
     u_bound: int
@@ -314,7 +323,8 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     on index-g sublattices (one per solution class of q = 0 mod g), searched
     inside the correspondingly larger box.  Every candidate is verified by
     exact evaluation, so the floor `min_norm` only ever affects completeness,
-    and it is certified.
+    and it is certified (CannotCertify propagates; nothing is counted
+    against an uncertified floor).
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).
@@ -324,12 +334,7 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     bound = floor(B)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
-    certified = True
-    try:
-        m = certified_min_m(C)
-    except CannotCertify:
-        certified = False
-        m = _heuristic_min_m(C) / 4
+    m = certified_min_m(C)
     u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
     layer_bounds = []
     fd = factor(abs(C.pi_det))
@@ -339,32 +344,14 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
         ug = _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator)
         layer_bounds.append((g, sols, ug))
     count, points, u_cap = _enumerate(C, bound, u1, layer_bounds, want_points)
-    if not certified:
-        _heuristic_cross_check(C, bound, count)
     return ConicCountResult(
         count=count,
         points=points,
         u_bound=u_cap,
         min_norm=m,
-        certified=certified,
+        certified=True,
         layers=len(layer_bounds),
     )
-
-
-def _heuristic_min_m(C: FibreConic) -> Fraction:
-    """Uncertified sampled boundary minimum (fallback when b&b gives up)."""
-    par = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
-    return _sampled_min_norm(par, 9)
-
-
-def _heuristic_cross_check(C: FibreConic, bound: int, count: int) -> None:
-    if bound > 2000:
-        return
-    ref = count_points_reference(C, bound)
-    if ref != count:
-        raise ArithmeticError(
-            f"uncertified enumeration disagrees with direct scan: {count} vs {ref}"
-        )
 
 
 def count_points_reference(C: FibreConic, B) -> int:

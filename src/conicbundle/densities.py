@@ -2,9 +2,11 @@
 
 Everything here is exact rational arithmetic.  The non-archimedean side
 counts parameter classes where the quadratic parameterization degenerates
-modulo prime powers; the archimedean side is a plane area certified by
-dyadic cell subdivision.  The only approximation anywhere is the explicit
-(lower, upper) bracket returned for area-dependent quantities.
+modulo prime powers; the archimedean side is a plane area, written by
+homogeneity as two integrals of 1/N along the unit-box edges and bracketed
+with the exact cell bounds of `conic.edge_cell_bounds`.  The only
+approximation anywhere is the explicit (lower, upper) bracket returned for
+area-dependent quantities.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conic import FibreConic, certified_min_m
-from .intervals import ParamIntervals
+from .conic import FibreConic, certified_min_m, edge_cell_bounds, edge_coeffs
 from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
 from .surface import PEYRE_PREFACTOR, CubicSurfaceNF, zeta2_bracket
 
 
 class ToleranceNotMet(Exception):
-    """Subdivision hit the depth cap before the requested relative width.
+    """Subdivision hit the depth or pending-cell cap before the requested
+    relative width.
 
     Carries the best bracket obtained so the caller can still report it.
     """
@@ -98,49 +100,22 @@ def bad_prime_product(C: FibreConic) -> Fraction:
 # archimedean factor
 
 
-def _classify_level_np(C: FibreConic, I, J, num: int, den: int):
-    """Vectorized inside/outside/undecided split for one subdivision level.
-
-    Same integer semantics as the ParamIntervals path; caller guarantees
-    every intermediate fits in int64.
-    """
-    i0, i1 = I, I + 1
-    j0, j1 = J, J + 1
-    u2lo = np.where(i0 >= 0, i0 * i0, np.where(i1 <= 0, i1 * i1, 0))
-    u2hi = np.maximum(i0 * i0, i1 * i1)
-    v2lo = np.where(j0 >= 0, j0 * j0, np.where(j1 <= 0, j1 * j1, 0))
-    v2hi = np.maximum(j0 * j0, j1 * j1)
-    p00, p01, p10, p11 = i0 * j0, i0 * j1, i1 * j0, i1 * j1
-    uvlo = np.minimum(np.minimum(p00, p01), np.minimum(p10, p11))
-    uvhi = np.maximum(np.maximum(p00, p01), np.maximum(p10, p11))
-
-    def scaled(k, lo, hi):
-        return (k * lo, k * hi) if k >= 0 else (k * hi, k * lo)
-
-    def component(a, b, c):
-        # |a u^2 + b uv + c v^2| over the box: (mig, mag)
-        alo, ahi = scaled(a, u2lo, u2hi)
-        blo, bhi = scaled(b, uvlo, uvhi)
-        clo, chi = scaled(c, v2lo, v2hi)
-        lo = alo + blo + clo
-        hi = ahi + bhi + chi
-        mag = np.maximum(np.abs(lo), np.abs(hi))
-        mig = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0))
-        return mig, mag
-
-    x_mig, x_mag = component(C.cxy, C.cyz, 0)
-    y_mig, y_mag = component(C.cxx, C.cxz, C.czz)
-    z_mig, z_mag = component(0, C.cxy, C.cyz)
-    w = C.weight
-    upper = np.maximum(np.maximum(x_mag, w * y_mag), z_mag)
-    lower = np.maximum(np.maximum(x_mig, w * y_mig), z_mig)
-    inside = upper * den <= num
-    keep = ~(inside | (lower * den > num))
-    return int(np.count_nonzero(inside)), I[keep], J[keep]
+# cap on the pending cells of one level
+_MAX_BOUNDARY_CELLS = 1 << 20
 
 
-# cap on undecided cells per level; ~100MB of index arrays at the limit
-_MAX_BOUNDARY_CELLS = 4_000_000
+def _recip_sum(num: int, dens, bits: int, up: bool) -> Fraction:
+    """sum(num / d for d in dens), rounded down (up) to a multiple of
+    2^-P, where P gives each term at least `bits` bits."""
+    if not len(dens):
+        return Fraction(0)
+    P = max(0, bits + int(dens.max()).bit_length() - num.bit_length() + 1)
+    q = num << P
+    if up:
+        total = -sum((-q) // d for d in dens.tolist())
+    else:
+        total = sum(q // d for d in dens.tolist())
+    return Fraction(total, 1 << P)
 
 
 def sigma_inf(
@@ -148,71 +123,60 @@ def sigma_inf(
 ) -> tuple[Fraction, Fraction]:
     """Certified bracket for the area of the weighted unit ball.
 
-    The region is {(u, v) real : max(|x|, w|y|, |z|) of q(u, v) <= 1}.
-    Dyadic squares at level e have side 2^-e; a square is accepted once
-    interval bounds prove it entirely inside or outside, and the boundary
-    layer shrinks until its area is below tol relative to the interior.
-    All tests are integer comparisons (degree-2 homogeneity moves the
-    threshold to 4^e).
+    The region is {(u, v) real : max(|x|, w|y|, |z|) of q(u, v) <= 1}.  By
+    homogeneity its area is the integral of 1/N(1, t) plus that of
+    1/N(s, 1) over [-1, 1].  One walk goes level by level over the dyadic
+    cells of both edges: a cell with integer bounds lo <= 4 S^2 N <= hi
+    contributes [4S/hi, 4S/lo] and is accepted once hi - lo <= lo/n, n the
+    smallest integer with 1/n <= tol/(1 + tol), so upper - lower <=
+    tol * lower holds for the sum (the sums are rounded outward far below
+    that margin).  Past max_depth or _MAX_BOUNDARY_CELLS pending cells it
+    raises ToleranceNotMet with a finite bracket: a pending cell whose lo is
+    below the certified floor m counts 1/m for 1/N.
     """
     reltol = Fraction(tol)
     if reltol <= 0:
         raise ValueError("tolerance must be positive")
-    box = ParamIntervals(C.cxx, C.cxy, C.cxz, C.cyz, C.czz, C.weight)
+    n = -(-reltol.denominator // reltol.numerator) + 1
+    bits = 64 + 2 * n.bit_length()
+    w = C.weight
+    table = np.array(edge_coeffs(C), dtype=object)
+    mag = 64 * w * (sum(abs(c) for c in C.coeffs) + 1)
+    e = np.array([0, 0, 1, 1])
+    a = np.array([-1, 0, -1, 0])
+    lower = upper = Fraction(0)
+    for k in range(max_depth + 1):
+        S = 1 << k
+        # int64 while every intermediate stays below 2^63
+        dtype = np.int64 if mag << (2 * k) < 2**63 else object
+        c = tuple(col.astype(dtype) for col in table[e].T)
+        lo, hi = edge_cell_bounds(c, w, a.astype(dtype), S)
+        # an int64 lo is below 2^62, so a larger n acts as 2^62
+        done = hi - lo <= lo // (n if dtype is object else min(n, 1 << 62))
+        lower += _recip_sum(4 * S, hi[done], bits, up=False)
+        upper += _recip_sum(4 * S, lo[done], bits, up=True)
+        keep = ~done
+        e, a, lo, hi = e[keep], a[keep], lo[keep], hi[keep]
+        if not len(a):
+            return lower, upper
+        if k == max_depth or 2 * len(a) > _MAX_BOUNDARY_CELLS:
+            break
+        e = np.repeat(e, 2)
+        a = np.repeat(2 * a, 2) + np.tile(np.array([0, 1]), len(a))
     m = certified_min_m(C)
-    k0 = 0
-    while m * 4**k0 < 1:
-        k0 += 1
-    # norm >= m * max(|u|,|v|)^2, so the region lives in [-2^k0, 2^k0]^2
-    maxc = max(abs(C.cxx), abs(C.cxy), abs(C.cxz), abs(C.cyz), abs(C.czz))
-    e = -k0
-    I = np.array([-1, -1, 0, 0], dtype=np.int64)
-    J = np.array([-1, 0, -1, 0], dtype=np.int64)
-    inner = Fraction(0)
-    for _ in range(max_depth + 1):
-        if e >= 0:
-            num, den = 4**e, 1
-        else:
-            num, den = 1, 4 ** (-e)
-        area = Fraction(1, 4) ** e
-        side = 1 << max(e + k0, 0)
-        if 3 * maxc * C.weight * (side + 1) ** 2 * den < 2**62:
-            n_in, I, J = _classify_level_np(C, I, J, num, den)
-        else:
-            # big-int fallback, same tests cell by cell
-            n_in = 0
-            keep_i, keep_j = [], []
-            for i, j in zip(I.tolist(), J.tolist()):
-                u, v = (i, i + 1), (j, j + 1)
-                if box.norm_upper(u, v) * den <= num:
-                    n_in += 1
-                elif box.norm_lower(u, v) * den <= num:
-                    keep_i.append(i)
-                    keep_j.append(j)
-            I = np.array(keep_i, dtype=np.int64)
-            J = np.array(keep_j, dtype=np.int64)
-        inner += n_in * area
-        pending = len(I) * area
-        if len(I) == 0:
-            return inner, inner
-        if inner > 0 and pending <= reltol * inner:
-            return inner, inner + pending
-        if len(I) > _MAX_BOUNDARY_CELLS:
-            # boundary layer would outgrow memory before the depth cap
-            raise ToleranceNotMet(
-                f"boundary layer reached {len(I)} cells at level {e} with "
-                f"bracket [{float(inner)}, {float(inner + pending)}]",
-                inner,
-                inner + pending,
-            )
-        I = np.repeat(2 * I, 4) + np.tile([0, 0, 1, 1], len(I))
-        J = np.repeat(2 * J, 4) + np.tile([0, 1, 0, 1], len(J))
-        e += 1
+    # N >= m on the edges: lo below 4 S^2 m is replaced by it
+    floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
+    lower += _recip_sum(4 * S, hi, bits, up=False)
+    upper += _recip_sum(4 * S, lo[~floored], bits, up=True)
+    upper += int(np.count_nonzero(floored)) / (S * m)
+    why = (
+        f"subdivision depth {max_depth}" if k == max_depth
+        else f"{len(a)} pending cells at level {k}"
+    )
     raise ToleranceNotMet(
-        f"subdivision depth {max_depth} reached with bracket "
-        f"[{float(inner)}, {float(inner + pending)}]",
-        inner,
-        inner + pending,
+        f"{why} reached with bracket [{float(lower)}, {float(upper)}]",
+        lower,
+        upper,
     )
 
 

@@ -103,31 +103,30 @@ class BinaryForm:
         return self.degree + 1
 
     def __str__(self) -> str:
+        """Leading term first, e.g. ``s^4*t - 2*s^3*t^2 + 3``; ``0`` if zero."""
         d = self.degree
-        terms = []
+        parts = []
         for i, c in enumerate(self.coeffs):
-            if not c:
+            if c == 0:
                 continue
             mono = []
             if d - i:
-                mono.append("s" if d - i == 1 else f"s^{d-i}")
+                mono.append("s" if d - i == 1 else f"s^{d - i}")
             if i:
                 mono.append("t" if i == 1 else f"t^{i}")
             body = "*".join(mono)
+            mag = abs(c)
             if not body:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(body)
-            elif c == -1:
-                terms.append("-" + body)
+                term = str(mag)
+            elif mag == 1:
+                term = body
             else:
-                terms.append(f"{c}*{body}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+                term = f"{mag}*{body}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts) if parts else "0"
 
 
 def form_from_list(coeffs) -> BinaryForm:

@@ -31,8 +31,9 @@ from .analytic import (
     squarefree_harmonic,
     wirsing_sum,
 )
-from .conic import CannotCertify, FibreConic, count_points
+from .conic import CannotCertify, count_points
 from .densities import ToleranceNotMet, local_density_report, peyre_constant
+from .forms import BinaryForm
 from .surface import (
     CubicSurfaceNF,
     FibreIndex,
@@ -42,6 +43,7 @@ from .surface import (
     fibre_conic,
     load_surface,
     section_base_directions,
+    singular_fibre_indices,
 )
 
 DIRECT_HEIGHT_GUARD = 200
@@ -191,10 +193,10 @@ class AnalysisReport:
         lines = [f"surface: {self.surface_id}"]
         for key in ("a", "d", "f", "b", "e"):
             lines.append(f"coefficient {key}: {list(self.coefficients[key])}")
-        lines.append(f"discriminant: {_form_str(self.disc_coeffs)}")
+        lines.append(f"discriminant: {BinaryForm(self.disc_coeffs)}")
         lines.append(f"discriminant content: {self.disc_content}")
         for coeffs, mult in self.disc_factors:
-            tag = f"  factor: {_form_str(coeffs)}"
+            tag = f"  factor: {BinaryForm(coeffs)}"
             lines.append(tag if mult == 1 else f"{tag}  (multiplicity {mult})")
         lines.append(f"distinct irreducible factors r: {self.distinct_factor_count}")
         lines.append(f"picard_rank: {self.picard_rank}")
@@ -206,48 +208,6 @@ class AnalysisReport:
             shown = "none"
         lines.append(f"singular_fibres: {shown}")
         return "\n".join(lines)
-
-
-def _form_str(coeffs, names=("s", "t")) -> str:
-    """Human form of a binary form given leading-first coefficients."""
-    deg = len(coeffs) - 1
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        pow_s, pow_t = deg - i, i
-        mono = []
-        if pow_s:
-            mono.append(names[0] if pow_s == 1 else f"{names[0]}^{pow_s}")
-        if pow_t:
-            mono.append(names[1] if pow_t == 1 else f"{names[1]}^{pow_t}")
-        body = "*".join(mono)
-        mag = abs(c)
-        if not body:
-            term = str(mag)
-        elif mag == 1:
-            term = body
-        else:
-            term = f"{mag}*{body}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
-
-
-def singular_fibre_indices(X: CubicSurfaceNF) -> tuple[FibreIndex, ...]:
-    """Fibres over rational zeros of the discriminant, i.e. its linear factors."""
-    out = []
-    for f, _mult in X.factorization.factors:
-        if f.degree != 1:
-            continue
-        c0, c1 = f.coeffs
-        idx = FibreIndex.from_raw(c1, -c0)
-        assert X.disc(idx.s, idx.t) == 0
-        out.append(idx)
-    out.sort(key=lambda i: (i.height, i.s, i.t))
-    return tuple(out)
 
 
 def analyze(X: CubicSurfaceNF) -> AnalysisReport:

@@ -37,6 +37,19 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def projective_normal(v) -> tuple[int, ...]:
+    """The primitive integer vector on the line of v, first nonzero entry > 0."""
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector is not projective")
+    for lead in v:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

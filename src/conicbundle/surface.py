@@ -33,6 +33,7 @@ from .forms import (
     picard_rank,
     resultant,
 )
+from .numth import projective_normal
 
 
 class SurfaceValidationError(ValueError):
@@ -89,30 +90,12 @@ class ProjPoint3:
     coords: tuple[int, int, int, int]
 
     def __post_init__(self):
-        c = self.coords
-        if all(v == 0 for v in c):
-            raise ValueError("zero vector is not projective")
-        g = 0
-        for v in c:
-            g = gcd(g, abs(v))
-        if g != 1:
-            raise ValueError("coordinates are not primitive")
-        lead = next(v for v in c if v)
-        if lead < 0:
-            raise ValueError("sign normalization: first nonzero must be positive")
+        if projective_normal(self.coords) != self.coords:
+            raise ValueError("coordinates not primitive with first nonzero positive")
 
     @classmethod
     def from_raw(cls, x0: int, x1: int, x2: int, x3: int) -> "ProjPoint3":
-        g = 0
-        for v in (x0, x1, x2, x3):
-            g = gcd(g, abs(v))
-        if g == 0:
-            raise ValueError("zero vector is not projective")
-        c = (x0 // g, x1 // g, x2 // g, x3 // g)
-        lead = next(v for v in c if v)
-        if lead < 0:
-            c = tuple(-v for v in c)
-        return cls(c)
+        return cls(projective_normal((x0, x1, x2, x3)))
 
     @property
     def height(self) -> int:
@@ -127,20 +110,14 @@ class FibreIndex:
     t: int
 
     def __post_init__(self):
-        if gcd(self.s, self.t) != 1:
-            raise ValueError("fibre index must be a coprime pair")
-        if not (self.s > 0 or (self.s == 0 and self.t == 1)):
-            raise ValueError("fibre index not in normalized form")
+        if projective_normal((self.s, self.t)) != (self.s, self.t):
+            raise ValueError("fibre index not coprime with first nonzero positive")
 
     @classmethod
     def from_raw(cls, s: int, t: int) -> "FibreIndex":
-        g = gcd(abs(s), abs(t))
-        if g == 0:
+        if s == t == 0:
             raise ValueError("(0, 0) is not a fibre index")
-        s, t = s // g, t // g
-        if s < 0 or (s == 0 and t < 0):
-            s, t = -s, -t
-        return cls(s, t)
+        return cls(*projective_normal((s, t)))
 
     @property
     def height(self) -> int:
@@ -255,38 +232,56 @@ def _as_form(f, degree: int, key: str) -> BinaryForm:
 def find_rational_singular_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
     """Primitive points of height <= bound where F and all four partials vanish."""
     a, d, f, b, e = X.cxx, X.cxz, X.czz, X.cxy, X.cyz
-    das, dat = a.partial_s(), a.partial_t()
-    dds, ddt = d.partial_s(), d.partial_t()
-    dfs, dft = f.partial_s(), f.partial_t()
-    dbs, dbt = b.partial_s(), b.partial_t()
-    des, det_ = e.partial_s(), e.partial_t()
+    return sorted(
+        _cubic_zeros(
+            bound,
+            [
+                (a, d, f, b, e, None),
+                tuple(g.partial_s() for g in (a, d, f, b, e)) + (None,),
+                tuple(g.partial_t() for g in (a, d, f, b, e)) + (None,),
+                (None, None, None, a.scale(2), d, b),
+                (None, None, None, d, f.scale(2), e),
+            ],
+        )
+    )
+
+
+def _cubic_zeros(bound: int, polys) -> list[ProjPoint3]:
+    """Primitive normalized points of sup norm <= bound where every poly vanishes.
+
+    A poly is six forms in (x0, x1), None for zero, giving the coefficients
+    of x2^2, x2 x3, x3^2, x2, x3 and 1.  For each (x0, x1) it is evaluated in
+    int64 over the whole (x2, x3) grid, after a bound on its terms has shown
+    that no value can leave int64 (OverflowError otherwise).
+    """
+    r = np.arange(-bound, bound + 1, dtype=np.int64)
+    X2, X3 = (g.ravel() for g in np.meshgrid(r, r, indexing="ij"))
+    monos = (X2 * X2, X2 * X3, X3 * X3, X2, X3, 1)
+    size = (bound * bound,) * 3 + (bound, bound, 1)
+    # (x0, x1) with first nonzero entry positive, and the line x0 = x1 = 0
+    pairs = [(0, 0)] + [(0, x1) for x1 in range(1, bound + 1)]
+    pairs += [(x0, x1) for x0 in range(1, bound + 1) for x1 in r.tolist()]
     out = []
-    r = range(-bound, bound + 1)
-    x23 = np.array([(x2, x3) for x2 in r for x3 in r], dtype=np.int64)
-    X2, X3 = x23[:, 0], x23[:, 1]
-    X2S, X2X3, X3S = X2 * X2, X2 * X3, X3 * X3
-    for x0 in range(0, bound + 1):
-        for x1 in r:
-            av, dv, fv, bv, ev = (g(x0, x1) for g in (a, d, f, b, e))
-            F = av * X2S + dv * X2X3 + fv * X3S + bv * X2 + ev * X3
-            P0 = (
-                das(x0, x1) * X2S + dds(x0, x1) * X2X3 + dfs(x0, x1) * X3S
-                + dbs(x0, x1) * X2 + des(x0, x1) * X3
-            )
-            P1 = (
-                dat(x0, x1) * X2S + ddt(x0, x1) * X2X3 + dft(x0, x1) * X3S
-                + dbt(x0, x1) * X2 + det_(x0, x1) * X3
-            )
-            P2 = 2 * av * X2 + dv * X3 + bv
-            P3 = dv * X2 + 2 * fv * X3 + ev
-            hit = (F == 0) & (P0 == 0) & (P1 == 0) & (P2 == 0) & (P3 == 0)
-            for x2, x3 in x23[hit].tolist():
-                if x0 == 0 and x1 == 0 and x2 == 0 and x3 == 0:
+    for x0, x1 in pairs:
+        hit = np.ones(len(X2), dtype=bool)
+        for poly in polys:
+            c = [0 if g is None else g(x0, x1) for g in poly]
+            if sum(abs(ci) * n for ci, n in zip(c, size)) >= 2**63:
+                raise OverflowError(
+                    f"cubic values at ({x0}, {x1}) and height {bound} "
+                    "do not fit in int64"
+                )
+            vals = sum(ci * m for ci, m in zip(c, monos) if ci)
+            hit &= vals == 0
+            if not hit.any():
+                break
+        else:
+            for x2, x3 in zip(X2[hit].tolist(), X3[hit].tolist()):
+                if (x0, x1) == (0, 0) and (x2 < 0 or (x2 == 0 and x3 <= 0)):
                     continue
-                p = ProjPoint3.from_raw(x0, x1, int(x2), int(x3))
-                if p.coords == (x0, x1, int(x2), int(x3)) and p not in out:
-                    out.append(p)
-    return sorted(out)
+                if gcd(gcd(x0, x1), gcd(x2, x3)) == 1:
+                    out.append(ProjPoint3((x0, x1, x2, x3)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +353,22 @@ def section_base_directions(X: CubicSurfaceNF) -> tuple[tuple[int, int], ...]:
         lin1 = {g.coeffs for g, _ in factor_over_q(q1).factors if g.degree == 1}
         shared = [g for g, _ in factor_over_q(q0).factors
                   if g.degree == 1 and g.coeffs in lin1]
+    # c0 x2 + c1 x3 vanishes on the direction (c1, -c0)
+    return tuple(sorted(projective_normal((g.coeffs[1], -g.coeffs[0])) for g in shared))
+
+
+def singular_fibre_indices(X: CubicSurfaceNF) -> tuple[FibreIndex, ...]:
+    """Fibres over rational zeros of the discriminant, i.e. its linear factors."""
     out = []
-    for g in shared:
-        c0, c1 = g.coeffs
-        x2, x3 = c1, -c0
-        if x2 < 0 or (x2 == 0 and x3 < 0):
-            x2, x3 = -x2, -x3
-        out.append((x2, x3))
-    return tuple(sorted(out))
+    for f, _mult in X.factorization.factors:
+        if f.degree != 1:
+            continue
+        c0, c1 = f.coeffs
+        idx = FibreIndex.from_raw(c1, -c0)
+        assert X.disc(idx.s, idx.t) == 0
+        out.append(idx)
+    out.sort(key=lambda i: (i.height, i.s, i.t))
+    return tuple(out)
 
 
 def domain_B(X: CubicSurfaceNF, x) -> Iterator[FibreIndex]:
@@ -452,39 +455,7 @@ def brute_force_surface_count(
 
 def _raw_surface_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
     """All primitive normalized quadruples with F = 0 and sup norm <= bound."""
-    r = np.arange(-bound, bound + 1, dtype=np.int64)
-    X2, X3 = np.meshgrid(r, r, indexing="ij")
-    X2, X3 = X2.ravel(), X3.ravel()
-    X2S, X2X3, X3S = X2 * X2, X2 * X3, X3 * X3
-    out: list[ProjPoint3] = []
-
-    def sweep(x0: int, x1: int):
-        av, dv, fv = X.cxx(x0, x1), X.cxz(x0, x1), X.czz(x0, x1)
-        bv, ev = X.cxy(x0, x1), X.cyz(x0, x1)
-        F = av * X2S + dv * X2X3 + fv * X3S + bv * X2 + ev * X3
-        hit = np.flatnonzero(F == 0)
-        for i in hit.tolist():
-            x2, x3 = int(X2[i]), int(X3[i])
-            g = gcd(gcd(abs(x0), abs(x1)), gcd(abs(x2), abs(x3)))
-            if g != 1:
-                continue
-            out.append(ProjPoint3((x0, x1, x2, x3)))
-
-    # normalized reps only: first nonzero coordinate positive
-    for x0 in range(1, bound + 1):
-        for x1 in range(-bound, bound + 1):
-            sweep(x0, x1)
-    for x1 in range(1, bound + 1):
-        sweep(0, x1)
-    # the line x0 = x1 = 0 lies on the surface: its reps are (0,0,x2,x3)
-    for x2 in range(0, bound + 1):
-        for x3 in range(-bound, bound + 1):
-            if x2 == 0 and x3 <= 0:
-                continue
-            if gcd(x2, abs(x3)) != 1:
-                continue
-            out.append(ProjPoint3((0, 0, x2, x3)))
-    return out
+    return _cubic_zeros(bound, [(X.cxx, X.cxz, X.czz, X.cxy, X.cyz, None)])
 
 
 # --------------------------------------------------------------------------

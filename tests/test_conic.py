@@ -2,12 +2,19 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicbundle import conic
 from conicbundle.conic import (
+    CannotCertify,
     FibreConic,
     certified_min_m,
+    edge_cell_bounds,
+    edge_coeffs,
+    edge_norm,
     count_points,
     count_points_reference,
     height,
@@ -110,8 +117,68 @@ def test_certified_min_m_is_a_true_floor():
 
 
 def test_certified_min_m_frozen_values(c11, xyz_conic):
-    assert certified_min_m(xyz_conic) == Fraction(1, 2)
-    assert certified_min_m(c11) == Fraction(975, 8192)
+    assert certified_min_m(xyz_conic) == Fraction(16, 17)
+    assert certified_min_m(c11) == Fraction(63, 272)
+
+
+def _nonsingular(coeffs):
+    a, b, c, e, f = coeffs
+    return a * e * e - b * c * e + f * b * b != 0
+
+
+@given(
+    coeffs=st.tuples(*[st.integers(-10**6, 10**6)] * 5).filter(_nonsingular),
+    w=st.integers(1, 50),
+    k=st.integers(0, 40),
+    frac=st.fractions(-1, 1),
+    j=st.integers(0, 4),
+    swap=st.booleans(),
+)
+def test_edge_cell_bounds_enclose_norm(coeffs, w, k, frac, j, swap):
+    C = FibreConic(*coeffs, weight=w)
+    c = edge_coeffs(C)[swap]
+    S = 1 << k
+    a = min(S - 1, int(frac * S))
+    lo, hi = edge_cell_bounds(c, w, a, S)
+    assert 0 <= lo <= hi
+    # every point of the cell on the grid 2^j times finer
+    for T in range(a << j, ((a + 1) << j) + 1):
+        assert lo << (2 * j) <= 4 * edge_norm(c, w, T, S << j) <= hi << (2 * j)
+    # the same formula on integer arrays, int64 where it fits
+    fits = 64 * w * sum(map(abs, c)) * S * S < 2**63
+    for dtype in (object, np.int64) if fits else (object,):
+        lo_v, hi_v = edge_cell_bounds(tuple(np.full(2, x, dtype) for x in c), w,
+                                      np.full(2, a, dtype), S)
+        assert lo_v.tolist() == [lo, lo] and hi_v.tolist() == [hi, hi]
+
+
+def test_certified_min_m_is_tight(s1, split_surface):
+    # within 10% of the norm's minimum sampled on a 2^10 grid of both edges
+    from conicbundle.surface import domain_B, fibre_conic
+
+    T = np.arange(-1024, 1025, dtype=np.int64)
+    for X in (s1, split_surface):
+        for idx in domain_B(X, 6):
+            C = fibre_conic(X, idx)
+            sampled = min(int(edge_norm(c, C.weight, T, 1024).min())
+                          for c in edge_coeffs(C))
+            m = certified_min_m(C)
+            assert Fraction(9, 10) * Fraction(sampled, 4**10) <= m
+            assert m <= Fraction(sampled, 4**10)
+
+
+def test_count_points_refuses_an_uncertified_floor(monkeypatch, s1_file, c11, capsys):
+    from conicbundle.harness import main
+
+    certify = conic.certified_min_m
+    monkeypatch.setattr(conic, "certified_min_m", lambda C: certify(C, max_depth=1))
+    with pytest.raises(CannotCertify):
+        count_points(c11, 50)
+    assert main(["--no-cache", "count-fibre", s1_file,
+                 "--s", "1", "--t", "1", "--height", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[CannotCertify]: subdivision depth 1")
 
 
 FROZEN_C12 = {1: 0, 2: 2, 5: 4, 17: 13, 50: 32, 120: 72}

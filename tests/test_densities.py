@@ -113,9 +113,17 @@ def test_sigma_p_matches_scan(c12, xyz_conic):
 
 
 def test_sigma_inf_xyz_frozen(xyz_conic):
-    lo, hi = sigma_inf(xyz_conic, tol=1e-4)
-    assert lo == Fraction(4)
-    assert float(hi) == pytest.approx(4.00024414435029, abs=1e-12)
+    # N(1, t) = N(s, 1) = 1 on the edges: both integrals are exactly 2
+    for tol in (1e-2, 1e-4, 1e-9):
+        assert sigma_inf(xyz_conic, tol=tol) == (Fraction(4), Fraction(4))
+
+
+def test_sigma_inf_c11_reaches_1e_5(c11):
+    lo, hi = sigma_inf(c11, tol=1e-5)
+    assert hi - lo <= Fraction(1e-5) * lo
+    lo4, hi4 = sigma_inf(c11, tol=1e-4)
+    assert lo4 <= lo <= hi <= hi4
+    assert 4.05396 < float(lo) <= float(hi) < 4.054
 
 
 def test_sigma_inf_brackets_nest_with_tol(c11):
@@ -125,11 +133,30 @@ def test_sigma_inf_brackets_nest_with_tol(c11):
     assert hi2 - lo2 <= Fraction(1, 10**4) * lo2 + Fraction(1, 10**9)
 
 
+def test_sigma_inf_object_path_matches_scaling(c11):
+    # 2^50 * C has N scaled by 2^50 and needs Python ints from level 0
+    lam = 2**50
+    big = FibreConic(*(lam * c for c in c11.coeffs), weight=c11.weight)
+    lo, hi = sigma_inf(c11, tol=1e-3)
+    big_lo, big_hi = sigma_inf(big, tol=1e-3)
+    assert big_hi - big_lo <= Fraction(1e-3) * big_lo
+    assert max(lo, big_lo * lam) <= min(hi, big_hi * lam)
+
+
 def test_sigma_inf_tolerance_not_met_carries_bracket(c11):
     with pytest.raises(ToleranceNotMet) as exc:
         sigma_inf(c11, tol=1e-9, max_depth=6)
     err = exc.value
     assert 0 < err.lower < err.upper
+
+
+def test_sigma_inf_failure_bracket_contains_area(c11):
+    # shallow caps leave cells whose lower bound is 0: the floor bounds them
+    lo, hi = sigma_inf(c11, tol=1e-4)
+    for depth in range(7):
+        with pytest.raises(ToleranceNotMet) as exc:
+            sigma_inf(c11, tol=1e-9, max_depth=depth)
+        assert exc.value.lower <= hi and lo <= exc.value.upper
 
 
 def test_peyre_xyz_contains_truth(xyz_conic):

@@ -30,6 +30,13 @@ def test_binary_form_evaluation_convention():
     assert f(2, -1) == 2 * 4 + (-3) * (-2) + 5
 
 
+def test_binary_form_str():
+    assert str(BinaryForm((1, -2, -1, 2, 0))) == "s^4 - 2*s^3*t - s^2*t^2 + 2*s*t^3"
+    assert str(BinaryForm((0, -1, 0, 3))) == "-s^2*t + 3*t^3"
+    assert str(BinaryForm((-7,))) == "-7"
+    assert str(BinaryForm((0, 0))) == "0"
+
+
 def test_content_and_primitive():
     f = BinaryForm((6, -9, 12))
     assert f.content() == 3

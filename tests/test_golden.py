@@ -1,0 +1,49 @@
+"""Golden default stdout of the CLI on the S1 and split fixture surfaces.
+
+Each case runs one subcommand through `main` and compares its full stdout,
+without the `runtime_ms` line, with `tests/golden/<case>.txt`.  `growth`
+also compares the CSV it writes.  The files pin the printed bytes: counts,
+point lists, form printing and number formats.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conicbundle.harness import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "analyze": ["analyze", "{surface}"],
+    "count-fibre": ["count-fibre", "{surface}", "--s", "2", "--t", "3",
+                    "--height", "300", "--dump-points"],
+    "count-surface": ["count-surface", "{surface}", "--height", "40",
+                      "--cutoff", "6"],
+    "count-surface-direct": ["count-surface", "{surface}", "--height", "8",
+                             "--method", "direct", "--cutoff", "3"],
+    "growth": ["growth", "{surface}", "--heights", "10,40,160", "--out", "{csv}"],
+    "wirsing-check": ["wirsing-check", "--function", "rho-delta",
+                      "--surface", "{surface}", "--x", "5000"],
+}
+
+
+def golden_stdout(argv, capsys) -> str:
+    assert main(["--no-cache", *argv]) == 0
+    out = capsys.readouterr().out
+    return "".join(
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith("runtime_ms:")
+    )
+
+
+@pytest.mark.parametrize("surface", ["s1", "split"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_golden_stdout(case, surface, s1_file, split_file, tmp_path, capsys):
+    path = s1_file if surface == "s1" else split_file
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(surface=path, csv=csv_path) for a in CASES[case]]
+    out = golden_stdout(argv, capsys).replace(str(csv_path), "<csv>")
+    assert out == (GOLDEN / f"{surface}-{case}.txt").read_text()
+    if case == "growth":
+        assert csv_path.read_text() == (GOLDEN / f"{surface}-growth.csv").read_text()

@@ -331,6 +331,20 @@ def test_cli_count_surface_direct_overflow_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_count_surface_direct_refuses_int64_wrap(tmp_path, capsys):
+    # F = 2^64 at (1:-1:1:1) and (1:0:1:1) would wrap to 0 in int64
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"a": [2**62, 0], "d": [2**62, 1], "f": [2**62, -1],
+                               "b": [2**62, 0, 1], "e": [0, 1, 0]}))
+    rc = run_cli("--no-cache", "count-surface", big,
+                 "--height", 1, "--method", "direct")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error[OverflowError]: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_memory_error_exits_2(s1_file, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.74 GiB")

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 import sympy
 
 from conicbundle.numth import (
+    projective_normal,
     MultiplicativeFn,
     euler_phi,
     factor,
@@ -121,3 +123,21 @@ def test_find_roots_large_prime_frobenius_path():
     coeffs = [-2, 0, 1]  # x^2 - 2
     got = sorted(find_roots_mod_p(coeffs, p))
     assert got == _brute_roots(coeffs, p)
+
+
+def test_projective_normal():
+    assert projective_normal((-2, -4, -6, -8)) == (1, 2, 3, 4)
+    assert projective_normal((0, -3)) == (0, 1)
+    assert projective_normal((0, 0, -5, 10)) == (0, 0, 1, -2)
+    with pytest.raises(ValueError):
+        projective_normal((0, 0, 0))
+    rng = random.Random(5)
+    for _ in range(200):
+        v = tuple(rng.randint(-6, 6) * rng.choice((1, 7, 10**20)) for _ in range(3))
+        if not any(v):
+            continue
+        w = projective_normal(v)
+        assert next(x for x in w if x) > 0
+        assert gcd(*w) == 1
+        # same projective point: every 2x2 minor vanishes
+        assert all(v[i] * w[j] == v[j] * w[i] for i in range(3) for j in range(3))
