@@ -17,6 +17,16 @@ The floor comes from exact integer bounds of that norm on dyadic cells of
 the two box edges (1, t) and (s, 1); there is no sampled or uncertified
 fallback: a floor that cannot be certified raises CannotCertify.
 
+The floor gives each lattice (the base box, and one sublattice per solution
+class of every layer) a sup-norm box, and the box gives the rows of the
+lattice and the range of n1 along each row.  What is scanned is less: along
+a row each component of q is a quadratic in n1, and the cells that can have
+height <= B*g lie in one interval of n1 per component, whose ends are fixed
+by exact evaluation; a row longer than 64 cells is narrowed to that
+interval, a shorter one is cheaper to scan whole.  All rows of all lattices
+of a fibre form one table, streamed in bounded chunks through one
+acceptance test.
+
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
 image has content exactly g is counted only in the layer of g (the base box
@@ -31,7 +41,14 @@ from math import floor, gcd, isqrt
 
 import numpy as np
 
-from .modsolve import class_lattice_basis, divisor_solutions, iter_lattice_points
+from .modsolve import (
+    Lattices,
+    Rows,
+    class_lattice_basis,
+    divisor_solutions,
+    iter_lattice_points,
+    lattice_rows,
+)
 from .numth import factor, projective_normal
 
 
@@ -66,14 +83,6 @@ class FibreConic:
     @property
     def coeffs(self) -> tuple[int, int, int, int, int]:
         return (self.cxx, self.cxy, self.cxz, self.cyz, self.czz)
-
-    @property
-    def pi_matrix(self):
-        return (
-            (self.cxy, self.cyz, 0),
-            (-self.cxx, -self.cxz, -self.czz),
-            (0, self.cxy, self.cyz),
-        )
 
     def quadratic(self, x: int, y: int, z: int) -> int:
         return (
@@ -230,20 +239,15 @@ def _ceil_sqrt_ratio(num: int, den: int) -> int:
     return isqrt(num // den) + 1
 
 
-def _pair_chunks_box(U: int, chunk: int):
-    """Half box max(|u|,|v|) <= U owning one of each +-(u, v): the cell (0, 1),
-    then the rows u = 1..U in strips of roughly `chunk` cells."""
-    yield np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    width = 2 * U + 1
-    rows = max(1, min(U, chunk // width))
-    v_line = np.arange(-U, U + 1, dtype=np.int64)
-    u0 = 1
-    while u0 <= U:
-        u1 = min(u0 + rows - 1, U)
-        u = np.repeat(np.arange(u0, u1 + 1, dtype=np.int64), width)
-        v = np.tile(v_line, u1 - u0 + 1)
-        yield u, v
-        u0 = u1 + 1
+def _forms(C: FibreConic):
+    """(a, b, c) with a u^2 + b uv + c v^2 = q1, -q2 and q3 of q(u, v)."""
+    return ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
+
+
+def _form(f, uu, uv, vv):
+    """The one formula for q's components, shared by the acceptance test and
+    the row hulls; f may hold numbers or per-entry arrays."""
+    return f[0] * uu + f[1] * uv + f[2] * vv
 
 
 class _Collector:
@@ -262,28 +266,23 @@ class _Collector:
             and bound * abs(C.pi_det) < 2**62
         )
 
-    def feed(self, u: np.ndarray, v: np.ndarray, g: int) -> None:
-        """Count the pairs of layer g: coprime, owner of +-(u, v), content g."""
-        half = (u > 0) | ((u == 0) & (v > 0))
-        u, v = u[half], v[half]
-        keep = np.gcd(u, v) == 1
-        u, v = u[keep], v[keep]
+    def feed(self, u: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
+        """Count the pairs (u, v) of layer g (per cell): coprime, owner of
+        +-(u, v), content g."""
+        keep = ((u > 0) | ((u == 0) & (v > 0))) & (np.gcd(u, v) == 1)
+        u, v, g = u[keep], v[keep], g[keep]
         if not len(u):
             return
         if self.int64_ok:
-            C = self.C
-            uu = u * u
-            uv = u * v
-            vv = v * v
-            q1 = np.abs(C.cxy * uu + C.cyz * uv)
-            q2 = np.abs(C.cxx * uu + C.cxz * uv + C.czz * vv)
-            q3 = np.abs(C.cxy * uv + C.cyz * vv)
+            uu, uv, vv = u * u, u * v, v * v
+            q1, q2, q3 = (np.abs(_form(f, uu, uv, vv)) for f in _forms(self.C))
             content = np.gcd(np.gcd(q1, q2), q3)
-            hw = np.maximum(np.maximum(q1, C.weight * q2), q3)
+            hw = np.maximum(np.maximum(q1, self.C.weight * q2), q3)
             ok = (content == g) & (hw <= self.bound * g)
         else:
             ok = np.array(
-                [self._accept_exact(a, b, g) for a, b in zip(u.tolist(), v.tolist())],
+                [self._accept_exact(a, b, c)
+                 for a, b, c in zip(u.tolist(), v.tolist(), g.tolist())],
                 dtype=bool,
             )
         u, v = u[ok], v[ok]
@@ -299,20 +298,229 @@ class _Collector:
         return c == g and max(abs(q1), self.C.weight * abs(q2), abs(q3)) <= self.bound * g
 
 
-def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4_000_000):
-    """Shared enumeration core: the base box (layer 1) plus per-divisor lattice
-    boxes, each pair counted in the layer of its exact content."""
-    u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
-    col = _Collector(C, bound, u_cap, want_points)
-    for u, v in _pair_chunks_box(u1, chunk):
-        col.feed(u, v, 1)
+def _fibre_lattices(u1, layer_bounds, int64_ok):
+    """The base box (layer 1: b1 = (0, 1), so n1 = v, and rows u = 0..u1)
+    and every class lattice of every layer, with each lattice's rows n2.
+
+    Exact on Python ints; int64 when int64_ok holds and every row offset
+    n2*b2 stays below 2^62 beside the box, object arrays otherwise.
+    """
+    entries = [(0, 1, 1, 0, 1, u1, 0, u1)]
     for g, sols, ug in layer_bounds:
         for sigma, tau in sols:
-            b1, b2 = class_lattice_basis(sigma, tau, g)
-            for u, v in iter_lattice_points(b1, b2, ug, chunk=chunk):
-                col.feed(u, v, g)
+            (a, b), (c, d) = class_lattice_basis(sigma, tau, g)
+            # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g)
+            n2 = ug * (abs(a) + abs(b)) // g
+            entries.append((a, b, c, d, g, ug, -n2, n2))
+    reach = max(e[5] + e[7] * max(abs(e[2]), abs(e[3])) for e in entries)
+    dtype = np.int64 if int64_ok and reach < 2**62 else object
+    cols = [np.array(col, dtype=dtype) for col in zip(*entries)]
+    return Lattices(*cols[:6]), cols[6], cols[7]
+
+
+def _first_true(pred, lo, hi, seed):
+    """Least n in [lo, hi] with pred, or hi + 1, per entry, for a predicate
+    that is false and then true along [lo, hi].
+
+    pred(n, idx) judges the entries idx (an index array, or a slice for all
+    of them) at n.  The seed is only a guess: judging it and its left
+    neighbour settles every entry whose seed was right, and the rest are
+    bisected.
+    """
+    bad, good = lo - 1, hi + 1
+    s = np.minimum(np.maximum(seed, lo), hi)
+    every = slice(None)
+    at = pred(s, every)
+    left_of = pred(np.maximum(s - 1, lo), every) & (s > lo)
+    good = np.where(at, np.where(left_of, s - 1, s), good)
+    bad = np.where(at, np.where(left_of, bad, s - 1), s)
+    idx = np.flatnonzero(good - bad > 1)
+    while len(idx):
+        mid = (good[idx] + bad[idx]) // 2
+        t = pred(mid, idx)
+        good[idx[t]] = mid[t]
+        bad[idx[~t]] = mid[~t]
+        idx = idx[good[idx] - bad[idx] > 1]
+    return good
+
+
+def _float(x: int) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return float("nan")  # a seed is only a guess
+
+
+def _floats(x: np.ndarray) -> np.ndarray:
+    """x as float64 (NaN where an object entry overflows)."""
+    if x.dtype == object:
+        return np.array([_float(t) for t in x.tolist()], dtype=float)
+    return x.astype(float)
+
+
+def _as_ints(x, dtype):
+    """Float array x (finite, integral) as integers of the given dtype."""
+    if dtype == object:
+        return np.array([int(t) for t in x.tolist()], dtype=object)
+    return x.astype(np.int64)
+
+
+# Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
+# scanning a cell costs ~0.1 us, clipping ~1-2 us a row and ~0.4 ms a
+# fibre, so clipping a shorter row, or a fibre of short rows, costs more
+# than it saves.  Rows are clipped in batches of _HULL_ROWS, which bounds
+# the temporaries (~1.5 KB a row).
+_LONG_ROW = 64
+_HULL_ROWS = 256
+
+
+def _lattice_coeffs(C: FibreConic, lats: Lattices):
+    """Per component (row) and lattice (column): F_k(n1*b1 + n2*b2) =
+    A n1^2 + B n1 n2 + C n2^2 as the exact sign of A and floats |A|, B, C."""
+    forms = np.array(_forms(C), dtype=object)  # component k, coefficient j
+    b1u, b1v = lats.b1u.astype(object), lats.b1v.astype(object)
+    sign = np.sign(forms @ np.array([b1u * b1u, b1u * b1v, b1v * b1v])).astype(np.int64)
+    b1u, b1v, b2u, b2v = (_floats(x) for x in lats[:4])
+    monomials = np.array([  # coefficient kind, j, lattice
+        [b1u * b1u, b1u * b1v, b1v * b1v],
+        [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
+        [b2u * b2u, b2u * b2v, b2v * b2v],
+    ])
+    F = _floats(forms.ravel()).reshape(3, 3)
+    Af, Bf, Cf = (F[None, :, :, None] * monomials[:, None]).sum(axis=2)
+    return sign, np.abs(Af), Bf, Cf
+
+
+def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows) -> Rows:
+    """Clip every row's n1 range to a hull of the height region.
+
+    Along a row, component k of q is F_k = A n1^2 + B n2 n1 + C n2^2 with
+    A = F_k(b1).  A cell of height <= bound*g has sign(A) F_k <= cap_k (caps
+    bound*g, bound*g // w, bound*g), convex in n1, and |F_k| <= cap_k where
+    A = 0, so each component keeps one interval of n1.  Rows of at most
+    _LONG_ROW box cells are left as they are.
+    """
+    long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
+    lo, hi = rows.lo.copy(), rows.hi.copy()
+    if len(long):
+        coeffs = _lattice_coeffs(C, lats)
+        for start in range(0, len(long), _HULL_ROWS):
+            r = long[start:start + _HULL_ROWS]
+            lo[r], hi[r] = _row_hull(C, bound, lats, coeffs, rows.lat[r], rows.n2[r],
+                                     lo[r], hi[r])
+    return Rows(rows.lat, rows.n2, lo, hi)
+
+
+def _hull_seeds(coeffs, lat, n2, lo, hi, cap):
+    """Float guesses, inside [lo, hi], of where each entry's interval starts
+    and of where it has ended: the real roots of sign(A) F = cap, or of
+    |F| = cap where A = 0, rounded inwards."""
+    sign, Af, Bf, Cf = (x[:, lat].ravel() for x in coeffs)
+    with np.errstate(all="ignore"):
+        nf = np.concatenate([_floats(n2)] * 3)
+        capf = _floats(cap)
+        Bn, Cn = Bf * nf, Cf * nf * nf
+        # A n^2 + B n + C0 - cap <= 0 by the stable root formula
+        B, cq = sign * Bn, sign * Cn - capf
+        disc = B * B - 4 * Af * cq
+        q = -(B + np.copysign(np.sqrt(np.maximum(disc, 0)), B)) / 2
+        r1, r2 = q / Af, np.where(q == 0, q / Af, cq / q)
+        vertex = -B / (2 * Af)
+        # |Bn n + Cn| <= cap where A = 0
+        l1, l2 = (-capf - Cn) / Bn, (capf - Cn) / Bn
+        lin = sign == 0
+        end_lo = np.where(lin, np.minimum(l1, l2), np.where(disc < 0, vertex, np.minimum(r1, r2)))
+        end_hi = np.where(lin, np.maximum(l1, l2), np.where(disc < 0, vertex, np.maximum(r1, r2)))
+        lof, hif = _floats(lo), _floats(hi)
+        seed_lo = np.where(np.isnan(end_lo), lof, np.ceil(end_lo))
+        seed_hi = np.where(np.isnan(end_hi), hif, np.floor(end_hi) + 1)
+        return np.clip(np.concatenate([seed_lo, seed_hi]), np.concatenate([lof, lof]),
+                       np.concatenate([hif, hif]))
+
+
+def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi):
+    """Each row's n1 range (lo, hi) clipped to its three convex intervals.
+
+    Float roots only seed the interval ends; one `_first_true` call fixes all
+    of them by exact evaluation of F_k through (u, v), on the dtype of the
+    rows, at cells inside the box.
+    """
+    dtype = lo.dtype
+    R = len(lat)
+
+    def tile(x):  # entry k*R + r is component k of row r
+        return np.concatenate([x] * 3)
+
+    lo, hi = tile(lo), tile(hi)
+    cap = bound * lats.g[lat]
+    cap = np.concatenate([cap, cap // C.weight, cap])
+    seed = _as_ints(_hull_seeds(coeffs, lat, n2, lo, hi, cap), dtype)
+    sgn = coeffs[0][:, lat].ravel()
+    lin = sgn == 0
+    # h is sgn * F, or |F| where A = 0: max(G, flip * G) with G = sgn * F and
+    # flip = -1 there; elsewhere flip = 0 gives max(G, 0), which is convex
+    # too and meets every cap (>= 0) exactly where G does
+    sgn = np.where(lin, 1, sgn).astype(dtype)
+    flip = np.where(lin, -1, 0).astype(dtype)
+    E = len(lo)
+
+    def pair(x):  # search entry d*E + e: where entry e starts (d = 0), ends (1)
+        return np.concatenate([x, x])
+
+    a, b, c = (pair(sgn * np.repeat(np.array(x, dtype=dtype), R)) for x in zip(*_forms(C)))
+    flip, cap2, lo2, hi2 = pair(flip), pair(cap), pair(lo), pair(hi)
+    b1u, b1v = pair(tile(lats.b1u[lat])), pair(tile(lats.b1v[lat]))
+    u0, v0 = pair(tile(n2 * lats.b2u[lat])), pair(tile(n2 * lats.b2v[lat]))
+    upper = np.arange(2 * E) >= E
+    step = np.where(upper, -1, 1).astype(dtype)
+
+    def h(n, j):
+        u = n * b1u[j]
+        u += u0[j]
+        v = n * b1v[j]
+        v += v0[j]
+        G = _form((a[j], b[j], c[j]), u * u, u * v, v * v)
+        return np.maximum(G, flip[j] * G)
+
+    def pred(n, j):
+        # where an entry starts: feasible, or at or past the minimum of h;
+        # where it has ended: the negation with the neighbour on the left,
+        # infeasible and rising.  Both are false, then true along the row.
+        m = np.minimum(np.maximum(n + step[j], lo2[j]), hi2[j])
+        hn = h(n, j)
+        return ((hn <= cap2[j]) | (h(m, j) >= hn)) ^ upper[j]
+
+    ends = _first_true(pred, lo2, hi2, seed)
+    L, H = ends[:E], ends[E:] - 1
+    H = np.where(h(L, slice(0, E)) <= cap, H, L - 1)
+    return L.reshape(3, -1).max(axis=0), H.reshape(3, -1).min(axis=0)
+
+
+def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4096):
+    """Shared enumeration core: every lattice of the fibre (the base box is
+    layer 1) in one row table, long rows clipped to their height hull, and
+    each pair counted in the layer of its exact content."""
+    u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
+    col = _Collector(C, bound, u_cap, want_points)
+    lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, col.int64_ok)
+    rows = _height_rows(C, bound, lats, lattice_rows(lats, n2_lo, n2_hi))
+    for u, v, g in iter_lattice_points(lats, rows, chunk):
+        col.feed(u, v, g)
     points = sorted(col.points) if want_points else None
     return col.count, points, u_cap
+
+
+def _layers(C: FibreConic, bound: int):
+    """The certified floor m, the base box half-width u1 and, per divisor g
+    of |det(Pi)| with solution classes, (g, classes, half-width)."""
+    m = certified_min_m(C)
+    u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
+    layer_bounds = []
+    for g, sols in divisor_solutions(C.coeffs, factor(abs(C.pi_det))):
+        if sols:
+            ug = _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator)
+            layer_bounds.append((g, sols, ug))
+    return m, u1, layer_bounds
 
 
 def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountResult:
@@ -320,11 +528,14 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
 
     A base box covers all parameters giving points with unit content; for
     every divisor g of |det(Pi)| the parameters giving content-g points lie
-    on index-g sublattices (one per solution class of q = 0 mod g), searched
-    inside the correspondingly larger box.  Every candidate is verified by
-    exact evaluation, so the floor `min_norm` only ever affects completeness,
-    and it is certified (CannotCertify propagates; nothing is counted
-    against an uncertified floor).
+    on index-g sublattices (one per solution class of q = 0 mod g), inside
+    the correspondingly larger box.  The boxes only fix which rows of each
+    lattice exist and how far each row may reach; what is scanned of a row
+    longer than 64 cells is its height interval, the cells that can satisfy
+    the three convex height conditions and u >= 0.  Every candidate is
+    verified by exact evaluation, so the floor `min_norm` only ever affects
+    completeness, and it is certified (CannotCertify propagates; nothing is
+    counted against an uncertified floor).
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).
@@ -334,15 +545,7 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     bound = floor(B)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
-    m = certified_min_m(C)
-    u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
-    layer_bounds = []
-    fd = factor(abs(C.pi_det))
-    for g, sols in divisor_solutions(C.coeffs, fd):
-        if not sols:
-            continue
-        ug = _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator)
-        layer_bounds.append((g, sols, ug))
+    m, u1, layer_bounds = _layers(C, bound)
     count, points, u_cap = _enumerate(C, bound, u1, layer_bounds, want_points)
     return ConicCountResult(
         count=count,

@@ -3,15 +3,17 @@
 Engine for the layered conic count: find every class (sigma : tau) on the
 projective line over Z/g with all three parameterization quadratics zero,
 turn each class into the index-g sublattice {(u,v) : tau*u - sigma*v = 0
-mod g}, and stream the lattice points inside a sup-norm box.  Classes mod
-p^k come from one exact route for every p and k: the level-1 roots of a
-linear (or, when p divides it, quadratic) congruence, then one Hensel digit
-per level from two linear congruences mod p.  CRT joins the prime powers.
+mod g}, and lay the rows of all lattices of a fibre out in one table whose
+cells are streamed in bounded chunks.  Classes mod p^k come from one exact
+route for every p and k: the level-1 roots of a linear (or, when p divides
+it, quadratic) congruence, then one Hensel digit per level from two linear
+congruences mod p.  CRT joins the prime powers.
 """
 from __future__ import annotations
 
 import itertools
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,6 +172,32 @@ def class_lattice_basis(sigma: int, tau: int, g: int):
     return lagrange_reduce(b1, b2)
 
 
+class Lattices(NamedTuple):
+    """The lattices of one fibre, one entry each: reduced basis b1, b2, layer
+    g and box half-width U (int64 or object arrays)."""
+
+    b1u: np.ndarray
+    b1v: np.ndarray
+    b2u: np.ndarray
+    b2v: np.ndarray
+    g: np.ndarray
+    U: np.ndarray
+
+
+class Rows(NamedTuple):
+    """Row n2 of lattice `lat` holds the cells n1*b1 + n2*b2, lo <= n1 <= hi
+    (none where lo > hi)."""
+
+    lat: np.ndarray
+    n2: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+# stands for an unbounded end of a range; real ends stay below 2^62
+_FAR = 2**62
+
+
 def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
@@ -181,61 +209,52 @@ def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return starts[rep] + offsets
 
 
-def _n1_bounds(base: np.ndarray, c: int, U: int):
-    """Integer interval of n with |base + n*c| <= U (c != 0)."""
-    if c > 0:
-        lo = -((U + base) // c)          # ceil((-U - base)/c)
-        hi = (U - base) // c
-    else:
-        lo = -((U - base) // (-c))       # ceil((U - base)/c), c < 0 flips
-        hi = (U + base) // (-c)
+def linear_range(base, c, lo_val, hi_val):
+    """Least and greatest integer n with lo_val <= base + n*c <= hi_val, per
+    entry; c may have either sign or be 0, and an empty range has lo > hi."""
+    zero = c == 0
+    c = np.where(zero, 1, c)
+    neg = c < 0
+    lo = -((base - np.where(neg, hi_val, lo_val)) // c)
+    hi = (np.where(neg, lo_val, hi_val) - base) // c
+    inside = (lo_val <= base) & (base <= hi_val)
+    lo = np.where(zero, np.where(inside, -_FAR, 1), lo)
+    hi = np.where(zero, np.where(inside, _FAR, 0), hi)
     return lo, hi
 
 
-def _row_ranges(b1, b2, U: int):
-    """Per-n2 interval of n1 with n1*b1 + n2*b2 inside the sup-norm-U box."""
-    b1u, b1v = b1
-    b2u, b2v = b2
-    det = b1u * b2v - b1v * b2u
-    assert det != 0
-    n2_cap = (U * (abs(b1u) + abs(b1v))) // abs(det) + 1
-    n2 = np.arange(-n2_cap, n2_cap + 1, dtype=np.int64)
-    lo = np.full(len(n2), -(2**62), dtype=np.int64)
-    hi = np.full(len(n2), 2**62, dtype=np.int64)
-    for base, c in ((n2 * b2u, b1u), (n2 * b2v, b1v)):
-        if c != 0:
-            l, h = _n1_bounds(base, c, U)
-            np.maximum(lo, l, out=lo)
-            np.minimum(hi, h, out=hi)
-        else:
-            bad = np.abs(base) > U
-            lo[bad] = 1
-            hi[bad] = 0
-    counts = np.maximum(hi - lo + 1, 0)
-    return n2, lo, counts
+def lattice_rows(lats: Lattices, n2_lo: np.ndarray, n2_hi: np.ndarray) -> Rows:
+    """Rows n2_lo..n2_hi of every lattice at once, each with the n1 range of
+    its cells in the half box 0 <= u <= U, |v| <= U.
+
+    The half box holds one of each pair +-(u, v) off the line u = 0, and
+    both of them on it.  Rows |n2| <= U (|b1u| + |b1v|) / |det| cover the
+    whole box (Cramer).
+    """
+    counts = (n2_hi - n2_lo + 1).astype(np.int64)
+    lat = np.repeat(np.arange(len(counts)), counts)
+    n2 = _multi_arange(n2_lo, counts)
+    U = lats.U[lat]
+    lo_u, hi_u = linear_range(n2 * lats.b2u[lat], lats.b1u[lat], 0, U)
+    lo_v, hi_v = linear_range(n2 * lats.b2v[lat], lats.b1v[lat], -U, U)
+    return Rows(lat, n2, np.maximum(lo_u, lo_v), np.minimum(hi_u, hi_v))
 
 
-def _emit_rows(b1, b2, n2, lo, counts):
-    n1 = _multi_arange(lo, counts)
-    n2_rep = np.repeat(n2, counts)
-    u = n1 * b1[0] + n2_rep * b2[0]
-    v = n1 * b1[1] + n2_rep * b2[1]
-    return u, v
-
-
-def iter_lattice_points(b1, b2, U: int, chunk: int = 4_000_000):
-    """Yield the box's lattice points in (u, v) array chunks of bounded size."""
-    n2, lo, counts = _row_ranges(b1, b2, U)
-    total = int(counts.sum())
-    if total <= chunk:
-        yield _emit_rows(b1, b2, n2, lo, counts)
-        return
-    cum = np.cumsum(counts)
-    start = 0
-    while start < len(n2):
-        base = cum[start - 1] if start else 0
-        stop = int(np.searchsorted(cum, base + chunk, side="right")) + 1
-        stop = max(stop, start + 1)
-        sl = slice(start, stop)
-        yield _emit_rows(b1, b2, n2[sl], lo[sl], counts[sl])
-        start = stop
+def iter_lattice_points(lats: Lattices, rows: Rows, chunk: int):
+    """Yield the rows' cells as (u, v, g) arrays of at most `chunk` cells,
+    splitting rows across chunks."""
+    lat = rows.lat
+    b1u, b1v, g = lats.b1u[lat], lats.b1v[lat], lats.g[lat]
+    u0, v0 = rows.n2 * lats.b2u[lat], rows.n2 * lats.b2v[lat]
+    counts = np.maximum(rows.hi - rows.lo + 1, 0).astype(np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, chunk):
+        e = min(s + chunk, total)
+        r0 = int(np.searchsorted(ends, s, side="right"))
+        r1 = int(np.searchsorted(ends, e, side="left")) + 1
+        take = np.minimum(ends[r0:r1], e) - np.maximum(starts[r0:r1], s)
+        rep = np.repeat(np.arange(r0, r1), take)
+        n1 = rows.lo[rep] + (np.arange(s, e) - starts[rep])
+        yield n1 * b1u[rep] + u0[rep], n1 * b1v[rep] + v0[rep], g[rep]

@@ -126,9 +126,6 @@ class FactoredInteger:
             divs = [d * p**k for d in divs for k in range(e + 1)]
         return sorted(divs)
 
-    def radical(self) -> int:
-        return prod(p for p, _ in self.factors)
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 

@@ -44,13 +44,6 @@ def z_mul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def z_eval(p: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def z_derivative(p: Poly) -> Poly:
     return trim([i * c for i, c in enumerate(p)][1:])
 
@@ -505,8 +498,10 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     """Factor f over Q: (integer content with sign, [(primitive irreducible, mult)]).
 
-    Rational roots are stripped first; the remaining parts go through the
-    modular route.  Product check: content * prod(parts^mult) == f exactly.
+    After x^k is stripped, the squarefree parts go through the modular
+    (Zassenhaus) route, which also finds the linear factors; a linear
+    leftover is recorded as it is.  Product check: content * prod(parts^mult)
+    == f exactly.
     """
     f = trim(f)
     if not f:
@@ -523,33 +518,6 @@ def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
         found[(0, 1)] = k
 
     work = trim(prim)
-    if deg(work) >= 1:
-        # rational-root pre-pass: candidates r/s with r | a0, s | lc
-        from .numth import factor as int_factor
-
-        changed = True
-        while changed and deg(work) >= 1:
-            changed = False
-            a0, lc = work[0], work[-1]
-            for r in int_factor(a0).divisors() if a0 else [0]:
-                for s in int_factor(lc).divisors():
-                    for rs in ((r, s), (-r, s)):
-                        if gcd(abs(rs[0]), rs[1]) != 1:
-                            continue
-                        # candidate root rs[0]/rs[1]  ->  factor (s x - r)
-                        num = sum(c * rs[0] ** i * rs[1] ** (deg(work) - i) for i, c in enumerate(work))
-                        if num == 0:
-                            lin = trim((-rs[0], rs[1]))
-                            _, lin = z_primitive(lin)
-                            found[lin] = found.get(lin, 0) + 1
-                            work = z_div_exact(work, lin)
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
-
     if deg(work) >= 2:
         for part, mult in squarefree_decomposition(work):
             if deg(part) == 0:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conicbundle.conic import (
     parameterize,
     point_from_pair,
 )
+from conicbundle.modsolve import lattice_rows
 from conicbundle.numth import is_prime
 
 # det(Pi) = 36: pairs of content 2 and 4 also lie inside the base box
@@ -258,8 +260,20 @@ def test_count_points_want_points(c12):
         assert seen == {point_from_pair(C, u, v).triple for u, v, _ in _accepted_pairs(C, B)}
 
 
+def _row_tables(C, B, int64_ok):
+    """The fibre's box rows and height-clipped rows, as count_points builds them."""
+    _, u1, layers = conic._layers(C, B)
+    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, int64_ok)
+    box = lattice_rows(lats, n2_lo, n2_hi)
+    return lats, box, conic._height_rows(C, B, lats, box)
+
+
 def test_count_points_chunk_independent(monkeypatch, c12):
     default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
+    # a chunk of 7 splits rows: both fibres have rows of more than 7 cells
+    for C in (c12, C36):
+        rows = _row_tables(C, 300, True)[2]
+        assert (rows.hi - rows.lo + 1).max() > 7
     enumerate_default = conic._enumerate
     monkeypatch.setattr(
         conic, "_enumerate", lambda *args: enumerate_default(*args, chunk=7)
@@ -268,6 +282,95 @@ def test_count_points_chunk_independent(monkeypatch, c12):
         small = count_points(C, 300, want_points=True)
         assert small.count == res.count
         assert small.points == res.points
+
+
+def _composite_det(coeffs):
+    a, b, c, e, f = coeffs
+    det = abs(a * e * e - b * c * e + f * b * b)
+    return det >= 4 and not is_prime(det)
+
+
+@given(
+    coeffs=st.tuples(*[st.integers(-9, 9)] * 5).filter(_composite_det),
+    w=st.integers(1, 3),
+    B=st.integers(1, 60),
+)
+def test_height_rows_keep_every_owned_cell_of_bounded_height(coeffs, w, B):
+    C = FibreConic(*coeffs, weight=w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "_LONG_ROW", 0)  # clip every row, not just long ones
+        lats, box, rows = _row_tables(C, B, True)
+        exact = _row_tables(C, B, False)
+    assert rows.lo.dtype == np.int64
+    assert exact[2].lo.dtype == object
+    for a, b in zip(rows, exact[2]):
+        assert a.tolist() == b.tolist()
+    # every box cell, tagged with its row
+    counts = np.maximum(box.hi - box.lo + 1, 0)
+    r = np.repeat(np.arange(len(counts)), counts)
+    n1 = box.lo[r] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    lat = box.lat[r]
+    u = n1 * lats.b1u[lat] + box.n2[r] * lats.b2u[lat]
+    v = n1 * lats.b1v[lat] + box.n2[r] * lats.b2v[lat]
+    g = lats.g[lat]
+    x = np.abs(C.cxy * u * u + C.cyz * u * v)
+    y = np.abs(C.cxx * u * u + C.cxz * u * v + C.czz * v * v)
+    z = np.abs(C.cxy * u * v + C.cyz * v * v)
+    low = np.maximum(np.maximum(x, w * y), z) <= B * g
+    owned = (u > 0) | ((u == 0) & (v > 0))
+    kept = (rows.lo[r] <= n1) & (n1 <= rows.hi[r])
+    assert not np.any(owned & low & ~kept)
+    # the hull only ever narrows a row, and both ends of a kept range meet
+    # the convex condition of every component: sign(A) F <= cap, or |F| <= cap
+    # where A = F(b1) = 0
+    live = rows.lo <= rows.hi
+    assert np.all(rows.lo[live] >= box.lo[live]) and np.all(rows.hi[live] <= box.hi[live])
+    forms = ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
+    lat = rows.lat[live]
+    for n1 in (rows.lo[live], rows.hi[live]):
+        u = n1 * lats.b1u[lat] + rows.n2[live] * lats.b2u[lat]
+        v = n1 * lats.b1v[lat] + rows.n2[live] * lats.b2v[lat]
+        b1u, b1v = lats.b1u[lat], lats.b1v[lat]
+        cap = B * lats.g[lat]
+        for (fa, fb, fc), k_cap in zip(forms, (cap, cap // w, cap)):
+            F = fa * u * u + fb * u * v + fc * v * v
+            A = fa * b1u * b1u + fb * b1u * b1v + fc * b1v * b1v
+            assert np.all(np.where(A == 0, np.abs(F), np.sign(A) * F) <= k_cap)
+
+
+def test_count_points_with_every_row_clipped_vs_reference(monkeypatch):
+    monkeypatch.setattr(conic, "_LONG_ROW", 0)
+    rng = random.Random(11)
+    done = 0
+    while done < 25:
+        coeffs = [rng.randint(-6, 6) for _ in range(5)]
+        if not _composite_det(coeffs):
+            continue
+        C = FibreConic(*coeffs, weight=rng.randint(1, 3))
+        B = rng.randint(1, 60)
+        res = count_points(C, B, want_points=True)
+        assert res.count == len(res.points) == count_points_reference(C, B)
+        done += 1
+
+
+def test_height_rows_do_not_depend_on_the_seeds(monkeypatch, c11, c12):
+    # float roots only seed the interval ends; random seeds must give the
+    # same rows through the exact correction alone
+    monkeypatch.setattr(conic, "_LONG_ROW", 0)
+    rng = np.random.default_rng(7)
+    cases = [(C, B) for C in (c11, c12, C36) for B in (3, 40, 500)]
+    cases += [(FibreConic(1, 1, 0, 0, 3 * 10**6 + 2), 10), (FibreConic(4, 0, -5, 6, -2, 3), 90)]
+    want = [[r.tolist() for r in _row_tables(C, B, ok)[2]] for C, B in cases for ok in (True, False)]
+    as_ints = conic._as_ints
+
+    def random_seeds(x, dtype):
+        near = x + rng.integers(-5, 6, len(x))
+        far = rng.integers(-2**40, 2**40, len(x)).astype(float)
+        return as_ints(np.where(rng.random(len(x)) < 0.5, near, far), dtype)
+
+    monkeypatch.setattr(conic, "_as_ints", random_seeds)
+    got = [[r.tolist() for r in _row_tables(C, B, ok)[2]] for C, B in cases for ok in (True, False)]
+    assert got == want
 
 
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
@@ -287,6 +390,18 @@ def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
     C = FibreConic(4, 0, -5, 6 * (2**32 - 1), -2)
     for B in (5, 40):
         assert count_points(C, B).count == count_points_reference(C, B)
+
+
+@pytest.mark.parametrize("p, q", [(100000007, 300000007), (10000000019, 30000000001)])
+def test_count_points_skewed_class_lattice(p, q):
+    # the class (0 : 1) mod pq has the lattice {pq | u}; its row n2 = 0 is
+    # the ~2 sqrt(10 pq / m) box cells (0, v), of which the height hull keeps
+    # |v| <= 3.  The larger pq is past int64, so the rows are object arrays.
+    C = FibreConic(1, 1, 0, 0, p * q)
+    start = perf_counter()
+    res = count_points(C, 10, want_points=True)
+    assert perf_counter() - start < 5
+    assert res.count == len(res.points) == count_points_reference(C, 10) == 2
 
 
 def test_count_rejects_bad_bound(c12):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conicbundle
 from conicbundle.analytic import final_lemma_sum
 from conicbundle.harness import (
     CountRecord,
@@ -412,3 +417,43 @@ def test_cli_wirsing_rejects_fractional_x(s1_file, capsys):
                  "squarefree-harmonic", "--x", "1e4")
     assert rc == 0
     assert "x: 10000\n" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- hostile input
+
+
+def _count_fibre_capped(surface: dict, s: int, t: int, height: int, tmp_path):
+    """count-fibre --dump-points in a child process whose address space alone
+    is capped at 3 GiB."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    src = os.path.dirname(os.path.dirname(conicbundle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    code = "import sys; from conicbundle.harness import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["--no-cache", "count-fibre", str(path), "--s", str(s), "--t", str(t),
+            "--height", str(height), "--dump-points"]
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("p, q", [(100000007, 300000007), (10000000019, 30000000001)])
+def test_cli_count_fibre_skewed_class_lattice(p, q, tmp_path):
+    # S1 with f = [pq, -1]: its fibre (1 : 0) is x^2 + xy + pq z^2, whose
+    # class lattice {pq | u} has a box row of ~2 sqrt(10 pq) cells
+    surface = {"a": [1, 0], "d": [0, 1], "f": [p * q, -1], "b": [1, 0, 1], "e": [0, 1, 0]}
+    run = _count_fibre_capped(surface, 1, 0, 10, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "count: 2\n" in run.stdout
+    assert run.stdout.count("point: ") == 2
+
+
+def test_cli_count_fibre_huge_coefficient(tmp_path):
+    surface = {"a": [123456789123456789123, 0], "d": [0, 1], "f": [1, -1],
+               "b": [1, 0, 1], "e": [0, 1, 0]}
+    run = _count_fibre_capped(surface, 1, -3, 3, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("count: 1\npoint: (0 : 1 : 0)  height=3\n")

@@ -6,22 +6,32 @@ import pytest
 
 from conicbundle.conic import FibreConic, parameterize
 from conicbundle.modsolve import (
-    _emit_rows,
-    _row_ranges,
+    Lattices,
     class_lattice_basis,
     class_levels,
     divisor_solutions,
     iter_lattice_points,
     lagrange_reduce,
+    lattice_rows,
+    linear_range,
     solutions_mod_prime_power,
 )
 from conicbundle.numth import euler_phi, factor
 
 
-def lattice_points_in_box(b1, b2, U: int):
-    """All lattice points n1*b1 + n2*b2 with sup norm <= U, in one batch."""
-    n2, lo, counts = _row_ranges(b1, b2, U)
-    return _emit_rows(b1, b2, n2, lo, counts)
+def half_box_cells(lattices, chunk=4_000_000, dtype=np.int64):
+    """Cells n1*b1 + n2*b2 with 0 <= u <= U, |v| <= U of every (b1, b2, U)
+    in one row table, as (u, v, lattice index) triples in stream order."""
+    cols = [(b1[0], b1[1], b2[0], b2[1], i, U) for i, (b1, b2, U) in enumerate(lattices)]
+    lats = Lattices(*(np.array(c, dtype=dtype) for c in zip(*cols)))
+    det = abs(lats.b1u * lats.b2v - lats.b1v * lats.b2u)
+    cap = lats.U * (abs(lats.b1u) + abs(lats.b1v)) // det + 1
+    rows = lattice_rows(lats, -cap, cap)
+    out = []
+    for u, v, g in iter_lattice_points(lats, rows, chunk):
+        assert len(u) <= chunk
+        out.extend(zip(u.tolist(), v.tolist(), g.tolist()))
+    return out
 
 
 def _scan_classes(coeffs, m, p):
@@ -208,17 +218,18 @@ def test_class_lattice_basis_membership():
 
 def test_lattice_points_in_box_vs_brute():
     rng = random.Random(23)
-    done = 0
-    while done < 40:
+    bases = []
+    while len(bases) < 40:
         b1 = (rng.randint(-5, 5), rng.randint(-5, 5))
         b2 = (rng.randint(-5, 5), rng.randint(-5, 5))
+        if b1[0] * b2[1] - b1[1] * b2[0]:
+            bases.append((b1, b2, rng.randint(1, 25)))
+    # all 40 lattices in one table, on int64 and on object arrays
+    cells = half_box_cells(bases)
+    assert half_box_cells(bases, dtype=object) == cells
+    for i, (b1, b2, U) in enumerate(bases):
+        got = [(u, v) for u, v, k in cells if k == i]
         det = b1[0] * b2[1] - b1[1] * b2[0]
-        if det == 0:
-            continue
-        done += 1
-        U = rng.randint(1, 25)
-        u, v = lattice_points_in_box(b1, b2, U)
-        got = set(zip(u.tolist(), v.tolist()))
         # Cramer bound: |c1| = |x*b2[1]-y*b2[0]|/|det| <= 2U*max|b2|/|det|
         m1 = 2 * U * max(abs(b2[0]), abs(b2[1])) // abs(det) + 1
         m2 = 2 * U * max(abs(b1[0]), abs(b1[1])) // abs(det) + 1
@@ -228,18 +239,32 @@ def test_lattice_points_in_box_vs_brute():
             for c2 in range(-m2, m2 + 1):
                 x = x0 + c2 * b2[0]
                 y = y0 + c2 * b2[1]
-                if abs(x) <= U and abs(y) <= U:
+                if 0 <= x <= U and abs(y) <= U:
                     brute.add((x, y))
-        assert got == brute
-        assert len(got) == len(u)
+        assert set(got) == brute
+        assert len(got) == len(brute)
 
 
 def test_iter_lattice_points_matches_bulk():
-    b1, b2 = (3, 1), (-1, 2)
-    U = 40
-    u, v = lattice_points_in_box(b1, b2, U)
-    bulk = set(zip(u.tolist(), v.tolist()))
-    streamed = set()
-    for cu, cv in iter_lattice_points(b1, b2, U, chunk=64):
-        streamed.update(zip(cu.tolist(), cv.tolist()))
-    assert streamed == bulk
+    bases = [((3, 1), (-1, 2), 40), ((0, 1), (1, 0), 30), ((1, 4), (-7, 3), 50)]
+    bulk = half_box_cells(bases)
+    # rows of the second lattice hold 61 cells, so a chunk of 64 splits rows
+    assert half_box_cells(bases, chunk=64) == bulk
+    assert half_box_cells(bases, chunk=7) == bulk
+
+
+def test_linear_range_vs_brute():
+    rng = random.Random(5)
+    base = np.array([rng.randint(-30, 30) for _ in range(400)])
+    c = np.array([rng.randint(-6, 6) for _ in range(400)])
+    lo_val = np.array([rng.randint(-20, 5) for _ in range(400)])
+    hi_val = lo_val + np.array([rng.randint(-3, 25) for _ in range(400)])
+    lo, hi = linear_range(base, c, lo_val, hi_val)
+    for i in range(400):
+        ns = [n for n in range(-100, 101) if lo_val[i] <= base[i] + n * c[i] <= hi_val[i]]
+        if c[i] == 0 and ns:
+            assert lo[i] < -100 and hi[i] > 100
+        elif ns:
+            assert (lo[i], hi[i]) == (ns[0], ns[-1])
+        else:
+            assert lo[i] > hi[i]

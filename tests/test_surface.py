@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from time import perf_counter
 
 import pytest
 
@@ -46,6 +47,20 @@ def test_split_invariants(split_surface):
     assert X.rho == 7
     assert X.factorization.distinct_count == 5
     assert X.w0 == 1
+
+
+def test_validate_highly_composite_coefficients_is_fast():
+    # a0 and the leading coefficient of the discriminant have 2^9 divisors
+    # each; a scan over candidate rational roots r/s took seconds here
+    M = prod([2, 3, 5, 7, 11, 13, 17, 19, 23])
+    start = perf_counter()
+    X = validate([M, 0], [0, M], [M, -1], [1, 0, M], [0, 1, 0])
+    assert perf_counter() - start < 1.0
+    assert X.disc.coeffs == (M, -1, 99540857289673800, -2 * M,
+                             11103427717736446058066100, -49770428644836900)
+    assert X.factorization.content == 1
+    assert X.factorization.factors == ((X.disc, 1),)
+    assert X.rho == 3
 
 
 def test_validate_wrong_degree():

@@ -71,6 +71,19 @@ def test_z_factor_known_shapes():
     assert trim(recomposed) == f
 
 
+def test_z_factor_linear_factors_with_many_divisors():
+    # linear factors come out of the modular route; a linear leftover after
+    # the content is removed is recorded as it is
+    M = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    for f in (z_mul(z_mul((-1, M), (M, 1)), (1, 0, 1)),
+              z_mul((M, -M * M + 1), (2, 3)),
+              (-4 * M, 6 * M)):
+        got_c, got = _canonical(z_factor(f))
+        want_c, want = _sympy_factorization(f)
+        assert got == want
+        assert got_c == want_c
+
+
 def test_z_factor_rejects_zero():
     with pytest.raises(ValueError):
         z_factor((0, 0))
