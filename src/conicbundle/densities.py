@@ -4,7 +4,10 @@ Everything here is exact rational arithmetic.  The non-archimedean side
 counts parameter classes where the quadratic parameterization degenerates
 modulo prime powers; the archimedean side is a plane area, written by
 homogeneity as two integrals of 1/N along the unit-box edges and bracketed
-with the exact cell bounds of `conic.edge_cell_bounds`.  The only
+with the exact cell bounds of `conic.edge_cell_bounds`.  One dyadic walk
+brackets the area for a whole stream of fibres at once (`sigma_inf_walk`),
+each level one numpy call over the pending cells of many fibres, under a
+fixed budget of pending cells; `sigma_inf` is its one-fibre case.  The only
 approximation anywhere is the explicit (lower, upper) bracket returned for
 area-dependent quantities.
 """
@@ -12,12 +15,20 @@ area-dependent quantities.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, tee
 
 import numpy as np
 
-from .conic import FibreConic, certified_min_m, edge_cell_bounds, edge_coeffs
+from .conic import (
+    CannotCertify,
+    FibreConic,
+    certified_min_m,
+    edge_cell_bounds,
+    edge_coeffs,
+)
 from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
 from .surface import PEYRE_PREFACTOR, CubicSurfaceNF, zeta2_bracket
@@ -100,22 +111,206 @@ def bad_prime_product(C: FibreConic) -> Fraction:
 # archimedean factor
 
 
-# cap on the pending cells of one level
+# cap on the pending cells of one fibre at one level
 _MAX_BOUNDARY_CELLS = 1 << 20
+# a fibre takes part in the walk's next level only if the fibres before it
+# hold fewer pending cells than this, so one edge_cell_bounds call sees at
+# most this many cells plus one fibre's
+_WALK_CELLS = 1 << 11
+
+# the level-0 cells of a fibre: edge e, t in [a, a + 1]
+_START_E = np.array([0, 0, 1, 1])
+_START_A = np.array([-1, 0, -1, 0])
 
 
-def _recip_sum(num: int, dens, bits: int, up: bool) -> Fraction:
-    """sum(num / d for d in dens), rounded down (up) to a multiple of
-    2^-P, where P gives each term at least `bits` bits."""
+def _add_recip_sums(acc, ids, levels, starts, dens, bits: int, up: bool) -> None:
+    """acc[f] += sum(4 S / d for d in f's group of dens), rounded down (up)
+    to a multiple of 2^-P, where P gives each term at least `bits` bits.
+
+    Group g is dens[starts[g]:starts[g + 1]], of fibre ids[g] at level
+    levels[g] (S = 2^level); acc[f] = (num, P) stands for num / 2^P.
+    """
     if not len(dens):
-        return Fraction(0)
-    P = max(0, bits + int(dens.max()).bit_length() - num.bit_length() + 1)
-    q = num << P
-    if up:
-        total = -sum((-q) // d for d in dens.tolist())
-    else:
-        total = sum(q // d for d in dens.tolist())
-    return Fraction(total, 1 << P)
+        return
+    tops = np.maximum.reduceat(dens, starts).tolist()
+    starts = np.asarray(starts).tolist()
+    ends = starts[1:] + [len(dens)]
+    dens = dens.tolist()
+    groups = zip(np.asarray(ids).tolist(), np.asarray(levels).tolist(), tops, starts, ends)
+    for f, k, top, s, t in groups:
+        # 4 S has bit length k + 3
+        P = max(0, bits + top.bit_length() - k - 2)
+        q = 1 << (k + 2 + P)
+        if up:
+            total = -sum(map((-q).__floordiv__, dens[s:t]))
+        else:
+            total = sum(map(q.__floordiv__, dens[s:t]))
+        num, P0 = acc[f]
+        if P >= P0:
+            acc[f] = ((num << (P - P0)) + total, P)
+        else:
+            acc[f] = (num + (total << (P0 - P)), P0)
+
+
+def _exact(acc) -> Fraction:
+    num, P = acc
+    return Fraction(num, 1 << P)
+
+
+def _fibre_rows(conics) -> dict:
+    """The walk's per-fibre columns for newly joined conics."""
+    c = np.array([edge_coeffs(C) for C in conics], dtype=object).reshape(-1, 2, 5)
+    w = np.array([C.weight for C in conics], dtype=object)
+    # int64 through level kmax: 64 w (sum |c| + 1) 4^k bounds every
+    # intermediate of edge_cell_bounds, and stays below 2^63
+    kmax = np.array([
+        (63 - (64 * C.weight * (sum(abs(x) for x in C.coeffs) + 1)).bit_length()) // 2
+        for C in conics
+    ], dtype=np.int64)
+    fits = kmax >= 0
+    return {
+        "c": c,
+        "w": w,
+        "c64": np.where(fits[:, None, None], c, 0).astype(np.int64),
+        "w64": np.where(fits, w, 0).astype(np.int64),
+        "kmax": kmax,
+        "level": np.zeros(len(kmax), dtype=np.int64),
+    }
+
+
+def sigma_inf_walk(
+    conics: Iterable[FibreConic], tol: float = 1e-4, max_depth: int = 24
+) -> Iterator:
+    """sigma_inf of each conic, in order, from one walk over all of them:
+    (lower, upper), or the ToleranceNotMet (or CannotCertify) it fails with.
+
+    Each level makes one edge_cell_bounds call over the pending cells of
+    every fibre taking part, plus one in Python ints for the fibres whose
+    magnitude bound 64 w (sum |c| + 1) 4^k leaves int64.  The pending cells
+    are kept in fibre order, oldest first, and a fibre takes part only while
+    the cells before it number fewer than _WALK_CELLS; new fibres join
+    under the same rule, and conics are read only as they join.  So the
+    size of a call is bounded in cells, whatever the number of fibres.
+    The acceptance rule, the rounding grid (per fibre and level) and both
+    caps are per fibre, so each result is the one the fibre gets alone.
+    """
+    reltol = Fraction(tol)
+    if reltol <= 0:
+        raise ValueError("tolerance must be positive")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    n = -(-reltol.denominator // reltol.numerator) + 1
+    bits = 64 + 2 * n.bit_length()
+    source = iter(conics)
+    # fibre f (numbered in input order) is row f - base of tab and window
+    base = 0
+    window: list[FibreConic] = []
+    tab = _fibre_rows([])
+    lower, upper, out = {}, {}, {}
+
+    def fail(f, k, lo, hi):
+        # N >= m on the edges: lo below 4 S^2 m is replaced by it
+        S = 1 << k
+        try:
+            m = certified_min_m(window[f - base])
+        except CannotCertify as exc:
+            out[f] = exc
+            return
+        floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
+        _add_recip_sums(lower, [f], [k], [0], hi, bits, up=False)
+        _add_recip_sums(upper, [f], [k], [0], lo[~floored], bits, up=True)
+        a_lo = _exact(lower.pop(f))
+        a_hi = _exact(upper.pop(f)) + int(np.count_nonzero(floored)) / (S * m)
+        why = (
+            f"subdivision depth {max_depth}" if k == max_depth
+            else f"{len(lo)} pending cells at level {k}"
+        )
+        out[f] = ToleranceNotMet(
+            f"{why} reached with bracket [{float(a_lo)}, {float(a_hi)}]", a_lo, a_hi
+        )
+
+    def settle(fib, e, a, wide):
+        """Bound the cells, bank the accepted ones, finish or fail the
+        fibres that stop here and return the children of the others."""
+        row = fib - base
+        k = tab["level"][row]
+        if wide:
+            c, w = tab["c"][row, e], tab["w"][row]
+            S, a_c, nn = np.left_shift(1, k).astype(object), a.astype(object), n
+        else:
+            c, w = tab["c64"][row, e], tab["w64"][row]
+            # an int64 lo is below 2^62, so a larger n acts as 2^62
+            S, a_c, nn = np.left_shift(1, k), a, min(n, 1 << 62)
+        lo, hi = edge_cell_bounds(tuple(c.T), w, a_c, S)
+        done = hi - lo <= lo // nn
+        fd = fib[done]
+        if len(fd):
+            first = np.flatnonzero(np.concatenate(([True], fd[1:] != fd[:-1])))
+            ids, levels = fd[first], k[done][first]
+            _add_recip_sums(lower, ids, levels, first, hi[done], bits, up=False)
+            _add_recip_sums(upper, ids, levels, first, lo[done], bits, up=True)
+        pend = ~done
+        first = np.flatnonzero(np.concatenate(([True], fib[1:] != fib[:-1])))
+        ids, levels = fib[first], k[first]
+        left = np.add.reduceat(pend, first, dtype=np.int64)
+        stop = (left > 0) & ((levels == max_depth) | (2 * left > _MAX_BOUNDARY_CELLS))
+        for f in ids[left == 0].tolist():
+            out[f] = (_exact(lower.pop(f)), _exact(upper.pop(f)))
+        for f, kf in zip(ids[stop].tolist(), levels[stop].tolist()):
+            mine = pend & (fib == f)
+            fail(f, kf, lo[mine], hi[mine])
+        go = (left > 0) & ~stop
+        tab["level"][ids[go] - base] += 1
+        keep = pend & np.repeat(go, np.diff(np.append(first, len(fib))))
+        fib, e, a = fib[keep], e[keep], a[keep]
+        return (
+            np.repeat(fib, 2),
+            np.repeat(e, 2),
+            np.repeat(2 * a, 2) + np.tile(np.array([0, 1]), len(a)),
+        )
+
+    # the cells of the next level, contiguous per fibre and in fibre order
+    fib = e = a = np.empty(0, dtype=np.int64)
+    more = True
+    while True:
+        if more and len(fib) < _WALK_CELLS:
+            want = max(1, -(-(_WALK_CELLS - len(fib)) // 4))
+            new = list(islice(source, want))
+            more = len(new) == want
+            first = base + len(window)
+            window += new
+            rows = _fibre_rows(new)
+            tab = {key: np.concatenate((col, rows[key])) for key, col in tab.items()}
+            for f in range(first, first + len(new)):
+                lower[f] = upper[f] = (0, 0)
+            fib = np.concatenate((fib, np.repeat(np.arange(first, first + len(new)), 4)))
+            e = np.concatenate((e, np.tile(_START_E, len(new))))
+            a = np.concatenate((a, np.tile(_START_A, len(new))))
+        if not len(fib):
+            return
+        cut = len(fib)
+        if cut > _WALK_CELLS:
+            cut = int(np.searchsorted(fib, fib[_WALK_CELLS - 1], side="right"))
+        wide = tab["level"][fib[:cut] - base] > tab["kmax"][fib[:cut] - base]
+        parts = [
+            settle(fib[:cut][sel], e[:cut][sel], a[:cut][sel], big)
+            for big, sel in ((False, ~wide), (True, wide)) if sel.any()
+        ]
+        if len(parts) == 2:
+            order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
+            parts = [tuple(np.concatenate(col)[order] for col in zip(*parts))]
+        ((kids_f, kids_e, kids_a),) = parts
+        fib = np.concatenate((kids_f, fib[cut:]))
+        e = np.concatenate((kids_e, e[cut:]))
+        a = np.concatenate((kids_a, a[cut:]))
+        # hand out the finished fibres at the front and drop their rows
+        ready = 0
+        while base + ready in out:
+            yield out.pop(base + ready)
+            ready += 1
+        base += ready
+        del window[:ready]
+        tab = {key: col[ready:] for key, col in tab.items()}
 
 
 def sigma_inf(
@@ -125,59 +320,20 @@ def sigma_inf(
 
     The region is {(u, v) real : max(|x|, w|y|, |z|) of q(u, v) <= 1}.  By
     homogeneity its area is the integral of 1/N(1, t) plus that of
-    1/N(s, 1) over [-1, 1].  One walk goes level by level over the dyadic
+    1/N(s, 1) over [-1, 1].  The walk goes level by level over the dyadic
     cells of both edges: a cell with integer bounds lo <= 4 S^2 N <= hi
     contributes [4S/hi, 4S/lo] and is accepted once hi - lo <= lo/n, n the
     smallest integer with 1/n <= tol/(1 + tol), so upper - lower <=
     tol * lower holds for the sum (the sums are rounded outward far below
     that margin).  Past max_depth or _MAX_BOUNDARY_CELLS pending cells it
     raises ToleranceNotMet with a finite bracket: a pending cell whose lo is
-    below the certified floor m counts 1/m for 1/N.
+    below the certified floor m counts 1/m for 1/N.  This is the one-fibre
+    case of `sigma_inf_walk`, which walks many fibres at once.
     """
-    reltol = Fraction(tol)
-    if reltol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = -(-reltol.denominator // reltol.numerator) + 1
-    bits = 64 + 2 * n.bit_length()
-    w = C.weight
-    table = np.array(edge_coeffs(C), dtype=object)
-    mag = 64 * w * (sum(abs(c) for c in C.coeffs) + 1)
-    e = np.array([0, 0, 1, 1])
-    a = np.array([-1, 0, -1, 0])
-    lower = upper = Fraction(0)
-    for k in range(max_depth + 1):
-        S = 1 << k
-        # int64 while every intermediate stays below 2^63
-        dtype = np.int64 if mag << (2 * k) < 2**63 else object
-        c = tuple(col.astype(dtype) for col in table[e].T)
-        lo, hi = edge_cell_bounds(c, w, a.astype(dtype), S)
-        # an int64 lo is below 2^62, so a larger n acts as 2^62
-        done = hi - lo <= lo // (n if dtype is object else min(n, 1 << 62))
-        lower += _recip_sum(4 * S, hi[done], bits, up=False)
-        upper += _recip_sum(4 * S, lo[done], bits, up=True)
-        keep = ~done
-        e, a, lo, hi = e[keep], a[keep], lo[keep], hi[keep]
-        if not len(a):
-            return lower, upper
-        if k == max_depth or 2 * len(a) > _MAX_BOUNDARY_CELLS:
-            break
-        e = np.repeat(e, 2)
-        a = np.repeat(2 * a, 2) + np.tile(np.array([0, 1]), len(a))
-    m = certified_min_m(C)
-    # N >= m on the edges: lo below 4 S^2 m is replaced by it
-    floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
-    lower += _recip_sum(4 * S, hi, bits, up=False)
-    upper += _recip_sum(4 * S, lo[~floored], bits, up=True)
-    upper += int(np.count_nonzero(floored)) / (S * m)
-    why = (
-        f"subdivision depth {max_depth}" if k == max_depth
-        else f"{len(a)} pending cells at level {k}"
-    )
-    raise ToleranceNotMet(
-        f"{why} reached with bracket [{float(lower)}, {float(upper)}]",
-        lower,
-        upper,
-    )
+    (res,) = sigma_inf_walk([C], tol=tol, max_depth=max_depth)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +361,35 @@ def peyre_constant(
     """
     nonarch = bad_prime_product(C)
     return _leading_constant(*sigma_inf(C, tol=tol, max_depth=max_depth), nonarch)
+
+
+def constant_sum(
+    fibres: Iterable, tol: float = 1e-4, max_depth: int = 24, strict: bool = False
+) -> tuple[Fraction, Fraction, int, list]:
+    """(lower, upper, count, failed) over (key, conic) pairs, in one
+    sigma_inf_walk: the sum of the peyre_constant brackets of the `count`
+    conics whose sigma_inf reaches tol, and the keys of those that raise
+    ToleranceNotMet (which strict raises instead).
+
+    The constant is linear in sigma_inf * nonarch, so the common factors
+    are applied once to the exact sums.
+    """
+    lower = upper = Fraction(0)
+    count = 0
+    failed = []
+    keys, conics = tee(fibres)
+    areas = sigma_inf_walk((C for _, C in conics), tol=tol, max_depth=max_depth)
+    for (key, C), area in zip(keys, areas):
+        if isinstance(area, ToleranceNotMet) and not strict:
+            failed.append(key)
+        elif isinstance(area, Exception):
+            raise area
+        else:
+            nonarch = bad_prime_product(C)
+            lower += area[0] * nonarch
+            upper += area[1] * nonarch
+            count += 1
+    return (*_leading_constant(lower, upper, Fraction(1)), count, failed)
 
 
 def nonarch_lower_bound_check(

@@ -32,7 +32,7 @@ from .analytic import (
     wirsing_sum,
 )
 from .conic import CannotCertify, count_points
-from .densities import ToleranceNotMet, local_density_report, peyre_constant
+from .densities import ToleranceNotMet, constant_sum, local_density_report
 from .forms import BinaryForm
 from .surface import (
     CubicSurfaceNF,
@@ -369,7 +369,7 @@ class ConstantSumResult:
     lower: Fraction
     upper: Fraction
     fibre_count: int
-    failed_fibres: tuple  # quadrature failures, skipped but never hidden
+    failed_fibres: tuple  # edge walks that missed tol: skipped, never hidden
 
     @property
     def midpoint(self) -> float:
@@ -390,22 +390,10 @@ def sum_constants(
 ) -> ConstantSumResult:
     if x < 1:
         raise ValueError("height bound must be >= 1")
-    lower = Fraction(0)
-    upper = Fraction(0)
-    failed = []
-    n = 0
-    for idx in domain_B(X, x):
-        conic = fibre_conic(X, idx)
-        try:
-            lo, hi = peyre_constant(conic, tol=tol, max_depth=max_depth)
-        except ToleranceNotMet:
-            if strict:
-                raise
-            failed.append(idx)
-            continue
-        lower += lo
-        upper += hi
-        n += 1
+    fibres = ((idx, fibre_conic(X, idx)) for idx in domain_B(X, x))
+    lower, upper, n, failed = constant_sum(
+        fibres, tol=tol, max_depth=max_depth, strict=strict
+    )
     return ConstantSumResult(
         x=float(x),
         lower=lower,
@@ -529,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--strict", action="store_true",
-                    help="abort on any quadrature tolerance failure")
+                    help="abort on the first fibre whose edge walk misses --tol")
 
     sp = sub.add_parser("growth", help="growth table across several heights")
     _add_surface_arg(sp)
@@ -700,9 +688,10 @@ def main(argv=None) -> int:
     except SurfaceValidationError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CannotCertify, OSError, OverflowError, MemoryError) as exc:
-        # OverflowError: coefficients too large for the int64 kernels;
-        # MemoryError: an input whose search arrays do not fit in memory
+    except (ValueError, CannotCertify, OSError, ArithmeticError, MemoryError) as exc:
+        # ArithmeticError: coefficients too large for the int64 kernels
+        # (OverflowError), a determinant rho cannot factor or a class count
+        # past the CRT cap; MemoryError: search arrays that do not fit
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

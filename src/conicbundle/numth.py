@@ -19,6 +19,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIME_BOUND = 10_000
 
+# squarings one _rho_split may spend; rho takes about sqrt(p) of them to
+# find a prime factor p, so this reaches a least prime factor of ~10^12
+_RHO_SQUARINGS = 1 << 21
+
 
 @lru_cache(maxsize=None)
 def _small_primes() -> tuple[int, ...]:
@@ -75,9 +79,13 @@ def is_prime(n: int) -> bool:
 
 
 def _rho_split(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle walk)."""
+    """A nontrivial factor of composite odd n (Brent's cycle walk).
+
+    Raises ArithmeticError past _RHO_SQUARINGS squarings.
+    """
     if n % 2 == 0:
         return 2
+    budget = _RHO_SQUARINGS
     # fixed schedule of polynomial offsets keeps this deterministic
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -86,13 +94,19 @@ def _rho_split(n: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            budget -= r
             k = 0
             while k < r and g == 1:
+                if budget < 0:
+                    raise ArithmeticError(
+                        f"rho found no factor of {n} in {_RHO_SQUARINGS} squarings"
+                    )
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
+                budget -= min(m, r - k)
                 k += m
             r *= 2
         if g == n:

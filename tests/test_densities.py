@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import conicbundle.densities as densities
 from conicbundle.conic import FibreConic
 from conicbundle.densities import (
     ToleranceNotMet,
@@ -14,8 +15,10 @@ from conicbundle.densities import (
     peyre_constant,
     rho_star,
     sigma_inf,
+    sigma_inf_walk,
     sigma_p,
 )
+from conicbundle.surface import FibreIndex, domain_B, fibre_conic
 
 
 def scan_rho_star(C, p, d):
@@ -157,6 +160,93 @@ def test_sigma_inf_failure_bracket_contains_area(c11):
         with pytest.raises(ToleranceNotMet) as exc:
             sigma_inf(c11, tol=1e-9, max_depth=depth)
         assert exc.value.lower <= hi and lo <= exc.value.upper
+
+
+def _one_by_one(conics, **kw):
+    """sigma_inf per conic, with a ToleranceNotMet as (message, lower, upper)."""
+    out = []
+    for C in conics:
+        try:
+            out.append(sigma_inf(C, **kw))
+        except ToleranceNotMet as exc:
+            out.append((str(exc), exc.lower, exc.upper))
+    return out
+
+
+def _walked(conics, **kw):
+    return [
+        (str(r), r.lower, r.upper) if isinstance(r, ToleranceNotMet) else r
+        for r in sigma_inf_walk(conics, **kw)
+    ]
+
+
+def test_sigma_inf_walk_matches_one_fibre_walks(s1, split_surface, c11):
+    for X, x in ((s1, 30), (split_surface, 20)):
+        conics = [fibre_conic(X, idx) for idx in domain_B(X, x)]
+        assert _walked(conics, tol=1e-2) == _one_by_one(conics, tol=1e-2)
+    # 2^50 c11 runs in Python ints from level 0, among int64 fibres
+    big = FibreConic(*(2**50 * c for c in c11.coeffs), weight=c11.weight)
+    mixed = [fibre_conic(s1, idx) for idx in domain_B(s1, 3)]
+    mixed.insert(5, big)
+    assert _walked(mixed, tol=1e-3) == _one_by_one(mixed, tol=1e-3)
+    # a failing batch: same failed fibres, messages and floored brackets
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 4)] + [big]
+    walked = _walked(conics, tol=1e-9, max_depth=6)
+    assert walked == _one_by_one(conics, tol=1e-9, max_depth=6)
+    assert sum(isinstance(r[0], str) for r in walked) >= len(conics) // 2
+
+
+def test_sigma_inf_walk_budget_does_not_change_results(s1, monkeypatch):
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 12)]
+    default = _walked(conics, tol=1e-2)
+    for budget in (8, 1 << 30):
+        monkeypatch.setattr(densities, "_WALK_CELLS", budget)
+        assert _walked(conics, tol=1e-2) == default
+
+
+def test_sigma_inf_walk_calls_stay_within_budget(s1, monkeypatch):
+    budget, cap = 8, 16
+    sizes = []
+
+    def recorded(c, w, a, S):
+        sizes.append(len(a))
+        return bound(c, w, a, S)
+
+    bound = densities.edge_cell_bounds
+    monkeypatch.setattr(densities, "edge_cell_bounds", recorded)
+    monkeypatch.setattr(densities, "_WALK_CELLS", budget)
+    monkeypatch.setattr(densities, "_MAX_BOUNDARY_CELLS", cap)
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 4)]
+    results = list(sigma_inf_walk(conics, tol=1e-9))
+    # every fibre stops at the pending-cell cap
+    assert all(
+        isinstance(r, ToleranceNotMet) and "pending cells" in str(r) for r in results
+    )
+    # a fibre's cells at one level number at most the cap
+    assert max(sizes) <= budget + cap
+    # without the budget the same walk makes far larger calls
+    sizes.clear()
+    monkeypatch.setattr(densities, "_WALK_CELLS", 1 << 30)
+    assert list(map(str, sigma_inf_walk(conics, tol=1e-9))) == list(map(str, results))
+    assert max(sizes) > 4 * (budget + cap)
+
+
+def test_sigma_inf_walk_streams_in_order(s1, monkeypatch):
+    # results come out while later conics are still unread
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 16)]
+    expected = list(sigma_inf_walk(conics, tol=1e-2))
+    read = []
+
+    def source():
+        for C in conics:
+            read.append(C)
+            yield C
+
+    monkeypatch.setattr(densities, "_WALK_CELLS", 64)
+    walk = sigma_inf_walk(source(), tol=1e-2)
+    assert next(walk) == expected[0]
+    assert len(read) < len(conics) // 4
+    assert [expected[0], *walk] == expected
 
 
 def test_peyre_xyz_contains_truth(xyz_conic):

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_sum_constants_strict_raises(s1):
     with pytest.raises(ToleranceNotMet):
         sum_constants(s1, 2, tol=1e-13, max_depth=10, strict=True)
     r = sum_constants(s1, 2, tol=1e-13, max_depth=10, strict=False)
-    # every fibre fails quadrature, so none contributes to the sum
+    # every fibre's edge walk misses tol, so none contributes to the sum
     assert r.fibre_count == 0
     assert len(r.failed_fibres) == 8
     assert r.lower == r.upper == 0
@@ -361,6 +362,19 @@ def test_cli_memory_error_exits_2(s1_file, capsys, monkeypatch):
     assert capsys.readouterr().err == "error[MemoryError]: Unable to allocate 9.74 GiB\n"
 
 
+def test_cli_arithmetic_error_exits_2(s1_file, capsys, monkeypatch):
+    def explosion(*args, **kwargs):
+        raise ArithmeticError("solution class explosion: 1048584 CRT combinations")
+
+    monkeypatch.setattr("conicbundle.harness.count_points", explosion)
+    rc = run_cli("--no-cache", "count-fibre", s1_file,
+                 "--s", 1, "--t", -3, "--height", 3)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error[ArithmeticError]: solution class explosion: 1048584 CRT combinations\n"
+    )
+
+
 def test_cli_sum_constants(s1_file, capsys):
     rc = run_cli("--no-cache", "sum-constants", s1_file, "--x", 2, "--tol", "0.05")
     out = capsys.readouterr().out
@@ -457,3 +471,17 @@ def test_cli_count_fibre_huge_coefficient(tmp_path):
     run = _count_fibre_capped(surface, 1, -3, 3, tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.endswith("count: 1\npoint: (0 : 1 : 0)  height=3\n")
+
+
+def test_cli_count_fibre_unfactorable_determinant(tmp_path):
+    # the determinant of fibre (1 : 0) is p q with two 21-digit primes, past
+    # the squarings rho may spend: refused with exit 2 instead of a hang
+    p, q = 100000000000000000039, 300000000000000000053
+    surface = {"a": [1, 0], "d": [0, 1], "f": [p * q, -1], "b": [1, 0, 1], "e": [0, 1, 0]}
+    start = time.perf_counter()
+    run = _count_fibre_capped(surface, 1, 0, 10, tmp_path)
+    assert time.perf_counter() - start < 30
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error[ArithmeticError]: ")
+    assert str(p * q) in run.stderr
+    assert run.stderr.count("\n") == 1

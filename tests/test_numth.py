@@ -141,3 +141,13 @@ def test_projective_normal():
         assert gcd(*w) == 1
         # same projective point: every 2x2 minor vanishes
         assert all(v[i] * w[j] == v[j] * w[i] for i in range(3) for j in range(3))
+
+
+def test_factor_gives_up_past_the_squaring_budget(monkeypatch):
+    import conicbundle.numth as numth
+
+    n = 10000000019 * 30000000001
+    assert factor(n).factors == ((10000000019, 1), (30000000001, 1))
+    monkeypatch.setattr(numth, "_RHO_SQUARINGS", 1000)
+    with pytest.raises(ArithmeticError, match=str(n)):
+        factor(n)
