@@ -7,6 +7,10 @@ degeneracy count for the fibration discriminant, partial sums of
 multiplicative functions with exponent fitting, and the height-weighted
 lattice sums.
 
+Float partial sums up to x come from a value sieve in O(sqrt x) numpy
+calls: one slice per prime below sqrt(x), then one scatter per cofactor
+for all the larger primes at once.
+
 Sums that a float cannot certify are accumulated in 96-bit fixed point
 (every term rounded down), so the returned rational is a lower bound with
 error below terms * 2^-96; small arguments get exact Fraction summation.
@@ -384,6 +388,60 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+# vals takes 8 bytes per a <= x; with the prime sieve and the per-prime
+# arrays the float route stays under ~3 GiB up to here
+MAX_WIRSING_X = 2 * 10**8
+
+
+def _exact_partial_sums(g_at: dict, cps: list[int]) -> dict:
+    """{c: sum of g(a) over a <= c} as Fractions, for the sorted cps.
+
+    g_at maps every prime up to cps[-1] to g(p).  One pass up to cps[-1]:
+    g(a) = g(a / p) g(p) for the smallest prime factor p of a, and 0 when
+    p^2 divides a.
+    """
+    if not cps:
+        return {}
+    top = cps[-1]
+    cps = set(cps)
+    spf = _smallest_factor_table(top).tolist()
+    vals = [Fraction(0), Fraction(1)]
+    total = Fraction(1)
+    out = {}
+    for a in range(2, top + 1):
+        p = spf[a]
+        m = a // p
+        v = 0 if m % p == 0 else vals[m] * g_at[p]
+        vals.append(v)
+        total += v
+        if a in cps:
+            out[a] = total
+    return out
+
+
+def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int) -> np.ndarray:
+    """csum[c] = sum of g(a) over squarefree a <= c, for every c <= x.
+
+    vals[a] = prod of g(p) over p | a, each product in ascending prime
+    order, then 0 off the squarefree a, then the running sum in place.
+    """
+    vals = np.ones(x + 1, dtype=np.float64)
+    vals[0] = 0.0
+    n_small = int(np.searchsorted(ps, math.isqrt(x), side="right"))
+    for p, gv in zip(ps[:n_small].tolist(), gp[:n_small].tolist()):
+        vals[p::p] *= gv
+    # a = k q with q > sqrt(x) prime: q is the largest factor of a and the
+    # indices k * big[:n] are distinct, so one scatter applies them all
+    big, gbig = ps[n_small:], gp[n_small:]
+    if len(big):
+        for k in range(1, x // int(big[0]) + 1):
+            n = int(np.searchsorted(big, x // k, side="right"))
+            vals[k * big[:n]] *= gbig[:n]
+    for p in ps[:n_small].tolist():
+        vals[p * p :: p * p] = 0.0
+    return np.cumsum(vals, out=vals)
+
+
 def wirsing_sum(
     g: MultiplicativeFn,
     x: int,
@@ -392,8 +450,11 @@ def wirsing_sum(
 ) -> WirsingReport:
     """Partial sums of a squarefree-supported multiplicative function.
 
-    Sums at checkpoints below the exact threshold are exact Fractions;
-    larger ones use a float sieve (one multiply per prime per multiple).
+    Sums at checkpoints up to the exact threshold are exact Fractions from
+    one running pass, with g(p) evaluated once per prime; larger ones read
+    the float value sieve, one slice multiply per prime below sqrt(x) and
+    one scatter multiply per cofactor above it.  x is capped at
+    MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
     coefficient of the checkpoint sums against (log x)^k with the exponent
@@ -402,6 +463,8 @@ def wirsing_sum(
     x = int(x)
     if x < 2:
         raise ValueError("need x >= 2")
+    if x > MAX_WIRSING_X:
+        raise ValueError(f"x = {x} is above the partial-sum sieve limit {MAX_WIRSING_X}")
     cps = sorted({int(c) for c in (checkpoints or _default_checkpoints(x)) if c >= 2})
     if not cps:
         raise ValueError("no usable checkpoints (need values >= 2)")
@@ -410,29 +473,20 @@ def wirsing_sum(
     if cps[-1] != x:
         cps.append(x)
     ps = shared_primes(x)
+    exact_cps = [c for c in cps if c <= exact_threshold]
+    n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right")) if exact_cps else 0
+    g_at = {p: g.at_prime(p) for p in ps[:n_exact].tolist()}
     if hasattr(g, "prime_values"):
         gp = np.asarray(g.prime_values(ps), dtype=np.float64)
     else:
-        gp = np.array([float(g.at_prime(int(p))) for p in ps], dtype=np.float64)
+        rest = [g.at_prime(p) for p in ps[n_exact:].tolist()]
+        gp = np.array([float(v) for v in [*g_at.values(), *rest]], dtype=np.float64)
 
-    # value sieve: vals[a] = prod of g(p) over p | a, then zero non-squarefree
-    vals = np.ones(x + 1, dtype=np.float64)
-    vals[0] = 0.0
-    for p, gv in zip(ps.tolist(), gp.tolist()):
-        vals[p::p] *= gv
-    for p in ps[ps * ps <= x].tolist():
-        vals[p * p :: p * p] = 0.0
-    csum = np.cumsum(vals)
-
-    sums_at = []
-    for cp in cps:
-        if cp <= exact_threshold:
-            exact = Fraction(0)
-            for a in range(1, cp + 1):
-                exact += g.value_at(a)
-            sums_at.append((cp, exact))
-        else:
-            sums_at.append((cp, float(csum[cp])))
+    sums = _exact_partial_sums(g_at, exact_cps)
+    float_cps = cps[len(exact_cps) :]
+    if float_cps:
+        sums.update(zip(float_cps, _partial_sum_sieve(ps, gp, x)[float_cps].tolist()))
+    sums_at = [(c, sums[c]) for c in cps]
 
     # prime-sum normalization: the exponent is DEFINED by
     # sum_{p<=t} g(p) log p = k log t + O(1), and fitting that line is far

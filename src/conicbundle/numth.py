@@ -198,8 +198,8 @@ def phi_dagger(a: int) -> Fraction:
 class MultiplicativeFn:
     """A multiplicative function supported on squarefree integers.
 
-    Defined by its values at primes; value_at(a) = prod of prime values for
-    squarefree a and 0 otherwise.
+    Defined by its values at primes: g(a) is the product of g(p) over the
+    primes p dividing a squarefree a, and 0 on every other a.
     """
 
     def __init__(self, prime_value, name: str = "g"):
@@ -208,19 +208,6 @@ class MultiplicativeFn:
 
     def at_prime(self, p: int):
         return self._prime_value(p)
-
-    def value_at(self, a: int):
-        if a == 1:
-            return Fraction(1)
-        fi = factor(a)
-        if not fi.is_squarefree():
-            return Fraction(0)
-        out = Fraction(1)
-        for p, _ in fi.factors:
-            out *= self._prime_value(p)
-        return out
-
-    __call__ = value_at
 
 
 # ---------------------------------------------------------------------------

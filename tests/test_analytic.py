@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conicbundle.analytic import (
     G_sum,
+    _partial_sum_sieve,
     delta_factor_data,
     final_lemma_sum,
     projective_root_counts,
@@ -267,6 +269,71 @@ def test_wirsing_exact_and_float_routes_agree():
         assert c1 == c2
         assert abs(float(v1) - float(v2)) < 1e-9
     assert exact.k_hat == pytest.approx(floats.k_hat, abs=1e-9)
+
+
+def ascending_prime_sieve(ps, gp, x):
+    # the value sieve as one slice multiply per prime, each product built in
+    # ascending prime order: the bitwise oracle for _partial_sum_sieve
+    vals = np.ones(x + 1, dtype=np.float64)
+    vals[0] = 0.0
+    for p, gv in zip(ps.tolist(), gp.tolist()):
+        vals[p::p] *= gv
+    for p in ps[ps * ps <= x].tolist():
+        vals[p * p :: p * p] = 0.0
+    return np.cumsum(vals)
+
+
+def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface):
+    top = 10**6
+    ps_top = shared_primes(top)
+    xs = list(range(2, 201)) + [10**6]
+    for p in (2, 3, 29, 31, 97, 997):
+        xs += [p * p - 1, p * p, p * p + 1]
+    for g in (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface)):
+        gp_top = g.prime_values(ps_top)
+        for x in xs:
+            ps = shared_primes(x)
+            gp = gp_top[: len(ps)]
+            got = _partial_sum_sieve(ps, gp, x)
+            assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)), (g.name, x)
+
+
+def counting_at_prime(g):
+    calls = Counter()
+    inner = g.at_prime
+
+    def at_prime(p):
+        calls[p] += 1
+        return inner(p)
+
+    g.at_prime = at_prime
+    return calls
+
+
+def test_wirsing_exact_route_evaluates_each_prime_once():
+    g = squarefree_harmonic()
+    calls = counting_at_prime(g)
+    rep = wirsing_sum(g, 5000, checkpoints=[300, 50, 50, 7])
+    assert calls == Counter(shared_primes(300).tolist())
+    sums = dict(rep.sums_at)
+    assert [c for c, _ in rep.sums_at] == [7, 50, 300, 5000]
+    for c in (7, 50, 300):
+        assert sums[c] == brute_squarefree_harmonic(c)
+    assert isinstance(sums[5000], float)
+    # without prime_values the float route reuses the exact prime values
+    plain = MultiplicativeFn(lambda p: Fraction(1, p), name="plain")
+    calls = counting_at_prime(plain)
+    rep_plain = wirsing_sum(plain, 5000, checkpoints=[300, 50, 50, 7])
+    assert calls == Counter(shared_primes(5000).tolist())
+    assert rep_plain.sums_at == rep.sums_at
+
+
+def test_wirsing_checkpoint_at_threshold_stays_exact():
+    rep = wirsing_sum(squarefree_harmonic(), 2500, checkpoints=[2000], exact_threshold=2000)
+    sums = dict(rep.sums_at)
+    assert isinstance(sums[2000], Fraction)
+    assert sums[2000] == brute_squarefree_harmonic(2000)
+    assert isinstance(sums[2500], float)
 
 
 def test_wirsing_zero_function():

@@ -1,7 +1,8 @@
 """Golden default stdout of the CLI on the S1 and split fixture surfaces.
 
 Each case runs one subcommand through `main` and compares its full stdout,
-without the `runtime_ms` line, with `tests/golden/<case>.txt`.  `growth`
+without the `runtime_ms` line, with `tests/golden/<surface>-<case>.txt`
+(`tests/golden/<case>.txt` for the cases that read no surface).  `growth`
 also compares the CSV it writes.  The files pin the printed bytes: counts,
 point lists, form printing and number formats.
 """
@@ -28,6 +29,14 @@ CASES = {
 }
 
 
+# cases that read no surface file: one golden file each
+PLAIN_CASES = {
+    # x = 10^6: the float sieve's per-prime slices and its cofactor scatters
+    "wirsing-check-harmonic": ["wirsing-check", "--function", "squarefree-harmonic",
+                               "--x", "1000000"],
+}
+
+
 def golden_stdout(argv, capsys) -> str:
     assert main(["--no-cache", *argv]) == 0
     out = capsys.readouterr().out
@@ -47,3 +56,9 @@ def test_cli_golden_stdout(case, surface, s1_file, split_file, tmp_path, capsys)
     assert out == (GOLDEN / f"{surface}-{case}.txt").read_text()
     if case == "growth":
         assert csv_path.read_text() == (GOLDEN / f"{surface}-growth.csv").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_CASES))
+def test_cli_golden_stdout_without_surface(case, capsys):
+    out = golden_stdout(PLAIN_CASES[case], capsys)
+    assert out == (GOLDEN / f"{case}.txt").read_text()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import conicbundle
-from conicbundle.analytic import final_lemma_sum
+from conicbundle.analytic import MAX_WIRSING_X, final_lemma_sum
 from conicbundle.harness import (
     CountRecord,
     ResultCache,
@@ -436,11 +436,9 @@ def test_cli_wirsing_rejects_fractional_x(s1_file, capsys):
 # ---------------------------------------------------------------- hostile input
 
 
-def _count_fibre_capped(surface: dict, s: int, t: int, height: int, tmp_path):
-    """count-fibre --dump-points in a child process whose address space alone
-    is capped at 3 GiB."""
-    path = tmp_path / "surface.json"
-    path.write_text(json.dumps(surface))
+def _main_capped(argv: list[str]):
+    """`main(["--no-cache", *argv])` in a child process whose address space
+    alone is capped at 3 GiB."""
     src = os.path.dirname(os.path.dirname(conicbundle.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -448,10 +446,16 @@ def _count_fibre_capped(surface: dict, s: int, t: int, height: int, tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     code = "import sys; from conicbundle.harness import main; sys.exit(main(sys.argv[1:]))"
-    argv = ["--no-cache", "count-fibre", str(path), "--s", str(s), "--t", str(t),
-            "--height", str(height), "--dump-points"]
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, preexec_fn=cap,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, "--no-cache", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=60)
+
+
+def _count_fibre_capped(surface: dict, s: int, t: int, height: int, tmp_path):
+    """count-fibre --dump-points under the 3 GiB cap of `_main_capped`."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    return _main_capped(["count-fibre", str(path), "--s", str(s), "--t", str(t),
+                         "--height", str(height), "--dump-points"])
 
 
 @pytest.mark.parametrize("p, q", [(100000007, 300000007), (10000000019, 30000000001)])
@@ -485,3 +489,14 @@ def test_cli_count_fibre_unfactorable_determinant(tmp_path):
     assert run.stderr.startswith("error[ArithmeticError]: ")
     assert str(p * q) in run.stderr
     assert run.stderr.count("\n") == 1
+
+
+def test_cli_wirsing_refuses_x_past_the_sieve_limit():
+    # 5e8 would need 4 GB of sieve array: refused before any allocation
+    start = time.perf_counter()
+    run = _main_capped(["wirsing-check", "--function", "squarefree-harmonic", "--x", "5e8"])
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error[ValueError]: ")
+    assert str(MAX_WIRSING_X) in run.stderr
+    assert run.stdout == ""
