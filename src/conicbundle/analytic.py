@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import BinaryForm, factor_over_q, resultant
-from .numth import MultiplicativeFn, factor, find_roots_mod_p, primes_up_to
+from .numth import MultiplicativeFn, factor, primes_up_to
 from .surface import CubicSurfaceNF, singular_fibre_indices
+from .zpoly import gf_roots
 
 _FIX_BITS = 96
 
@@ -89,12 +90,11 @@ def _smallest_factor_table(limit: int) -> np.ndarray:
 
 
 def projective_roots_mod_p(form: BinaryForm, p: int) -> int:
-    """Number of classes (s:t) mod p killing the form (p+1 when p divides it)."""
-    dehom = tuple(c % p for c in form.dehomogenized())
-    if not any(dehom) and form.coeffs[0] % p == 0:
+    """Number of classes (s:t) mod p killing the form (p+1 when p divides it):
+    the roots of f(x, 1), plus (1:0) when p divides the s^d coefficient."""
+    if all(c % p == 0 for c in form.coeffs):
         return p + 1
-    n = len(find_roots_mod_p(list(form.dehomogenized()), p))
-    return n + (1 if form.coeffs[0] % p == 0 else 0)
+    return len(gf_roots(form.dehomogenized(), p)) + (form.coeffs[0] % p == 0)
 
 
 # Batched kernel: for a block of primes at once, x^p mod f by square-and-

@@ -253,49 +253,31 @@ def _form(f, uu, uv, vv):
 class _Collector:
     """Chunk pipeline: ownership filter, exact-content and height test, count."""
 
-    def __init__(self, C: FibreConic, bound: int, u_cap: int, want_points: bool):
+    def __init__(self, C: FibreConic, bound: int, want_points: bool):
         self.C = C
         self.bound = bound
         self.count = 0
         self.points: list[HeightedPoint] | None = [] if want_points else None
-        maxc = max(1, max(abs(c) for c in C.coeffs))
-        # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
-        # and the bound*content comparison
-        self.int64_ok = (
-            3 * maxc * u_cap * u_cap * max(C.weight, 1) < 2**62
-            and bound * abs(C.pi_det) < 2**62
-        )
 
     def feed(self, u: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         """Count the pairs (u, v) of layer g (per cell): coprime, owner of
-        +-(u, v), content g."""
+        +-(u, v), content g.  Exact on int64 rows that `_enumerate` judged
+        safe and on object rows alike."""
         keep = ((u > 0) | ((u == 0) & (v > 0))) & (np.gcd(u, v) == 1)
         u, v, g = u[keep], v[keep], g[keep]
         if not len(u):
             return
-        if self.int64_ok:
-            uu, uv, vv = u * u, u * v, v * v
-            q1, q2, q3 = (np.abs(_form(f, uu, uv, vv)) for f in _forms(self.C))
-            content = np.gcd(np.gcd(q1, q2), q3)
-            hw = np.maximum(np.maximum(q1, self.C.weight * q2), q3)
-            ok = (content == g) & (hw <= self.bound * g)
-        else:
-            ok = np.array(
-                [self._accept_exact(a, b, c)
-                 for a, b, c in zip(u.tolist(), v.tolist(), g.tolist())],
-                dtype=bool,
-            )
+        uu, uv, vv = u * u, u * v, v * v
+        q1, q2, q3 = (np.abs(_form(f, uu, uv, vv)) for f in _forms(self.C))
+        content = np.gcd(np.gcd(q1, q2), q3)
+        hw = np.maximum(np.maximum(q1, self.C.weight * q2), q3)
+        ok = (content == g) & (hw <= self.bound * g)
         u, v = u[ok], v[ok]
         self.count += len(u)
         if self.points is not None:
             self.points.extend(
                 point_from_pair(self.C, a, b) for a, b in zip(u.tolist(), v.tolist())
             )
-
-    def _accept_exact(self, u: int, v: int, g: int) -> bool:
-        q1, q2, q3 = parameterize(self.C, u, v)
-        c = gcd(gcd(abs(q1), abs(q2)), abs(q3))
-        return c == g and max(abs(q1), self.C.weight * abs(q2), abs(q3)) <= self.bound * g
 
 
 def _fibre_lattices(u1, layer_bounds, int64_ok):
@@ -501,8 +483,15 @@ def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4096):
     layer 1) in one row table, long rows clipped to their height hull, and
     each pair counted in the layer of its exact content."""
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
-    col = _Collector(C, bound, u_cap, want_points)
-    lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, col.int64_ok)
+    # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
+    # and the bound*content comparison of the acceptance test
+    maxc = max(1, max(abs(c) for c in C.coeffs))
+    int64_ok = (
+        3 * maxc * u_cap * u_cap * max(C.weight, 1) < 2**62
+        and bound * abs(C.pi_det) < 2**62
+    )
+    col = _Collector(C, bound, want_points)
+    lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, int64_ok)
     rows = _height_rows(C, bound, lats, lattice_rows(lats, n2_lo, n2_hi))
     for u, v, g in iter_lattice_points(lats, rows, chunk):
         col.feed(u, v, g)

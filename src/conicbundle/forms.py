@@ -6,7 +6,6 @@ Coefficient convention: ``coeffs[i]`` multiplies ``s**(d-i) * t**i`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import zpoly
 
@@ -76,10 +75,7 @@ class BinaryForm:
         return BinaryForm(tuple(i * self.coeffs[i] for i in range(1, d + 1)))
 
     def content(self) -> int:
-        c = 0
-        for v in self.coeffs:
-            c = gcd(c, abs(v))
-        return c or 1
+        return zpoly.z_content(self.coeffs)
 
     def primitive(self) -> tuple[int, "BinaryForm"]:
         """(signed content, primitive form with positive first nonzero coefficient)."""
@@ -127,10 +123,6 @@ class BinaryForm:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
-
-
-def form_from_list(coeffs) -> BinaryForm:
-    return BinaryForm(tuple(int(c) for c in coeffs))
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -251,11 +243,6 @@ def factor_over_q(form: BinaryForm) -> FactorizationQ:
     result = FactorizationQ(content=content, factors=tuple(factors))
     assert result.recompose().coeffs == form.coeffs, "factor product mismatch"
     return result
-
-
-def distinct_factor_count(form: BinaryForm) -> int:
-    """Number of distinct irreducible factors over Q (the input need not be separable)."""
-    return factor_over_q(form).distinct_count
 
 
 def picard_rank(fac: FactorizationQ) -> int:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numth import FactoredInteger, find_roots_mod_p
+from .numth import FactoredInteger
+from .zpoly import gf_roots
 
 _COMBO_CAP = 10_000
 
@@ -71,7 +72,7 @@ def class_levels(coeffs, p: int, k: int) -> list[list[tuple[int, int]]]:
     elif cxy % p:
         roots = []
     else:
-        roots = find_roots_mod_p([cxx, cxz, czz], p)
+        roots = gf_roots((cxx, cxz, czz), p)
     ts = _chart_levels(cxx, cxy, cxz, cyz, czz, p, k, roots)
     zero = [0] if cyz % p == 0 and czz % p == 0 else []
     us = _chart_levels(czz, cyz, cxz, cxy, cxx, p, k, zero)

@@ -12,10 +12,12 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-# Witnesses proving primality for every n < 3.3 * 10**24 (deterministic
-# Miller-Rabin).  Larger inputs reuse the same fixed set; factor() then
-# certifies results a posteriori by recomposition.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses prove primality for every
+# n < psi_13 (Sorenson & Webster, Math. Comp. 86, 2017).  An n >= psi_13
+# that passes them all is only a probable prime: is_prime raises instead of
+# answering (the recomposition check in factor() does not certify primality).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIME_BOUND = 10_000
 
@@ -55,9 +57,10 @@ def projective_normal(v) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic below psi_13; ArithmeticError for a larger probable prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -75,6 +78,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ArithmeticError(f"cannot prove {n} prime: it passes every witness below 43")
     return True
 
 
@@ -209,77 +214,3 @@ class MultiplicativeFn:
     def at_prime(self, p: int):
         return self._prime_value(p)
 
-
-# ---------------------------------------------------------------------------
-# polynomial roots mod m
-
-def _poly_eval_mod(coeffs: list[int], x: int, m: int) -> int:
-    # ascending coefficients
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _modp_normalize(coeffs: list[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def find_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """Distinct roots in Z/p of a polynomial with integer coefficients.
-
-    Scans when p is small; otherwise splits gcd(x^p - x, f) down to linear
-    factors with a deterministic sequence of shifts.
-    """
-    f = _modp_normalize(coeffs, p)
-    if not f:
-        return list(range(p))  # identically zero mod p
-    if len(f) == 1:
-        return []
-    if p <= 1000:
-        return [x for x in range(p) if _poly_eval_mod(f, x, p) == 0]
-    from .zpoly import gf_gcd, gf_pow_xp_mod
-
-    fp = tuple(f)
-    xp = gf_pow_xp_mod(fp, p)  # x^p mod f
-    # x^p - x
-    g = list(xp)
-    while len(g) < 2:
-        g.append(0)
-    g[1] = (g[1] - 1) % p
-    splitter = gf_gcd(tuple(g), fp, p)  # product of (x - r) over roots r
-    roots: list[int] = []
-    stack = [splitter]
-    shift = 0
-    while stack:
-        h = stack.pop()
-        deg = len(h) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            # h = c1 x + c0
-            roots.append(-h[0] * pow(h[1], -1, p) % p)
-            continue
-        # split by gcd with (x + shift)^((p-1)/2) - 1
-        while True:
-            shift += 1
-            from .zpoly import gf_pow_mod
-
-            base = (shift % p, 1)
-            w = list(gf_pow_mod(base, (p - 1) // 2, h, p))
-            if not w:
-                w = [0]
-            w[0] = (w[0] - 1) % p
-            d = gf_gcd(tuple(w), h, p)
-            if 0 < len(d) - 1 < deg:
-                from .zpoly import gf_divmod
-
-                q, r = gf_divmod(h, d, p)
-                assert not any(r), "split must be exact"
-                stack.append(d)
-                stack.append(q)
-                break
-    return sorted(roots)

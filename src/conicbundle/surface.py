@@ -28,7 +28,6 @@ from .forms import (
     FactorizationQ,
     discriminant_quintic,
     factor_over_q,
-    form_from_list,
     is_separable,
     picard_rank,
     resultant,
@@ -220,7 +219,7 @@ def validate(
 
 def _as_form(f, degree: int, key: str) -> BinaryForm:
     if not isinstance(f, BinaryForm):
-        f = form_from_list(list(f))
+        f = BinaryForm(tuple(f))
     if f.degree != degree:
         raise ValueError(
             f"coefficient '{key}' must be a degree-{degree} form "

@@ -1,10 +1,12 @@
-"""Univariate integer polynomial factorization (degrees up to ~8).
+"""Integer polynomials: arithmetic over Z and Z/m, roots mod p, factoring over Q.
 
-Pipeline: rational-root pre-pass, squarefree decomposition, then per
-squarefree part a short Zassenhaus round: factor mod a good odd prime,
-prune with distinct-degree patterns across several primes, Hensel-lift the
-chosen modular factorization past a Landau-Mignotte coefficient bound, and
-recombine subsets by exact trial division over Z.
+Owns the one root finder mod p (gcd with x^p - x, then an equal-degree
+split into linear factors) and the factorization over Q of degrees up to
+~8: squarefree decomposition, then per squarefree part a short Zassenhaus
+round: factor mod a good odd prime, prune with distinct-degree patterns
+across several primes, Hensel-lift the chosen modular factorization past a
+Landau-Mignotte coefficient bound, and recombine subsets by exact trial
+division over Z.
 
 Polynomials are tuples of ints, ascending degree, no trailing zeros.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Poly = tuple[int, ...]
 
@@ -31,6 +33,16 @@ def trim(p) -> Poly:
 
 def deg(p: Poly) -> int:
     return len(p) - 1  # deg of zero poly is -1
+
+
+def z_add(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    return trim([c + b[i] if i < len(b) else c for i, c in enumerate(a)])
+
+
+def z_sub(a: Poly, b: Poly) -> Poly:
+    return z_add(a, tuple(-c for c in b))
 
 
 def z_mul(a: Poly, b: Poly) -> Poly:
@@ -104,76 +116,52 @@ def z_div_exact(a: Poly, b: Poly) -> Poly:
 
 def q_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd over Z computed by a Fraction Euclid (degrees are small)."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-
-    def _trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    fa, fb = _trim(fa), _trim(fb)
-    while fb:
-        # remainder of fa by fb
-        while len(fa) >= len(fb):
-            coef = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, cb in enumerate(fb):
-                fa[shift + i] -= coef * cb
-            fa = _trim(fa)
-            if not fa:
-                break
-        fa, fb = fb, fa
-    if not fa:
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, trim(z_divmod_exact(a, b)[1])
+    if not a:
         return ()
     # clear denominators, primitivize, positive lead
-    den = 1
-    for c in fa:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fa]
-    _, prim = z_primitive(tuple(ints))
+    den = lcm(*(Fraction(c).denominator for c in a))
+    _, prim = z_primitive(tuple(int(c * den) for c in a))
     return prim
 
 
 # ---------------------------------------------------------------------------
-# arithmetic over F_p  (tuples, ascending, coefficients in [0, p))
+# arithmetic over Z/m  (tuples, ascending, coefficients in [0, m)); gcds,
+# powers and factoring need m = p prime, divmod a leading coefficient
+# invertible mod m
 
-def gf_trim(a) -> Poly:
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def gf_from_z(a: Poly, p: int) -> Poly:
-    return gf_trim([c % p for c in a])
+def gf_from_z(a: Poly, m: int) -> Poly:
+    return trim([c % m for c in a])
 
 
-def gf_mul(a: Poly, b: Poly, p: int) -> Poly:
+def gf_mul(a: Poly, b: Poly, m: int) -> Poly:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return gf_trim(out)
+                out[i + j] = (out[i + j] + ca * cb) % m
+    return trim(out)
 
 
-def gf_divmod(a: Poly, b: Poly, p: int):
+def gf_divmod(a: Poly, b: Poly, m: int):
+    """(quotient, remainder) of a by b in (Z/m)[x]; a is reduced mod m first."""
     assert b, "division by zero polynomial"
-    r = list(a)
+    r = [c % m for c in a]
     qlen = max(len(a) - len(b) + 1, 0)
     q = [0] * qlen
-    inv_lb = pow(b[-1], -1, p)
+    inv_lb = pow(b[-1], -1, m)
     for shift in range(qlen - 1, -1, -1):
         idx = shift + len(b) - 1
-        if idx < len(r) and r[idx] % p:
-            coef = r[idx] * inv_lb % p
+        if r[idx]:
+            coef = r[idx] * inv_lb % m
             q[shift] = coef
             for i, cb in enumerate(b):
-                r[shift + i] = (r[shift + i] - coef * cb) % p
-    return gf_trim(q), gf_trim(r)
+                r[shift + i] = (r[shift + i] - coef * cb) % m
+    return trim(q), trim(r)
 
 
 def gf_monic(a: Poly, p: int) -> Poly:
@@ -184,7 +172,7 @@ def gf_monic(a: Poly, p: int) -> Poly:
 
 
 def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:
-    a, b = gf_trim(a), gf_trim(b)
+    a, b = gf_from_z(a, p), gf_from_z(b, p)
     while b:
         _, r = gf_divmod(a, b, p)
         a, b = b, r
@@ -193,7 +181,7 @@ def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:
 
 def gf_pow_mod(base: Poly, e: int, mod: Poly, p: int) -> Poly:
     result: Poly = (1,)
-    base = gf_divmod(gf_from_z(base, p), mod, p)[1]
+    base = gf_divmod(base, mod, p)[1]
     while e:
         if e & 1:
             result = gf_divmod(gf_mul(result, base, p), mod, p)[1]
@@ -208,7 +196,7 @@ def gf_pow_xp_mod(f: Poly, p: int) -> Poly:
 
 
 def gf_is_squarefree(f: Poly, p: int) -> bool:
-    d = gf_trim([i * c % p for i, c in enumerate(f)][1:])
+    d = gf_from_z(z_derivative(f), p)
     if not d:
         return False
     return deg(gf_gcd(f, d, p)) == 0
@@ -226,11 +214,7 @@ def gf_distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
             out.append((rest, deg(rest)))
             break
         h = gf_pow_mod(h, p, rest, p)
-        g = list(h)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        factor_d = gf_gcd(gf_trim(g), rest, p)
+        factor_d = gf_gcd(z_sub(h, (0, 1)), rest, p)
         if deg(factor_d) > 0:
             out.append((factor_d, d))
             rest, r = gf_divmod(rest, factor_d, p)
@@ -245,7 +229,7 @@ def gf_equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[P
     if n == d:
         return [f]
     while True:
-        a = gf_trim([rng.randrange(p) for _ in range(n)])
+        a = trim([rng.randrange(p) for _ in range(n)])
         if deg(a) < 1:
             continue
         g = gf_gcd(a, f, p)
@@ -253,11 +237,7 @@ def gf_equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[P
             pass
         else:
             b = gf_pow_mod(a, (p**d - 1) // 2, f, p)
-            bb = list(b)
-            if not bb:
-                bb = [0]
-            bb[0] = (bb[0] - 1) % p
-            g = gf_gcd(gf_trim(bb), f, p)
+            g = gf_gcd(z_sub(b, (1,)), f, p)
             if not 0 < deg(g) < n:
                 continue
         q, r = gf_divmod(f, g, p)
@@ -274,56 +254,38 @@ def gf_factor_squarefree(f: Poly, p: int, seed: int = _EDF_SEED) -> list[Poly]:
     return sorted(out)
 
 
+def gf_roots(f: Poly, p: int) -> list[int]:
+    """Distinct roots in Z/p of an integer polynomial, ascending.
+
+    h = gcd(f, x^p - x) is the product of x - r over the roots r; it is
+    split into its linear factors by equal-degree splitting.  Every class
+    is a root when f = 0 mod p or h = x^p - x (which covers p = 2).
+    """
+    f = gf_from_z(f, p)
+    h = gf_gcd(z_sub(gf_pow_xp_mod(f, p), (0, 1)), f, p) if f else ()
+    if not f or deg(h) == p:
+        return list(range(p))
+    if deg(h) < 1:
+        return []
+    lin = gf_equal_degree_split(h, 1, p, random.Random(_EDF_SEED))
+    return sorted(-g[0] % p for g in lin)
+
+
 # ---------------------------------------------------------------------------
 # Hensel lifting (monic setting)
-
-def _poly_mod(a: Poly, m: int) -> Poly:
-    return trim([c % m for c in a])
-
-
-def _poly_divmod_mod(a: Poly, b: Poly, m: int):
-    """divmod in (Z/m)[x] for b with leading coefficient invertible mod m."""
-    r = [c % m for c in a]
-    qlen = max(len(a) - len(b) + 1, 0)
-    q = [0] * qlen
-    inv_lb = pow(b[-1], -1, m)
-    for shift in range(qlen - 1, -1, -1):
-        idx = shift + len(b) - 1
-        if idx < len(r) and r[idx] % m:
-            coef = r[idx] * inv_lb % m
-            q[shift] = coef
-            for i, cb in enumerate(b):
-                r[shift + i] = (r[shift + i] - coef * cb) % m
-    return trim(q), trim(r)
-
 
 def _hensel_step(f: Poly, g: Poly, h: Poly, s: Poly, t: Poly, m: int):
     """One quadratic lift: from f = g h (mod m) to the same mod m^2."""
     m2 = m * m
-    e = _poly_mod(trim([a - b for a, b in _pad_sub(f, z_mul(g, h))]), m2)
-    q, r = _poly_divmod_mod(z_mul(s, e), h, m2)
-    g1 = _poly_mod(trim(_pad_add(_pad_add(g, z_mul(t, e)), z_mul(q, g))), m2)
-    h1 = _poly_mod(trim(_pad_add(h, r)), m2)
-    b = _poly_mod(trim([a - c for a, c in _pad_sub(_pad_add(z_mul(s, g1), z_mul(t, h1)), (1,))]), m2)
-    c, d = _poly_divmod_mod(z_mul(s, b), h1, m2)
-    s1 = _poly_mod(trim([x - y for x, y in _pad_sub(s, d)]), m2)
-    t1 = _poly_mod(trim([x - y for x, y in _pad_sub(t, _pad_add(z_mul(t, b), z_mul(c, g1)))]), m2)
+    e = gf_from_z(z_sub(f, z_mul(g, h)), m2)
+    q, r = gf_divmod(z_mul(s, e), h, m2)
+    g1 = gf_from_z(z_add(z_add(g, z_mul(t, e)), z_mul(q, g)), m2)
+    h1 = gf_from_z(z_add(h, r), m2)
+    b = gf_from_z(z_sub(z_add(z_mul(s, g1), z_mul(t, h1)), (1,)), m2)
+    c, d = gf_divmod(z_mul(s, b), h1, m2)
+    s1 = gf_from_z(z_sub(s, d), m2)
+    t1 = gf_from_z(z_sub(t, z_add(z_mul(t, b), z_mul(c, g1))), m2)
     return g1, h1, s1, t1
-
-
-def _pad_pair(a, b):
-    n = max(len(a), len(b))
-    return list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
-
-
-def _pad_add(a, b):
-    x, y = _pad_pair(a, b)
-    return [u + v for u, v in zip(x, y)]
-
-
-def _pad_sub(a, b):
-    x, y = _pad_pair(a, b)
-    return list(zip(x, y))
 
 
 def _gf_xgcd(a: Poly, b: Poly, p: int):
@@ -334,8 +296,8 @@ def _gf_xgcd(a: Poly, b: Poly, p: int):
     while r1:
         q, r = gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, gf_trim([(x - y) % p for x, y in _pad_sub(s0, gf_mul(q, s1, p))])
-        t0, t1 = t1, gf_trim([(x - y) % p for x, y in _pad_sub(t0, gf_mul(q, t1, p))])
+        s0, s1 = s1, gf_from_z(z_sub(s0, gf_mul(q, s1, p)), p)
+        t0, t1 = t1, gf_from_z(z_sub(t0, gf_mul(q, t1, p)), p)
     assert deg(r0) == 0, "inputs were not coprime mod p"
     inv = pow(r0[0], -1, p)
     s = tuple(c * inv % p for c in s0)
@@ -354,7 +316,7 @@ def hensel_lift_factors(f: Poly, factors: list[Poly], p: int, bound: int) -> tup
 
     def lift(fcur: Poly, parts: list[Poly]) -> list[Poly]:
         if len(parts) == 1:
-            return [_poly_mod(fcur, target)]
+            return [gf_from_z(fcur, target)]
         mid = len(parts) // 2
         gp = (1,)
         for q in parts[:mid]:
@@ -366,7 +328,7 @@ def hensel_lift_factors(f: Poly, factors: list[Poly], p: int, bound: int) -> tup
         g, h = gp, hp
         m = p
         while m < target:
-            g, h, s, t = _hensel_step(_poly_mod(fcur, m * m), g, h, s, t, m)
+            g, h, s, t = _hensel_step(gf_from_z(fcur, m * m), g, h, s, t, m)
             m *= m
         return lift(g, parts[:mid]) + lift(h, parts[mid:])
 
@@ -448,7 +410,7 @@ def factor_squarefree_monic(f: Poly) -> list[Poly]:
         for combo in itertools.combinations(remaining, size):
             cand = (1,)
             for i in combo:
-                cand = _poly_mod(z_mul(cand, lifted[i]), modulus)
+                cand = gf_from_z(z_mul(cand, lifted[i]), modulus)
             cand = trim([_symmetric(c, modulus) for c in cand])
             if z_divides(cand, fcur):
                 hit = (combo, cand)
@@ -477,7 +439,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     c = z_div_exact(fp, a)
     i = 1
     while True:
-        d = trim([x - y for x, y in _pad_sub(c, z_derivative(b))])
+        d = z_sub(c, z_derivative(b))
         if not d:
             if deg(b) > 0:
                 out.append((b, i))

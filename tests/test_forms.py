@@ -9,7 +9,6 @@ from conicbundle.forms import (
     BinaryForm,
     FactorizationQ,
     factor_over_q,
-    form_from_list,
     is_separable,
     picard_rank,
     resultant,

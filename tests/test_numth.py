@@ -11,7 +11,6 @@ from conicbundle.numth import (
     MultiplicativeFn,
     euler_phi,
     factor,
-    find_roots_mod_p,
     is_prime,
     phi_dagger,
     primes_up_to,
@@ -31,6 +30,21 @@ def test_is_prime_small_and_carmichael():
     for n in (561, 1105, 25326001, 3215031751):
         assert is_prime(n) == sympy.isprime(n)
     assert is_prime(2**61 - 1)
+
+
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_past_the_first_twelve_witnesses():
+    # psi_12 is a strong pseudoprime to every prime base up to 37; base 41
+    # exposes it.  Past psi_13 no fixed witness set proves a prime.
+    assert not is_prime(_PSI_12)
+    assert factor(_PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+    assert sympy.factorint(_PSI_12) == {399165290221: 1, 798330580441: 1}
+    for n in (_PSI_13, 2**89 - 1):
+        with pytest.raises(ArithmeticError, match=str(n)):
+            is_prime(n)
 
 
 def test_factor_roundtrip_random():
@@ -99,41 +113,6 @@ def test_multiplicative_fn_values():
     assert value_at(g, 6) == Fraction(1, 6)
     assert value_at(g, 4) == 0  # non-squarefree
     assert value_at(g, 30) == Fraction(1, 30)
-
-
-def _brute_roots(coeffs, m):
-    out = []
-    for x in range(m):
-        acc = 0
-        for i, c in enumerate(coeffs):
-            acc += c * pow(x, i, m)
-        if acc % m == 0:
-            out.append(x)
-    return out
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97, 101, 1009, 1013])
-def test_find_roots_mod_p_random(p):
-    rng = random.Random(p)
-    for _ in range(10):
-        deg = rng.randint(1, 5)
-        coeffs = [rng.randint(-20, 20) for _ in range(deg + 1)]
-        if all(c % p == 0 for c in coeffs):
-            coeffs[-1] = 1
-        got = sorted(find_roots_mod_p(coeffs, p))
-        assert got == _brute_roots(coeffs, p)
-
-
-def test_find_roots_identically_zero_polynomial():
-    assert sorted(find_roots_mod_p([7, 14], 7)) == list(range(7))
-
-
-def test_find_roots_large_prime_frobenius_path():
-    # above the scan threshold the factor-gcd route kicks in
-    p = 10007
-    coeffs = [-2, 0, 1]  # x^2 - 2
-    got = sorted(find_roots_mod_p(coeffs, p))
-    assert got == _brute_roots(coeffs, p)
 
 
 def test_projective_normal():

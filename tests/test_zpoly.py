@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from sympy.abc import x as X
 
+from conicbundle.numth import primes_up_to
 from conicbundle.zpoly import (
     deg,
     gf_gcd,
     gf_pow_xp_mod,
+    gf_roots,
     trim,
     z_factor,
     z_mul,
@@ -124,3 +127,62 @@ def test_gf_pow_xp_mod(p):
         want = xp.rem(_gf_poly_to_sympy(f, p))
         want_coeffs = tuple(int(c) % p for c in reversed(want.all_coeffs())) if want.all_coeffs() != [0] else ()
         assert trim(got) == trim(want_coeffs)
+
+
+def _brute_roots(coeffs, m):
+    """Every x in Z/m with f(x) = 0 mod m: Horner on all of Z/m at once."""
+    xs = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c % m) % m
+    return np.flatnonzero(acc == 0).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97, 101, 1009, 1013])
+def test_gf_roots_random(p):
+    rng = random.Random(p)
+    for _ in range(10):
+        d = rng.randint(1, 5)
+        coeffs = [rng.randint(-20, 20) for _ in range(d + 1)]
+        if all(c % p == 0 for c in coeffs):
+            coeffs[-1] = 1
+        assert gf_roots(tuple(coeffs), p) == _brute_roots(coeffs, p)
+
+
+def test_gf_roots_every_prime_to_1100(s1, split_surface):
+    discs = [X.disc.dehomogenized() for X in (s1, split_surface)]
+    rng = random.Random(1100)
+    for p in primes_up_to(1100).tolist():
+        r, s = rng.randrange(p), rng.randrange(p)
+        cases = discs + [
+            tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 7)))
+            for _ in range(3)
+        ]
+        # the degree drops mod p
+        cases.append((rng.randint(1, 50), rng.randint(-50, 50), 3 * p))
+        # repeated roots: (x - r)^3 (x - s)^2 (x^2 + 1)
+        rep = (1,)
+        for g in [(-r, 1)] * 3 + [(-s, 1)] * 2 + [(1, 0, 1)]:
+            rep = z_mul(rep, g)
+        cases.append(rep)
+        # f = 0 mod p
+        cases.append((p, -7 * p, 0, p * p))
+        for f in cases:
+            assert gf_roots(f, p) == _brute_roots(f, p), (f, p)
+
+
+def test_gf_roots_identically_zero_polynomial():
+    assert gf_roots((7, 14), 7) == list(range(7))
+    # h = gcd(f, x^p - x) is x^p - x itself: every class, p = 2 included
+    for p in (2, 3, 5):
+        xp_x = (0, -1) + (0,) * (p - 2) + (1,)
+        for f in (xp_x, z_mul(xp_x, (3, 1, 1)), z_mul(xp_x, xp_x)):
+            assert gf_roots(f, p) == list(range(p)) == _brute_roots(f, p)
+
+
+def test_gf_roots_large_primes():
+    for p in (10007, 1000003):
+        for coeffs in ((-2, 0, 1), (-1, 0, 1), (1, 0, 1), (6, -5, 1)):
+            assert gf_roots(coeffs, p) == _brute_roots(coeffs, p)
+        f = z_mul(z_mul((-1234, 1), (-678, 1)), (-1234, 1))
+        assert gf_roots(f, p) == [678, 1234] == _brute_roots(f, p)
