@@ -7,56 +7,48 @@ degeneracy count for the fibration discriminant, partial sums of
 multiplicative functions with exponent fitting, and the height-weighted
 lattice sums.
 
-Float partial sums up to x come from a value sieve in O(sqrt x) numpy
-calls: one slice per prime below sqrt(x), then one scatter per cofactor
-for all the larger primes at once.
+Prime sums take one path.  A MultiplicativeFn gives its values at a whole
+prime array at once, exactly as integer numerators and denominators and as
+float64.  Exact partial sums come from one squarefree loop that builds
+g(a) from those prime values; float partial sums come from a value sieve in
+O(sqrt x) numpy calls: one slice per prime below sqrt(x), then one scatter
+per cofactor for all the larger primes at once.
 
-Sums that a float cannot certify are accumulated in 96-bit fixed point
-(every term rounded down), so the returned rational is a lower bound with
-error below terms * 2^-96; small arguments get exact Fraction summation.
+Every rational sum goes through one exact-or-floored summation: exact
+Fractions for small arguments, otherwise every term rounded down at 96
+fractional bits, so the returned rational is a lower bound with error
+below terms * 2^-96.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .forms import BinaryForm, factor_over_q, resultant
-from .numth import MultiplicativeFn, factor, primes_up_to
+from .numth import factor, primes_up_to
 from .surface import CubicSurfaceNF, singular_fibre_indices
 from .zpoly import gf_roots
 
 _FIX_BITS = 96
 
 
-class _FixedSum:
-    """Sum of nonnegative rationals, each floored at 96 fractional bits."""
-
-    __slots__ = ("acc", "terms")
-
-    def __init__(self):
-        self.acc = 0
-        self.terms = 0
-
-    def add(self, num: int, den: int):
-        self.acc += (num << _FIX_BITS) // den
-        self.terms += 1
-
-    def lower(self) -> Fraction:
-        return Fraction(self.acc, 1 << _FIX_BITS)
-
-    def upper(self) -> Fraction:
-        return Fraction(self.acc + self.terms, 1 << _FIX_BITS)
+def _rational_sum(terms, exact: bool) -> Fraction:
+    """Sum of the nonnegative n / d over the (n, d) terms: exact, or with
+    every term floored at 96 fractional bits (a lower bound)."""
+    if exact:
+        return sum((Fraction(n, d) for n, d in terms), Fraction(0))
+    return Fraction(sum((n << _FIX_BITS) // d for n, d in terms), 1 << _FIX_BITS)
 
 
 # --------------------------------------------------------------------------
-# shared sieves (built once, grown on demand, read-only to callers)
+# sieves (the prime list is built once, grown on demand, read-only to callers)
 
 _prime_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
-_spf_cache = {"limit": 0, "table": None}
 
 
 def shared_primes(limit: int) -> np.ndarray:
@@ -70,8 +62,6 @@ def shared_primes(limit: int) -> np.ndarray:
 
 def _smallest_factor_table(limit: int) -> np.ndarray:
     """spf[n] = smallest prime factor of n (0 for n < 2)."""
-    if _spf_cache["limit"] >= limit:
-        return _spf_cache["table"]
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -80,8 +70,6 @@ def _smallest_factor_table(limit: int) -> np.ndarray:
     rest = np.arange(limit + 1, dtype=np.int32)
     spf[spf == 0] = rest[spf == 0]
     spf[:2] = 0
-    _spf_cache["table"] = spf
-    _spf_cache["limit"] = limit
     return spf
 
 
@@ -311,10 +299,8 @@ def rho_star_prime_vector(X: CubicSurfaceNF, ps: np.ndarray) -> np.ndarray:
     n = np.zeros(len(ps), dtype=np.int64)
     for f in data.delta_i:
         n += projective_root_counts(f, ps)
-    for p, _ in factor(data.w_f).factors:
-        hit = int(np.searchsorted(ps, p))
-        if hit < len(ps) and ps[hit] == p:
-            n[hit] = projective_roots_mod_p(X.disc, p)
+    for i in np.flatnonzero(_divides(data.w_f, ps)).tolist():
+        n[i] = projective_roots_mod_p(X.disc, int(ps[i]))
     return (ps - 1) * n
 
 
@@ -336,16 +322,8 @@ def tau_statistics(
         raise ValueError("tau statistics want a primitive irreducible form")
     ps = shared_primes(int(x))
     taus = projective_root_counts(delta, ps)
-    plist = ps.tolist()
-    tlist = taus.tolist()
-    if x <= exact_threshold:
-        harmonic = sum((Fraction(t, p) for t, p in zip(tlist, plist)), Fraction(0))
-    else:
-        acc = _FixedSum()
-        for t, p in zip(tlist, plist):
-            if t:
-                acc.add(t, p)
-        harmonic = acc.lower()
+    terms = ((t, p) for t, p in zip(taus.tolist(), ps.tolist()) if t)
+    harmonic = _rational_sum(terms, x <= exact_threshold)
     logs = np.log(ps.astype(np.float64))
     weighted = float(np.sum(taus * logs / ps))
     return harmonic, weighted
@@ -353,6 +331,22 @@ def tau_statistics(
 
 # --------------------------------------------------------------------------
 # Wirsing-style partial sums with exponent fitting
+
+
+@dataclass(frozen=True)
+class MultiplicativeFn:
+    """A multiplicative function supported on squarefree integers.
+
+    Defined by its values at primes: g(a) is the product of g(p) over the
+    primes p dividing a squarefree a, and 0 on every other a.  Both fields
+    map an ascending int64 prime array to the values at every prime:
+    exact(ps) as integer arrays (num, den) with g(p) = num / den, and
+    floats(ps) as a float64 array.
+    """
+
+    name: str
+    exact: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    floats: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -393,30 +387,40 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 MAX_WIRSING_X = 2 * 10**8
 
 
-def _exact_partial_sums(g_at: dict, cps: list[int]) -> dict:
-    """{c: sum of g(a) over a <= c} as Fractions, for the sorted cps.
+def _squarefree_sums(
+    g: MultiplicativeFn, ps: np.ndarray, cps: list[int], exact: bool
+) -> list[Fraction]:
+    """[sum of g(a) over a <= c for c in cps] for the sorted cps, where ps
+    holds every prime up to cps[-1]: exact, or 96-bit floored term by term.
 
-    g_at maps every prime up to cps[-1] to g(p).  One pass up to cps[-1]:
-    g(a) = g(a / p) g(p) for the smallest prime factor p of a, and 0 when
-    p^2 divides a.
+    Each a comes from its factorization along the smallest-prime-factor
+    table, multiplying integer numerators and denominators: a is dropped at
+    its first repeated prime or zero-valued prime.
     """
-    if not cps:
-        return {}
-    top = cps[-1]
-    cps = set(cps)
-    spf = _smallest_factor_table(top).tolist()
-    vals = [Fraction(0), Fraction(1)]
-    total = Fraction(1)
-    out = {}
-    for a in range(2, top + 1):
-        p = spf[a]
-        m = a // p
-        v = 0 if m % p == 0 else vals[m] * g_at[p]
-        vals.append(v)
-        total += v
-        if a in cps:
-            out[a] = total
-    return out
+    pn, pd = g.exact(ps)
+    gn = dict(zip(ps.tolist(), pn.tolist()))
+    gd = dict(zip(ps.tolist(), pd.tolist()))
+    spf = _smallest_factor_table(cps[-1])
+
+    def terms(lo: int, hi: int):
+        for a in range(lo, hi + 1):
+            n, d, m = 1, 1, a
+            while m > 1:
+                p = int(spf[m])
+                m //= p
+                if m % p == 0 or not gn[p]:
+                    break
+                n *= gn[p]
+                d *= gd[p]
+            else:
+                yield n, d
+
+    sums, total, lo = [], Fraction(0), 1
+    for c in cps:
+        total += _rational_sum(terms(lo, c), exact)
+        sums.append(total)
+        lo = c + 1
+    return sums
 
 
 def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int) -> np.ndarray:
@@ -451,7 +455,8 @@ def wirsing_sum(
     """Partial sums of a squarefree-supported multiplicative function.
 
     Sums at checkpoints up to the exact threshold are exact Fractions from
-    one running pass, with g(p) evaluated once per prime; larger ones read
+    one squarefree pass, with g.exact called once on the primes up to the
+    largest of them; larger ones read
     the float value sieve, one slice multiply per prime below sqrt(x) and
     one scatter multiply per cofactor above it.  x is capped at
     MAX_WIRSING_X.
@@ -473,16 +478,12 @@ def wirsing_sum(
     if cps[-1] != x:
         cps.append(x)
     ps = shared_primes(x)
+    sums = {}
     exact_cps = [c for c in cps if c <= exact_threshold]
-    n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right")) if exact_cps else 0
-    g_at = {p: g.at_prime(p) for p in ps[:n_exact].tolist()}
-    if hasattr(g, "prime_values"):
-        gp = np.asarray(g.prime_values(ps), dtype=np.float64)
-    else:
-        rest = [g.at_prime(p) for p in ps[n_exact:].tolist()]
-        gp = np.array([float(v) for v in [*g_at.values(), *rest]], dtype=np.float64)
-
-    sums = _exact_partial_sums(g_at, exact_cps)
+    if exact_cps:
+        n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right"))
+        sums = dict(zip(exact_cps, _squarefree_sums(g, ps[:n_exact], exact_cps, True)))
+    gp = np.asarray(g.floats(ps), dtype=np.float64)
     float_cps = cps[len(exact_cps) :]
     if float_cps:
         sums.update(zip(float_cps, _partial_sum_sieve(ps, gp, x)[float_cps].tolist()))
@@ -518,7 +519,7 @@ def wirsing_sum(
             worst = max(worst, prod / bound)
     a17 = float(np.sum(gp * gp * logs))
     return WirsingReport(
-        function=getattr(g, "name", "g"),
+        function=g.name,
         x=x,
         k_hat=float(k_hat),
         c_hat=float(c_hat),
@@ -531,36 +532,32 @@ def wirsing_sum(
 
 def squarefree_harmonic() -> MultiplicativeFn:
     """g(p) = 1/p: partial sums grow like (6/pi^2) log x."""
-    g = MultiplicativeFn(lambda p: Fraction(1, p), name="squarefree-harmonic")
-    g.prime_values = lambda ps: 1.0 / ps.astype(np.float64)
-    return g
+    return MultiplicativeFn(
+        "squarefree-harmonic",
+        exact=lambda ps: (np.ones_like(ps), ps),
+        floats=lambda ps: 1.0 / ps.astype(np.float64),
+    )
 
 
 def rho_delta_fn(X: CubicSurfaceNF, strict_wf: bool = False) -> MultiplicativeFn:
     """The final-lemma weight: rho*(p) phi(p)^2 / p^4 on coprime primes."""
     W = delta_factor_data(X).w_f if strict_wf else abs(X.w0)
-    disc = X.disc
 
-    def at_p(p: int) -> Fraction:
-        if W % p == 0:
-            return Fraction(0)
-        r = (p - 1) * projective_roots_mod_p(disc, p)
-        return Fraction(r * (p - 1) ** 2, p**4)
+    def rho(ps: np.ndarray) -> np.ndarray:
+        r = rho_star_prime_vector(X, ps)
+        r[_divides(W, ps)] = 0
+        return r
 
-    g = MultiplicativeFn(at_p, name="rho-delta")
+    def exact(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        po = ps.astype(object)  # p^4 leaves int64 above p = 55108
+        return rho(ps).astype(object) * (po - 1) ** 2, po**4
 
-    def prime_values(ps: np.ndarray) -> np.ndarray:
-        rho = rho_star_prime_vector(X, ps).astype(np.float64)
+    def floats(ps: np.ndarray) -> np.ndarray:
+        r = rho(ps).astype(np.float64)
         pf = ps.astype(np.float64)
-        vals = rho * (pf - 1.0) ** 2 / pf**4
-        for p, _ in factor(W).factors:
-            hit = int(np.searchsorted(ps, p))
-            if hit < len(ps) and ps[hit] == p:
-                vals[hit] = 0.0
-        return vals
+        return r * (pf - 1.0) ** 2 / pf**4
 
-    g.prime_values = prime_values
-    return g
+    return MultiplicativeFn("rho-delta", exact, floats)
 
 
 # --------------------------------------------------------------------------
@@ -583,43 +580,9 @@ def final_lemma_sum(
     x = int(x)
     if x < 1:
         raise ValueError("need x >= 1")
-    W = delta_factor_data(X).w_f if strict_wf else abs(X.w0)
-    if x == 1:
-        return Fraction(1)
-    ps = shared_primes(x)
-    rho = rho_star_prime_vector(X, ps)
-    rho_at = np.zeros(x + 1, dtype=np.int64)
-    rho_at[ps] = rho
-    for p, _ in factor(W).factors:
-        if p <= x:
-            rho_at[p] = 0
-    spf = _smallest_factor_table(x)
-    exact = x <= exact_threshold
-    total = Fraction(1) if exact else None
-    acc = _FixedSum()
-    if not exact:
-        acc.add(1, 1)  # a = 1
-    for a in range(2, x + 1):
-        m = a
-        num = 1
-        while m > 1:
-            p = int(spf[m])
-            m //= p
-            if m % p == 0:
-                num = 0
-                break
-            r = int(rho_at[p])
-            if r == 0:
-                num = 0
-                break
-            num *= r * (p - 1) * (p - 1)
-        if not num:
-            continue
-        if exact:
-            total += Fraction(num, a**4)
-        else:
-            acc.add(num, a**4)
-    return total if exact else acc.lower()
+    g = rho_delta_fn(X, strict_wf)
+    (total,) = _squarefree_sums(g, shared_primes(x), [x], x <= exact_threshold)
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -649,9 +612,7 @@ def G_sum(
     if x < 1:
         raise ValueError("need x >= 1")
     bad = [(i.s, i.t) for i in singular_fibre_indices(X) if i.s > 0]
-    exact = x <= exact_threshold
-    total = Fraction(0)
-    acc = _FixedSum()
+    terms = []
     for h in range(1, x + 1):
         t_edge = np.arange(-h, h + 1, dtype=np.int64)
         s_all = np.concatenate(
@@ -676,10 +637,6 @@ def G_sum(
             if max(s0, abs(t0)) == h:
                 if (s0 - sigma) % a == 0 and (t0 - tau) % a == 0:
                     n -= 1
-        if n <= 0:
-            continue
-        if exact:
-            total += Fraction(n, h * h)
-        else:
-            acc.add(n, h * h)
-    return total if exact else acc.lower()
+        if n > 0:
+            terms.append((n, h * h))
+    return _rational_sum(terms, x <= exact_threshold)

@@ -114,6 +114,8 @@ class GrowthRow:
 # cache
 
 _CACHE_ENV = "CONICBUNDLE_CACHE"
+# part of every cache key: bump it whenever a cached result would change
+_ALGORITHM_VERSION = 1
 
 
 def default_cache_dir() -> Path:
@@ -126,9 +128,10 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """Content-addressed store of computation records.
 
-    A record is keyed by (surface hash, operation name, parameters); the key
-    is hashed to a filename and the value kept as one JSON text file, so the
-    store is inspectable and safe to delete at any time.
+    A record is keyed by (surface hash, operation name, parameters,
+    algorithm version); the key is hashed to a filename and the value kept
+    as one JSON text file, so the store is inspectable and safe to delete at
+    any time.
     """
 
     def __init__(self, root) -> None:
@@ -138,7 +141,8 @@ class ResultCache:
     @staticmethod
     def _key(surface_id: str, op: str, params: dict) -> str:
         blob = json.dumps(
-            {"surface": surface_id, "op": op, "params": params},
+            {"surface": surface_id, "op": op, "params": params,
+             "version": _ALGORITHM_VERSION},
             sort_keys=True,
             separators=(",", ":"),
         )

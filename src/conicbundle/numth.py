@@ -1,4 +1,4 @@
-"""Integer arithmetic helpers: primality, factorization, multiplicative functions.
+"""Integer arithmetic helpers: primality, factorization, Euler's phi.
 
 Everything here is exact.  Deterministic throughout: the rho splitter walks a
 fixed schedule of parameters, so repeated runs factor the same way.
@@ -198,19 +198,4 @@ def phi_dagger(a: int) -> Fraction:
         for p, _ in factor(a).factors:
             out *= Fraction(p + 1, p)
     return out
-
-
-class MultiplicativeFn:
-    """A multiplicative function supported on squarefree integers.
-
-    Defined by its values at primes: g(a) is the product of g(p) over the
-    primes p dividing a squarefree a, and 0 on every other a.
-    """
-
-    def __init__(self, prime_value, name: str = "g"):
-        self._prime_value = prime_value
-        self.name = name
-
-    def at_prime(self, p: int):
-        return self._prime_value(p)
 

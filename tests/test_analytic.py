@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conicbundle.analytic import (
     G_sum,
+    MultiplicativeFn,
     _partial_sum_sieve,
     delta_factor_data,
     final_lemma_sum,
@@ -25,7 +26,7 @@ from conicbundle.analytic import (
     wirsing_sum,
 )
 from conicbundle.forms import BinaryForm
-from conicbundle.numth import MultiplicativeFn, euler_phi, phi_dagger
+from conicbundle.numth import euler_phi, phi_dagger
 
 
 def scan_projective_roots(form, p):
@@ -290,7 +291,7 @@ def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface):
     for p in (2, 3, 29, 31, 97, 997):
         xs += [p * p - 1, p * p, p * p + 1]
     for g in (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface)):
-        gp_top = g.prime_values(ps_top)
+        gp_top = g.floats(ps_top)
         for x in xs:
             ps = shared_primes(x)
             gp = gp_top[: len(ps)]
@@ -298,34 +299,22 @@ def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface):
             assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)), (g.name, x)
 
 
-def counting_at_prime(g):
-    calls = Counter()
-    inner = g.at_prime
-
-    def at_prime(p):
-        calls[p] += 1
-        return inner(p)
-
-    g.at_prime = at_prime
-    return calls
-
-
 def test_wirsing_exact_route_evaluates_each_prime_once():
     g = squarefree_harmonic()
-    calls = counting_at_prime(g)
-    rep = wirsing_sum(g, 5000, checkpoints=[300, 50, 50, 7])
-    assert calls == Counter(shared_primes(300).tolist())
+    calls = []
+
+    def exact(ps):
+        calls.append(ps.tolist())
+        return g.exact(ps)
+
+    rep = wirsing_sum(dataclasses.replace(g, exact=exact), 5000, checkpoints=[300, 50, 50, 7])
+    # one exact call, on exactly the primes up to the largest exact checkpoint
+    assert calls == [shared_primes(300).tolist()]
     sums = dict(rep.sums_at)
     assert [c for c, _ in rep.sums_at] == [7, 50, 300, 5000]
     for c in (7, 50, 300):
         assert sums[c] == brute_squarefree_harmonic(c)
     assert isinstance(sums[5000], float)
-    # without prime_values the float route reuses the exact prime values
-    plain = MultiplicativeFn(lambda p: Fraction(1, p), name="plain")
-    calls = counting_at_prime(plain)
-    rep_plain = wirsing_sum(plain, 5000, checkpoints=[300, 50, 50, 7])
-    assert calls == Counter(shared_primes(5000).tolist())
-    assert rep_plain.sums_at == rep.sums_at
 
 
 def test_wirsing_checkpoint_at_threshold_stays_exact():
@@ -337,7 +326,11 @@ def test_wirsing_checkpoint_at_threshold_stays_exact():
 
 
 def test_wirsing_zero_function():
-    g = MultiplicativeFn(lambda p: Fraction(0), name="zero")
+    g = MultiplicativeFn(
+        "zero",
+        exact=lambda ps: (np.zeros_like(ps), np.ones_like(ps)),
+        floats=lambda ps: np.zeros(len(ps)),
+    )
     rep = wirsing_sum(g, 5000)
     assert all(float(v) == 1.0 for _, v in rep.sums_at)
     assert rep.k_hat == pytest.approx(0.0, abs=1e-12)
@@ -351,28 +344,42 @@ def test_wirsing_validation():
         wirsing_sum(squarefree_harmonic(), 100, checkpoints=[200])
 
 
+def scalar_rho_delta(X, p, strict):
+    """rho*(p) phi(p)^2 / p^4 from the scalar root count, 0 at the W primes."""
+    W = delta_factor_data(X).w_f if strict else abs(X.w0)
+    if W % p == 0:
+        return Fraction(0)
+    r = (p - 1) * projective_roots_mod_p(X.disc, p)
+    return Fraction(r * (p - 1) ** 2, p**4)
+
+
 def test_rho_delta_fn_values(s1, split_surface):
-    g = rho_delta_fn(split_surface)
-    # disc = s t (s-t) (s+t) (s-2t): all of P^1(F_2) is a root
-    assert g.at_prime(2) == Fraction((2 - 1) * 3 * (2 - 1) ** 2, 2**4)
-    strict = rho_delta_fn(split_surface, strict_wf=True)
-    assert strict.at_prime(2) == 0
-    assert strict.at_prime(3) == 0
-    assert strict.at_prime(5) == g.at_prime(5) != 0
-    g1 = rho_delta_fn(s1)
-    for p in (2, 3, 5, 41):
-        r = (p - 1) * projective_roots_mod_p(s1.disc, p)
-        assert g1.at_prime(p) == Fraction(r * (p - 1) ** 2, p**4)
+    ps = shared_primes(200)
+    for X in (s1, split_surface):
+        for strict in (False, True):
+            num, den = rho_delta_fn(X, strict_wf=strict).exact(ps)
+            assert len(num) == len(den) == len(ps)
+            for p, n, d in zip(ps.tolist(), num.tolist(), den.tolist()):
+                assert Fraction(n, d) == scalar_rho_delta(X, p, strict), (p, strict)
+    # disc = s t (s-t) (s+t) (s-2t): all of P^1(F_2) is a root; w_f = 144
+    ps = shared_primes(5)
+    num, den = rho_delta_fn(split_surface).exact(ps)
+    assert Fraction(int(num[0]), int(den[0])) == Fraction((2 - 1) * 3 * (2 - 1) ** 2, 2**4)
+    num, den = rho_delta_fn(split_surface, strict_wf=True).exact(ps)
+    assert num.tolist()[:2] == [0, 0] and num[2] != 0
 
 
 def test_rho_delta_prime_values_match_scalar(s1, split_surface):
     ps = shared_primes(200)
     for X in (s1, split_surface):
         for strict in (False, True):
-            g = rho_delta_fn(X, strict_wf=strict)
-            vec = g.prime_values(ps)
+            vec = rho_delta_fn(X, strict_wf=strict).floats(ps)
+            assert vec.dtype == np.float64 and len(vec) == len(ps)
             for p, v in zip(ps.tolist(), vec.tolist()):
-                assert v == pytest.approx(float(g.at_prime(p)), rel=1e-12, abs=1e-12)
+                expect = scalar_rho_delta(X, p, strict)
+                assert v == pytest.approx(float(expect), rel=1e-12, abs=1e-12)
+                if expect == 0:
+                    assert v == 0.0
 
 
 # ---------------------------------------------------------------- final lemma
@@ -396,9 +403,10 @@ def scan_varrho_prime(X, p):
     return cnt - 1  # drop (0, 0)
 
 
-def brute_final_lemma(X, x, rho_at):
+def brute_final_lemma_terms(X, x, rho_at):
+    """(num, a^4) for every nonzero term of the final lemma's sum up to x."""
     W = abs(X.w0)
-    tot = Fraction(0)
+    terms = []
     for a in range(1, x + 1):
         fac = sympy.factorint(a)
         if any(e > 1 for e in fac.values()):
@@ -408,10 +416,18 @@ def brute_final_lemma(X, x, rho_at):
         num = 1
         for p in fac:
             num *= rho_at[p] * (p - 1) ** 2
-        if num == 0:
-            continue
-        tot += Fraction(num, a**4)
-    return tot
+        if num:
+            terms.append((num, a**4))
+    return terms
+
+
+def brute_final_lemma(X, x, rho_at):
+    return sum((Fraction(n, d) for n, d in brute_final_lemma_terms(X, x, rho_at)), Fraction(0))
+
+
+def floor96(terms):
+    """The sum with every term floored at 96 fractional bits."""
+    return Fraction(sum((n << 96) // d for n, d in terms), 1 << 96)
 
 
 def test_final_lemma_matches_brute(s1, split_surface):
@@ -432,6 +448,24 @@ def test_final_lemma_frozen_and_floor(s1):
     assert exact - floored < Fraction(1, 10**20)
 
 
+def test_floored_sums_floor_each_term_at_96_bits(s1):
+    rho_at = {p: varrho_star_delta(s1, p) for p in sympy.primerange(2, 3001)}
+    terms = brute_final_lemma_terms(s1, 3000, rho_at)
+    floored = final_lemma_sum(s1, 3000, exact_threshold=1000)
+    assert floored == floor96(terms)
+    # the pin tells per-term flooring from flooring the total
+    exact = sum((Fraction(n, d) for n, d in terms), Fraction(0))
+    assert floored != Fraction(math.floor(exact * 2**96), 2**96)
+
+    # tau(p) of s^2 + t^2: one root at p = 2, two iff p = 1 mod 4
+    taus = [(1 if p == 2 else 2 if p % 4 == 1 else 0, p) for p in sympy.primerange(2, 12001)]
+    terms = [(t, p) for t, p in taus if t]
+    floored, _ = tau_statistics(XSQ_PLUS_1, 12000, exact_threshold=10000)
+    assert floored == floor96(terms)
+    exact = sum((Fraction(n, d) for n, d in terms), Fraction(0))
+    assert floored != Fraction(math.floor(exact * 2**96), 2**96)
+
+
 def test_final_lemma_edges(s1):
     assert final_lemma_sum(s1, 1) == 1
     with pytest.raises(ValueError):
@@ -449,8 +483,8 @@ def test_final_lemma_strict_variant_smaller(split_surface):
 
 
 def test_final_lemma_agrees_with_wirsing_route(s1, split_surface):
-    # same sum through the generic machinery: internal consistency of
-    # two code paths
+    # the final lemma's sum is the exact head of the wirsing route at one
+    # checkpoint: the two entry points must agree
     for X in (s1, split_surface):
         rep = wirsing_sum(rho_delta_fn(X), 800, checkpoints=[800])
         assert dict(rep.sums_at)[800] == final_lemma_sum(X, 800)

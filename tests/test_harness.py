@@ -53,6 +53,21 @@ def test_cache_roundtrip(tmp_path):
     assert cache.get("deadbeef", "count_surface", {**params, "B": 31.0}) is None
 
 
+def test_cache_never_serves_another_algorithm_version(tmp_path, monkeypatch):
+    import conicbundle.harness as harness
+
+    cache = ResultCache(tmp_path)
+    params = {"B": 30.0}
+    monkeypatch.setattr(harness, "_ALGORITHM_VERSION", harness._ALGORITHM_VERSION + 1)
+    cache.put("deadbeef", "count_surface", params, {"count": 1})
+    assert cache.get("deadbeef", "count_surface", params) == {"count": 1}
+    monkeypatch.undo()
+    assert cache.get("deadbeef", "count_surface", params) is None
+    cache.put("deadbeef", "count_surface", params, {"count": 2})
+    assert cache.get("deadbeef", "count_surface", params) == {"count": 2}
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_cache_put_uses_its_own_temp_file(tmp_path):
     cache = ResultCache(tmp_path)
     params = {"B": 30.0}

@@ -8,7 +8,6 @@ import sympy
 
 from conicbundle.numth import (
     projective_normal,
-    MultiplicativeFn,
     euler_phi,
     factor,
     is_prime,
@@ -94,25 +93,6 @@ def test_phi_dagger_multiplicative():
         for p, _ in factor(n).factors:
             expect *= 1 + Fraction(1, p)
         assert phi_dagger(n) == expect
-
-
-def value_at(g: MultiplicativeFn, a: int) -> Fraction:
-    """g(a): the product of g(p) over the primes of a squarefree a, else 0."""
-    fi = factor(a)
-    if not fi.is_squarefree():
-        return Fraction(0)
-    out = Fraction(1)
-    for p, _ in fi.factors:
-        out *= g.at_prime(p)
-    return out
-
-
-def test_multiplicative_fn_values():
-    g = MultiplicativeFn(lambda p: Fraction(1, p))
-    assert value_at(g, 1) == 1
-    assert value_at(g, 6) == Fraction(1, 6)
-    assert value_at(g, 4) == 0  # non-squarefree
-    assert value_at(g, 30) == Fraction(1, 30)
 
 
 def test_projective_normal():
