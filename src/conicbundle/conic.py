@@ -228,10 +228,8 @@ class ConicCountResult:
 
     count: int
     points: list[HeightedPoint] | None
-    u_bound: int
     min_norm: Fraction
     certified: bool
-    layers: int
 
 
 def _ceil_sqrt_ratio(num: int, den: int) -> int:
@@ -496,7 +494,7 @@ def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4096):
     for u, v, g in iter_lattice_points(lats, rows, chunk):
         col.feed(u, v, g)
     points = sorted(col.points) if want_points else None
-    return col.count, points, u_cap
+    return col.count, points
 
 
 def _layers(C: FibreConic, bound: int):
@@ -504,11 +502,10 @@ def _layers(C: FibreConic, bound: int):
     of |det(Pi)| with solution classes, (g, classes, half-width)."""
     m = certified_min_m(C)
     u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
-    layer_bounds = []
-    for g, sols in divisor_solutions(C.coeffs, factor(abs(C.pi_det))):
-        if sols:
-            ug = _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator)
-            layer_bounds.append((g, sols, ug))
+    layer_bounds = [
+        (g, sols, _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator))
+        for g, sols in divisor_solutions(C.coeffs, factor(abs(C.pi_det)))
+    ]
     return m, u1, layer_bounds
 
 
@@ -535,14 +532,12 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     if bound < 1:
         raise ValueError("height bound must be >= 1")
     m, u1, layer_bounds = _layers(C, bound)
-    count, points, u_cap = _enumerate(C, bound, u1, layer_bounds, want_points)
+    count, points = _enumerate(C, bound, u1, layer_bounds, want_points)
     return ConicCountResult(
         count=count,
         points=points,
-        u_bound=u_cap,
         min_norm=m,
         certified=True,
-        layers=len(layer_bounds),
     )
 
 

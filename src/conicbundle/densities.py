@@ -99,12 +99,30 @@ def sigma_p(C: FibreConic, p: int) -> Fraction:
     return _sigma_p_from_rhos(p, _rho_levels(C, p, v))
 
 
+@dataclass(frozen=True)
+class BadPrimeRow:
+    p: int
+    valuation: int
+    rho_values: tuple[int, ...]
+    sigma: Fraction
+
+
+def _bad_prime_rows(C: FibreConic) -> tuple[list[BadPrimeRow], Fraction]:
+    """The row of every p | det, its rho levels from one class_levels call,
+    and prod over them of sigma_p / (1 - p^-2), exact."""
+    rows = []
+    nonarch = Fraction(1)
+    for p, v in bad_primes(C):
+        rhos = _rho_levels(C, p, v)
+        sp = _sigma_p_from_rhos(p, rhos)
+        rows.append(BadPrimeRow(p, v, rhos, sp))
+        nonarch *= sp / Fraction(p * p - 1, p * p)
+    return rows, nonarch
+
+
 def bad_prime_product(C: FibreConic) -> Fraction:
     """prod over p | det of sigma_p / (1 - p^-2), exact."""
-    prod = Fraction(1)
-    for p, _ in bad_primes(C):
-        prod *= sigma_p(C, p) / Fraction(p * p - 1, p * p)
-    return prod
+    return _bad_prime_rows(C)[1]
 
 
 # --------------------------------------------------------------------------
@@ -415,14 +433,6 @@ def nonarch_lower_bound_check(
 
 
 @dataclass(frozen=True)
-class BadPrimeRow:
-    p: int
-    valuation: int
-    rho_values: tuple[int, ...]
-    sigma: Fraction
-
-
-@dataclass(frozen=True)
 class LocalDensityReport:
     """Everything the densities CLI prints for one fibre."""
 
@@ -439,13 +449,7 @@ class LocalDensityReport:
 def local_density_report(
     C: FibreConic, tol: float = 1e-4, max_depth: int = 24
 ) -> LocalDensityReport:
-    rows = []
-    nonarch = Fraction(1)
-    for p, v in bad_primes(C):
-        rhos = _rho_levels(C, p, v)
-        sp = _sigma_p_from_rhos(p, rhos)
-        rows.append(BadPrimeRow(p, v, rhos, sp))
-        nonarch *= sp / Fraction(p * p - 1, p * p)
+    rows, nonarch = _bad_prime_rows(C)
     a_lo, a_hi = sigma_inf(C, tol=tol, max_depth=max_depth)
     z_lo, z_hi = zeta2_bracket()
     c_lo, c_hi = _leading_constant(a_lo, a_hi, nonarch)

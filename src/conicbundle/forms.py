@@ -184,21 +184,6 @@ def discriminant_quintic(cxx: BinaryForm, cxy: BinaryForm, cxz: BinaryForm,
     return cxx.mul(cyz.mul(cyz)).sub(cxy.mul(cxz).mul(cyz)).add(czz.mul(cxy.mul(cxy)))
 
 
-def is_separable(form: BinaryForm) -> bool:
-    """True when the form has no repeated projective linear factor over Qbar."""
-    if form.is_zero():
-        return False
-    d = form.degree
-    if d <= 1:
-        return True
-    fs, ft = form.partial_s(), form.partial_t()
-    if fs.is_zero():
-        return False  # form is c * t^d with d >= 2
-    if ft.is_zero():
-        return False  # form is c * s^d with d >= 2
-    return resultant(fs, ft) != 0
-
-
 @dataclass(frozen=True)
 class FactorizationQ:
     """Factorization of a binary form over Q into primitive integer factors."""

@@ -21,7 +21,7 @@ import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,15 +66,7 @@ class CountRecord:
     runtime_ms: int = field(compare=False)
 
     def to_payload(self) -> dict:
-        return {
-            "surface_id": self.surface_id,
-            "height_bound": self.height_bound,
-            "method": self.method,
-            "x_cutoff": self.x_cutoff,
-            "count": self.count,
-            "excluded_singular_fibres": self.excluded_singular_fibres,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, data: dict) -> "CountRecord":
@@ -302,6 +294,8 @@ def count_surface(
         raise ValueError("height bound must be >= 1")
     if method not in ("fibration", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "fibration" and (x_cutoff is None or x_cutoff < 1):
+        raise ValueError("fibration method needs x_cutoff >= 1")
 
     params = {
         "B": bound,
@@ -314,9 +308,11 @@ def count_surface(
             return CountRecord.from_payload(hit)
 
     start = time.monotonic()
+    excluded = sum(
+        1 for idx in singular_fibre_indices(X)
+        if x_cutoff is None or idx.height <= x_cutoff
+    )
     if method == "fibration":
-        if x_cutoff is None or x_cutoff < 1:
-            raise ValueError("fibration method needs x_cutoff >= 1")
         fibres = list(domain_B(X, x_cutoff))
         counts = _fibre_counts(X, fibres, bound, cache, workers)
         total = sum(counts)
@@ -328,9 +324,6 @@ def count_surface(
             if max(abs(x2), abs(x3)) <= bound
         )
         total -= shared * len(fibres)
-        excluded = sum(
-            1 for idx in singular_fibre_indices(X) if idx.height <= x_cutoff
-        )
     else:
         if bound > DIRECT_HEIGHT_GUARD and not allow_large_direct:
             raise ValueError(
@@ -340,13 +333,6 @@ def count_surface(
         cap = None if x_cutoff is None else int(x_cutoff)
         res = brute_force_surface_count(X, bound, fibre_height_cap=cap)
         total = res.count
-        excluded = len(
-            set(
-                idx
-                for idx in singular_fibre_indices(X)
-                if x_cutoff is None or idx.height <= x_cutoff
-            )
-        )
     record = CountRecord(
         surface_id=X.surface_hash,
         height_bound=bound,

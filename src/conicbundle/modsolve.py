@@ -7,11 +7,11 @@ mod g}, and lay the rows of all lattices of a fibre out in one table whose
 cells are streamed in bounded chunks.  Classes mod p^k come from one exact
 route for every p and k: the level-1 roots of a linear (or, when p divides
 it, quadratic) congruence, then one Hensel digit per level from two linear
-congruences mod p.  CRT joins the prime powers.
+congruences mod p.  An incremental (Garner) CRT joins the prime powers,
+extending the divisors built so far by one prime power at a time.
 """
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from typing import NamedTuple
 
@@ -87,53 +87,40 @@ def solutions_mod_prime_power(coeffs, p: int, k: int) -> list[tuple[int, int]]:
     return class_levels(coeffs, p, k)[-1]
 
 
-def _crt_combine(parts) -> list[tuple[int, int]]:
-    """Combine per-modulus class lists [(modulus, classes)] into classes mod the product."""
-    moduli = [m for m, _ in parts]
-    lists = [s for _, s in parts]
-    m = 1
-    for mi in moduli:
-        m *= mi
-    total = 1
-    for s in lists:
-        total *= len(s)
-    if total > _COMBO_CAP:
-        raise ArithmeticError(f"solution class explosion: {total} CRT combinations")
-    # CRT basis: e_i = 1 mod m_i, 0 mod m_j
-    basis = []
-    for mi in moduli:
-        rest = m // mi
-        basis.append(rest * pow(rest, -1, mi) % m)
-    out = []
-    for combo in itertools.product(*lists):
-        sig = sum(e * c[0] for e, c in zip(basis, combo)) % m
-        tau = sum(e * c[1] for e, c in zip(basis, combo)) % m
-        out.append((sig, tau))
-    return out
-
-
 def divisor_solutions(coeffs, fd: FactoredInteger):
-    """Yield (g, classes) for every divisor g > 1 of |fd.value|.
+    """Yield (g, classes) for every divisor g > 1 of |fd.value| with classes.
 
-    Each prime's classes come from one class_levels call shared across
-    divisors; divisors whose class list is empty are skipped (a level with
-    no classes has no lifts, so every higher level is empty too).
+    One pass over the prime powers: each nonempty level p^j of a prime
+    (from one class_levels call; a level with no classes has no lifts, so
+    the levels above it are empty too) extends every divisor g built from
+    the later primes by Garner's step, which joins a mod g and s mod p^j
+    into a + g ((s - a) g^-1 mod p^j) mod g p^j, for sigma and for tau.
+    Taking the primes last first puts the divisors in the order of their
+    exponent vectors, the first prime's exponent most significant.  A
+    divisor of two or more prime powers with more than _COMBO_CAP classes
+    raises ArithmeticError before its list is built.
     """
-    per = []
-    for p, k in fd.factors:
-        levels = class_levels(coeffs, p, k)
-        per.append([(p**j, sols) for j, sols in enumerate(levels, 1) if sols])
-
-    def rec(i, g, parts):
-        if i == len(per):
-            if g > 1:
-                yield g, _crt_combine(parts) if len(parts) > 1 else list(parts[0][1])
-            return
-        yield from rec(i + 1, g, parts)
-        for pj, sols in per[i]:
-            yield from rec(i + 1, g * pj, parts + [(pj, sols)])
-
-    yield from rec(0, 1, [])
+    layers = [(1, [(0, 0)])]
+    for p, k in reversed(fd.factors):
+        grown = []
+        for j, sols in enumerate(class_levels(coeffs, p, k), 1):
+            if not sols:
+                break
+            pj = p**j
+            for g, classes in layers:
+                total = len(sols) * len(classes)
+                if g > 1 and total > _COMBO_CAP:
+                    raise ArithmeticError(
+                        f"solution class explosion: {total} CRT combinations"
+                    )
+                h = pow(g, -1, pj)
+                grown.append((g * pj, [
+                    (a + g * ((s - a) * h % pj), b + g * ((t - b) * h % pj))
+                    for s, t in sols
+                    for a, b in classes
+                ]))
+        layers += grown
+    yield from layers[1:]
 
 
 def lagrange_reduce(b1, b2):

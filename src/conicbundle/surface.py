@@ -28,7 +28,6 @@ from .forms import (
     FactorizationQ,
     discriminant_quintic,
     factor_over_q,
-    is_separable,
     picard_rank,
     resultant,
 )
@@ -194,9 +193,9 @@ def validate(
     w0 = resultant(cxy, cyz)
     if w0 == 0:
         raise ZeroResultant("quadratic coefficient forms share a root")
-    if not is_separable(disc):
-        raise SeparabilityFailure("discriminant form has a repeated factor")
     fac = factor_over_q(disc)
+    if not fac.is_separable():
+        raise SeparabilityFailure("discriminant form has a repeated factor")
     surface = CubicSurfaceNF(
         cxx=cxx,
         cxz=cxz,

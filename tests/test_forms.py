@@ -9,7 +9,6 @@ from conicbundle.forms import (
     BinaryForm,
     FactorizationQ,
     factor_over_q,
-    is_separable,
     picard_rank,
     resultant,
 )
@@ -105,10 +104,10 @@ def test_resultant_bilinear_in_scaling():
 
 
 def test_is_separable():
-    assert is_separable(BinaryForm((1, 0, -1)))          # distinct roots
-    assert not is_separable(BinaryForm((1, -2, 1)))      # (s-t)^2
-    assert not is_separable(BinaryForm((1, 0, 0)))       # s^2 t^0 .. s^2
-    assert is_separable(BinaryForm((1, 1)))
+    assert factor_over_q(BinaryForm((1, 0, -1))).is_separable()      # distinct roots
+    assert not factor_over_q(BinaryForm((1, -2, 1))).is_separable()  # (s-t)^2
+    assert not factor_over_q(BinaryForm((1, 0, 0))).is_separable()   # s^2 t^0 .. s^2
+    assert factor_over_q(BinaryForm((1, 1))).is_separable()
 
 
 def test_factor_over_q_s1_quintic_irreducible():

@@ -23,11 +23,16 @@ CASES = {
                       "--cutoff", "6"],
     "count-surface-direct": ["count-surface", "{surface}", "--height", "8",
                              "--method", "direct", "--cutoff", "3"],
+    "densities": ["densities", "{surface}", "--s", "{s}", "--t", "{t}"],
     "growth": ["growth", "{surface}", "--heights", "10,40,160", "--out", "{csv}"],
+    "sum-constants": ["sum-constants", "{surface}", "--x", "6"],
     "wirsing-check": ["wirsing-check", "--function", "rho-delta",
                       "--surface", "{surface}", "--x", "5000"],
 }
 
+# the fibre of the densities case: det = -7^3 * 11 on S1 and
+# 2^3 * 3^2 * 7 * 17 on the split surface, so several primes and powers
+DENSITIES_FIBRE = {"s1": (2, 5), "split": (1, -8)}
 
 # cases that read no surface file: one golden file each
 PLAIN_CASES = {
@@ -51,7 +56,8 @@ def golden_stdout(argv, capsys) -> str:
 def test_cli_golden_stdout(case, surface, s1_file, split_file, tmp_path, capsys):
     path = s1_file if surface == "s1" else split_file
     csv_path = tmp_path / "rows.csv"
-    argv = [a.format(surface=path, csv=csv_path) for a in CASES[case]]
+    s, t = DENSITIES_FIBRE[surface]
+    argv = [a.format(surface=path, csv=csv_path, s=s, t=t) for a in CASES[case]]
     out = golden_stdout(argv, capsys).replace(str(csv_path), "<csv>")
     assert out == (GOLDEN / f"{surface}-{case}.txt").read_text()
     if case == "growth":

@@ -167,16 +167,49 @@ def test_solutions_conic_vanishing_mod_p_is_all_of_p1(p):
         )
 
 
+def _primitive_zeros(coeffs, g):
+    """Every primitive pair (u, v) mod g with all three components 0 mod g."""
+    cxx, cxy, cxz, cyz, czz = coeffs
+    u, v = np.divmod(np.arange(g * g, dtype=np.int64), g)
+    keep = np.gcd(np.gcd(u, v), g) == 1
+    for comp in (cxy * u * u + cyz * u * v, cxx * u * u + cxz * u * v + czz * v * v,
+                 cxy * u * v + cyz * v * v):
+        keep &= comp % g == 0
+    return set(zip(u[keep].tolist(), v[keep].tolist()))
+
+
+DIVISOR_CONICS = [
+    (1, 5, 2, 2, -1),       # det -41
+    (6, 0, 0, -6, 0),       # det 2^3 * 3^3, every class of P^1 mod 6
+    (-6, 6, 8, 6, -6),      # det -2^4 * 3^2 * 5
+    (-6, -6, -5, 8, -6),    # det 2^3 * 3 * 5 * 7
+]
+
+
 def test_divisor_solutions_covers_divisors():
-    coeffs = (1, 5, 2, 2, -1)
-    C = FibreConic(*coeffs)
-    fd = factor(abs(C.pi_det))
-    table = dict(divisor_solutions(coeffs, fd))
-    for g, classes in table.items():
-        assert g > 1 and abs(C.pi_det) % g == 0
-        for (u, v) in classes:
-            x, y, z = parameterize(C, u, v)
-            assert x % g == 0 and y % g == 0 and z % g == 0
+    """For every g | det the classes are exactly the unit orbits of the
+    primitive zeros mod g, each once; a divisor not yielded has none."""
+    for coeffs in DIVISOR_CONICS:
+        C = FibreConic(*coeffs)
+        fd = factor(abs(C.pi_det))
+        table = dict(divisor_solutions(coeffs, fd))
+        assert table
+        for g in fd.divisors()[1:]:
+            classes = table.get(g, [])
+            units = [lam for lam in range(g) if gcd(lam, g) == 1]
+            orbits = {((lam * u) % g, (lam * v) % g) for u, v in classes for lam in units}
+            assert len(orbits) == len(classes) * len(units), (coeffs, g)
+            assert orbits == _primitive_zeros(coeffs, g), (coeffs, g)
+
+
+def test_divisor_solutions_class_cap():
+    """Only a divisor of two or more prime powers is capped."""
+    coeffs = tuple(101 * 103 * c for c in (1, 1, 0, 1, 1))  # 102 * 104 classes mod 101*103
+    with pytest.raises(ArithmeticError, match="explosion: 10608 CRT combinations"):
+        list(divisor_solutions(coeffs, factor(abs(FibreConic(*coeffs).pi_det))))
+    coeffs = tuple(10007 * c for c in (1, 0, 0, -1, 0))  # det 10007^3, all of P^1 mod 10007
+    table = dict(divisor_solutions(coeffs, factor(abs(FibreConic(*coeffs).pi_det))))
+    assert {g: len(classes) for g, classes in table.items()} == {10007: 10008}
 
 
 def test_lagrange_reduce_preserves_lattice_and_shortens():

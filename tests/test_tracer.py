@@ -14,23 +14,41 @@ def test_tracer_installs_on_the_current_modules():
     assert run.returncode == 0, run.stderr
 
 
-def test_tracer_spans_cover_the_wirsing_path(s1_file):
-    # the benchmark's prime-sums layers read these spans: the moved calls
-    # must still go through the wrapped names
+def _traced_counters(argv, names):
+    """Run main(argv) under the benchmark's tracer in a fresh interpreter and
+    return the named counters."""
     paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    argv = ["--no-cache", "wirsing-check", "--function", "rho-delta",
-            "--surface", s1_file, "--x", "5000"]
     code = "\n".join([
         f"import sys; sys.path[:0] = {paths!r}",
         "from tracer import Tracer, install",
         "from conicbundle.harness import main",
         "tracer = Tracer(); install(tracer)",
         f"assert main({argv!r}) == 0",
-        "c = tracer.counters",
-        "print(c['analytic.wirsing_sum.calls'], c['analytic.rho_star_prime_vector.calls'])",
+        f"print(*(tracer.counters[n] for n in {names!r}))",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    wirsing_calls, rho_calls = map(int, run.stdout.splitlines()[-1].split())
+    return list(map(int, run.stdout.splitlines()[-1].split()))
+
+
+def test_tracer_spans_cover_the_wirsing_path(s1_file):
+    # the benchmark's prime-sums layers read these spans: the moved calls
+    # must still go through the wrapped names
+    argv = ["--no-cache", "wirsing-check", "--function", "rho-delta",
+            "--surface", s1_file, "--x", "5000"]
+    wirsing_calls, rho_calls = _traced_counters(
+        argv, ["analytic.wirsing_sum.calls", "analytic.rho_star_prime_vector.calls"]
+    )
     assert wirsing_calls == 1
     assert rho_calls >= 1
+
+
+def test_tracer_counts_the_class_solving(split_file):
+    # the benchmark's modsolve.classes layers read the wrapped
+    # divisor_solutions generator that conic._layers calls by name
+    argv = ["--no-cache", "count-surface", split_file, "--height", "40", "--cutoff", "4"]
+    calls, classes = _traced_counters(
+        argv, ["modsolve.divisor_solutions.calls", "modsolve.classes"]
+    )
+    assert calls >= 1
+    assert classes > 0
