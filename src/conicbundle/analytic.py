@@ -246,7 +246,6 @@ class DeltaFactorData:
     content: int
     w0: int
     w_f: int
-    extra_primes: tuple[int, ...]  # divide w_f but not w0
 
 
 def delta_factor_data(X: CubicSurfaceNF) -> DeltaFactorData:
@@ -260,9 +259,7 @@ def delta_factor_data(X: CubicSurfaceNF) -> DeltaFactorData:
                 res_prod *= resultant(deltas[i], deltas[j])
     w_f = abs(fac.content * X.w0 * res_prod * math.prod(a_i))
     assert w_f != 0, "separable validated surface cannot give zero here"
-    w0 = abs(X.w0)
-    extra = tuple(p for p, _ in factor(w_f).factors if w0 % p != 0)
-    return DeltaFactorData(deltas, a_i, fac.content, X.w0, w_f, extra)
+    return DeltaFactorData(deltas, a_i, fac.content, X.w0, w_f)
 
 
 # --------------------------------------------------------------------------

@@ -52,12 +52,8 @@ class BinaryForm:
         return BinaryForm(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def mul(self, other: "BinaryForm") -> "BinaryForm":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return BinaryForm(tuple(out))
+        # a convolution: the same in either coefficient order
+        return BinaryForm(zpoly.z_mul(self.coeffs, other.coeffs))
 
     def scale(self, k: int) -> "BinaryForm":
         return BinaryForm(tuple(k * c for c in self.coeffs))

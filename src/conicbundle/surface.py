@@ -394,66 +394,36 @@ def domain_B(X: CubicSurfaceNF, x) -> Iterator[FibreIndex]:
 @dataclass
 class BruteForceResult:
     count: int
-    points: list[ProjPoint3]
     by_fibre: dict[FibreIndex, int]
-    excluded_singular: int
-    excluded_high_fibre: int
 
 
 def brute_force_surface_count(
-    X: CubicSurfaceNF,
-    B,
-    *,
-    restrict_to_nonsingular_fibres: bool = True,
-    fibre_height_cap: int | None = None,
+    X: CubicSurfaceNF, B, *, fibre_height_cap: int | None = None
 ) -> BruteForceResult:
     """Exhaustive search of primitive quadruples of height <= B on the surface.
 
     Every solution of F = 0 is assigned to its fibre; points over zeros of
-    the discriminant are dropped when restrict_to_nonsingular_fibres is set,
-    and fibre_height_cap drops points whose fibre index exceeds the cap
-    (those reached through the section line can sit over indices far higher
-    than B).
+    the discriminant are dropped, and fibre_height_cap drops points whose
+    fibre index exceeds the cap (those reached through the section line can
+    sit over indices far higher than B).
     """
     bound = int(B)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
-    pts = _raw_surface_points(X, bound)
     by_fibre: dict[FibreIndex, int] = {}
-    kept: list[ProjPoint3] = []
-    excluded_singular = 0
-    excluded_high = 0
-    for p in pts:
+    for p in _cubic_zeros(bound, [(X.cxx, X.cxz, X.czz, X.cxy, X.cyz, None)]):
         try:
             idx = fibration_index(X, p)
         except ValueError:
             # undefined only at surface singular points on the section
             # line; those belong to no nonsingular fibre
-            if restrict_to_nonsingular_fibres:
-                excluded_singular += 1
-                continue
-            raise
-        if restrict_to_nonsingular_fibres and X.disc(idx.s, idx.t) == 0:
-            excluded_singular += 1
+            continue
+        if X.disc(idx.s, idx.t) == 0:
             continue
         if fibre_height_cap is not None and idx.height > fibre_height_cap:
-            excluded_high += 1
             continue
-        kept.append(p)
         by_fibre[idx] = by_fibre.get(idx, 0) + 1
-    kept.sort()
-    return BruteForceResult(
-        count=len(kept),
-        points=kept,
-        by_fibre=by_fibre,
-        excluded_singular=excluded_singular,
-        excluded_high_fibre=excluded_high,
-    )
-
-
-def _raw_surface_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
-    """All primitive normalized quadruples with F = 0 and sup norm <= bound."""
-    return _cubic_zeros(bound, [(X.cxx, X.cxz, X.czz, X.cxy, X.cyz, None)])
+    return BruteForceResult(sum(by_fibre.values()), by_fibre)
 
 
 # --------------------------------------------------------------------------
@@ -461,13 +431,19 @@ def _raw_surface_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
 
 
 def surface_from_dict(data: dict, **kw) -> CubicSurfaceNF:
-    missing = [k for k in ("a", "d", "f", "b", "e") if k not in data]
+    """The surface of a decoded surface file: each key a list of JSON integers."""
+    keys = ("a", "d", "f", "b", "e")
+    missing = [k for k in keys if k not in data]
     if missing:
         raise ValueError(f"surface file missing keys: {', '.join(missing)}")
-    extra = [k for k in data if k not in ("a", "d", "f", "b", "e")]
+    extra = [k for k in data if k not in keys]
     if extra:
         raise ValueError(f"surface file has unknown keys: {', '.join(extra)}")
-    return validate(data["a"], data["d"], data["f"], data["b"], data["e"], **kw)
+    for k in keys:
+        # bool is an int subclass, and int() would truncate 1.5 or parse "10"
+        if not isinstance(data[k], list) or any(type(c) is not int for c in data[k]):
+            raise ValueError(f"coefficient '{k}' must be a list of integers, got {data[k]!r}")
+    return validate(*(data[k] for k in keys), **kw)
 
 
 def load_surface(path: str, **kw) -> CubicSurfaceNF:

@@ -1,17 +1,18 @@
 """Integer polynomials: arithmetic over Z and Z/m, roots mod p, factoring over Q.
 
 Owns the one root finder mod p (gcd with x^p - x, then an equal-degree
-split into linear factors) and the factorization over Q of degrees up to
-~8: squarefree decomposition, then per squarefree part a short Zassenhaus
-round: factor mod a good odd prime, prune with distinct-degree patterns
-across several primes, Hensel-lift the chosen modular factorization past a
-Landau-Mignotte coefficient bound, and recombine subsets by exact trial
-division over Z.
+split into linear factors) and the factorization over Q: squarefree
+decomposition, then per squarefree part one Zassenhaus round: factor mod
+the least odd prime that keeps the part squarefree, Hensel-lift that
+factorization past a Landau-Mignotte coefficient bound, and recombine
+subsets by exact trial division over Z.  One good prime suffices at every
+degree (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 15).
 
 Polynomials are tuples of ints, ascending degree, no trailing zeros.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -245,9 +246,9 @@ def gf_equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[P
         return gf_equal_degree_split(g, d, p, rng) + gf_equal_degree_split(q, d, p, rng)
 
 
-def gf_factor_squarefree(f: Poly, p: int, seed: int = _EDF_SEED) -> list[Poly]:
+def gf_factor_squarefree(f: Poly, p: int) -> list[Poly]:
     """Monic irreducible factors of a monic squarefree f over F_p (p odd)."""
-    rng = random.Random(seed)
+    rng = random.Random(_EDF_SEED)
     out: list[Poly] = []
     for part, d in gf_distinct_degree(f, p):
         out.extend(gf_equal_degree_split(part, d, p, rng))
@@ -348,32 +349,14 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _good_primes(f: Poly, count: int = 4):
-    """Odd primes where monic f stays squarefree."""
-    out = []
-    p = 2
+def _good_prime(f: Poly) -> int:
+    """The least odd prime that keeps monic f's degree and keeps f squarefree."""
     from .numth import is_prime
 
-    while len(out) < count:
-        p += 1
-        while not is_prime(p):
-            p += 1
-        if f[-1] % p == 0:
-            continue
-        fp = gf_from_z(f, p)
-        if deg(fp) == deg(f) and gf_is_squarefree(fp, p):
-            out.append(p)
-        if p > 10_000:
-            raise ArithmeticError("no good prime found; input likely not squarefree")
-    return out
-
-
-def _degree_mask(degrees: list[int], n: int) -> int:
-    """Bitmask of achievable proper factor degrees via subset sums."""
-    mask = 1
-    for d in degrees:
-        mask |= mask << d
-    return mask & ((1 << n) - 1) & ~1  # strip degree 0 and degree >= n
+    for p in range(3, 10_000, 2):
+        if is_prime(p) and gf_is_squarefree(gf_from_z(f, p), p):
+            return p
+    raise ArithmeticError("no good prime found; input likely not squarefree")
 
 
 def factor_squarefree_monic(f: Poly) -> list[Poly]:
@@ -381,26 +364,12 @@ def factor_squarefree_monic(f: Poly) -> list[Poly]:
     n = deg(f)
     if n <= 1:
         return [f]
-    primes = _good_primes(f)
-    patterns = []
-    modular: dict[int, list[Poly]] = {}
-    common = (1 << n) - 2
-    for p in primes:
-        fac = gf_factor_squarefree(gf_monic(gf_from_z(f, p), p), p)
-        modular[p] = fac
-        if len(fac) == 1:
-            return [f]
-        common &= _degree_mask([deg(g) for g in fac], n)
-        patterns.append(len(fac))
-        if common == 0:
-            return [f]
-    p = primes[patterns.index(min(patterns))]
-    parts = modular[p]
-    bound = 2 * _mignotte_bound(f)
-    lifted, modulus = hensel_lift_factors(f, parts, p, bound)
+    p = _good_prime(f)
+    parts = gf_factor_squarefree(gf_monic(gf_from_z(f, p), p), p)
+    if len(parts) == 1:
+        return [f]
+    lifted, modulus = hensel_lift_factors(f, parts, p, 2 * _mignotte_bound(f))
     # recombine subsets, smallest first
-    import itertools
-
     result: list[Poly] = []
     remaining = list(range(len(lifted)))
     fcur = f
@@ -460,10 +429,10 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     """Factor f over Q: (integer content with sign, [(primitive irreducible, mult)]).
 
-    After x^k is stripped, the squarefree parts go through the modular
-    (Zassenhaus) route, which also finds the linear factors; a linear
-    leftover is recorded as it is.  Product check: content * prod(parts^mult)
-    == f exactly.
+    After x^k is stripped, every squarefree part (linear ones included) goes
+    through the modular (Zassenhaus) route; each factor leaves it primitive
+    with a positive leading coefficient.  Product check: content *
+    prod(parts^mult) == f exactly.
     """
     f = trim(f)
     if not f:
@@ -479,11 +448,8 @@ def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     if k:
         found[(0, 1)] = k
 
-    work = trim(prim)
-    if deg(work) >= 2:
-        for part, mult in squarefree_decomposition(work):
-            if deg(part) == 0:
-                continue
+    if deg(prim) >= 1:
+        for part, mult in squarefree_decomposition(prim):
             # monicize:  F(y) = lc^(n-1) part(y / lc)
             lc = part[-1]
             n = deg(part)
@@ -495,22 +461,10 @@ def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
                 back = tuple(c * lc**i for i, c in enumerate(g))
                 _, back = z_primitive(back)
                 found[back] = found.get(back, 0) + mult
-    elif deg(work) == 1:
-        _, lin = z_primitive(work)
-        found[lin] = found.get(lin, 0) + 1
 
-    # normalize: positive leading coefficient, recover content sign
-    parts: dict[Poly, int] = {}
-    sign_flip = 1
+    prod_poly: Poly = (cont,)
     for g, m in found.items():
-        if g[-1] < 0:
-            g = tuple(-c for c in g)
-            if m % 2:
-                sign_flip = -sign_flip
-        parts[g] = parts.get(g, 0) + m
-    prod_poly: Poly = (cont * sign_flip,)
-    for g, m in parts.items():
         for _ in range(m):
             prod_poly = z_mul(prod_poly, g)
     assert prod_poly == f, "product check failed"
-    return cont * sign_flip, sorted(parts.items())
+    return cont, sorted(found.items())

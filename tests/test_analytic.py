@@ -176,7 +176,6 @@ def test_delta_factor_data_s1(s1):
     assert data.content == 1
     assert abs(data.w0) == 1
     assert data.w_f == 1
-    assert data.extra_primes == ()
 
 
 def test_delta_factor_data_split(split_surface):
@@ -187,7 +186,6 @@ def test_delta_factor_data_split(split_surface):
     assert data.content == 1
     assert abs(data.w0) == 1
     assert data.w_f == 144
-    assert data.extra_primes == (2, 3)
 
 
 def test_prime_identity_off_w_f(s1, split_surface):
@@ -199,7 +197,7 @@ def test_prime_identity_off_w_f(s1, split_surface):
         for p in [int(q) for q in shared_primes(97).tolist()]:
             direct = (p - 1) * projective_roots_mod_p(X.disc, p)
             assert varrho_star_delta(X, p) == direct
-            if all(p != q for q in data.extra_primes) and data.w0 % p != 0:
+            if data.w_f % p != 0:
                 per_factor = sum(projective_roots_mod_p(f, p) for f in data.delta_i)
                 assert direct == (p - 1) * per_factor
 

@@ -375,17 +375,21 @@ def test_height_rows_do_not_depend_on_the_seeds(monkeypatch, c11, c12):
 
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
     default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
-    init = conic._Collector.__init__
+    fibre_lattices, feed = conic._fibre_lattices, conic._Collector.feed
+    dtypes = set()
 
-    def exact_only(self, *args):
-        init(self, *args)
-        self.int64_ok = False
+    def feed_recording(self, u, v, g):
+        dtypes.update((u.dtype, v.dtype, g.dtype))
+        feed(self, u, v, g)
 
-    monkeypatch.setattr(conic._Collector, "__init__", exact_only)
+    monkeypatch.setattr(conic, "_fibre_lattices",
+                        lambda u1, layers, int64_ok: fibre_lattices(u1, layers, False))
+    monkeypatch.setattr(conic._Collector, "feed", feed_recording)
     for C, res in zip((c12, C36), default):
         exact = count_points(C, 300, want_points=True)
         assert exact.count == res.count
         assert exact.points == res.points
+    assert dtypes == {np.dtype(object)}
     # coefficients too large for int64: det = 4 * 36 * (2^32 - 1)^2
     C = FibreConic(4, 0, -5, 6 * (2**32 - 1), -2)
     for B in (5, 40):

@@ -301,6 +301,35 @@ def test_cli_count_fibre_with_points(s1_file, capsys):
     assert out.count("point:") == 13
 
 
+@pytest.mark.parametrize("a", ["[1.5, 0]", '"10"', "[true, 0]", "[1e23, 0]"])
+def test_cli_refuses_non_integer_coefficients(a, tmp_path, capsys):
+    # int() would read each as S1's a = [1, 0], and 1e23 as 99999999999999991611392
+    path = tmp_path / "surface.json"
+    path.write_text('{"a": %s, "d": [0, 1], "f": [1, -1], "b": [1, 0, 1], "e": [0, 1, 0]}' % a)
+    rc = run_cli("--no-cache", "analyze", path)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error[ValueError]: coefficient 'a' must be a list of integers")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["wirsing-check", "--function", "rho-delta",
+                                                "--x", "1000", "--surface"]])
+def test_cli_runs_when_w_f_has_large_prime_factors(argv, tmp_path, capsys):
+    # w_f = w0 = pq with two 14-digit primes, past what rho factors in its
+    # budget; both commands need w_f itself, never its prime factors
+    p, q = 10000000000037, 30000000000011
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"a": [1, 0], "d": [0, 1], "f": [1, -1],
+                                "b": [1, 0, p * q], "e": [0, 1, 0]}))
+    start = time.perf_counter()
+    rc = run_cli("--no-cache", *argv, path)
+    assert time.perf_counter() - start < 5
+    assert rc == 0, capsys.readouterr().err
+    if argv == ["analyze"]:
+        assert f"w_f: {p * q}\n" in capsys.readouterr().out
+
+
 def test_cli_count_fibre_singular(split_file, capsys):
     rc = run_cli("--no-cache", "count-fibre", split_file,
                  "--s", 1, "--t", 1, "--height", 10)
