@@ -184,7 +184,11 @@ def edge_cell_bounds(c, w, a, S):
     return lo, hi
 
 
-def certified_min_m(C: FibreConic, max_depth: int = 44) -> Fraction:
+# the deepest cell level the floor search may split down to
+_FLOOR_DEPTH = 44
+
+
+def certified_min_m(C: FibreConic) -> Fraction:
     """Positive rational floor for max(|x|,w|y|,|z|) of q on max(|u|,|v|) = 1.
 
     Depth-first branch-and-bound over the dyadic cells of the edges (1, t)
@@ -209,9 +213,9 @@ def certified_min_m(C: FibreConic, max_depth: int = 44) -> Fraction:
         target = -((-64 * best << (2 * k)) // (17 << (2 * kb)))
         if edge_cell_bounds(c, w, a, S)[0] >= target:
             continue
-        if k >= max_depth:
+        if k >= _FLOOR_DEPTH:
             raise CannotCertify(
-                f"subdivision depth {max_depth} exhausted near cell {(e, a, k)}"
+                f"subdivision depth {_FLOOR_DEPTH} exhausted near cell {(e, a, k)}"
             )
         stack.append((e, 2 * a, k + 1))
         stack.append((e, 2 * a + 1, k + 1))
@@ -352,6 +356,8 @@ def _as_ints(x, dtype):
 # the temporaries (~1.5 KB a row).
 _LONG_ROW = 64
 _HULL_ROWS = 256
+# the cells of one acceptance-test call
+_CHUNK = 4096
 
 
 def _lattice_coeffs(C: FibreConic, lats: Lattices):
@@ -476,7 +482,7 @@ def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi):
     return L.reshape(3, -1).max(axis=0), H.reshape(3, -1).min(axis=0)
 
 
-def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4096):
+def _enumerate(C, bound, u1, layer_bounds, want_points):
     """Shared enumeration core: every lattice of the fibre (the base box is
     layer 1) in one row table, long rows clipped to their height hull, and
     each pair counted in the layer of its exact content."""
@@ -491,7 +497,7 @@ def _enumerate(C, bound, u1, layer_bounds, want_points, chunk=4096):
     col = _Collector(C, bound, want_points)
     lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, int64_ok)
     rows = _height_rows(C, bound, lats, lattice_rows(lats, n2_lo, n2_hi))
-    for u, v, g in iter_lattice_points(lats, rows, chunk):
+    for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
         col.feed(u, v, g)
     points = sorted(col.points) if want_points else None
     return col.count, points

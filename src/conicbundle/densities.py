@@ -5,11 +5,12 @@ counts parameter classes where the quadratic parameterization degenerates
 modulo prime powers; the archimedean side is a plane area, written by
 homogeneity as two integrals of 1/N along the unit-box edges and bracketed
 with the exact cell bounds of `conic.edge_cell_bounds`.  One dyadic walk
-brackets the area for a whole stream of fibres at once (`sigma_inf_walk`),
-each level one numpy call over the pending cells of many fibres, under a
-fixed budget of pending cells; `sigma_inf` is its one-fibre case.  The only
-approximation anywhere is the explicit (lower, upper) bracket returned for
-area-dependent quantities.
+brackets the area for a whole stream of fibres at once (`sigma_inf_walk`):
+each step is one edge_cell_bounds call over the pending cells of many
+fibres, in int64 unless one of them needs Python ints, under a fixed budget
+of pending cells and a cap of _MAX_DEPTH levels per fibre; `sigma_inf` is its
+one-fibre case.  The only approximation anywhere is the explicit (lower,
+upper) bracket returned for area-dependent quantities.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def bad_prime_product(C: FibreConic) -> Fraction:
 # archimedean factor
 
 
-# cap on the pending cells of one fibre at one level
+# caps on the levels of one fibre and on its pending cells at one level
+_MAX_DEPTH = 24
 _MAX_BOUNDARY_CELLS = 1 << 20
 # a fibre takes part in the walk's next level only if the fibres before it
 # hold fewer pending cells than this, so one edge_cell_bounds call sees at
@@ -196,98 +198,56 @@ def _fibre_rows(conics) -> dict:
     }
 
 
-def sigma_inf_walk(
-    conics: Iterable[FibreConic], tol: float = 1e-4, max_depth: int = 24
-) -> Iterator:
+def _failure(C: FibreConic, k: int, lo, hi, sums: list, bits: int) -> Exception:
+    """What a fibre stops with at level k, given the bounds of its pending
+    cells and its running [lower, upper] sums: the CannotCertify of its
+    floor m, or a ToleranceNotMet whose bracket counts 1/m for 1/N on each
+    pending cell whose lo is below 4 S^2 m (N >= m on the edges)."""
+    S = 1 << k
+    try:
+        m = certified_min_m(C)
+    except CannotCertify as exc:
+        return exc
+    floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
+    _add_recip_sums(sums, [0], [k], [0], hi, bits, up=False)
+    _add_recip_sums(sums, [1], [k], [0], lo[~floored], bits, up=True)
+    a_lo = _exact(sums[0])
+    a_hi = _exact(sums[1]) + int(np.count_nonzero(floored)) / (S * m)
+    why = (
+        f"subdivision depth {_MAX_DEPTH}" if k == _MAX_DEPTH
+        else f"{len(lo)} pending cells at level {k}"
+    )
+    return ToleranceNotMet(
+        f"{why} reached with bracket [{float(a_lo)}, {float(a_hi)}]", a_lo, a_hi
+    )
+
+
+def sigma_inf_walk(conics: Iterable[FibreConic], tol: float = 1e-4) -> Iterator:
     """sigma_inf of each conic, in order, from one walk over all of them:
     (lower, upper), or the ToleranceNotMet (or CannotCertify) it fails with.
 
-    Each level makes one edge_cell_bounds call over the pending cells of
-    every fibre taking part, plus one in Python ints for the fibres whose
-    magnitude bound 64 w (sum |c| + 1) 4^k leaves int64.  The pending cells
-    are kept in fibre order, oldest first, and a fibre takes part only while
-    the cells before it number fewer than _WALK_CELLS; new fibres join
-    under the same rule, and conics are read only as they join.  So the
-    size of a call is bounded in cells, whatever the number of fibres.
-    The acceptance rule, the rounding grid (per fibre and level) and both
-    caps are per fibre, so each result is the one the fibre gets alone.
+    Each step makes one edge_cell_bounds call over the pending cells of
+    every fibre taking part: in int64, or in Python ints if some fibre's
+    magnitude bound 64 w (sum |c| + 1) 4^k leaves int64 at its level.  The
+    pending cells are kept in fibre order, oldest first, and a fibre takes
+    part only while the cells before it number fewer than _WALK_CELLS; new
+    fibres join under the same rule, and conics are read only as they join.
+    So the size of a call is bounded in cells, whatever the number of
+    fibres.  The acceptance rule, the rounding grid (per fibre and level)
+    and both caps (_MAX_DEPTH levels, _MAX_BOUNDARY_CELLS pending cells) are
+    per fibre, so each result is the one the fibre gets alone.
     """
     reltol = Fraction(tol)
     if reltol <= 0:
         raise ValueError("tolerance must be positive")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
     n = -(-reltol.denominator // reltol.numerator) + 1
     bits = 64 + 2 * n.bit_length()
     source = iter(conics)
-    # fibre f (numbered in input order) is row f - base of tab and window
-    base = 0
-    window: list[FibreConic] = []
+    # row f of tab and of these lists is the f-th fibre not yet handed out;
+    # out[f] is None until it finishes or fails
     tab = _fibre_rows([])
-    lower, upper, out = {}, {}, {}
-
-    def fail(f, k, lo, hi):
-        # N >= m on the edges: lo below 4 S^2 m is replaced by it
-        S = 1 << k
-        try:
-            m = certified_min_m(window[f - base])
-        except CannotCertify as exc:
-            out[f] = exc
-            return
-        floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
-        _add_recip_sums(lower, [f], [k], [0], hi, bits, up=False)
-        _add_recip_sums(upper, [f], [k], [0], lo[~floored], bits, up=True)
-        a_lo = _exact(lower.pop(f))
-        a_hi = _exact(upper.pop(f)) + int(np.count_nonzero(floored)) / (S * m)
-        why = (
-            f"subdivision depth {max_depth}" if k == max_depth
-            else f"{len(lo)} pending cells at level {k}"
-        )
-        out[f] = ToleranceNotMet(
-            f"{why} reached with bracket [{float(a_lo)}, {float(a_hi)}]", a_lo, a_hi
-        )
-
-    def settle(fib, e, a, wide):
-        """Bound the cells, bank the accepted ones, finish or fail the
-        fibres that stop here and return the children of the others."""
-        row = fib - base
-        k = tab["level"][row]
-        if wide:
-            c, w = tab["c"][row, e], tab["w"][row]
-            S, a_c, nn = np.left_shift(1, k).astype(object), a.astype(object), n
-        else:
-            c, w = tab["c64"][row, e], tab["w64"][row]
-            # an int64 lo is below 2^62, so a larger n acts as 2^62
-            S, a_c, nn = np.left_shift(1, k), a, min(n, 1 << 62)
-        lo, hi = edge_cell_bounds(tuple(c.T), w, a_c, S)
-        done = hi - lo <= lo // nn
-        fd = fib[done]
-        if len(fd):
-            first = np.flatnonzero(np.concatenate(([True], fd[1:] != fd[:-1])))
-            ids, levels = fd[first], k[done][first]
-            _add_recip_sums(lower, ids, levels, first, hi[done], bits, up=False)
-            _add_recip_sums(upper, ids, levels, first, lo[done], bits, up=True)
-        pend = ~done
-        first = np.flatnonzero(np.concatenate(([True], fib[1:] != fib[:-1])))
-        ids, levels = fib[first], k[first]
-        left = np.add.reduceat(pend, first, dtype=np.int64)
-        stop = (left > 0) & ((levels == max_depth) | (2 * left > _MAX_BOUNDARY_CELLS))
-        for f in ids[left == 0].tolist():
-            out[f] = (_exact(lower.pop(f)), _exact(upper.pop(f)))
-        for f, kf in zip(ids[stop].tolist(), levels[stop].tolist()):
-            mine = pend & (fib == f)
-            fail(f, kf, lo[mine], hi[mine])
-        go = (left > 0) & ~stop
-        tab["level"][ids[go] - base] += 1
-        keep = pend & np.repeat(go, np.diff(np.append(first, len(fib))))
-        fib, e, a = fib[keep], e[keep], a[keep]
-        return (
-            np.repeat(fib, 2),
-            np.repeat(e, 2),
-            np.repeat(2 * a, 2) + np.tile(np.array([0, 1]), len(a)),
-        )
-
-    # the cells of the next level, contiguous per fibre and in fibre order
+    window, lower, upper, out = [], [], [], []
+    # the pending cells (row, edge, a), contiguous per fibre and in row order
     fib = e = a = np.empty(0, dtype=np.int64)
     more = True
     while True:
@@ -295,45 +255,63 @@ def sigma_inf_walk(
             want = max(1, -(-(_WALK_CELLS - len(fib)) // 4))
             new = list(islice(source, want))
             more = len(new) == want
-            first = base + len(window)
-            window += new
             rows = _fibre_rows(new)
             tab = {key: np.concatenate((col, rows[key])) for key, col in tab.items()}
-            for f in range(first, first + len(new)):
-                lower[f] = upper[f] = (0, 0)
-            fib = np.concatenate((fib, np.repeat(np.arange(first, first + len(new)), 4)))
+            fib = np.concatenate((fib, np.repeat(np.arange(len(out), len(tab["w"])), 4)))
             e = np.concatenate((e, np.tile(_START_E, len(new))))
             a = np.concatenate((a, np.tile(_START_A, len(new))))
+            window += new
+            lower += [(0, 0)] * len(new)
+            upper += [(0, 0)] * len(new)
+            out += [None] * len(new)
         if not len(fib):
             return
         cut = len(fib)
         if cut > _WALK_CELLS:
             cut = int(np.searchsorted(fib, fib[_WALK_CELLS - 1], side="right"))
-        wide = tab["level"][fib[:cut] - base] > tab["kmax"][fib[:cut] - base]
-        parts = [
-            settle(fib[:cut][sel], e[:cut][sel], a[:cut][sel], big)
-            for big, sel in ((False, ~wide), (True, wide)) if sel.any()
-        ]
-        if len(parts) == 2:
-            order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
-            parts = [tuple(np.concatenate(col)[order] for col in zip(*parts))]
-        ((kids_f, kids_e, kids_a),) = parts
-        fib = np.concatenate((kids_f, fib[cut:]))
-        e = np.concatenate((kids_e, e[cut:]))
-        a = np.concatenate((kids_a, a[cut:]))
+        f, fe, fa = fib[:cut], e[:cut], a[:cut]
+        k = tab["level"][f]
+        if (k > tab["kmax"][f]).any():
+            c, w = tab["c"][f, fe], tab["w"][f]
+            S, a_c, nn = np.left_shift(1, k).astype(object), fa.astype(object), n
+        else:
+            c, w = tab["c64"][f, fe], tab["w64"][f]
+            # an int64 lo is below 2^62, so a larger n acts as 2^62
+            S, a_c, nn = np.left_shift(1, k), fa, min(n, 1 << 62)
+        lo, hi = edge_cell_bounds(tuple(c.T), w, a_c, S)
+        # bank the accepted cells
+        done = hi - lo <= lo // nn
+        fd = f[done]
+        first = np.flatnonzero(np.diff(fd, prepend=-1))
+        ids, levels = fd[first], k[done][first]
+        _add_recip_sums(lower, ids, levels, first, hi[done], bits, up=False)
+        _add_recip_sums(upper, ids, levels, first, lo[done], bits, up=True)
+        # finish or fail the fibres that stop here, split the others' cells
+        pend = ~done
+        first = np.flatnonzero(np.diff(f, prepend=-1))
+        ids, levels = f[first], k[first]
+        left = np.add.reduceat(pend, first, dtype=np.int64)
+        stop = (left > 0) & ((levels == _MAX_DEPTH) | (2 * left > _MAX_BOUNDARY_CELLS))
+        for g in ids[left == 0].tolist():
+            out[g] = (_exact(lower[g]), _exact(upper[g]))
+        for g, kg in zip(ids[stop].tolist(), levels[stop].tolist()):
+            mine = pend & (f == g)
+            out[g] = _failure(window[g], kg, lo[mine], hi[mine], [lower[g], upper[g]], bits)
+        go = (left > 0) & ~stop
+        tab["level"][ids[go]] += 1
+        keep = pend & np.repeat(go, np.diff(first, append=cut))
+        fib = np.concatenate((np.repeat(f[keep], 2), fib[cut:]))
+        e = np.concatenate((np.repeat(fe[keep], 2), e[cut:]))
+        a = np.concatenate(((2 * fa[keep, None] + [0, 1]).ravel(), a[cut:]))
         # hand out the finished fibres at the front and drop their rows
-        ready = 0
-        while base + ready in out:
-            yield out.pop(base + ready)
-            ready += 1
-        base += ready
-        del window[:ready]
+        ready = next((g for g, r in enumerate(out) if r is None), len(out))
+        yield from out[:ready]
+        del window[:ready], lower[:ready], upper[:ready], out[:ready]
         tab = {key: col[ready:] for key, col in tab.items()}
+        fib -= ready
 
 
-def sigma_inf(
-    C: FibreConic, tol: float = 1e-4, max_depth: int = 24
-) -> tuple[Fraction, Fraction]:
+def sigma_inf(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
     """Certified bracket for the area of the weighted unit ball.
 
     The region is {(u, v) real : max(|x|, w|y|, |z|) of q(u, v) <= 1}.  By
@@ -343,12 +321,13 @@ def sigma_inf(
     contributes [4S/hi, 4S/lo] and is accepted once hi - lo <= lo/n, n the
     smallest integer with 1/n <= tol/(1 + tol), so upper - lower <=
     tol * lower holds for the sum (the sums are rounded outward far below
-    that margin).  Past max_depth or _MAX_BOUNDARY_CELLS pending cells it
-    raises ToleranceNotMet with a finite bracket: a pending cell whose lo is
-    below the certified floor m counts 1/m for 1/N.  This is the one-fibre
-    case of `sigma_inf_walk`, which walks many fibres at once.
+    that margin).  Past _MAX_DEPTH levels or _MAX_BOUNDARY_CELLS pending
+    cells it raises ToleranceNotMet with a finite bracket: a pending cell
+    whose lo is below the certified floor m counts 1/m for 1/N.  This is
+    the one-fibre case of `sigma_inf_walk`, which walks many fibres at once,
+    one edge_cell_bounds call per level.
     """
-    (res,) = sigma_inf_walk([C], tol=tol, max_depth=max_depth)
+    (res,) = sigma_inf_walk([C], tol=tol)
     if isinstance(res, Exception):
         raise res
     return res
@@ -369,20 +348,18 @@ def _leading_constant(
     )
 
 
-def peyre_constant(
-    C: FibreConic, tol: float = 1e-4, max_depth: int = 24
-) -> tuple[Fraction, Fraction]:
+def peyre_constant(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
     """Bracket for the leading constant of the linear point-count growth.
 
     prefactor * sigma_inf * (1/zeta(2)) * prod_{p | det} sigma_p/(1-p^-2),
     every factor exact except the two explicit brackets.
     """
     nonarch = bad_prime_product(C)
-    return _leading_constant(*sigma_inf(C, tol=tol, max_depth=max_depth), nonarch)
+    return _leading_constant(*sigma_inf(C, tol=tol), nonarch)
 
 
 def constant_sum(
-    fibres: Iterable, tol: float = 1e-4, max_depth: int = 24, strict: bool = False
+    fibres: Iterable, tol: float = 1e-4, strict: bool = False
 ) -> tuple[Fraction, Fraction, int, list]:
     """(lower, upper, count, failed) over (key, conic) pairs, in one
     sigma_inf_walk: the sum of the peyre_constant brackets of the `count`
@@ -396,7 +373,7 @@ def constant_sum(
     count = 0
     failed = []
     keys, conics = tee(fibres)
-    areas = sigma_inf_walk((C for _, C in conics), tol=tol, max_depth=max_depth)
+    areas = sigma_inf_walk((C for _, C in conics), tol=tol)
     for (key, C), area in zip(keys, areas):
         if isinstance(area, ToleranceNotMet) and not strict:
             failed.append(key)
@@ -446,11 +423,9 @@ class LocalDensityReport:
     constant_upper: Fraction
 
 
-def local_density_report(
-    C: FibreConic, tol: float = 1e-4, max_depth: int = 24
-) -> LocalDensityReport:
+def local_density_report(C: FibreConic, tol: float = 1e-4) -> LocalDensityReport:
     rows, nonarch = _bad_prime_rows(C)
-    a_lo, a_hi = sigma_inf(C, tol=tol, max_depth=max_depth)
+    a_lo, a_hi = sigma_inf(C, tol=tol)
     z_lo, z_hi = zeta2_bracket()
     c_lo, c_hi = _leading_constant(a_lo, a_hi, nonarch)
     return LocalDensityReport(

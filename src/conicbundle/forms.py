@@ -6,6 +6,7 @@ Coefficient convention: ``coeffs[i]`` multiplies ``s**(d-i) * t**i`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from . import zpoly
 
@@ -19,6 +20,9 @@ class BinaryForm:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a binary form needs at least one coefficient")
+        # bool is an Integral, and int() would truncate 1.5 or parse "10"
+        if any(isinstance(c, bool) or not isinstance(c, Integral) for c in self.coeffs):
+            raise TypeError(f"binary form coefficients must be integers, got {self.coeffs!r}")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @property

@@ -199,7 +199,7 @@ class AnalysisReport:
         lines.append(f"w0: {self.w0}")
         lines.append(f"w_f: {self.w_f}")
         if self.singular_fibres:
-            shown = ", ".join(f"({i.s} : {i.t})" for i in self.singular_fibres)
+            shown = ", ".join(map(str, self.singular_fibres))
         else:
             shown = "none"
         lines.append(f"singular_fibres: {shown}")
@@ -285,17 +285,17 @@ def count_surface(
     """Count rational points of height <= B on the nonsingular fibres.
 
     fibration: sum of exact conic counts over all fibres of index height up
-    to x_cutoff (required, >= 1).  direct: exhaustive search in the ambient
-    space, restricted to the same fibre range when x_cutoff is given; guarded
-    above height 200 because the search is quartic in B.
+    to x_cutoff (required).  direct: exhaustive search in the ambient space,
+    restricted to the same fibre range when x_cutoff is given; guarded above
+    height 200 because the search is quartic in B.  x_cutoff must be >= 1.
     """
     bound = int(B)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
     if method not in ("fibration", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fibration" and (x_cutoff is None or x_cutoff < 1):
-        raise ValueError("fibration method needs x_cutoff >= 1")
+    if (x_cutoff is None and method == "fibration") or (x_cutoff is not None and x_cutoff < 1):
+        raise ValueError(f"{method} method needs x_cutoff >= 1")
 
     params = {
         "B": bound,
@@ -375,15 +375,12 @@ def sum_constants(
     x,
     *,
     tol: float = 1e-3,
-    max_depth: int = 24,
     strict: bool = False,
 ) -> ConstantSumResult:
     if x < 1:
         raise ValueError("height bound must be >= 1")
     fibres = ((idx, fibre_conic(X, idx)) for idx in domain_B(X, x))
-    lower, upper, n, failed = constant_sum(
-        fibres, tol=tol, max_depth=max_depth, strict=strict
-    )
+    lower, upper, n, failed = constant_sum(fibres, tol=tol, strict=strict)
     return ConstantSumResult(
         x=float(x),
         lower=lower,
@@ -548,7 +545,7 @@ def _cmd_count_fibre(args) -> int:
     idx = FibreIndex.from_raw(args.s, args.t)
     conic = fibre_conic(X, idx)
     res = count_points(conic, args.height, want_points=args.dump_points)
-    print(f"fibre: ({idx.s} : {idx.t})")
+    print(f"fibre: {idx}")
     print(f"determinant: {conic.pi_det}")
     print(f"count: {res.count}")
     if args.dump_points:
@@ -563,7 +560,7 @@ def _cmd_densities(args) -> int:
     idx = FibreIndex.from_raw(args.s, args.t)
     conic = fibre_conic(X, idx)
     rep = local_density_report(conic, tol=args.tol)
-    print(f"fibre: ({idx.s} : {idx.t})")
+    print(f"fibre: {idx}")
     print(f"determinant: {rep.determinant}")
     if not rep.bad_primes:
         print("bad_primes: none")
@@ -603,7 +600,7 @@ def _cmd_sum_constants(args) -> int:
     print(f"sum_upper: {float(res.upper):.9f}")
     print(f"width: {res.width:.3e}")
     if res.failed_fibres:
-        shown = ", ".join(f"({i.s} : {i.t})" for i in res.failed_fibres)
+        shown = ", ".join(map(str, res.failed_fibres))
         print(f"failed_fibres: {shown}")
     else:
         print("failed_fibres: none")

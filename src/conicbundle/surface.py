@@ -121,6 +121,9 @@ class FibreIndex:
     def height(self) -> int:
         return max(abs(self.s), abs(self.t))
 
+    def __str__(self) -> str:
+        return f"({self.s} : {self.t})"
+
 
 # --------------------------------------------------------------------------
 # the surface
@@ -168,16 +171,12 @@ class CubicSurfaceNF:
         )
 
 
-def validate(
-    xx, xz, zz, xy, yz, *, singular_point_height: int = 0
-) -> CubicSurfaceNF:
+def validate(xx, xz, zz, xy, yz) -> CubicSurfaceNF:
     """Check a coefficient tuple and assemble the surface record.
 
     Arguments are the five coefficient forms in the file-key order (the three
     degree-1 forms for the x^2, xz, z^2 conic monomials, then the degree-2
     forms for xy and yz).  Lists of integers are accepted in place of forms.
-    With singular_point_height > 0, additionally search for rational singular
-    points up to that height and reject the surface if one exists.
     """
     cxx, cxz, czz = (_as_form(f, 1, n) for f, n in ((xx, "a"), (xz, "d"), (zz, "f")))
     cxy, cyz = (_as_form(f, 2, n) for f, n in ((xy, "b"), (yz, "e")))
@@ -196,7 +195,7 @@ def validate(
     fac = factor_over_q(disc)
     if not fac.is_separable():
         raise SeparabilityFailure("discriminant form has a repeated factor")
-    surface = CubicSurfaceNF(
+    return CubicSurfaceNF(
         cxx=cxx,
         cxz=cxz,
         czz=czz,
@@ -207,18 +206,16 @@ def validate(
         factorization=fac,
         rho=picard_rank(fac),
     )
-    if singular_point_height > 0:
-        bad = find_rational_singular_points(surface, singular_point_height)
-        if bad:
-            raise SurfaceValidationError(
-                f"surface is singular at rational point {bad[0].coords}"
-            )
-    return surface
 
 
 def _as_form(f, degree: int, key: str) -> BinaryForm:
     if not isinstance(f, BinaryForm):
-        f = BinaryForm(tuple(f))
+        try:
+            f = BinaryForm(tuple(f))
+        except TypeError:
+            raise ValueError(
+                f"coefficient '{key}' must be a list of integers, got {f!r}"
+            ) from None
     if f.degree != degree:
         raise ValueError(
             f"coefficient '{key}' must be a degree-{degree} form "
@@ -430,7 +427,7 @@ def brute_force_surface_count(
 # JSON I/O
 
 
-def surface_from_dict(data: dict, **kw) -> CubicSurfaceNF:
+def surface_from_dict(data: dict) -> CubicSurfaceNF:
     """The surface of a decoded surface file: each key a list of JSON integers."""
     keys = ("a", "d", "f", "b", "e")
     missing = [k for k in keys if k not in data]
@@ -439,16 +436,12 @@ def surface_from_dict(data: dict, **kw) -> CubicSurfaceNF:
     extra = [k for k in data if k not in keys]
     if extra:
         raise ValueError(f"surface file has unknown keys: {', '.join(extra)}")
-    for k in keys:
-        # bool is an int subclass, and int() would truncate 1.5 or parse "10"
-        if not isinstance(data[k], list) or any(type(c) is not int for c in data[k]):
-            raise ValueError(f"coefficient '{k}' must be a list of integers, got {data[k]!r}")
-    return validate(*(data[k] for k in keys), **kw)
+    return validate(*(data[k] for k in keys))
 
 
-def load_surface(path: str, **kw) -> CubicSurfaceNF:
+def load_surface(path: str) -> CubicSurfaceNF:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("surface file must contain a JSON object")
-    return surface_from_dict(data, **kw)
+    return surface_from_dict(data)

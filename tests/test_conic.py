@@ -172,8 +172,7 @@ def test_certified_min_m_is_tight(s1, split_surface):
 def test_count_points_refuses_an_uncertified_floor(monkeypatch, s1_file, c11, capsys):
     from conicbundle.harness import main
 
-    certify = conic.certified_min_m
-    monkeypatch.setattr(conic, "certified_min_m", lambda C: certify(C, max_depth=1))
+    monkeypatch.setattr(conic, "_FLOOR_DEPTH", 1)
     with pytest.raises(CannotCertify):
         count_points(c11, 50)
     assert main(["--no-cache", "count-fibre", s1_file,
@@ -274,10 +273,7 @@ def test_count_points_chunk_independent(monkeypatch, c12):
     for C in (c12, C36):
         rows = _row_tables(C, 300, True)[2]
         assert (rows.hi - rows.lo + 1).max() > 7
-    enumerate_default = conic._enumerate
-    monkeypatch.setattr(
-        conic, "_enumerate", lambda *args: enumerate_default(*args, chunk=7)
-    )
+    monkeypatch.setattr(conic, "_CHUNK", 7)
     for C, res in zip((c12, C36), default):
         small = count_points(C, 300, want_points=True)
         assert small.count == res.count

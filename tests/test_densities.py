@@ -137,7 +137,7 @@ def test_sigma_inf_brackets_nest_with_tol(c11):
 
 
 def test_sigma_inf_object_path_matches_scaling(c11):
-    # 2^50 * C has N scaled by 2^50 and needs Python ints from level 0
+    # 2^50 * C has N scaled by 2^50 and needs Python ints from level 4
     lam = 2**50
     big = FibreConic(*(lam * c for c in c11.coeffs), weight=c11.weight)
     lo, hi = sigma_inf(c11, tol=1e-3)
@@ -146,19 +146,21 @@ def test_sigma_inf_object_path_matches_scaling(c11):
     assert max(lo, big_lo * lam) <= min(hi, big_hi * lam)
 
 
-def test_sigma_inf_tolerance_not_met_carries_bracket(c11):
+def test_sigma_inf_tolerance_not_met_carries_bracket(c11, monkeypatch):
+    monkeypatch.setattr(densities, "_MAX_DEPTH", 6)
     with pytest.raises(ToleranceNotMet) as exc:
-        sigma_inf(c11, tol=1e-9, max_depth=6)
+        sigma_inf(c11, tol=1e-9)
     err = exc.value
     assert 0 < err.lower < err.upper
 
 
-def test_sigma_inf_failure_bracket_contains_area(c11):
+def test_sigma_inf_failure_bracket_contains_area(c11, monkeypatch):
     # shallow caps leave cells whose lower bound is 0: the floor bounds them
     lo, hi = sigma_inf(c11, tol=1e-4)
     for depth in range(7):
+        monkeypatch.setattr(densities, "_MAX_DEPTH", depth)
         with pytest.raises(ToleranceNotMet) as exc:
-            sigma_inf(c11, tol=1e-9, max_depth=depth)
+            sigma_inf(c11, tol=1e-9)
         assert exc.value.lower <= hi and lo <= exc.value.upper
 
 
@@ -180,20 +182,52 @@ def _walked(conics, **kw):
     ]
 
 
-def test_sigma_inf_walk_matches_one_fibre_walks(s1, split_surface, c11):
+def test_sigma_inf_walk_matches_one_fibre_walks(s1, split_surface, c11, monkeypatch):
     for X, x in ((s1, 30), (split_surface, 20)):
         conics = [fibre_conic(X, idx) for idx in domain_B(X, x)]
         assert _walked(conics, tol=1e-2) == _one_by_one(conics, tol=1e-2)
-    # 2^50 c11 runs in Python ints from level 0, among int64 fibres
+    # 2^50 c11 runs in Python ints from level 4, among int64 fibres
     big = FibreConic(*(2**50 * c for c in c11.coeffs), weight=c11.weight)
     mixed = [fibre_conic(s1, idx) for idx in domain_B(s1, 3)]
     mixed.insert(5, big)
     assert _walked(mixed, tol=1e-3) == _one_by_one(mixed, tol=1e-3)
     # a failing batch: same failed fibres, messages and floored brackets
     conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 4)] + [big]
-    walked = _walked(conics, tol=1e-9, max_depth=6)
-    assert walked == _one_by_one(conics, tol=1e-9, max_depth=6)
+    monkeypatch.setattr(densities, "_MAX_DEPTH", 6)
+    walked = _walked(conics, tol=1e-9)
+    assert walked == _one_by_one(conics, tol=1e-9)
     assert sum(isinstance(r[0], str) for r in walked) >= len(conics) // 2
+
+
+def test_sigma_inf_walk_runs_int64_unless_a_cell_leaves_it(s1, c11, monkeypatch):
+    calls = []
+
+    def recorded(c, w, a, S):
+        # (runs in Python ints, holds a cell whose bound 64 w (sum |c| + 1) S^2
+        # on the intermediates leaves int64)
+        sizes = zip(w.tolist(), np.transpose(c).tolist(), S.tolist())
+        wide = any(64 * wi * (sum(map(abs, ci)) + 1) * Si * Si >= 2**63 for wi, ci, Si in sizes)
+        calls.append((a.dtype == object, wide))
+        return bound(c, w, a, S)
+
+    bound = densities.edge_cell_bounds
+    monkeypatch.setattr(densities, "edge_cell_bounds", recorded)
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 12)]
+    list(sigma_inf_walk(conics, tol=1e-2))
+    assert calls and not any(wide for wide, _ in calls)
+    # 2^50 c11 leaves int64 at level 4: exactly the steps where one of its
+    # cells is that deep run in Python ints, whatever the budget
+    big = FibreConic(*(2**50 * c for c in c11.coeffs), weight=c11.weight)
+    mixed = [fibre_conic(s1, idx) for idx in domain_B(s1, 3)]
+    mixed.insert(5, big)
+    expected = _one_by_one(mixed, tol=1e-3)
+    for budget in (densities._WALK_CELLS, 8):
+        monkeypatch.setattr(densities, "_WALK_CELLS", budget)
+        calls.clear()
+        assert _walked(mixed, tol=1e-3) == expected
+        assert any(wide for wide, _ in calls)
+        assert all(wide == needed for wide, needed in calls)
+    assert not all(wide for wide, _ in calls)
 
 
 def test_sigma_inf_walk_budget_does_not_change_results(s1, monkeypatch):

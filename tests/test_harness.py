@@ -147,6 +147,8 @@ def test_count_surface_requires_cutoff(s1):
         count_surface(s1, 10, method="fibration")
     with pytest.raises(ValueError):
         count_surface(s1, 10, method="fibration", x_cutoff=0.5)
+    with pytest.raises(ValueError):
+        count_surface(s1, 8, method="direct", x_cutoff=0.5)
 
 
 def test_count_surface_direct_guard(s1):
@@ -187,12 +189,14 @@ def test_sum_constants_monotone(s1):
     assert r2.fibre_count > r1.fibre_count
 
 
-def test_sum_constants_strict_raises(s1):
+def test_sum_constants_strict_raises(s1, monkeypatch):
+    from conicbundle import densities
     from conicbundle.densities import ToleranceNotMet
 
+    monkeypatch.setattr(densities, "_MAX_DEPTH", 10)
     with pytest.raises(ToleranceNotMet):
-        sum_constants(s1, 2, tol=1e-13, max_depth=10, strict=True)
-    r = sum_constants(s1, 2, tol=1e-13, max_depth=10, strict=False)
+        sum_constants(s1, 2, tol=1e-13, strict=True)
+    r = sum_constants(s1, 2, tol=1e-13, strict=False)
     # every fibre's edge walk misses tol, so none contributes to the sum
     assert r.fibre_count == 0
     assert len(r.failed_fibres) == 8

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd, prod
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from conicbundle.conic import count_points
@@ -14,7 +15,6 @@ from conicbundle.surface import (
     ProjPoint3,
     SeparabilityFailure,
     SingularFibre,
-    SurfaceValidationError,
     ZeroResultant,
     brute_force_surface_count,
     domain_B,
@@ -86,12 +86,17 @@ def test_validate_separability_failure():
         validate([-2, -2], [-2, -2], [-2, 0], [1, 0, 1], [0, 1, 0])
 
 
+@pytest.mark.parametrize("a", [[1.5, 0], [True, 0], ["1", "0"], "10"])
+def test_validate_refuses_non_integer_coefficients(a, s1):
+    # int() would read each as S1's a = [1, 0]
+    with pytest.raises(ValueError, match="coefficient 'a' must be a list of integers"):
+        validate(a, [0, 1], [1, -1], [1, 0, 1], [0, 1, 0])
+    X = validate(np.array([1, 0]), [0, 1], [1, -1], [1, 0, 1], [np.int8(0), 1, 0])
+    assert X.surface_hash == s1.surface_hash
+
+
 def test_validate_singular_point_search_rejects(split_surface):
-    coeffs = dict(a=[0, 1], d=[2, 1], f=[2, 0], b=[0, 0, 1], e=[1, 0, 0])
-    with pytest.raises(SurfaceValidationError):
-        validate(coeffs["a"], coeffs["d"], coeffs["f"], coeffs["b"], coeffs["e"],
-                 singular_point_height=1)
-    # the offending point is the pencil base point
+    # the split surface is singular at the pencil base point
     pts = find_rational_singular_points(split_surface, 1)
     assert ProjPoint3.from_raw(0, 0, 1, -1) in pts
 
