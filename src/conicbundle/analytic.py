@@ -10,9 +10,10 @@ lattice sums.
 Prime sums take one path.  A MultiplicativeFn gives its values at a whole
 prime array at once, exactly as integer numerators and denominators and as
 float64.  Exact partial sums come from one squarefree loop that builds
-g(a) from those prime values; float partial sums come from a value sieve in
-O(sqrt x) numpy calls: one slice per prime below sqrt(x), then one scatter
-per cofactor for all the larger primes at once.
+g(a) from those prime values; float partial sums come from a value sieve
+run by segments of [0, x]: per segment one slice per prime below sqrt(x),
+then one scatter per cofactor for all the larger primes at once.  Beside
+fixed-size segments it holds only the primes and their values.
 
 Every rational sum goes through one exact-or-floored summation: exact
 Fractions for small arguments, otherwise every term rounded down at 96
@@ -54,7 +55,7 @@ _prime_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 def shared_primes(limit: int) -> np.ndarray:
     """All primes <= limit, from a cached sieve that only ever grows."""
     if limit > _prime_cache["limit"]:
-        _prime_cache["primes"] = primes_up_to(limit).astype(np.int64)
+        _prime_cache["primes"] = primes_up_to(limit)
         _prime_cache["limit"] = limit
     ps = _prime_cache["primes"]
     return ps[: int(np.searchsorted(ps, limit, side="right"))]
@@ -379,9 +380,28 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-# vals takes 8 bytes per a <= x; with the prime sieve and the per-prime
-# arrays the float route stays under ~3 GiB up to here
+# the float route holds the primes and their values (16 bytes per prime,
+# ~180 MB here) beside fixed-size segments; the cap bounds its run time
 MAX_WIRSING_X = 2 * 10**8
+
+_SEGMENT = 1 << 20  # cells per partial-sum sieve segment (8 MiB of float64)
+_PRIME_BLOCK = 1 << 14  # primes per g.floats call and per tail block
+
+
+def _running_sum_at(blocks, at: np.ndarray) -> np.ndarray:
+    """The running sum of the concatenated float64 blocks, read at the
+    ascending indices at.  Each block is summed in place, continued from
+    the last one, so every value is bitwise that of one np.cumsum."""
+    out = np.empty(len(at), dtype=np.float64)
+    lo, carry = 0, 0.0
+    for w in blocks:
+        w[0] += carry
+        np.cumsum(w, out=w)
+        carry = float(w[-1])
+        i, j = np.searchsorted(at, [lo, lo + len(w)])
+        out[i:j] = w[at[i:j] - lo]
+        lo += len(w)
+    return out
 
 
 def _squarefree_sums(
@@ -420,27 +440,41 @@ def _squarefree_sums(
     return sums
 
 
-def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int) -> np.ndarray:
-    """csum[c] = sum of g(a) over squarefree a <= c, for every c <= x.
+def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int, cps) -> np.ndarray:
+    """[sum of g(a) over squarefree a <= c for c in cps], cps ascending in
+    [0, x].
 
-    vals[a] = prod of g(p) over p | a, each product in ascending prime
-    order, then 0 off the squarefree a, then the running sum in place.
+    [0, x] is sieved in segments of _SEGMENT cells, one buffer for all:
+    v[a - lo] = prod of g(p) over p | a, each product in ascending prime
+    order, then 0 off the squarefree a.
     """
-    vals = np.ones(x + 1, dtype=np.float64)
-    vals[0] = 0.0
     n_small = int(np.searchsorted(ps, math.isqrt(x), side="right"))
-    for p, gv in zip(ps[:n_small].tolist(), gp[:n_small].tolist()):
-        vals[p::p] *= gv
-    # a = k q with q > sqrt(x) prime: q is the largest factor of a and the
-    # indices k * big[:n] are distinct, so one scatter applies them all
+    small = list(zip(ps[:n_small].tolist(), gp[:n_small].tolist()))
     big, gbig = ps[n_small:], gp[n_small:]
-    if len(big):
-        for k in range(1, x // int(big[0]) + 1):
-            n = int(np.searchsorted(big, x // k, side="right"))
-            vals[k * big[:n]] *= gbig[:n]
-    for p in ps[:n_small].tolist():
-        vals[p * p :: p * p] = 0.0
-    return np.cumsum(vals, out=vals)
+    q0 = int(big[0]) if len(big) else x + 1
+    buf = np.empty(min(_SEGMENT, x + 1), dtype=np.float64)
+
+    def segments():
+        for lo in range(0, x + 1, _SEGMENT):
+            hi = min(lo + _SEGMENT, x + 1)
+            v = buf[: hi - lo]
+            v.fill(1.0)
+            for p, gv in small:
+                v[(-lo) % p :: p] *= gv
+            # a = k q with q > sqrt(x) prime: q is the largest factor of a
+            # and the indices k * big[a:b] are distinct, so one scatter per k
+            ks = np.arange(1, (hi - 1) // q0 + 1)
+            firsts = np.searchsorted(big, -(-lo // ks))
+            lasts = np.searchsorted(big, (hi - 1) // ks, side="right")
+            for k, a, b in zip(ks.tolist(), firsts.tolist(), lasts.tolist()):
+                v[k * big[a:b] - lo] *= gbig[a:b]
+            for p, _ in small:
+                v[(-lo) % (p * p) :: p * p] = 0.0
+            if lo == 0:
+                v[0] = 0.0
+            yield v
+
+    return _running_sum_at(segments(), np.asarray(cps, dtype=np.int64))
 
 
 def wirsing_sum(
@@ -453,9 +487,10 @@ def wirsing_sum(
 
     Sums at checkpoints up to the exact threshold are exact Fractions from
     one squarefree pass, with g.exact called once on the primes up to the
-    largest of them; larger ones read
-    the float value sieve, one slice multiply per prime below sqrt(x) and
-    one scatter multiply per cofactor above it.  x is capped at
+    largest of them; larger ones read the float value sieve, run by
+    segments of _SEGMENT cells.  g.floats is called on blocks of
+    _PRIME_BLOCK primes, so the memory is 16 bytes per prime <= x (the
+    primes and their values) plus fixed-size blocks.  x is capped at
     MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
@@ -480,23 +515,25 @@ def wirsing_sum(
     if exact_cps:
         n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right"))
         sums = dict(zip(exact_cps, _squarefree_sums(g, ps[:n_exact], exact_cps, True)))
-    gp = np.asarray(g.floats(ps), dtype=np.float64)
+    gp = np.empty(len(ps), dtype=np.float64)
+    blocks = [slice(lo, lo + _PRIME_BLOCK) for lo in range(0, len(ps), _PRIME_BLOCK)]
+    for b in blocks:
+        gp[b] = g.floats(ps[b])
     float_cps = cps[len(exact_cps) :]
     if float_cps:
-        sums.update(zip(float_cps, _partial_sum_sieve(ps, gp, x)[float_cps].tolist()))
+        sums.update(zip(float_cps, _partial_sum_sieve(ps, gp, x, float_cps).tolist()))
     sums_at = [(c, sums[c]) for c in cps]
 
     # prime-sum normalization: the exponent is DEFINED by
     # sum_{p<=t} g(p) log p = k log t + O(1), and fitting that line is far
     # less transient-biased than the partial-sum log-log slope, whose
-    # finite-x bias is of order k^2/log x (fatal for k >= 2 at desk scale)
+    # finite-x bias is of order k^2/log x (fatal for k >= 2 at desk scale).
+    # The prime sums are read at the last prime <= each checkpoint.
     floats = np.array([float(v) for _, v in sums_at], dtype=np.float64)
     cp_arr = np.array(cps, dtype=np.float64)
-    logs = np.log(ps.astype(np.float64))
-    t_cum = np.cumsum(gp * logs)
-    prod_cum = np.cumsum(np.log1p(np.abs(gp)))
     idx = np.searchsorted(ps, cps, side="right") - 1
-    t_at = np.where(idx >= 0, t_cum[np.maximum(idx, 0)], 0.0)
+    t_at = _running_sum_at((gp[b] * np.log(ps[b]) for b in blocks), idx)
+    prod_at = _running_sum_at((np.log1p(np.abs(gp[b])) for b in blocks), idx)
     a15_slope, a15_b = _fit_line(np.log(cp_arr), t_at)
     a15_resid = float(np.max(np.abs(t_at - a15_slope * np.log(cp_arr) - a15_b)))
     k_hat = a15_slope
@@ -509,12 +546,12 @@ def wirsing_sum(
     worst = 0.0
     for i in range(len(cps)):
         for j in range(i + 1, len(cps)):
-            if cps[i] < 3 or idx[i] < 0 or idx[j] < 0:
+            if cps[i] < 3:
                 continue
-            prod = math.exp(prod_cum[idx[j]] - prod_cum[idx[i]])
+            prod = math.exp(prod_at[j] - prod_at[i])
             bound = (math.log(cps[j]) / math.log(cps[i])) ** abs(k_hat)
             worst = max(worst, prod / bound)
-    a17 = float(np.sum(gp * gp * logs))
+    a17 = sum(float(np.sum(gp[b] * gp[b] * np.log(ps[b]))) for b in blocks)
     return WirsingReport(
         function=g.name,
         x=x,

@@ -252,6 +252,16 @@ def _form(f, uu, uv, vv):
     return f[0] * uu + f[1] * uv + f[2] * vv
 
 
+def _content_height(C: FibreConic, u, v):
+    """(gcd(q1, q2, q3), max(|q1|, w |q2|, |q3|)) of q(u, v) for coprime
+    (u, v): q1 = u L and q3 = v L with L = cxy u + cyz v, so the content is
+    gcd(L, q2) and max(|q1|, |q3|) = max(|u|, |v|) |L|."""
+    L = np.abs(C.cxy * u + C.cyz * v)
+    q2 = np.abs(_form(_forms(C)[1], u * u, u * v, v * v))
+    hw = np.maximum(np.maximum(np.abs(u), np.abs(v)) * L, C.weight * q2)
+    return np.gcd(L, q2), hw
+
+
 class _Collector:
     """Chunk pipeline: ownership filter, exact-content and height test, count."""
 
@@ -269,10 +279,7 @@ class _Collector:
         u, v, g = u[keep], v[keep], g[keep]
         if not len(u):
             return
-        uu, uv, vv = u * u, u * v, v * v
-        q1, q2, q3 = (np.abs(_form(f, uu, uv, vv)) for f in _forms(self.C))
-        content = np.gcd(np.gcd(q1, q2), q3)
-        hw = np.maximum(np.maximum(q1, self.C.weight * q2), q3)
+        content, hw = _content_height(self.C, u, v)
         ok = (content == g) & (hw <= self.bound * g)
         u, v = u[ok], v[ok]
         self.count += len(u)

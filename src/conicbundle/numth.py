@@ -21,6 +21,9 @@ _PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIME_BOUND = 10_000
 
+# bytes per segment of the prime sieve
+_SEGMENT = 1 << 20
+
 # squarings one _rho_split may spend; rho takes about sqrt(p) of them to
 # find a prime factor p, so this reaches a least prime factor of ~10^12
 _RHO_SQUARINGS = 1 << 21
@@ -32,15 +35,25 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array."""
+    """All primes <= n, ascending, as an int64 array.
+
+    Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
+    primes up to sqrt(n) come from this sieve, then (sqrt(n), n] is marked
+    in segments of _SEGMENT bytes, so beside its output the sieve holds
+    O(sqrt(n) + _SEGMENT) bytes.
+    """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    r = isqrt(n)
+    base = primes_up_to(r)
+    parts = [base]
+    for lo in range(r + 1, n + 1, _SEGMENT):
+        seg = np.ones(min(_SEGMENT, n + 1 - lo), dtype=bool)
+        # every multiple of p >= lo > sqrt(n) >= p is composite
+        for p in base.tolist():
+            seg[(-lo) % p :: p] = False
+        parts.append(np.flatnonzero(seg) + lo)
+    return np.concatenate(parts).astype(np.int64, copy=False)
 
 
 def projective_normal(v) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conicbundle import analytic, numth
 from conicbundle.analytic import (
     G_sum,
     MultiplicativeFn,
@@ -282,19 +285,64 @@ def ascending_prime_sieve(ps, gp, x):
     return np.cumsum(vals)
 
 
-def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface):
+def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface, monkeypatch):
     top = 10**6
     ps_top = shared_primes(top)
     xs = list(range(2, 201)) + [10**6]
     for p in (2, 3, 29, 31, 97, 997):
         xs += [p * p - 1, p * p, p * p + 1]
+    runs = ((analytic._SEGMENT, top), (2**10, 10**5))  # (segment, largest x)
     for g in (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface)):
         gp_top = g.floats(ps_top)
-        for x in xs:
-            ps = shared_primes(x)
-            gp = gp_top[: len(ps)]
-            got = _partial_sum_sieve(ps, gp, x)
-            assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)), (g.name, x)
+        for segment, x_max in runs:
+            monkeypatch.setattr(analytic, "_SEGMENT", segment)
+            for x in (x for x in xs if x <= x_max):
+                ps = shared_primes(x)
+                gp = gp_top[: len(ps)]
+                got = _partial_sum_sieve(ps, gp, x, np.arange(x + 1))
+                want = ascending_prime_sieve(ps, gp, x)
+                assert np.array_equal(got, want), (g.name, x, segment)
+
+
+@pytest.fixture(scope="module")
+def prime_values(s1, split_surface):
+    ps = shared_primes(3 * 10**4)
+    gs = (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface))
+    return ps, [g.floats(ps) for g in gs]
+
+
+@given(
+    x=st.integers(2, 3 * 10**4),
+    picks=st.lists(st.floats(0, 1), max_size=12),
+    log_segment=st.integers(4, 12),
+    which=st.integers(0, 2),
+)
+def test_segmented_sieve_equals_ascending_prime_loop(prime_values, x, picks, log_segment, which):
+    ps_top, gps = prime_values
+    ps = ps_top[: int(np.searchsorted(ps_top, x, side="right"))]
+    gp = gps[which][: len(ps)]
+    cps = sorted(int(f * x) for f in picks) + [x]
+    with mock.patch.object(analytic, "_SEGMENT", 1 << log_segment):
+        got = _partial_sum_sieve(ps, gp, x, cps)
+    assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)[cps])
+
+
+def test_wirsing_sum_memory_is_a_few_bytes_per_prime(monkeypatch):
+    # the float route keeps the primes and their values (16 bytes per prime,
+    # 1.2 bytes per a here) beside fixed-size segments; a value array over
+    # every a <= x would take 8 bytes per a
+    x = 2 * 10**6
+    monkeypatch.setattr(analytic, "_SEGMENT", 1 << 16)
+    monkeypatch.setattr(numth, "_SEGMENT", 1 << 16)
+    # an empty prime cache, so the prime sieve is measured too
+    monkeypatch.setattr(analytic, "_prime_cache", {"limit": 0, "primes": np.empty(0, dtype=np.int64)})
+    tracemalloc.start()
+    try:
+        wirsing_sum(squarefree_harmonic(), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x
 
 
 def test_wirsing_exact_route_evaluates_each_prime_once():

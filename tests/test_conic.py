@@ -369,6 +369,33 @@ def test_height_rows_do_not_depend_on_the_seeds(monkeypatch, c11, c12):
     assert got == want
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_content_height_equals_three_gcds(dtype):
+    rng = random.Random(23)
+    top = 10**4 if dtype is np.int64 else 10**30  # object rows pass int64
+    nontrivial = 0
+    for _ in range(100):
+        d = rng.choice([1, 2, 6, 12])  # a shared factor makes contents above 1
+        try:
+            C = FibreConic(*(d * rng.randint(-20, 20) for _ in range(5)), weight=rng.randint(1, 3))
+        except ValueError:  # singular parameterization
+            continue
+        pairs = [(0, 1), (1, 0), (1, -1)]
+        for hi in (5, top):
+            pairs += [(rng.randint(0, hi), rng.randint(-hi, hi)) for _ in range(40)]
+        pairs = [(u, v) for u, v in pairs if gcd(u, v) == 1]
+        u, v = (np.array(col, dtype=dtype) for col in zip(*pairs))
+        content, hw = conic._content_height(C, u, v)
+        for (a, b), c, h in zip(pairs, content.tolist(), hw.tolist()):
+            q1 = C.cxy * a * a + C.cyz * a * b
+            q2 = C.cxx * a * a + C.cxz * a * b + C.czz * b * b
+            q3 = C.cxy * a * b + C.cyz * b * b
+            assert c == gcd(q1, q2, q3), (C, a, b)
+            assert h == max(abs(q1), C.weight * abs(q2), abs(q3)), (C, a, b)
+            nontrivial += c > 1
+    assert nontrivial > 100
+
+
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
     default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
     fibre_lattices, feed = conic._fibre_lattices, conic._Collector.feed

@@ -540,7 +540,7 @@ def test_cli_count_fibre_unfactorable_determinant(tmp_path):
 
 
 def test_cli_wirsing_refuses_x_past_the_sieve_limit():
-    # 5e8 would need 4 GB of sieve array: refused before any allocation
+    # 5e8 is past the sieve limit: refused before any allocation
     start = time.perf_counter()
     run = _main_capped(["wirsing-check", "--function", "squarefree-harmonic", "--x", "5e8"])
     assert time.perf_counter() - start < 1.0

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conicbundle import numth
 from conicbundle.numth import (
     projective_normal,
     euler_phi,
@@ -20,6 +24,42 @@ def test_primes_up_to_matches_sympy():
     ours = primes_up_to(10**4)
     theirs = np.array(list(sympy.primerange(2, 10**4 + 1)))
     assert np.array_equal(ours, theirs)
+
+
+def plain_sieve(n):
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+@given(n=st.integers(0, 3 * 10**4), log_segment=st.integers(4, 12))
+def test_segmented_primes_up_to_matches_plain_sieve(n, log_segment):
+    with mock.patch.object(numth, "_SEGMENT", 1 << log_segment):
+        got = primes_up_to(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, plain_sieve(n))
+
+
+def test_primes_up_to_at_segment_ends_and_prime_squares():
+    # every n < 1200 with 16-byte segments meets each segment end and prime
+    # square at and next to n
+    with mock.patch.object(numth, "_SEGMENT", 16):
+        for n in range(1200):
+            assert np.array_equal(primes_up_to(n), plain_sieve(n)), n
+    # the default segment: (sqrt(n), n] is marked from isqrt(n) + 1, so n
+    # ends segment k where n - isqrt(n) = k * _SEGMENT
+    ns = [p * p + d for p in (1021, 1031) for d in (-1, 0, 1)]
+    for k in (1, 2):
+        n = k * numth._SEGMENT
+        while n - isqrt(n) < k * numth._SEGMENT:
+            n += 1
+        assert n - isqrt(n) == k * numth._SEGMENT
+        ns += [n - 1, n, n + 1]
+    for n in ns:
+        assert np.array_equal(primes_up_to(n), plain_sieve(n)), n
 
 
 def test_is_prime_small_and_carmichael():
