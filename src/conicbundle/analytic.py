@@ -11,9 +11,10 @@ Prime sums take one path.  A MultiplicativeFn gives its values at a whole
 prime array at once, exactly as integer numerators and denominators and as
 float64.  Exact partial sums come from one squarefree loop that builds
 g(a) from those prime values; float partial sums come from a value sieve
-run by segments of [0, x]: per segment one slice per prime below sqrt(x),
-then one scatter per cofactor for all the larger primes at once.  Beside
-fixed-size segments it holds only the primes and their values.
+run by segments of [0, x]: per segment copies of a wheel pattern for the
+primes up to 13, one slice per larger prime up to sqrt(x), then batched
+scatters for the primes above sqrt(x).  Beside fixed-size segments and
+batches it holds only the primes and their values.
 
 Every rational sum goes through one exact-or-floored summation: exact
 Fractions for small arguments, otherwise every term rounded down at 96
@@ -381,10 +382,13 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 
 # the float route holds the primes and their values (16 bytes per prime,
-# ~180 MB here) beside fixed-size segments; the cap bounds its run time
+# ~177 MB here) beside a 2 MiB segment and its scatter batches, ~208 MiB
+# peak RSS in all; the cap bounds its run time (~14 s on 2 cores)
 MAX_WIRSING_X = 2 * 10**8
 
-_SEGMENT = 1 << 20  # cells per partial-sum sieve segment (8 MiB of float64)
+_SEGMENT = 1 << 18  # cells per partial-sum sieve segment (2 MiB of float64)
+_SCATTER = 1 << 13  # (k, q) entries per cofactor scatter batch
+_WHEEL_TOP = 13  # the wheel holds the primes <= 13: period 30030
 _PRIME_BLOCK = 1 << 14  # primes per g.floats call and per tail block
 
 
@@ -446,10 +450,19 @@ def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int, cps) -> np.ndarra
 
     [0, x] is sieved in segments of _SEGMENT cells, one buffer for all:
     v[a - lo] = prod of g(p) over p | a, each product in ascending prime
-    order, then 0 off the squarefree a.
+    order, then 0 off the squarefree a.  A segment starts as copies of a
+    wheel pattern that holds the products over the primes <= 13 dividing
+    a; each larger prime <= sqrt(x) is one slice multiply, and the primes
+    above sqrt(x) are one scatter in batches of _SCATTER entries.
     """
     n_small = int(np.searchsorted(ps, math.isqrt(x), side="right"))
-    small = list(zip(ps[:n_small].tolist(), gp[:n_small].tolist()))
+    n_wheel = int(np.searchsorted(ps[:n_small], _WHEEL_TOP, side="right"))
+    period = math.prod(ps[:n_wheel].tolist())
+    wheel = np.ones(period, dtype=np.float64)
+    for p, gv in zip(ps[:n_wheel].tolist(), gp[:n_wheel].tolist()):
+        wheel[::p] *= gv
+    small = list(zip(ps[n_wheel:n_small].tolist(), gp[n_wheel:n_small].tolist()))
+    squares = ps[:n_small] * ps[:n_small]
     big, gbig = ps[n_small:], gp[n_small:]
     q0 = int(big[0]) if len(big) else x + 1
     buf = np.empty(min(_SEGMENT, x + 1), dtype=np.float64)
@@ -458,18 +471,40 @@ def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int, cps) -> np.ndarra
         for lo in range(0, x + 1, _SEGMENT):
             hi = min(lo + _SEGMENT, x + 1)
             v = buf[: hi - lo]
-            v.fill(1.0)
+            r = lo % period
+            v[: period - r] = wheel[r : r + len(v)]
+            for i in range(period - r, len(v), period):
+                v[i : i + period] = wheel[: len(v) - i]
             for p, gv in small:
                 v[(-lo) % p :: p] *= gv
-            # a = k q with q > sqrt(x) prime: q is the largest factor of a
-            # and the indices k * big[a:b] are distinct, so one scatter per k
+            # a = k q with q > sqrt(x) prime: q is the largest factor of a,
+            # so a fixes (k, q) and the cells k q - lo are distinct.  Entry
+            # e of the flat (k, q) list, k = ks[j], is q = big[firsts[j] +
+            # e - starts[j]].
             ks = np.arange(1, (hi - 1) // q0 + 1)
             firsts = np.searchsorted(big, -(-lo // ks))
-            lasts = np.searchsorted(big, (hi - 1) // ks, side="right")
-            for k, a, b in zip(ks.tolist(), firsts.tolist(), lasts.tolist()):
-                v[k * big[a:b] - lo] *= gbig[a:b]
-            for p, _ in small:
-                v[(-lo) % (p * p) :: p * p] = 0.0
+            counts = np.searchsorted(big, (hi - 1) // ks, side="right") - firsts
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            shift = firsts - starts
+            total = int(ends[-1]) if len(ks) else 0
+            for e0 in range(0, total, _SCATTER):
+                e1 = min(e0 + _SCATTER, total)
+                j0, j1 = np.searchsorted(ends, [e0, e1 - 1], side="right").tolist()
+                c = counts[j0 : j1 + 1].copy()
+                c[0] -= e0 - starts[j0]
+                c[-1] -= ends[j1] - e1
+                pos = np.repeat(shift[j0 : j1 + 1], c)
+                pos += np.arange(e0, e1)
+                cells = np.repeat(ks[j0 : j1 + 1], c) * big[pos]
+                cells -= lo
+                v[cells] *= gbig[pos]
+            n_dense = int(np.searchsorted(squares, len(v)))
+            for p2 in squares[:n_dense].tolist():
+                v[(-lo) % p2 :: p2] = 0.0
+            # a larger p^2 has at most one multiple in the segment
+            offs = (-lo) % squares[n_dense:]
+            v[offs[offs < len(v)]] = 0.0
             if lo == 0:
                 v[0] = 0.0
             yield v
@@ -488,10 +523,12 @@ def wirsing_sum(
     Sums at checkpoints up to the exact threshold are exact Fractions from
     one squarefree pass, with g.exact called once on the primes up to the
     largest of them; larger ones read the float value sieve, run by
-    segments of _SEGMENT cells.  g.floats is called on blocks of
+    segments of _SEGMENT cells (2 MiB) with its cofactor scatters in
+    batches of _SCATTER entries.  g.floats is called on blocks of
     _PRIME_BLOCK primes, so the memory is 16 bytes per prime <= x (the
-    primes and their values) plus fixed-size blocks.  x is capped at
-    MAX_WIRSING_X.
+    primes and their values) plus fixed-size blocks: `wirsing-check` peaks
+    at ~48 MiB RSS at x = 10^7 and ~208 MiB at 2·10^8, ~36 MiB of it the
+    imports.  x is capped at MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
     coefficient of the checkpoint sums against (log x)^k with the exponent

@@ -253,17 +253,17 @@ def _form(f, uu, uv, vv):
 
 
 def _content_height(C: FibreConic, u, v):
-    """(gcd(q1, q2, q3), max(|q1|, w |q2|, |q3|)) of q(u, v) for coprime
-    (u, v): q1 = u L and q3 = v L with L = cxy u + cyz v, so the content is
-    gcd(L, q2) and max(|q1|, |q3|) = max(|u|, |v|) |L|."""
+    """(|L|, |q2|, max(|q1|, w |q2|, |q3|)) of q(u, v), L = cxy u + cyz v:
+    q1 = u L and q3 = v L, so max(|q1|, |q3|) = max(|u|, |v|) |L|, and for
+    coprime (u, v) the content gcd(q1, q2, q3) is gcd(|L|, |q2|)."""
     L = np.abs(C.cxy * u + C.cyz * v)
     q2 = np.abs(_form(_forms(C)[1], u * u, u * v, v * v))
     hw = np.maximum(np.maximum(np.abs(u), np.abs(v)) * L, C.weight * q2)
-    return np.gcd(L, q2), hw
+    return L, q2, hw
 
 
 class _Collector:
-    """Chunk pipeline: ownership filter, exact-content and height test, count."""
+    """Chunk pipeline: ownership filter, height test, exact content, count."""
 
     def __init__(self, C: FibreConic, bound: int, want_points: bool):
         self.C = C
@@ -274,13 +274,20 @@ class _Collector:
     def feed(self, u: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         """Count the pairs (u, v) of layer g (per cell): coprime, owner of
         +-(u, v), content g.  Exact on int64 rows that `_enumerate` judged
-        safe and on object rows alike."""
-        keep = ((u > 0) | ((u == 0) & (v > 0))) & (np.gcd(u, v) == 1)
-        u, v, g = u[keep], v[keep], g[keep]
-        if not len(u):
-            return
-        content, hw = _content_height(self.C, u, v)
-        ok = (content == g) & (hw <= self.bound * g)
+        safe and on object rows alike.
+
+        d = gcd(u, v) divides L and d^2 divides q2, so d | gcd(|L|, |q2|):
+        "coprime with content g" is "gcd(|L|, |q2|) = g and gcd(u, v, g) = 1",
+        which needs one gcd on the cells that pass the height test, and a
+        second only where that one holds and g > 1."""
+        own = (u > 0) | ((u == 0) & (v > 0))
+        u, v, g = u[own], v[own], g[own]
+        L, q2, hw = _content_height(self.C, u, v)
+        ok = hw <= self.bound * g
+        u, v, g = u[ok], v[ok], g[ok]
+        ok = np.gcd(L[ok], q2[ok]) == g
+        deep = np.flatnonzero(ok & (g > 1))
+        ok[deep] = np.gcd(np.gcd(u[deep], g[deep]), v[deep]) == 1
         u, v = u[ok], v[ok]
         self.count += len(u)
         if self.points is not None:

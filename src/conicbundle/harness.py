@@ -20,7 +20,6 @@ import os
 import sys
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -254,6 +253,9 @@ def _fibre_counts(
 
     tasks = [(i, fibre_conic(X, fibres[i]), bound) for i in missing]
     if workers > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs ~25 ms that one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_count_task, tasks, chunksize=16))
     else:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 
 import numpy as np
 
@@ -39,21 +39,29 @@ def primes_up_to(n: int) -> np.ndarray:
 
     Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
     primes up to sqrt(n) come from this sieve, then (sqrt(n), n] is marked
-    in segments of _SEGMENT bytes, so beside its output the sieve holds
-    O(sqrt(n) + _SEGMENT) bytes.
+    in segments of _SEGMENT bytes.  The primes go into one array sized by
+    pi(n) < 1.25506 n / ln n (Rosser & Schoenfeld, Illinois J. Math. 6,
+    1962) and shrunk in place at the end, so the sieve never holds the
+    primes twice: beside its output it holds one segment and the slack of
+    that bound.
     """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     r = isqrt(n)
     base = primes_up_to(r)
-    parts = [base]
+    out = np.empty(int(1.25506 * n / log(n)) + 1, dtype=np.int64)
+    out[: len(base)] = base
+    count = len(base)
     for lo in range(r + 1, n + 1, _SEGMENT):
         seg = np.ones(min(_SEGMENT, n + 1 - lo), dtype=bool)
         # every multiple of p >= lo > sqrt(n) >= p is composite
         for p in base.tolist():
             seg[(-lo) % p :: p] = False
-        parts.append(np.flatnonzero(seg) + lo)
-    return np.concatenate(parts).astype(np.int64, copy=False)
+        found = np.flatnonzero(seg)
+        out[count : count + len(found)] = found + lo
+        count += len(found)
+    out.resize(count, refcheck=False)
+    return out
 
 
 def projective_normal(v) -> tuple[int, ...]:

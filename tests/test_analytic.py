@@ -306,23 +306,35 @@ def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface, monkey
 
 @pytest.fixture(scope="module")
 def prime_values(s1, split_surface):
-    ps = shared_primes(3 * 10**4)
+    ps = shared_primes(31 * 10**3)
     gs = (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface))
     return ps, [g.floats(ps) for g in gs]
 
 
+# x next to the wheel period 30030 = 2*3*5*7*11*13, or next to a prime
+# square; most of those squares are larger than the segment
+_WHEEL_END = st.builds(lambda d: 30030 + d, st.integers(-1, 1))
+_SQUARE_ENDS = st.builds(lambda p, d: p * p + d,
+                         st.sampled_from(list(sympy.primerange(2, 176))), st.integers(-1, 1))
+
+
 @given(
-    x=st.integers(2, 3 * 10**4),
+    x=st.one_of(st.integers(2, 3 * 10**4), _WHEEL_END, _SQUARE_ENDS),
     picks=st.lists(st.floats(0, 1), max_size=12),
     log_segment=st.integers(4, 12),
+    log_scatter=st.integers(0, 12),
     which=st.integers(0, 2),
 )
-def test_segmented_sieve_equals_ascending_prime_loop(prime_values, x, picks, log_segment, which):
+def test_segmented_sieve_equals_ascending_prime_loop(
+    prime_values, x, picks, log_segment, log_scatter, which
+):
+    # segments of 2^4..2^12 cells are all shorter than the wheel period
     ps_top, gps = prime_values
     ps = ps_top[: int(np.searchsorted(ps_top, x, side="right"))]
     gp = gps[which][: len(ps)]
     cps = sorted(int(f * x) for f in picks) + [x]
-    with mock.patch.object(analytic, "_SEGMENT", 1 << log_segment):
+    with mock.patch.object(analytic, "_SEGMENT", 1 << log_segment), \
+            mock.patch.object(analytic, "_SCATTER", 1 << log_scatter):
         got = _partial_sum_sieve(ps, gp, x, cps)
     assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)[cps])
 

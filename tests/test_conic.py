@@ -385,7 +385,8 @@ def test_content_height_equals_three_gcds(dtype):
             pairs += [(rng.randint(0, hi), rng.randint(-hi, hi)) for _ in range(40)]
         pairs = [(u, v) for u, v in pairs if gcd(u, v) == 1]
         u, v = (np.array(col, dtype=dtype) for col in zip(*pairs))
-        content, hw = conic._content_height(C, u, v)
+        L, q2, hw = conic._content_height(C, u, v)
+        content = np.gcd(L, q2)
         for (a, b), c, h in zip(pairs, content.tolist(), hw.tolist()):
             q1 = C.cxy * a * a + C.cyz * a * b
             q2 = C.cxx * a * a + C.cxz * a * b + C.czz * b * b
@@ -394,6 +395,44 @@ def test_content_height_equals_three_gcds(dtype):
             assert h == max(abs(q1), C.weight * abs(q2), abs(q3)), (C, a, b)
             nontrivial += c > 1
     assert nontrivial > 100
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_collector_filter_equals_coprime_then_content(dtype):
+    # feed tests the height first and the content as gcd(L, q2) = g with
+    # gcd(u, v, g) = 1; the reference takes coprime pairs, then the content
+    # gcd(q1, q2, q3) = g and the height max(|q1|, w |q2|, |q3|) <= B g
+    rng = random.Random(29)
+    top = 300 if dtype is np.int64 else 10**24
+    accepted = 0
+    for _ in range(60):
+        d = rng.choice([1, 2, 6, 12])  # shared factors give contents above 1
+        try:
+            C = FibreConic(*(d * rng.randint(-20, 20) for _ in range(5)), weight=rng.randint(1, 3))
+        except ValueError:  # singular parameterization
+            continue
+        s = rng.choice([1, 1, 3, 7])  # a common factor of u and v
+        cells = [(s * rng.randint(-top, top), s * rng.randint(-top, top)) for _ in range(200)]
+        cells += [(0, 0), (0, s), (0, -s), (s, 0)]
+        B = rng.choice([10**4, 10**7, 10**12]) * (1 if dtype is np.int64 else 10**50)
+        want, gs = [], []
+        for a, b in cells:
+            q1 = C.cxy * a * a + C.cyz * a * b
+            q2 = C.cxx * a * a + C.cxz * a * b + C.czz * b * b
+            q3 = C.cxy * a * b + C.cyz * b * b
+            # the true content, gcd(L, q2) (which d = gcd(u, v) divides), or noise
+            g = rng.choice([gcd(q1, q2, q3), gcd(C.cxy * a + C.cyz * b, q2), rng.randint(1, 36)])
+            gs.append(max(g, 1))
+            if ((a > 0 or (a == 0 and b > 0)) and gcd(a, b) == 1 and gcd(q1, q2, q3) == gs[-1]
+                    and max(abs(q1), C.weight * abs(q2), abs(q3)) <= B * gs[-1]):
+                want.append(point_from_pair(C, a, b))
+        col = conic._Collector(C, B, want_points=True)
+        u, v = (np.array(col_, dtype=dtype) for col_ in zip(*cells))
+        col.feed(u, v, np.array(gs, dtype=dtype))
+        assert col.count == len(want)
+        assert col.points == want
+        accepted += len(want)
+    assert accepted > 500
 
 
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):

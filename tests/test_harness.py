@@ -481,6 +481,22 @@ def test_cli_wirsing_rejects_fractional_x(s1_file, capsys):
     assert "x: 10000\n" in capsys.readouterr().out
 
 
+def test_harness_import_leaves_out_the_process_pool():
+    # only --workers > 1 starts a pool; importing multiprocessing costs ~25 ms
+    src = os.path.dirname(os.path.dirname(conicbundle.__file__))
+    code = ("import sys, conicbundle.harness; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_count_surface_with_two_workers_matches_one(s1):
+    one = count_surface(s1, 15, method="fibration", x_cutoff=6)
+    two = count_surface(s1, 15, method="fibration", x_cutoff=6, workers=2)
+    assert two.count == one.count
+
+
 # ---------------------------------------------------------------- hostile input
 
 

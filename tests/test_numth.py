@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
@@ -60,6 +61,21 @@ def test_primes_up_to_at_segment_ends_and_prime_squares():
         ns += [n - 1, n, n + 1]
     for n in ns:
         assert np.array_equal(primes_up_to(n), plain_sieve(n)), n
+
+
+def test_primes_up_to_holds_one_prime_array(monkeypatch):
+    # one array sized by pi(n) < 1.25506 n / ln n, shrunk in place: beside
+    # its result the sieve holds that bound's slack and one segment, where
+    # a list of per-segment arrays joined at the end holds the result twice
+    monkeypatch.setattr(numth, "_SEGMENT", 1 << 16)
+    tracemalloc.start()
+    try:
+        ps = primes_up_to(2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == 148933
+    assert peak < 1.5 * ps.nbytes
 
 
 def test_is_prime_small_and_carmichael():
