@@ -10,11 +10,12 @@ lattice sums.
 Prime sums take one path.  A MultiplicativeFn gives its values at a whole
 prime array at once, exactly as integer numerators and denominators and as
 float64.  Exact partial sums come from one squarefree loop that builds
-g(a) from those prime values; float partial sums come from a value sieve
-run by segments of [0, x]: per segment copies of a wheel pattern for the
-primes up to 13, one slice per larger prime up to sqrt(x), then batched
-scatters for the primes above sqrt(x).  Beside fixed-size segments and
-batches it holds only the primes and their values.
+g(a) from those prime values; float partial sums come from a recursion
+over the primes up to sqrt(x) that reads the running prime sums only at
+the values x // m (the second phase of the min_25 / Lucy method,
+Deleglise & Rivat, Experiment. Math. 5, 1996).  One pass over the primes
+in blocks feeds every running prime sum, so beside the primes it holds
+one block and O(sqrt(x)) values.
 
 Every rational sum goes through one exact-or-floored summation: exact
 Fractions for small arguments, otherwise every term rounded down at 96
@@ -34,7 +35,7 @@ import numpy as np
 from .forms import BinaryForm, factor_over_q, resultant
 from .numth import factor, primes_up_to
 from .surface import CubicSurfaceNF, singular_fibre_indices
-from .zpoly import gf_roots
+from .zpoly import gf_roots, z_derivative
 
 _FIX_BITS = 96
 
@@ -87,14 +88,17 @@ def projective_roots_mod_p(form: BinaryForm, p: int) -> int:
     return len(gf_roots(form.dehomogenized(), p)) + (form.coeffs[0] % p == 0)
 
 
-# Batched kernel: for a block of primes at once, x^p mod f by square-and-
-# multiply on an int64 array of residue polynomials, then
-# deg gcd(x^p - x, f) = n - rank of multiplication by (x^p - x) on
-# F_p[x]/(f), from a batched elimination mod p.  Operands are residues
-# below p and at most n products of two are summed before the next
-# reduction, so every intermediate is below n * p^2 (and the 30-bit limb
-# steps of _residues below 2^63 for any p < 2^32): the kernel is exact
-# while n * p^2 < 2^63, n = max(degree, 1).
+# Batched kernel: for a block of primes at once, r = x^p mod f by square-
+# and-multiply on an int64 array of residue polynomials, then the trace of
+# Frobenius a -> a^p on F_p[x]/(f).  For p > n not dividing lc(f) disc(f)
+# that algebra is a product of fields, on each of which Frobenius has trace
+# 1 if it is F_p and 0 otherwise, so the trace counts the distinct roots,
+# and as the count is <= n < p the trace mod p is the count itself.  In
+# the basis x^j the trace is 1 + [x^1] r + sum_{2<=j<n} [x^j] r^j mod f.
+# Operands are residues below p and at most n products of two are summed
+# before the next reduction, so every intermediate is below n * p^2 (and
+# the 30-bit limb steps of _residues below 2^63 for any p < 2^32): the
+# kernel is exact while n * p^2 < 2^63, n = max(degree, 1).
 
 _BLOCK = 8192  # primes per kernel pass: memory is O(_BLOCK * n^2)
 _LIMB = 30
@@ -135,8 +139,22 @@ def _mul_x(r: np.ndarray, xn: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return out % ps
 
 
+def _mul_mod(a: np.ndarray, b: np.ndarray, red: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """a * b mod f, given red[k] = x^(n+k) mod f."""
+    n = len(a)
+    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
+    for i in range(n):
+        prod[i : i + n] += a[i] * b
+    prod %= ps
+    out = prod[:n]
+    for k in range(n - 1):
+        out += prod[n + k] * red[k]
+    return out % ps
+
+
 def _affine_root_counts(monic_low: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Distinct roots in F_p of the monic f = x^n + sum monic_low[j] x^j.
+    """Distinct roots in F_p of the monic f = x^n + sum monic_low[j] x^j,
+    for primes p > n not dividing disc(f).
 
     Arrays are coefficient-major: axis 0 is the power of x, the last axis
     runs over the primes, so every step is a contiguous vector operation.
@@ -151,51 +169,25 @@ def _affine_root_counts(monic_low: np.ndarray, ps: np.ndarray) -> np.ndarray:
     r = np.zeros((n, nb), dtype=np.int64)
     r[0] = 1
     for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
-        sq = np.zeros((2 * n - 1, nb), dtype=np.int64)
-        for i in range(n):
-            sq[i : i + n] += r[i] * r
-        sq %= ps
-        r = sq[:n]
-        for k in range(n - 1):
-            r += sq[n + k] * red[k]
-        r %= ps
+        r = _mul_mod(r, r, red, ps)
         r = np.where((ps >> bit) & 1, _mul_x(r, red[0], ps), r)
 
-    # rows g * x^j mod f of the multiplication-by-g matrix, g = x^p - x
-    mat = np.empty((n, n, nb), dtype=np.int64)
-    r[1] = (r[1] - 1) % ps
-    mat[0] = r
-    for j in range(1, n):
-        mat[j] = _mul_x(mat[j - 1], red[0], ps)
-
-    # fraction-free row echelon mod p with a per-prime pivot row
-    rows = np.arange(n)[:, None]
-    idx = np.arange(nb)
-    rank = np.zeros(nb, dtype=np.int64)
-    for c in range(n):
-        cand = (mat[:, c] != 0) & (rows >= rank)
-        has = cand.any(axis=0)
-        piv = np.where(has, cand.argmax(axis=0), rank)
-        pivot_row = mat[piv, :, idx].T
-        mat[piv, :, idx] = mat[rank, :, idx]
-        mat[rank, :, idx] = pivot_row.T
-        below = (rows > rank) & has
-        scale = np.where(below, pivot_row[c], 1)
-        coef = np.where(below, mat[:, c], 0)
-        mat = mat * scale[:, None] - coef[:, None] * pivot_row
-        mat %= ps
-        rank += has
-    return n - rank
+    trace, rj = 1 + r[1], r
+    for j in range(2, n):
+        rj = _mul_mod(rj, r, red, ps)
+        trace += rj[j]
+    return trace % ps
 
 
 def projective_root_counts(form: BinaryForm, ps: np.ndarray) -> np.ndarray:
     """Vector of projective root counts mod p over the given primes.
 
     The affine part f(x, 1) of degree n >= 2 goes through one batched numpy
-    kernel per block of primes: x^p mod f by square-and-multiply, then
-    deg gcd(x^p - x, f) as n minus a rank mod p.  The finitely many primes
-    dividing the leading coefficient of f(x, 1) take the scalar
-    projective_roots_mod_p, and primes dividing the content every class.
+    kernel per block of primes: x^p mod f by square-and-multiply, then the
+    trace of Frobenius on F_p[x]/(f).  The finitely many primes p <= n or
+    dividing Res(f, f'), which the leading coefficient of f(x, 1) and its
+    discriminant divide, take the scalar projective_roots_mod_p, and primes
+    dividing the content every class.
     Raises ValueError for a prime with n * p^2 >= 2^63, beyond which the
     kernel's int64 arithmetic would wrap.
     """
@@ -211,8 +203,12 @@ def projective_root_counts(form: BinaryForm, ps: np.ndarray) -> np.ndarray:
             "the int64 kernel needs degree * p^2 < 2^63"
         )
     out = _divides(prim.coeffs[0], ps).astype(np.int64)  # the root (1 : 0)
-    singular = _divides(dehom[-1], ps)
-    regular = np.flatnonzero(~singular)
+    if n >= 2:
+        res = resultant(BinaryForm(dehom[::-1]), BinaryForm(z_derivative(dehom)[::-1]))
+        scalar = _divides(res, ps) | (ps <= n)
+    else:
+        scalar = _divides(dehom[-1], ps)
+    regular = np.flatnonzero(~scalar)
     if n == 1:
         out[regular] += 1
     elif n >= 2:
@@ -222,7 +218,7 @@ def projective_root_counts(form: BinaryForm, ps: np.ndarray) -> np.ndarray:
             inv = _pow_vec(_residues(dehom[-1], pb), pb - 2, pb)
             monic_low = np.stack([_residues(a, pb) * inv % pb for a in dehom[:-1]])
             out[sel] += _affine_root_counts(monic_low, pb)
-    for i in np.flatnonzero(singular).tolist():
+    for i in np.flatnonzero(scalar).tolist():
         out[i] = projective_roots_mod_p(prim, int(ps[i]))
     # primes dividing the content kill every class
     dead = _divides(c, ps)
@@ -381,31 +377,30 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-# the float route holds the primes and their values (16 bytes per prime,
-# ~177 MB here) beside a 2 MiB segment and its scatter batches, ~208 MiB
-# peak RSS in all; the cap bounds its run time (~14 s on 2 cores)
+# the float route holds the primes (8 bytes per prime, ~89 MB here) beside
+# blocks of _PRIME_BLOCK primes and ~2 sqrt(x) values x // m, ~128 MiB
+# peak RSS in all; the cap bounds its run time (~3 s on split and ~72 s on
+# S1, whose root counts take nearly all of it, on 2 cores)
 MAX_WIRSING_X = 2 * 10**8
 
-_SEGMENT = 1 << 18  # cells per partial-sum sieve segment (2 MiB of float64)
-_SCATTER = 1 << 13  # (k, q) entries per cofactor scatter batch
-_WHEEL_TOP = 13  # the wheel holds the primes <= 13: period 30030
-_PRIME_BLOCK = 1 << 14  # primes per g.floats call and per tail block
+_PRIME_BLOCK = 1 << 14  # primes per g.floats call
 
 
-def _running_sum_at(blocks, at: np.ndarray) -> np.ndarray:
-    """The running sum of the concatenated float64 blocks, read at the
-    ascending indices at.  Each block is summed in place, continued from
+class _RunningSum:
+    """The running sum of float64 blocks fed in order, read at the
+    ascending indices at (0 below index 0).  Each block is summed on from
     the last one, so every value is bitwise that of one np.cumsum."""
-    out = np.empty(len(at), dtype=np.float64)
-    lo, carry = 0, 0.0
-    for w in blocks:
-        w[0] += carry
-        np.cumsum(w, out=w)
-        carry = float(w[-1])
-        i, j = np.searchsorted(at, [lo, lo + len(w)])
-        out[i:j] = w[at[i:j] - lo]
-        lo += len(w)
-    return out
+
+    def __init__(self, at: np.ndarray):
+        self.at, self.out = at, np.zeros(len(at), dtype=np.float64)
+        self.lo, self.carry = 0, 0.0
+
+    def feed(self, w: np.ndarray) -> None:
+        run = np.cumsum(np.concatenate(([self.carry], w)))[1:]
+        i, j = np.searchsorted(self.at, [self.lo, self.lo + len(w)])
+        self.out[i:j] = run[self.at[i:j] - self.lo]
+        self.lo += len(w)
+        self.carry = float(run[-1])
 
 
 def _squarefree_sums(
@@ -444,72 +439,30 @@ def _squarefree_sums(
     return sums
 
 
-def _partial_sum_sieve(ps: np.ndarray, gp: np.ndarray, x: int, cps) -> np.ndarray:
-    """[sum of g(a) over squarefree a <= c for c in cps], cps ascending in
-    [0, x].
+def _prime_sum_recursion(c: int, small: list[int], g_small: list[float], G: dict) -> float:
+    """Sum of g(a) over squarefree a <= c, from the prime sums G[v] = sum of
+    g(p) over p <= v at the values v = c // m and the g(p) of the primes
+    small, ascending and at least up to sqrt(c).
 
-    [0, x] is sieved in segments of _SEGMENT cells, one buffer for all:
-    v[a - lo] = prod of g(p) over p | a, each product in ascending prime
-    order, then 0 off the squarefree a.  A segment starts as copies of a
-    wheel pattern that holds the products over the primes <= 13 dividing
-    a; each larger prime <= sqrt(x) is one slice multiply, and the primes
-    above sqrt(x) are one scatter in batches of _SCATTER entries.
+    A squarefree a > 1 all of whose prime factors are >= p_j, with p_k its
+    smallest, is p_k alone or p_k times such an a' built from primes >=
+    p_(k+1), where p_k^2 <= a.  So with F(n, j) = sum of g(a) over those
+    a <= n,
+        F(n, j) = G(n) - G(p_(j-1)) + sum_(k >= j, p_k^2 <= n) g(p_k) F(n // p_k, k + 1),
+    with G(p_(-1)) = 0, and the sum is 1 + F(c, 0), unrolled here on a
+    stack of (n, j, weight).
     """
-    n_small = int(np.searchsorted(ps, math.isqrt(x), side="right"))
-    n_wheel = int(np.searchsorted(ps[:n_small], _WHEEL_TOP, side="right"))
-    period = math.prod(ps[:n_wheel].tolist())
-    wheel = np.ones(period, dtype=np.float64)
-    for p, gv in zip(ps[:n_wheel].tolist(), gp[:n_wheel].tolist()):
-        wheel[::p] *= gv
-    small = list(zip(ps[n_wheel:n_small].tolist(), gp[n_wheel:n_small].tolist()))
-    squares = ps[:n_small] * ps[:n_small]
-    big, gbig = ps[n_small:], gp[n_small:]
-    q0 = int(big[0]) if len(big) else x + 1
-    buf = np.empty(min(_SEGMENT, x + 1), dtype=np.float64)
-
-    def segments():
-        for lo in range(0, x + 1, _SEGMENT):
-            hi = min(lo + _SEGMENT, x + 1)
-            v = buf[: hi - lo]
-            r = lo % period
-            v[: period - r] = wheel[r : r + len(v)]
-            for i in range(period - r, len(v), period):
-                v[i : i + period] = wheel[: len(v) - i]
-            for p, gv in small:
-                v[(-lo) % p :: p] *= gv
-            # a = k q with q > sqrt(x) prime: q is the largest factor of a,
-            # so a fixes (k, q) and the cells k q - lo are distinct.  Entry
-            # e of the flat (k, q) list, k = ks[j], is q = big[firsts[j] +
-            # e - starts[j]].
-            ks = np.arange(1, (hi - 1) // q0 + 1)
-            firsts = np.searchsorted(big, -(-lo // ks))
-            counts = np.searchsorted(big, (hi - 1) // ks, side="right") - firsts
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            shift = firsts - starts
-            total = int(ends[-1]) if len(ks) else 0
-            for e0 in range(0, total, _SCATTER):
-                e1 = min(e0 + _SCATTER, total)
-                j0, j1 = np.searchsorted(ends, [e0, e1 - 1], side="right").tolist()
-                c = counts[j0 : j1 + 1].copy()
-                c[0] -= e0 - starts[j0]
-                c[-1] -= ends[j1] - e1
-                pos = np.repeat(shift[j0 : j1 + 1], c)
-                pos += np.arange(e0, e1)
-                cells = np.repeat(ks[j0 : j1 + 1], c) * big[pos]
-                cells -= lo
-                v[cells] *= gbig[pos]
-            n_dense = int(np.searchsorted(squares, len(v)))
-            for p2 in squares[:n_dense].tolist():
-                v[(-lo) % p2 :: p2] = 0.0
-            # a larger p^2 has at most one multiple in the segment
-            offs = (-lo) % squares[n_dense:]
-            v[offs[offs < len(v)]] = 0.0
-            if lo == 0:
-                v[0] = 0.0
-            yield v
-
-    return _running_sum_at(segments(), np.asarray(cps, dtype=np.int64))
+    below = [0.0] + [G[p] for p in small]  # below[j] = G(p_(j-1))
+    total, stack = 1.0, [(c, 0, 1.0)]
+    while stack:
+        n, j, w = stack.pop()
+        total += w * (G[n] - below[j])
+        for k in range(j, len(small)):
+            p = small[k]
+            if p * p > n:
+                break
+            stack.append((n // p, k + 1, w * g_small[k]))
+    return total
 
 
 def wirsing_sum(
@@ -522,13 +475,14 @@ def wirsing_sum(
 
     Sums at checkpoints up to the exact threshold are exact Fractions from
     one squarefree pass, with g.exact called once on the primes up to the
-    largest of them; larger ones read the float value sieve, run by
-    segments of _SEGMENT cells (2 MiB) with its cofactor scatters in
-    batches of _SCATTER entries.  g.floats is called on blocks of
-    _PRIME_BLOCK primes, so the memory is 16 bytes per prime <= x (the
-    primes and their values) plus fixed-size blocks: `wirsing-check` peaks
-    at ~48 MiB RSS at x = 10^7 and ~208 MiB at 2·10^8, ~36 MiB of it the
-    imports.  x is capped at MAX_WIRSING_X.
+    largest of them.  Larger ones come from _prime_sum_recursion, which
+    reads the float prime sums only at the values c // m of each
+    checkpoint c.  One pass over the primes <= x, calling g.floats once per
+    block of _PRIME_BLOCK primes, feeds those prime sums and the prime
+    sums behind the hypothesis diagnostics.  So the memory is the primes
+    (8 bytes per prime <= x) plus fixed-size blocks and ~2 sqrt(x) values
+    x // m: `wirsing-check` peaks at ~44 MiB RSS at x = 10^7 and ~128 MiB
+    at 2·10^8, ~36 MiB of it the imports.  x is capped at MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
     coefficient of the checkpoint sums against (log x)^k with the exponent
@@ -538,7 +492,7 @@ def wirsing_sum(
     if x < 2:
         raise ValueError("need x >= 2")
     if x > MAX_WIRSING_X:
-        raise ValueError(f"x = {x} is above the partial-sum sieve limit {MAX_WIRSING_X}")
+        raise ValueError(f"x = {x} is above the partial-sum limit {MAX_WIRSING_X}")
     cps = sorted({int(c) for c in (checkpoints or _default_checkpoints(x)) if c >= 2})
     if not cps:
         raise ValueError("no usable checkpoints (need values >= 2)")
@@ -552,25 +506,42 @@ def wirsing_sum(
     if exact_cps:
         n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right"))
         sums = dict(zip(exact_cps, _squarefree_sums(g, ps[:n_exact], exact_cps, True)))
-    gp = np.empty(len(ps), dtype=np.float64)
-    blocks = [slice(lo, lo + _PRIME_BLOCK) for lo in range(0, len(ps), _PRIME_BLOCK)]
-    for b in blocks:
-        gp[b] = g.floats(ps[b])
     float_cps = cps[len(exact_cps) :]
-    if float_cps:
-        sums.update(zip(float_cps, _partial_sum_sieve(ps, gp, x, float_cps).tolist()))
+
+    # one pass over the primes feeds every prime sum.  The a15 and a16 sums
+    # are read at the last prime <= each checkpoint, G at the values c // m
+    # of the float checkpoints c: those above sqrt(c) come from m <= sqrt(c),
+    # the rest are all of 1..sqrt(x).
+    r = math.isqrt(x)
+    cut = np.unique(np.concatenate(
+        [np.arange(1, r + 1)] + [c // np.arange(1, math.isqrt(c) + 1) for c in float_cps]
+    ))
+    G = _RunningSum(np.searchsorted(ps, cut, side="right") - 1)
+    idx = np.searchsorted(ps, cps, side="right") - 1
+    logsum, log1p_sum, a17 = _RunningSum(idx), _RunningSum(idx), 0.0
+    n_small, g_small = int(np.searchsorted(ps, r, side="right")), []
+    for lo in range(0, len(ps), _PRIME_BLOCK):
+        pb = ps[lo : lo + _PRIME_BLOCK]
+        gb = g.floats(pb)
+        logs = np.log(pb)
+        g_small += gb[: max(n_small - lo, 0)].tolist()
+        G.feed(gb)
+        logsum.feed(gb * logs)
+        log1p_sum.feed(np.log1p(np.abs(gb)))
+        a17 += float(np.sum(gb * gb * logs))
+    G_at = dict(zip(cut.tolist(), G.out.tolist()))
+    small = ps[:n_small].tolist()
+    for c in float_cps:
+        sums[c] = _prime_sum_recursion(c, small, g_small, G_at)
     sums_at = [(c, sums[c]) for c in cps]
 
     # prime-sum normalization: the exponent is DEFINED by
     # sum_{p<=t} g(p) log p = k log t + O(1), and fitting that line is far
     # less transient-biased than the partial-sum log-log slope, whose
     # finite-x bias is of order k^2/log x (fatal for k >= 2 at desk scale).
-    # The prime sums are read at the last prime <= each checkpoint.
     floats = np.array([float(v) for _, v in sums_at], dtype=np.float64)
     cp_arr = np.array(cps, dtype=np.float64)
-    idx = np.searchsorted(ps, cps, side="right") - 1
-    t_at = _running_sum_at((gp[b] * np.log(ps[b]) for b in blocks), idx)
-    prod_at = _running_sum_at((np.log1p(np.abs(gp[b])) for b in blocks), idx)
+    t_at, prod_at = logsum.out, log1p_sum.out
     a15_slope, a15_b = _fit_line(np.log(cp_arr), t_at)
     a15_resid = float(np.max(np.abs(t_at - a15_slope * np.log(cp_arr) - a15_b)))
     k_hat = a15_slope
@@ -588,7 +559,6 @@ def wirsing_sum(
             prod = math.exp(prod_at[j] - prod_at[i])
             bound = (math.log(cps[j]) / math.log(cps[i])) ** abs(k_hat)
             worst = max(worst, prod / bound)
-    a17 = sum(float(np.sum(gp[b] * gp[b] * np.log(ps[b]))) for b in blocks)
     return WirsingReport(
         function=g.name,
         x=x,

@@ -524,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--surface", default=None,
                     help="surface file (required for rho-delta)")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", required=True, help="an integer, e.g. 300000 or 1e6")
     sp.add_argument("--checkpoints", default=None, help="comma-separated")
     return p
 
@@ -630,8 +630,12 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_wirsing_check(args) -> int:
-    if not args.x.is_integer():
-        raise ValueError(f"--x must be an integer, got {args.x:g}")
+    try:  # exactly: as a float, 300.00000000000001 would read as 300
+        x = Fraction(args.x)
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or x.denominator != 1:
+        raise ValueError(f"--x must be an integer, got {args.x}")
     if args.function == "squarefree-harmonic":
         g = squarefree_harmonic()
     else:
@@ -641,7 +645,7 @@ def _cmd_wirsing_check(args) -> int:
     cps = None
     if args.checkpoints:
         cps = [int(v) for v in args.checkpoints.split(",") if v.strip()]
-    rep = wirsing_sum(g, args.x, checkpoints=cps)
+    rep = wirsing_sum(g, int(x), checkpoints=cps)
     print(f"function: {rep.function}")
     print(f"x: {rep.x:g}")
     print(f"k_hat: {rep.k_hat:.4f}")

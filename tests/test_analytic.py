@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from conicbundle import analytic, numth
 from conicbundle.analytic import (
     G_sum,
     MultiplicativeFn,
-    _partial_sum_sieve,
     delta_factor_data,
     final_lemma_sum,
     projective_root_counts,
@@ -30,6 +28,7 @@ from conicbundle.analytic import (
 )
 from conicbundle.forms import BinaryForm
 from conicbundle.numth import euler_phi, phi_dagger
+from conicbundle.zpoly import z_add, z_mul
 
 
 def scan_projective_roots(form, p):
@@ -77,12 +76,46 @@ def test_projective_roots_frobenius_path(s1):
 
 
 def test_projective_root_counts_vector_matches_scalar(s1, split_surface):
-    ps = shared_primes(2000)
-    for X in (s1, split_surface):
-        for f in (X.disc, *delta_factor_data(X).delta_i):
-            vec = projective_root_counts(f, ps)
-            for p, n in zip(ps.tolist(), vec.tolist()):
-                assert n == projective_roots_mod_p(f, p), (str(f), p)
+    # every prime <= 10^5: S1's discriminant is an irreducible quintic, the
+    # split discriminant a product of factors linear or constant in x
+    ps = shared_primes(10**5)
+    for f in (s1.disc, split_surface.disc, *delta_factor_data(split_surface).delta_i):
+        vec = projective_root_counts(f, ps)
+        for p, n in zip(ps.tolist(), vec.tolist()):
+            assert n == projective_roots_mod_p(f, p), (str(f), p)
+
+
+def _form_with_special_primes(rng, d, q_disc, q_lead, q_content):
+    # q_content times a form whose f(x, 1) has degree d and a leading
+    # coefficient divisible by q_lead, and for d >= 2 is (x - a)^2 h mod
+    # q_disc, so q_disc divides its discriminant
+    h = [rng.randint(-50, 50) for _ in range(max(d - 2, 0))] + [q_lead * rng.choice([-3, -1, 1, 2])]
+    if d >= 2:
+        a = rng.randint(-50, 50)
+        low = list(z_mul(z_mul((-a, 1), (-a, 1)), h))
+        low = list(z_add(low, [q_disc * rng.randint(-5, 5) for _ in range(d)]))
+    else:
+        low = [rng.randint(-50, 50)] + h
+    return BinaryForm(tuple(q_content * c for c in reversed(low)))
+
+
+def test_projective_root_counts_random_forms_match_scalar():
+    # degrees 1-8, each on every prime <= 10^4 (p <= degree among them), on
+    # every eighth prime above, and on primes dividing its discriminant,
+    # leading coefficient and content
+    rng = random.Random(16)
+    ps = shared_primes(10**5)
+    head = int(np.searchsorted(ps, 10**4))
+    for d in range(1, 9):
+        q_disc, q_lead, q_content = (int(rng.choice(ps[head:])) for _ in range(3))
+        form = _form_with_special_primes(rng, d, q_disc, q_lead, q_content)
+        assert form.degree == d and len(form.dehomogenized()) == d + 1
+        picked = np.union1d(ps[:head], ps[head + d :: 8])
+        picked = np.union1d(picked, [q_disc, q_lead, q_content])
+        vec = projective_root_counts(form, picked)
+        for p, n in zip(picked.tolist(), vec.tolist()):
+            assert n == projective_roots_mod_p(form, p), (str(form), p)
+        assert vec[picked == q_content] == q_content + 1
 
 
 # primes near 10^6 and 10^7, and small ones to divide coefficients by
@@ -275,7 +308,7 @@ def test_wirsing_exact_and_float_routes_agree():
 
 def ascending_prime_sieve(ps, gp, x):
     # the value sieve as one slice multiply per prime, each product built in
-    # ascending prime order: the bitwise oracle for _partial_sum_sieve
+    # ascending prime order, then one cumsum over every a <= x
     vals = np.ones(x + 1, dtype=np.float64)
     vals[0] = 0.0
     for p, gv in zip(ps.tolist(), gp.tolist()):
@@ -285,66 +318,92 @@ def ascending_prime_sieve(ps, gp, x):
     return np.cumsum(vals)
 
 
-def test_partial_sum_sieve_equals_ascending_prime_loop(s1, split_surface, monkeypatch):
+# Error of the float route, from its operation count (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3-4), with u = 2^-53 and
+# gamma_k = k u / (1 - k u).  Every g(p) >= 0 here, and g.floats is within
+# gamma_eta of g(p): eta = 6 bounds the roundings of r (p - 1)^2 / p^4
+# (and of 1 / p).  The prime sums G come from one running sum over the
+# pi(c) primes, so each is within gamma_(pi(c) + eta) G(c) of its value,
+# and a difference G(n) - G(q) within u |G(n) - G(q)| + 3 gamma G(c).  A
+# recursion node adds w (G(n) - G(q)) with w = g(a) for a distinct
+# squarefree a <= c, a product of at most L = bit_length(c) values, so
+# its weight is within gamma_(L (eta + 1) + 1) and the sum of the weights
+# is at most S(c).  The sum runs over at most c nodes.  With G(c) <= S(c),
+#   |float - S(c)| <= S (gamma_(c + L (eta + 1) + 2) + 3 gamma_(pi(c) + eta) S),
+# first order in u; the factor 1.01 covers the dropped higher orders.
+_U = 2.0**-53
+_ETA = 6
+
+
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+def recursion_error_bound(s, c, eta):
+    pi_c, depth = len(shared_primes(c)), c.bit_length()
+    return 1.01 * s * (_gamma(c + depth * (eta + 1) + 2) + 3 * _gamma(pi_c + eta) * s)
+
+
+def test_prime_sum_recursion_matches_ascending_prime_loop(s1, split_surface):
     top = 10**6
     ps_top = shared_primes(top)
     xs = list(range(2, 201)) + [10**6]
     for p in (2, 3, 29, 31, 97, 997):
         xs += [p * p - 1, p * p, p * p + 1]
-    runs = ((analytic._SEGMENT, top), (2**10, 10**5))  # (segment, largest x)
+    small = sorted(x for x in set(xs) if x <= 3 * 10**4)
     for g in (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface)):
-        gp_top = g.floats(ps_top)
-        for segment, x_max in runs:
-            monkeypatch.setattr(analytic, "_SEGMENT", segment)
-            for x in (x for x in xs if x <= x_max):
-                ps = shared_primes(x)
-                gp = gp_top[: len(ps)]
-                got = _partial_sum_sieve(ps, gp, x, np.arange(x + 1))
-                want = ascending_prime_sieve(ps, gp, x)
-                assert np.array_equal(got, want), (g.name, x, segment)
+        got = dict(wirsing_sum(g, top, checkpoints=xs, exact_threshold=1).sums_at)
+        # against the sieve on the same float values (eta = 0); the sieve's
+        # own error is at most gamma_(L) per cell and gamma_(x) for its cumsum
+        sieve = ascending_prime_sieve(ps_top, g.floats(ps_top), top)
+        for x in xs:
+            s = float(sieve[x])
+            bound = recursion_error_bound(s, x, 0) + 1.01 * _gamma(x + x.bit_length()) * s
+            assert abs(got[x] - s) <= bound, (g.name, x)
+        # against the exact sums, correctly rounded to float
+        exact = analytic._squarefree_sums(g, shared_primes(small[-1]), small, True)
+        for x, s in zip(small, map(float, exact)):
+            assert abs(got[x] - s) <= recursion_error_bound(s, x, _ETA) + _U * s, (g.name, x)
 
 
 @pytest.fixture(scope="module")
-def prime_values(s1, split_surface):
-    ps = shared_primes(31 * 10**3)
+def floored_sums(s1, split_surface):
+    # the sums at every c <= 30031 with each term floored at 96 bits, so at
+    # most c 2^-96 below the exact ones, then rounded to float
+    top = 30031
+    ps = shared_primes(top)
     gs = (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface))
-    return ps, [g.floats(ps) for g in gs]
+    cps = list(range(1, top + 1))
+    return gs, [list(map(float, analytic._squarefree_sums(g, ps, cps, False))) for g in gs]
 
 
-# x next to the wheel period 30030 = 2*3*5*7*11*13, or next to a prime
-# square; most of those squares are larger than the segment
-_WHEEL_END = st.builds(lambda d: 30030 + d, st.integers(-1, 1))
+# x next to the primorial 30030 = 2*3*5*7*11*13, the start of the deepest
+# recursion chain in range, or next to a prime square, where p^2 <= n flips
+_PRIMORIAL_END = st.builds(lambda d: 30030 + d, st.integers(-1, 1))
 _SQUARE_ENDS = st.builds(lambda p, d: p * p + d,
                          st.sampled_from(list(sympy.primerange(2, 176))), st.integers(-1, 1))
 
 
 @given(
-    x=st.one_of(st.integers(2, 3 * 10**4), _WHEEL_END, _SQUARE_ENDS),
+    x=st.one_of(st.integers(2, 3 * 10**4), _PRIMORIAL_END, _SQUARE_ENDS),
     picks=st.lists(st.floats(0, 1), max_size=12),
-    log_segment=st.integers(4, 12),
-    log_scatter=st.integers(0, 12),
     which=st.integers(0, 2),
 )
-def test_segmented_sieve_equals_ascending_prime_loop(
-    prime_values, x, picks, log_segment, log_scatter, which
-):
-    # segments of 2^4..2^12 cells are all shorter than the wheel period
-    ps_top, gps = prime_values
-    ps = ps_top[: int(np.searchsorted(ps_top, x, side="right"))]
-    gp = gps[which][: len(ps)]
+def test_prime_sum_recursion_matches_exact_sums(floored_sums, x, picks, which):
+    gs, sums = floored_sums
     cps = sorted(int(f * x) for f in picks) + [x]
-    with mock.patch.object(analytic, "_SEGMENT", 1 << log_segment), \
-            mock.patch.object(analytic, "_SCATTER", 1 << log_scatter):
-        got = _partial_sum_sieve(ps, gp, x, cps)
-    assert np.array_equal(got, ascending_prime_sieve(ps, gp, x)[cps])
+    rep = wirsing_sum(gs[which], x, checkpoints=cps, exact_threshold=1)
+    for c, got in rep.sums_at:
+        want = sums[which][c - 1]
+        bound = recursion_error_bound(want, c, _ETA) + _U * want + c * 2.0**-96
+        assert abs(got - want) <= bound, (gs[which].name, c)
 
 
 def test_wirsing_sum_memory_is_a_few_bytes_per_prime(monkeypatch):
-    # the float route keeps the primes and their values (16 bytes per prime,
-    # 1.2 bytes per a here) beside fixed-size segments; a value array over
-    # every a <= x would take 8 bytes per a
+    # the float route keeps the primes (8 bytes per prime, 0.6 bytes per a
+    # here) beside fixed-size blocks; a value array over every a <= x would
+    # take 8 bytes per a
     x = 2 * 10**6
-    monkeypatch.setattr(analytic, "_SEGMENT", 1 << 16)
     monkeypatch.setattr(numth, "_SEGMENT", 1 << 16)
     # an empty prime cache, so the prime sieve is measured too
     monkeypatch.setattr(analytic, "_prime_cache", {"limit": 0, "primes": np.empty(0, dtype=np.int64)})

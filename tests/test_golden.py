@@ -36,7 +36,7 @@ DENSITIES_FIBRE = {"s1": (2, 5), "split": (1, -8)}
 
 # cases that read no surface file: one golden file each
 PLAIN_CASES = {
-    # x = 10^6: the float sieve's per-prime slices and its cofactor scatters
+    # x = 10^6: the float recursion, on prime sums carried across five prime blocks
     "wirsing-check-harmonic": ["wirsing-check", "--function", "squarefree-harmonic",
                                "--x", "1000000"],
 }

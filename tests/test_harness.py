@@ -481,6 +481,18 @@ def test_cli_wirsing_rejects_fractional_x(s1_file, capsys):
     assert "x: 10000\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["300.00000000000001", "1e-3", "abc", "1/0"])
+def test_cli_wirsing_x_is_parsed_exactly(text, capsys):
+    # a float would round 300.00000000000001 to 300 and run it; the text is
+    # quoted as given
+    rc = run_cli("--no-cache", "wirsing-check", "--function",
+                 "squarefree-harmonic", "--x", text)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error[ValueError]: --x must be an integer, got {text}\n"
+
+
 def test_harness_import_leaves_out_the_process_pool():
     # only --workers > 1 starts a pool; importing multiprocessing costs ~25 ms
     src = os.path.dirname(os.path.dirname(conicbundle.__file__))
