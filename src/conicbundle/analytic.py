@@ -13,9 +13,9 @@ float64.  Exact partial sums come from one squarefree loop that builds
 g(a) from those prime values; float partial sums come from a recursion
 over the primes up to sqrt(x) that reads the running prime sums only at
 the values x // m (the second phase of the min_25 / Lucy method,
-Deleglise & Rivat, Experiment. Math. 5, 1996).  One pass over the primes
-in blocks feeds every running prime sum, so beside the primes it holds
-one block and O(sqrt(x)) values.
+Deleglise & Rivat, Experiment. Math. 5, 1996).  One walk of the segmented
+prime sieve, in blocks, feeds every running prime sum, so it holds the
+primes up to sqrt(x), one segment, one block and O(sqrt(x)) values.
 
 Every rational sum goes through one exact-or-floored summation: exact
 Fractions for small arguments, otherwise every term rounded down at 96
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import BinaryForm, factor_over_q, resultant
-from .numth import factor, primes_up_to
+from .numth import factor, prime_segments, primes_up_to
 from .surface import CubicSurfaceNF, singular_fibre_indices
 from .zpoly import gf_roots, z_derivative
 
@@ -49,18 +49,9 @@ def _rational_sum(terms, exact: bool) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# sieves (the prime list is built once, grown on demand, read-only to callers)
+# sieves
 
-_prime_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
-
-
-def shared_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, from a cached sieve that only ever grows."""
-    if limit > _prime_cache["limit"]:
-        _prime_cache["primes"] = primes_up_to(limit)
-        _prime_cache["limit"] = limit
-    ps = _prime_cache["primes"]
-    return ps[: int(np.searchsorted(ps, limit, side="right"))]
+shared_primes = primes_up_to  # every prime <= n, ascending, uncached
 
 
 def _smallest_factor_table(limit: int) -> np.ndarray:
@@ -377,30 +368,14 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-# the float route holds the primes (8 bytes per prime, ~89 MB here) beside
-# blocks of _PRIME_BLOCK primes and ~2 sqrt(x) values x // m, ~128 MiB
-# peak RSS in all; the cap bounds its run time (~3 s on split and ~72 s on
-# S1, whose root counts take nearly all of it, on 2 cores)
+# the float route holds the primes up to sqrt(x), one sieve segment, one
+# block of _PRIME_BLOCK primes and ~2 sqrt(x) values x // m, at most ~45 MiB
+# peak RSS here, nearly all of it the imports.  So the cap bounds only the
+# run time: ~3 s on split and ~60 s on S1, whose root counts take nearly
+# all of it, on 2 cores
 MAX_WIRSING_X = 2 * 10**8
 
 _PRIME_BLOCK = 1 << 14  # primes per g.floats call
-
-
-class _RunningSum:
-    """The running sum of float64 blocks fed in order, read at the
-    ascending indices at (0 below index 0).  Each block is summed on from
-    the last one, so every value is bitwise that of one np.cumsum."""
-
-    def __init__(self, at: np.ndarray):
-        self.at, self.out = at, np.zeros(len(at), dtype=np.float64)
-        self.lo, self.carry = 0, 0.0
-
-    def feed(self, w: np.ndarray) -> None:
-        run = np.cumsum(np.concatenate(([self.carry], w)))[1:]
-        i, j = np.searchsorted(self.at, [self.lo, self.lo + len(w)])
-        self.out[i:j] = run[self.at[i:j] - self.lo]
-        self.lo += len(w)
-        self.carry = float(run[-1])
 
 
 def _squarefree_sums(
@@ -477,12 +452,13 @@ def wirsing_sum(
     one squarefree pass, with g.exact called once on the primes up to the
     largest of them.  Larger ones come from _prime_sum_recursion, which
     reads the float prime sums only at the values c // m of each
-    checkpoint c.  One pass over the primes <= x, calling g.floats once per
-    block of _PRIME_BLOCK primes, feeds those prime sums and the prime
-    sums behind the hypothesis diagnostics.  So the memory is the primes
-    (8 bytes per prime <= x) plus fixed-size blocks and ~2 sqrt(x) values
-    x // m: `wirsing-check` peaks at ~44 MiB RSS at x = 10^7 and ~128 MiB
-    at 2·10^8, ~36 MiB of it the imports.  x is capped at MAX_WIRSING_X.
+    checkpoint c.  One walk of the segmented prime sieve, calling g.floats
+    once per block of _PRIME_BLOCK primes, feeds those prime sums and the
+    prime sums behind the hypothesis diagnostics, and no prime array
+    beyond one segment and the primes up to sqrt(x) is held.  So the
+    memory is flat in x: `wirsing-check` peaks at 41-43 MiB RSS at
+    x = 10^7 and 44-45 MiB at 2·10^8, ~36 MiB of it the imports.  x is
+    capped at MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
     coefficient of the checkpoint sums against (log x)^k with the exponent
@@ -500,39 +476,46 @@ def wirsing_sum(
         raise ValueError("checkpoint beyond x")
     if cps[-1] != x:
         cps.append(x)
-    ps = shared_primes(x)
     sums = {}
     exact_cps = [c for c in cps if c <= exact_threshold]
     if exact_cps:
-        n_exact = int(np.searchsorted(ps, exact_cps[-1], side="right"))
-        sums = dict(zip(exact_cps, _squarefree_sums(g, ps[:n_exact], exact_cps, True)))
+        ps = shared_primes(exact_cps[-1])
+        sums = dict(zip(exact_cps, _squarefree_sums(g, ps, exact_cps, True)))
     float_cps = cps[len(exact_cps) :]
 
-    # one pass over the primes feeds every prime sum.  The a15 and a16 sums
-    # are read at the last prime <= each checkpoint, G at the values c // m
-    # of the float checkpoints c: those above sqrt(c) come from m <= sqrt(c),
-    # the rest are all of 1..sqrt(x).
+    # one walk of the prime sieve feeds one table of running sums over the
+    # primes <= v, with rows g(p), g(p) log p, log1p |g(p)| and
+    # g(p)^2 log p, read at the values v of 1..sqrt(x), the checkpoints and
+    # c // m for the float checkpoints c: those above sqrt(c) come from
+    # m <= sqrt(c).  Each block's cumsum goes on from the last column, so
+    # every value is bitwise that of one np.cumsum over all the primes.
     r = math.isqrt(x)
-    cut = np.unique(np.concatenate(
-        [np.arange(1, r + 1)] + [c // np.arange(1, math.isqrt(c) + 1) for c in float_cps]
+    vals = np.unique(np.concatenate(
+        [np.arange(1, r + 1), cps] + [c // np.arange(1, math.isqrt(c) + 1) for c in float_cps]
     ))
-    G = _RunningSum(np.searchsorted(ps, cut, side="right") - 1)
-    idx = np.searchsorted(ps, cps, side="right") - 1
-    logsum, log1p_sum, a17 = _RunningSum(idx), _RunningSum(idx), 0.0
-    n_small, g_small = int(np.searchsorted(ps, r, side="right")), []
-    for lo in range(0, len(ps), _PRIME_BLOCK):
-        pb = ps[lo : lo + _PRIME_BLOCK]
-        gb = g.floats(pb)
-        logs = np.log(pb)
-        g_small += gb[: max(n_small - lo, 0)].tolist()
-        G.feed(gb)
-        logsum.feed(gb * logs)
-        log1p_sum.feed(np.log1p(np.abs(gb)))
-        a17 += float(np.sum(gb * gb * logs))
-    G_at = dict(zip(cut.tolist(), G.out.tolist()))
-    small = ps[:n_small].tolist()
+    table = np.zeros((4, len(vals)))
+    carry, i = np.zeros((4, 1)), 0
+    small, g_small = [], []  # the primes <= sqrt(x), which the recursion walks, and g there
+    for seg in prime_segments(x):
+        for lo in range(0, len(seg), _PRIME_BLOCK):
+            pb = seg[lo : lo + _PRIME_BLOCK]
+            gb, logs = g.floats(pb), np.log(pb)
+            if pb[0] <= r:  # the first segment
+                small += pb.tolist()
+                g_small += gb.tolist()
+            # filled in place: stacked copies of the rows fault in ~2.5x the
+            # pages, ~0.2 s more at x = 2·10^8
+            run = np.empty((4, len(pb) + 1))
+            run[:, :1], run[0, 1:], run[1, 1:] = carry, gb, gb * logs
+            run[2, 1:], run[3, 1:] = np.log1p(np.abs(gb)), gb * gb * logs
+            np.cumsum(run, axis=1, out=run)
+            j = int(np.searchsorted(vals, pb[-1], side="right"))
+            table[:, i:j] = run[:, np.searchsorted(pb, vals[i:j], side="right")]
+            carry, i = run[:, -1:].copy(), j
+    table[:, i:] = carry
+    G = dict(zip(vals.tolist(), table[0].tolist()))
     for c in float_cps:
-        sums[c] = _prime_sum_recursion(c, small, g_small, G_at)
+        sums[c] = _prime_sum_recursion(c, small, g_small, G)
     sums_at = [(c, sums[c]) for c in cps]
 
     # prime-sum normalization: the exponent is DEFINED by
@@ -541,7 +524,7 @@ def wirsing_sum(
     # finite-x bias is of order k^2/log x (fatal for k >= 2 at desk scale).
     floats = np.array([float(v) for _, v in sums_at], dtype=np.float64)
     cp_arr = np.array(cps, dtype=np.float64)
-    t_at, prod_at = logsum.out, log1p_sum.out
+    t_at, prod_at = table[1:3, np.searchsorted(vals, cps)]
     a15_slope, a15_b = _fit_line(np.log(cp_arr), t_at)
     a15_resid = float(np.max(np.abs(t_at - a15_slope * np.log(cp_arr) - a15_b)))
     k_hat = a15_slope
@@ -566,7 +549,7 @@ def wirsing_sum(
         c_hat=float(c_hat),
         hypothesis_a15=(a15_slope, a15_resid),
         hypothesis_a16=float(worst),
-        hypothesis_a17=a17,
+        hypothesis_a17=float(table[3, -1]),  # at vals[-1] = x
         sums_at=tuple(sums_at),
     )
 

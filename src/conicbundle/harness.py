@@ -252,7 +252,10 @@ def _fibre_counts(
         missing.append(i)
 
     tasks = [(i, fibre_conic(X, fibres[i]), bound) for i in missing]
-    if workers > 1 and len(tasks) > 1:
+    # the pool forks all its processes at the first submit, so no more
+    # than there are tasks or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: multiprocessing costs ~25 ms that one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
@@ -290,6 +293,8 @@ def count_surface(
     to x_cutoff (required).  direct: exhaustive search in the ambient space,
     restricted to the same fibre range when x_cutoff is given; guarded above
     height 200 because the search is quartic in B.  x_cutoff must be >= 1.
+    workers >= 1 processes count the fibres, at most one per core and per
+    fibre to count.
     """
     bound = int(B)
     if bound < 1:
@@ -298,6 +303,8 @@ def count_surface(
         raise ValueError(f"unknown method {method!r}")
     if (x_cutoff is None and method == "fibration") or (x_cutoff is not None and x_cutoff < 1):
         raise ValueError(f"{method} method needs x_cutoff >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     params = {
         "B": bound,

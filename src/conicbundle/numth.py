@@ -34,12 +34,26 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(int(p) for p in primes_up_to(_SMALL_PRIME_BOUND))
 
 
+def prime_segments(n: int):
+    """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
+    primes <= n as ascending int64 arrays, first those up to sqrt(n)
+    (possibly none), then those of each _SEGMENT-byte segment of (sqrt(n), n].
+    """
+    r = isqrt(n)
+    base = primes_up_to(r)
+    yield base
+    for lo in range(r + 1, n + 1, _SEGMENT):
+        seg = np.ones(min(_SEGMENT, n + 1 - lo), dtype=bool)
+        # every multiple of p >= lo > sqrt(n) >= p is composite
+        for p in base.tolist():
+            seg[(-lo) % p :: p] = False
+        yield np.flatnonzero(seg) + lo
+
+
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, as an int64 array.
 
-    Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
-    primes up to sqrt(n) come from this sieve, then (sqrt(n), n] is marked
-    in segments of _SEGMENT bytes.  The primes go into one array sized by
+    The segments of prime_segments go into one array sized by
     pi(n) < 1.25506 n / ln n (Rosser & Schoenfeld, Illinois J. Math. 6,
     1962) and shrunk in place at the end, so the sieve never holds the
     primes twice: beside its output it holds one segment and the slack of
@@ -47,19 +61,11 @@ def primes_up_to(n: int) -> np.ndarray:
     """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    r = isqrt(n)
-    base = primes_up_to(r)
     out = np.empty(int(1.25506 * n / log(n)) + 1, dtype=np.int64)
-    out[: len(base)] = base
-    count = len(base)
-    for lo in range(r + 1, n + 1, _SEGMENT):
-        seg = np.ones(min(_SEGMENT, n + 1 - lo), dtype=bool)
-        # every multiple of p >= lo > sqrt(n) >= p is composite
-        for p in base.tolist():
-            seg[(-lo) % p :: p] = False
-        found = np.flatnonzero(seg)
-        out[count : count + len(found)] = found + lo
-        count += len(found)
+    count = 0
+    for seg in prime_segments(n):
+        out[count : count + len(seg)] = seg
+        count += len(seg)
     out.resize(count, refcheck=False)
     return out
 

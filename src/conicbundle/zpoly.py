@@ -258,11 +258,14 @@ def gf_factor_squarefree(f: Poly, p: int) -> list[Poly]:
 def gf_roots(f: Poly, p: int) -> list[int]:
     """Distinct roots in Z/p of an integer polynomial, ascending.
 
-    h = gcd(f, x^p - x) is the product of x - r over the roots r; it is
-    split into its linear factors by equal-degree splitting.  Every class
-    is a root when f = 0 mod p or h = x^p - x (which covers p = 2).
+    A linear f mod p has the one root -f_0 / f_1.  Otherwise h =
+    gcd(f, x^p - x) is the product of x - r over the roots r; it is split
+    into its linear factors by equal-degree splitting.  Every class is a
+    root when f = 0 mod p or h = x^p - x (which covers p = 2).
     """
     f = gf_from_z(f, p)
+    if deg(f) == 1:
+        return [-f[0] * pow(f[1], -1, p) % p]
     h = gf_gcd(z_sub(gf_pow_xp_mod(f, p), (0, 1)), f, p) if f else ()
     if not f or deg(h) == p:
         return list(range(p))

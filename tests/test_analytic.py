@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conicbundle import analytic, numth
@@ -389,6 +389,13 @@ _SQUARE_ENDS = st.builds(lambda p, d: p * p + d,
     picks=st.lists(st.floats(0, 1), max_size=12),
     which=st.integers(0, 2),
 )
+# x < 4 has no prime up to sqrt(x), and x < 9 one
+@example(x=2, picks=[], which=0)
+@example(x=3, picks=[], which=1)
+@example(x=4, picks=[0.5], which=2)
+@example(x=5, picks=[0.6, 0.9], which=1)
+@example(x=8, picks=[0.3, 0.5], which=2)
+@example(x=9, picks=[0.5, 0.9], which=0)
 def test_prime_sum_recursion_matches_exact_sums(floored_sums, x, picks, which):
     gs, sums = floored_sums
     cps = sorted(int(f * x) for f in picks) + [x]
@@ -399,21 +406,31 @@ def test_prime_sum_recursion_matches_exact_sums(floored_sums, x, picks, which):
         assert abs(got - want) <= bound, (gs[which].name, c)
 
 
-def test_wirsing_sum_memory_is_a_few_bytes_per_prime(monkeypatch):
-    # the float route keeps the primes (8 bytes per prime, 0.6 bytes per a
-    # here) beside fixed-size blocks; a value array over every a <= x would
-    # take 8 bytes per a
-    x = 2 * 10**6
+def test_wirsing_sum_memory_is_flat_in_x(monkeypatch):
+    # The float route holds the O(sqrt(x)) values x // m and one block of
+    # _PRIME_BLOCK primes from one sieve segment, and no array over all the
+    # primes <= x.  Per value: the value and its four table entries (40
+    # bytes), and as a key of the dict G an int, a float, two list slots
+    # and a dict entry (~140 bytes); 200 bytes covers np.unique's copies.
+    # Per prime of a block: at most 16 float64 arrays over it.  Per byte of
+    # a segment: the byte and, for each odd number, a prime in two int64
+    # arrays.
     monkeypatch.setattr(numth, "_SEGMENT", 1 << 16)
-    # an empty prime cache, so the prime sieve is measured too
-    monkeypatch.setattr(analytic, "_prime_cache", {"limit": 0, "primes": np.empty(0, dtype=np.int64)})
-    tracemalloc.start()
-    try:
-        wirsing_sum(squarefree_harmonic(), x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * x
+    monkeypatch.setattr(analytic, "_PRIME_BLOCK", 1 << 12)
+    wirsing_sum(squarefree_harmonic(), 10**4)  # np.polyfit imports numpy.ma on first use
+    for x in (2 * 10**6, 8 * 10**6):
+        cps = analytic._default_checkpoints(x)
+        values = math.isqrt(x) + sum(math.isqrt(c) for c in cps) + len(cps)
+        bound = 200 * values + 16 * 8 * analytic._PRIME_BLOCK + 9 * numth._SEGMENT
+        tracemalloc.start()
+        try:
+            wirsing_sum(squarefree_harmonic(), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (x, peak, bound)
+    # an int64 array over the pi(8·10^6) = 539777 primes would not fit
+    assert bound < 8 * 539777
 
 
 def test_wirsing_exact_route_evaluates_each_prime_once():

@@ -509,6 +509,50 @@ def test_count_surface_with_two_workers_matches_one(s1):
     assert two.count == one.count
 
 
+def test_workers_are_capped_at_the_cores_and_refused_below_one(
+    s1, s1_file, tmp_path, monkeypatch, capsys
+):
+    # the pool forks all its processes at the first submit; a stand-in pool
+    # records its size and maps in this process, so no process starts here
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    one = count_surface(s1, 15, method="fibration", x_cutoff=6)
+    many = count_surface(s1, 15, method="fibration", x_cutoff=6, workers=10**6)
+    assert many.count == one.count
+    assert sizes == [3]
+    # no more processes than fibres to count: S1 has 8 up to fibre height 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    few = count_surface(s1, 15, method="fibration", x_cutoff=2, workers=10**6)
+    assert few.count == count_surface(s1, 15, method="fibration", x_cutoff=2).count
+    assert sizes == [3, 8]
+    for argv in (["count-surface", s1_file, "--height", "15", "--cutoff", "6", "--workers", "0"],
+                 ["growth", s1_file, "--heights", "15", "--out", tmp_path / "g.csv",
+                  "--workers", "-3"]):
+        assert run_cli("--no-cache", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[ValueError]: workers must be >= 1, got {argv[-1]}\n"
+    assert sizes == [3, 8]
+    assert not (tmp_path / "g.csv").exists()
+
+
 # ---------------------------------------------------------------- hostile input
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conicbundle import numth
@@ -17,6 +17,7 @@ from conicbundle.numth import (
     factor,
     is_prime,
     phi_dagger,
+    prime_segments,
     primes_up_to,
 )
 
@@ -37,11 +38,21 @@ def plain_sieve(n):
 
 
 @given(n=st.integers(0, 3 * 10**4), log_segment=st.integers(4, 12))
+@example(n=0, log_segment=4)
+@example(n=1, log_segment=4)
+@example(n=2, log_segment=4)
+@example(n=3, log_segment=4)
 def test_segmented_primes_up_to_matches_plain_sieve(n, log_segment):
     with mock.patch.object(numth, "_SEGMENT", 1 << log_segment):
         got = primes_up_to(n)
+        segments = list(prime_segments(n))
     assert got.dtype == np.int64
     assert np.array_equal(got, plain_sieve(n))
+    # the primes up to sqrt(n) come first, then one array per segment
+    assert np.array_equal(segments[0], plain_sieve(isqrt(n)))
+    assert len(segments) == 1 + -(-(n - isqrt(n)) // (1 << log_segment))
+    assert all(s.dtype == np.int64 for s in segments)
+    assert np.array_equal(np.concatenate(segments), plain_sieve(n))
 
 
 def test_primes_up_to_at_segment_ends_and_prime_squares():

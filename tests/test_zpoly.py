@@ -160,6 +160,9 @@ def test_gf_roots_every_prime_to_1100(s1, split_surface):
         ]
         # the degree drops mod p
         cases.append((rng.randint(1, 50), rng.randint(-50, 50), 3 * p))
+        # linear, with the leading coefficient a unit, 0 mod p, or 0 over Z
+        cases += [(rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 10**6)),
+                  (rng.randint(-50, 50), -5 * p), (r, p), (p, 0), (r, 0)]
         # repeated roots: (x - r)^3 (x - s)^2 (x^2 + 1)
         rep = (1,)
         for g in [(-r, 1)] * 3 + [(-s, 1)] * 2 + [(1, 0, 1)]:
