@@ -274,14 +274,15 @@ def varrho_star_delta(X: CubicSurfaceNF, a: int) -> int:
     return out
 
 
-def rho_star_prime_vector(X: CubicSurfaceNF, ps: np.ndarray) -> np.ndarray:
+def rho_star_prime_vector(
+    X: CubicSurfaceNF, ps: np.ndarray, data: DeltaFactorData
+) -> np.ndarray:
     """varrho_star_delta at every prime in ps, as one array.
 
     Off the w_f primes this is the per-factor sum of root counts; the
     finitely many w_f primes are recomputed directly from the full
-    discriminant.
+    discriminant.  data is delta_factor_data(X), computed once by the caller.
     """
-    data = delta_factor_data(X)
     n = np.zeros(len(ps), dtype=np.int64)
     for f in data.delta_i:
         n += projective_root_counts(f, ps)
@@ -565,10 +566,11 @@ def squarefree_harmonic() -> MultiplicativeFn:
 
 def rho_delta_fn(X: CubicSurfaceNF, strict_wf: bool = False) -> MultiplicativeFn:
     """The final-lemma weight: rho*(p) phi(p)^2 / p^4 on coprime primes."""
-    W = delta_factor_data(X).w_f if strict_wf else abs(X.w0)
+    data = delta_factor_data(X)
+    W = data.w_f if strict_wf else abs(X.w0)
 
     def rho(ps: np.ndarray) -> np.ndarray:
-        r = rho_star_prime_vector(X, ps)
+        r = rho_star_prime_vector(X, ps, data)
         r[_divides(W, ps)] = 0
         return r
 

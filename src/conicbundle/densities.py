@@ -9,8 +9,11 @@ brackets the area for a whole stream of fibres at once (`sigma_inf_walk`):
 each step is one edge_cell_bounds call over the pending cells of many
 fibres, in int64 unless one of them needs Python ints, under a fixed budget
 of pending cells and a cap of _MAX_DEPTH levels per fibre; `sigma_inf` is its
-one-fibre case.  The only approximation anywhere is the explicit (lower,
-upper) bracket returned for area-dependent quantities.
+one-fibre case.  The accepted cells' reciprocals are summed by long
+division of all of them at once in int64 digits, and `constant_sum` adds
+the fibres' products on one dyadic grid, rounded outward.  The only
+approximation anywhere is the explicit (lower, upper) bracket returned for
+area-dependent quantities.
 """
 
 from __future__ import annotations
@@ -79,13 +82,13 @@ def _rho_levels(C: FibreConic, p: int, v: int) -> tuple[int, ...]:
 
 def _sigma_p_from_rhos(p: int, rhos: tuple[int, ...]) -> Fraction:
     # 1 - p^-2 counts coprime-at-p pairs; each class lost at level d is
-    # recovered with weight p^d through the content rescaling the height
-    acc = Fraction(0)
-    pk = 1
+    # recovered with weight p^d through the content rescaling the height:
+    # 1 - p^-2 + (1 - 1/p) sum_d rho_d / p^d, over the denominator p^(v + 2)
+    n = 0
     for r in rhos:
-        pk *= p
-        acc += Fraction(r, pk)
-    return Fraction(p * p - 1, p * p) + Fraction(p - 1, p) * acc
+        n = n * p + r
+    v = len(rhos)
+    return Fraction((p * p - 1) * p**v + (p - 1) * p * n, p ** (v + 2))
 
 
 def sigma_p(C: FibreConic, p: int) -> Fraction:
@@ -112,13 +115,13 @@ def _bad_prime_rows(C: FibreConic) -> tuple[list[BadPrimeRow], Fraction]:
     """The row of every p | det, its rho levels from one class_levels call,
     and prod over them of sigma_p / (1 - p^-2), exact."""
     rows = []
-    nonarch = Fraction(1)
+    num = den = 1
     for p, v in bad_primes(C):
         rhos = _rho_levels(C, p, v)
         sp = _sigma_p_from_rhos(p, rhos)
         rows.append(BadPrimeRow(p, v, rhos, sp))
-        nonarch *= sp / Fraction(p * p - 1, p * p)
-    return rows, nonarch
+        num, den = num * sp.numerator * p * p, den * sp.denominator * (p * p - 1)
+    return rows, Fraction(num, den)
 
 
 def bad_prime_product(C: FibreConic) -> Fraction:
@@ -148,33 +151,53 @@ def _add_recip_sums(acc, ids, levels, starts, dens, bits: int, up: bool) -> None
     to a multiple of 2^-P, where P gives each term at least `bits` bits.
 
     Group g is dens[starts[g]:starts[g + 1]], of fibre ids[g] at level
-    levels[g] (S = 2^level); acc[f] = (num, P) stands for num / 2^P.
+    levels[g] (S = 2^level); acc[f] = (num, P) stands for num / 2^P.  The
+    group's sum is that of floor(2^E / d), E = level + 2 + P (ceil: floor
+    plus [remainder != 0]), by schoolbook long division of every cell at
+    once in base 2^c.  int64 cells (d < 2^62) take c = min(63 - bitlen(max
+    d), 62 - bitlen(len(dens))), so r 2^c (r < d) and each group's digit sum
+    stay in int64; a cell of E bits starts with the chunk 2^(E - c(M - 1)),
+    M its number of digits, so that all digits end together.  Object cells
+    take one digit of E bits: a plain division.
     """
     if not len(dens):
         return
-    tops = np.maximum.reduceat(dens, starts).tolist()
-    starts = np.asarray(starts).tolist()
-    ends = starts[1:] + [len(dens)]
-    dens = dens.tolist()
-    groups = zip(np.asarray(ids).tolist(), np.asarray(levels).tolist(), tops, starts, ends)
-    for f, k, top, s, t in groups:
-        # 4 S has bit length k + 3
-        P = max(0, bits + top.bit_length() - k - 2)
-        q = 1 << (k + 2 + P)
-        if up:
-            total = -sum(map((-q).__floordiv__, dens[s:t]))
-        else:
-            total = sum(map(q.__floordiv__, dens[s:t]))
-        num, P0 = acc[f]
-        if P >= P0:
-            acc[f] = ((num << (P - P0)) + total, P)
-        else:
-            acc[f] = (num + (total << (P0 - P)), P0)
+    starts = np.asarray(starts)
+    bounds = [*starts.tolist(), len(dens)]
+    tops = [top.bit_length() for top in np.maximum.reduceat(dens, starts).tolist()]
+    levels = np.asarray(levels).tolist()
+    # 4 S = 2^(k + 2), and each term 2^E / d keeps at least `bits` bits
+    E = [max(k + 2, bits + b) for k, b in zip(levels, tops)]
+    c = max(E) if dens.dtype == object else min(63 - max(tops), 62 - len(dens).bit_length())
+    M = [-(-e // c) for e in E]
+    r = np.zeros_like(dens)
+    totals = [0] * len(E)
+    for step in range(max(M), 0, -1):
+        r <<= c
+        for s, t, e, m in zip(bounds, bounds[1:], E, M):
+            if m == step:
+                r[s:t] = 1 << (e - c * (m - 1))
+        q = r // dens
+        r -= q * dens
+        totals = [(x << c) + y for x, y in zip(totals, np.add.reduceat(q, starts).tolist())]
+    if up:
+        rest = np.add.reduceat(r != 0, starts, dtype=np.int64).tolist()
+        totals = [x + y for x, y in zip(totals, rest)]
+    for f, k, e, x in zip(np.asarray(ids).tolist(), levels, E, totals):
+        (num, P0), P = acc[f], e - k - 2
+        acc[f] = ((num << max(0, P - P0)) + (x << max(0, P0 - P)), max(P, P0))
 
 
 def _exact(acc) -> Fraction:
     num, P = acc
     return Fraction(num, 1 << P)
+
+
+def _runs(x: np.ndarray) -> np.ndarray:
+    """True at each entry of x that differs from the one before it."""
+    new = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
 
 
 def _fibre_rows(conics) -> dict:
@@ -282,13 +305,13 @@ def sigma_inf_walk(conics: Iterable[FibreConic], tol: float = 1e-4) -> Iterator:
         # bank the accepted cells
         done = hi - lo <= lo // nn
         fd = f[done]
-        first = np.flatnonzero(np.diff(fd, prepend=-1))
+        first = np.flatnonzero(_runs(fd))
         ids, levels = fd[first], k[done][first]
         _add_recip_sums(lower, ids, levels, first, hi[done], bits, up=False)
         _add_recip_sums(upper, ids, levels, first, lo[done], bits, up=True)
         # finish or fail the fibres that stop here, split the others' cells
         pend = ~done
-        first = np.flatnonzero(np.diff(f, prepend=-1))
+        first = np.flatnonzero(_runs(f))
         ids, levels = f[first], k[first]
         left = np.add.reduceat(pend, first, dtype=np.int64)
         stop = (left > 0) & ((levels == _MAX_DEPTH) | (2 * left > _MAX_BOUNDARY_CELLS))
@@ -299,7 +322,7 @@ def sigma_inf_walk(conics: Iterable[FibreConic], tol: float = 1e-4) -> Iterator:
             out[g] = _failure(window[g], kg, lo[mine], hi[mine], [lower[g], upper[g]], bits)
         go = (left > 0) & ~stop
         tab["level"][ids[go]] += 1
-        keep = pend & np.repeat(go, np.diff(first, append=cut))
+        keep = pend & go[np.cumsum(_runs(f)) - 1]
         fib = np.concatenate((np.repeat(f[keep], 2), fib[cut:]))
         e = np.concatenate((np.repeat(fe[keep], 2), e[cut:]))
         a = np.concatenate(((2 * fa[keep, None] + [0, 1]).ravel(), a[cut:]))
@@ -309,6 +332,7 @@ def sigma_inf_walk(conics: Iterable[FibreConic], tol: float = 1e-4) -> Iterator:
         del window[:ready], lower[:ready], upper[:ready], out[:ready]
         tab = {key: col[ready:] for key, col in tab.items()}
         fib -= ready
+        del lo, hi  # not held through the next level's call
 
 
 def sigma_inf(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
@@ -367,10 +391,15 @@ def constant_sum(
     ToleranceNotMet (which strict raises instead).
 
     The constant is linear in sigma_inf * nonarch, so the common factors
-    are applied once to the exact sums.
+    are applied once to the two sums.  These are integers over one grid
+    2^-P: each fibre's products are rounded onto it, down for the lower sum
+    and up for the upper, after P grows (it never shrinks) to at least
+    66 - e, where 2^e is below the fibre's lower product.  So each fibre's
+    rounding is below 2^-66 of its lower product, and both sums together
+    move less than 2^-65 lower outward from the exact bracket, within the
+    2^-64 lower that this route allows.
     """
-    lower = upper = Fraction(0)
-    count = 0
+    lower = upper = P = count = 0
     failed = []
     keys, conics = tee(fibres)
     areas = sigma_inf_walk((C for _, C in conics), tol=tol)
@@ -381,9 +410,14 @@ def constant_sum(
             raise area
         else:
             nonarch = bad_prime_product(C)
-            lower += area[0] * nonarch
-            upper += area[1] * nonarch
+            lo, hi = area[0] * nonarch, area[1] * nonarch
             count += 1
+            e = lo.numerator.bit_length() - lo.denominator.bit_length() - 1
+            grow = max(0, 66 - e - P)
+            P += grow
+            lower = (lower << grow) + (lo.numerator << P) // lo.denominator
+            upper = (upper << grow) - (-hi.numerator << P) // hi.denominator
+    lower, upper = Fraction(lower, 1 << P), Fraction(upper, 1 << P)
     return (*_leading_constant(lower, upper, Fraction(1)), count, failed)
 
 

@@ -359,6 +359,9 @@ def count_surface(
 # --------------------------------------------------------------------------
 # constant sums
 
+# the largest x sum-constants takes: ~1.2M fibres on the test surfaces
+MAX_CONSTANT_X = 1000
+
 
 @dataclass
 class ConstantSumResult:
@@ -386,8 +389,8 @@ def sum_constants(
     tol: float = 1e-3,
     strict: bool = False,
 ) -> ConstantSumResult:
-    if x < 1:
-        raise ValueError("height bound must be >= 1")
+    if not 1 <= x <= MAX_CONSTANT_X:
+        raise ValueError(f"height bound x = {x} is outside [1, {MAX_CONSTANT_X}]")
     fibres = ((idx, fibre_conic(X, idx)) for idx in domain_B(X, x))
     lower, upper, n, failed = constant_sum(fibres, tol=tol, strict=strict)
     return ConstantSumResult(

@@ -196,7 +196,7 @@ def test_varrho_rejects_bad_moduli(s1):
 def test_rho_star_prime_vector_matches_scalar(s1, split_surface):
     ps = shared_primes(2000)
     for X in (s1, split_surface):
-        vec = rho_star_prime_vector(X, ps)
+        vec = rho_star_prime_vector(X, ps, delta_factor_data(X))
         for p, n in zip(ps.tolist(), vec.tolist()):
             assert n == varrho_star_delta(X, p), (X is s1, p)
 
@@ -501,6 +501,22 @@ def test_rho_delta_fn_values(s1, split_surface):
     assert Fraction(int(num[0]), int(den[0])) == Fraction((2 - 1) * 3 * (2 - 1) ** 2, 2**4)
     num, den = rho_delta_fn(split_surface, strict_wf=True).exact(ps)
     assert num.tolist()[:2] == [0, 0] and num[2] != 0
+
+
+def test_rho_delta_fn_factors_the_discriminant_once(split_surface, monkeypatch):
+    # every block's rho_star_prime_vector call reuses one delta_factor_data
+    data_calls, blocks = [], []
+    factor_data, vector = analytic.delta_factor_data, analytic.rho_star_prime_vector
+    monkeypatch.setattr(
+        analytic, "delta_factor_data", lambda X: data_calls.append(X) or factor_data(X)
+    )
+    monkeypatch.setattr(
+        analytic, "rho_star_prime_vector", lambda *a: blocks.append(a) or vector(*a)
+    )
+    monkeypatch.setattr(analytic, "_PRIME_BLOCK", 1 << 8)
+    wirsing_sum(rho_delta_fn(split_surface), 10**5)
+    assert len(blocks) > 10
+    assert len(data_calls) == 1
 
 
 def test_rho_delta_prime_values_match_scalar(s1, split_surface):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import conicbundle.densities as densities
 from conicbundle.conic import FibreConic
@@ -10,6 +12,7 @@ from conicbundle.densities import (
     ToleranceNotMet,
     bad_prime_product,
     bad_primes,
+    constant_sum,
     local_density_report,
     nonarch_lower_bound_check,
     peyre_constant,
@@ -281,6 +284,108 @@ def test_sigma_inf_walk_streams_in_order(s1, monkeypatch):
     assert next(walk) == expected[0]
     assert len(read) < len(conics) // 4
     assert [expected[0], *walk] == expected
+
+
+def _recip_sums_oracle(acc, groups, bits, up):
+    """acc after _add_recip_sums, one Python-int division per cell."""
+    acc = list(acc)
+    for f, (k, dens) in enumerate(groups):
+        P = max(0, bits + max(dens).bit_length() - k - 2)
+        q = 1 << (k + 2 + P)
+        total = -sum(-q // d for d in dens) if up else sum(q // d for d in dens)
+        num, P0 = acc[f]
+        acc[f] = ((num << (P - P0)) + total, P) if P >= P0 else (num + (total << (P0 - P)), P0)
+    return acc
+
+
+_cells = st.lists(st.integers(1, 2**62 - 1), min_size=1, max_size=64)
+
+
+@given(
+    groups=st.lists(st.tuples(st.integers(0, 24), _cells), min_size=1, max_size=4),
+    bits=st.integers(64, 200),
+    up=st.booleans(),
+    acc=st.lists(st.tuples(st.integers(0, 2**300), st.integers(0, 400)), min_size=4, max_size=4),
+)
+@example(groups=[(0, [1])], bits=64, up=True, acc=[(0, 0)] * 4)
+@example(groups=[(0, [1, 1]), (24, [2**62 - 1])], bits=200, up=False, acc=[(3, 0), (5, 400)] * 2)
+@example(groups=[(24, [2**62 - 1, 3]), (7, [5])], bits=64, up=True, acc=[(1, 500), (7, 1)] * 2)
+# one call of 5000 cells below 8: the digit width drops from 60 to
+# 62 - bitlen(5000) = 49, or the digit sums would leave int64
+@example(groups=[(5, [1 + i % 7 for i in range(5000)])], bits=137, up=True, acc=[(9, 100)] * 4)
+def test_recip_sums_by_long_division_match_python_ints(groups, bits, up, acc):
+    expected = _recip_sums_oracle(acc, groups, bits, up)
+    dens = [d for _, ds in groups for d in ds]
+    starts = np.cumsum([0] + [len(ds) for _, ds in groups])[:-1]
+    levels = [k for k, _ in groups]
+    # int64 cells in digits of c bits, object cells in one digit of E bits
+    for dtype in (np.int64, object):
+        got = list(acc)
+        densities._add_recip_sums(
+            got, range(len(groups)), levels, starts, np.array(dens, dtype=dtype), bits, up
+        )
+        assert got == expected
+
+
+def test_sigma_inf_walk_object_route_matches_int64(s1, c11, monkeypatch):
+    # kmax = -1 puts every fibre's every cell in Python ints
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 8)]
+    expected = _walked(conics, tol=1e-2)
+    with monkeypatch.context() as patch:
+        patch.setattr(densities, "_MAX_DEPTH", 6)
+        failing = _walked([c11], tol=1e-9)
+    assert "subdivision depth 6" in failing[0][0]
+    rows, bound = densities._fibre_rows, densities.edge_cell_bounds
+    dtypes = set()
+
+    def wide_rows(conics):
+        tab = rows(conics)
+        tab["kmax"][:] = -1
+        return tab
+
+    def recorded(c, w, a, S):
+        dtypes.add(a.dtype)
+        return bound(c, w, a, S)
+
+    monkeypatch.setattr(densities, "_fibre_rows", wide_rows)
+    monkeypatch.setattr(densities, "edge_cell_bounds", recorded)
+    assert _walked(conics, tol=1e-2) == expected
+    monkeypatch.setattr(densities, "_MAX_DEPTH", 6)
+    assert _walked([c11], tol=1e-9) == failing
+    assert dtypes == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("x, tol", [(30, 1e-2), (100, 0.05)])
+def test_constant_sum_contains_the_exact_bracket(s1, split_surface, x, tol, monkeypatch):
+    # the dyadic sums hold the exact Fraction sums of the same fibres' areas
+    # and products, and are at most 2^-64 lower wider
+    areas, products = [], []
+    walk, product = densities.sigma_inf_walk, densities.bad_prime_product
+
+    def recorded_walk(conics, tol):
+        for area in walk(conics, tol=tol):
+            areas.append(area)
+            yield area
+
+    def recorded_product(C):
+        products.append(product(C))
+        return products[-1]
+
+    monkeypatch.setattr(densities, "sigma_inf_walk", recorded_walk)
+    monkeypatch.setattr(densities, "bad_prime_product", recorded_product)
+    for X in (s1, split_surface):
+        areas.clear()
+        products.clear()
+        lo, hi, count, _ = constant_sum(((i, fibre_conic(X, i)) for i in domain_B(X, x)), tol=tol)
+        accepted = [a for a in areas if isinstance(a, tuple)]
+        assert count == len(accepted) == len(products) > 1000
+        exact_lo, exact_hi = densities._leading_constant(
+            sum(a[0] * n for a, n in zip(accepted, products)),
+            sum(a[1] * n for a, n in zip(accepted, products)),
+            Fraction(1),
+        )
+        assert lo <= exact_lo <= exact_hi <= hi
+        assert (hi - lo) - (exact_hi - exact_lo) <= exact_lo / 2**64
 
 
 def test_peyre_xyz_contains_truth(xyz_conic):

@@ -12,6 +12,7 @@ import pytest
 import conicbundle
 from conicbundle.analytic import MAX_WIRSING_X, final_lemma_sum
 from conicbundle.harness import (
+    MAX_CONSTANT_X,
     CountRecord,
     ResultCache,
     analyze,
@@ -620,3 +621,31 @@ def test_cli_wirsing_refuses_x_past_the_sieve_limit():
     assert run.stderr.startswith("error[ValueError]: ")
     assert str(MAX_WIRSING_X) in run.stderr
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("x", ["1e30", "nan", "inf"])
+def test_cli_sum_constants_refuses_x_past_the_limit(s1_file, x):
+    # refused before any fibre is built, with the limit in the message
+    start = time.perf_counter()
+    run = _main_capped(["sum-constants", s1_file, "--x", x])
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error[ValueError]: ")
+    assert str(MAX_CONSTANT_X) in run.stderr
+    assert run.stdout == ""
+
+
+def test_sum_constants_takes_x_up_to_the_limit(s1, monkeypatch):
+    import conicbundle.harness as harness
+
+    firsts = []
+
+    def first_fibre_only(fibres, tol, strict):
+        firsts.append(next(iter(fibres)))
+        return 0, 0, 0, []
+
+    monkeypatch.setattr(harness, "constant_sum", first_fibre_only)
+    assert sum_constants(s1, MAX_CONSTANT_X).x == MAX_CONSTANT_X
+    with pytest.raises(ValueError, match=str(MAX_CONSTANT_X)):
+        sum_constants(s1, MAX_CONSTANT_X + 0.5)
+    assert len(firsts) == 1
