@@ -9,26 +9,28 @@ lattice sums.
 
 Prime sums take one path.  A MultiplicativeFn gives its values at a whole
 prime array at once, exactly as integer numerators and denominators and as
-float64.  Exact partial sums come from one squarefree loop that builds
-g(a) from those prime values; float partial sums come from a recursion
-over the primes up to sqrt(x) that reads the running prime sums only at
-the values x // m (the second phase of the min_25 / Lucy method,
-Deleglise & Rivat, Experiment. Math. 5, 1996).  One walk of the segmented
-prime sieve, in blocks, feeds every running prime sum, so it holds the
-primes up to sqrt(x), one segment, one block and O(sqrt(x)) values.
+float64.  Every squarefree partial sum comes from one recursion over the
+primes up to sqrt(x) reading the running prime sums only at the values
+x // m (the second phase of the min_25 / Lucy method, Deleglise & Rivat,
+Experiment. Math. 5, 1996), in float64, in exact Fractions, or in 96-bit
+fixed point rounded down at every step.  For floats one walk of the
+segmented prime sieve, in blocks, feeds every running prime sum, so it
+holds the primes up to sqrt(x), one segment, one block and O(sqrt(x))
+values.
 
-Every rational sum goes through one exact-or-floored summation: exact
+Sums of explicit terms go through one exact-or-floored summation: exact
 Fractions for small arguments, otherwise every term rounded down at 96
-fractional bits, so the returned rational is a lower bound with error
-below terms * 2^-96.
+fractional bits, a lower bound with error below terms * 2^-96.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,19 +54,6 @@ def _rational_sum(terms, exact: bool) -> Fraction:
 # sieves
 
 shared_primes = primes_up_to  # every prime <= n, ascending, uncached
-
-
-def _smallest_factor_table(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (0 for n < 2)."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.arange(limit + 1, dtype=np.int32)
-    spf[spf == 0] = rest[spf == 0]
-    spf[:2] = 0
-    return spf
 
 
 # --------------------------------------------------------------------------
@@ -379,43 +368,17 @@ MAX_WIRSING_X = 2 * 10**8
 _PRIME_BLOCK = 1 << 14  # primes per g.floats call
 
 
-def _squarefree_sums(
-    g: MultiplicativeFn, ps: np.ndarray, cps: list[int], exact: bool
-) -> list[Fraction]:
-    """[sum of g(a) over a <= c for c in cps] for the sorted cps, where ps
-    holds every prime up to cps[-1]: exact, or 96-bit floored term by term.
-
-    Each a comes from its factorization along the smallest-prime-factor
-    table, multiplying integer numerators and denominators: a is dropped at
-    its first repeated prime or zero-valued prime.
-    """
-    pn, pd = g.exact(ps)
-    gn = dict(zip(ps.tolist(), pn.tolist()))
-    gd = dict(zip(ps.tolist(), pd.tolist()))
-    spf = _smallest_factor_table(cps[-1])
-
-    def terms(lo: int, hi: int):
-        for a in range(lo, hi + 1):
-            n, d, m = 1, 1, a
-            while m > 1:
-                p = int(spf[m])
-                m //= p
-                if m % p == 0 or not gn[p]:
-                    break
-                n *= gn[p]
-                d *= gd[p]
-            else:
-                yield n, d
-
-    sums, total, lo = [], Fraction(0), 1
-    for c in cps:
-        total += _rational_sum(terms(lo, c), exact)
-        sums.append(total)
-        lo = c + 1
-    return sums
+def _breakpoints(top: int, cps, recursed) -> np.ndarray:
+    """The sorted values v at which the recursion reads the prime sums:
+    1..sqrt(top), the checkpoints cps, and c // m for m <= sqrt(c) for each
+    checkpoint c in recursed (with 1..sqrt(c), every value c // m)."""
+    return np.unique(np.concatenate(
+        [np.arange(1, math.isqrt(top) + 1), cps]
+        + [c // np.arange(1, math.isqrt(c) + 1) for c in recursed]
+    ))
 
 
-def _prime_sum_recursion(c: int, small: list[int], g_small: list[float], G: dict) -> float:
+def _prime_sum_recursion(c: int, small: list, g_small: list, G: dict, one, mul):
     """Sum of g(a) over squarefree a <= c, from the prime sums G[v] = sum of
     g(p) over p <= v at the values v = c // m and the g(p) of the primes
     small, ascending and at least up to sqrt(c).
@@ -426,19 +389,48 @@ def _prime_sum_recursion(c: int, small: list[int], g_small: list[float], G: dict
     a <= n,
         F(n, j) = G(n) - G(p_(j-1)) + sum_(k >= j, p_k^2 <= n) g(p_k) F(n // p_k, k + 1),
     with G(p_(-1)) = 0, and the sum is 1 + F(c, 0), unrolled here on a
-    stack of (n, j, weight).
+    stack of (n, j, weight), in the arithmetic of the values, with unit one
+    and products mul(a, b): floats, Fractions or fixed point (_exact_sums).
     """
-    below = [0.0] + [G[p] for p in small]  # below[j] = G(p_(j-1))
-    total, stack = 1.0, [(c, 0, 1.0)]
+    below = [0] + [G[p] for p in small]  # below[j] = G(p_(j-1))
+    total, stack = one, [(c, 0, one)]
     while stack:
         n, j, w = stack.pop()
-        total += w * (G[n] - below[j])
+        total += mul(w, G[n] - below[j])
         for k in range(j, len(small)):
             p = small[k]
             if p * p > n:
                 break
-            stack.append((n // p, k + 1, w * g_small[k]))
+            stack.append((n // p, k + 1, mul(w, g_small[k])))
     return total
+
+
+def _exact_sums(g: MultiplicativeFn, cps: list[int], floored: bool) -> list[Fraction]:
+    """[sum of g(a) over squarefree a <= c for c in the sorted cps], by the
+    recursion on one g.exact call on the primes up to cps[-1]: exact, or in
+    96-bit fixed point with every prime value, weight product and node term
+    floored, all nonnegative, so a lower bound.  With u = 2^-96, M >= 1 above
+    every g(p) and L the most prime factors of a squarefree a <= c, a weight
+    of k >= 1 floored factors is < (2k - 1) M^(k-1) u low, so a node over
+    m >= 1 primes loses < u + 2k M^k m u, k <= L - 1 (the root, k = 0: m u).
+    The nodes and their m primes count distinct squarefree numbers <= c, so
+        0 <= exact - floored < 2 L M^(L-1) c u.
+    """
+    ps = shared_primes(cps[-1])
+    num, den = g.exact(ps)
+    if floored:
+        one, mul = 1 << _FIX_BITS, lambda a, b: a * b >> _FIX_BITS  # floored
+        gp = [(n << _FIX_BITS) // d for n, d in zip(num.tolist(), den.tolist())]
+    else:
+        one, mul = Fraction(1), operator.mul
+        gp = [Fraction(n, d) for n, d in zip(num.tolist(), den.tolist())]
+    run = list(accumulate(gp, initial=0))  # run[i] = sum of g(p) over the first i primes
+    vals = _breakpoints(cps[-1], cps, cps)
+    G = {v: run[i] for v, i in zip(vals.tolist(), np.searchsorted(ps, vals, "right").tolist())}
+    n_small = int(np.searchsorted(ps, math.isqrt(cps[-1]), "right"))
+    small, g_small = ps[:n_small].tolist(), gp[:n_small]
+    sums = [_prime_sum_recursion(c, small, g_small, G, one, mul) for c in cps]
+    return [Fraction(s, one) for s in sums] if floored else sums
 
 
 def wirsing_sum(
@@ -449,17 +441,18 @@ def wirsing_sum(
 ) -> WirsingReport:
     """Partial sums of a squarefree-supported multiplicative function.
 
-    Sums at checkpoints up to the exact threshold are exact Fractions from
-    one squarefree pass, with g.exact called once on the primes up to the
-    largest of them.  Larger ones come from _prime_sum_recursion, which
-    reads the float prime sums only at the values c // m of each
-    checkpoint c.  One walk of the segmented prime sieve, calling g.floats
-    once per block of _PRIME_BLOCK primes, feeds those prime sums and the
-    prime sums behind the hypothesis diagnostics, and no prime array
-    beyond one segment and the primes up to sqrt(x) is held.  So the
-    memory is flat in x: `wirsing-check` peaks at 41-43 MiB RSS at
-    x = 10^7 and 44-45 MiB at 2·10^8, ~36 MiB of it the imports.  x is
-    capped at MAX_WIRSING_X.
+    Every sum is _prime_sum_recursion's: exact Fractions (_exact_sums) at
+    checkpoints up to the exact threshold, g.exact called once on the
+    primes up to the largest of them, and float64 above.  For g(p) >= 0,
+    g.floats within gamma_eta of g(p), u = 2^-53, gamma_k = k u / (1 - k u)
+    and L = bit_length(c), a float sum is within S (gamma_(c + L (eta + 1)
+    + 2) + 3 gamma_(pi(c) + eta) S) of the exact S, to first order in u.
+    One walk of the segmented prime sieve, calling g.floats once per block
+    of _PRIME_BLOCK primes, feeds those prime sums and those behind the
+    hypothesis diagnostics, holding no primes beyond one segment and those
+    up to sqrt(x).  So the memory is flat in x: `wirsing-check` peaks at
+    41-43 MiB RSS at x = 10^7 and 44-45 MiB at 2·10^8, ~36 MiB of it the
+    imports.  x <= MAX_WIRSING_X.
     k_hat is the slope of the prime sum of g(p) log p against log t, the
     normalization that defines the growth exponent; c_hat is the linear
     coefficient of the checkpoint sums against (log x)^k with the exponent
@@ -477,11 +470,8 @@ def wirsing_sum(
         raise ValueError("checkpoint beyond x")
     if cps[-1] != x:
         cps.append(x)
-    sums = {}
     exact_cps = [c for c in cps if c <= exact_threshold]
-    if exact_cps:
-        ps = shared_primes(exact_cps[-1])
-        sums = dict(zip(exact_cps, _squarefree_sums(g, ps, exact_cps, True)))
+    sums = dict(zip(exact_cps, _exact_sums(g, exact_cps, floored=False) if exact_cps else ()))
     float_cps = cps[len(exact_cps) :]
 
     # one walk of the prime sieve feeds one table of running sums over the
@@ -491,9 +481,7 @@ def wirsing_sum(
     # m <= sqrt(c).  Each block's cumsum goes on from the last column, so
     # every value is bitwise that of one np.cumsum over all the primes.
     r = math.isqrt(x)
-    vals = np.unique(np.concatenate(
-        [np.arange(1, r + 1), cps] + [c // np.arange(1, math.isqrt(c) + 1) for c in float_cps]
-    ))
+    vals = _breakpoints(x, cps, float_cps)
     table = np.zeros((4, len(vals)))
     carry, i = np.zeros((4, 1)), 0
     small, g_small = [], []  # the primes <= sqrt(x), which the recursion walks, and g there
@@ -516,7 +504,7 @@ def wirsing_sum(
     table[:, i:] = carry
     G = dict(zip(vals.tolist(), table[0].tolist()))
     for c in float_cps:
-        sums[c] = _prime_sum_recursion(c, small, g_small, G)
+        sums[c] = _prime_sum_recursion(c, small, g_small, G, 1.0, operator.mul)
     sums_at = [(c, sums[c]) for c in cps]
 
     # prime-sum normalization: the exponent is DEFINED by
@@ -599,15 +587,18 @@ def final_lemma_sum(
     """Sum over squarefree a <= x coprime to the resultant invariant of
     rho*(a) phi(a)^2 / a^4.
 
-    Exact below the threshold; above it every term is floored at 96
-    fractional bits, so the result is a rational lower bound within
-    x * 2^-96 of the true value.
+    Exact below the threshold.  Above it the recursion of _exact_sums runs
+    in 96-bit fixed point, every prime value, weight product and node term
+    floored, so the result is a rational lower bound.  Every g(p) =
+    rho*(p) phi(p)^2 / p^4 <= (p + 1) (p - 1)^3 / p^4 is below 1, so the
+    error is below 2 L x 2^-96, L the largest number of prime factors of a
+    squarefree a <= x (L = 5 at x = 10^4, 7 at 10^6).
     """
     x = int(x)
     if x < 1:
         raise ValueError("need x >= 1")
     g = rho_delta_fn(X, strict_wf)
-    (total,) = _squarefree_sums(g, shared_primes(x), [x], x <= exact_threshold)
+    (total,) = _exact_sums(g, [x], floored=x > exact_threshold)
     return total
 
 

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .surface import (
     brute_force_surface_count,
     domain_B,
     fibre_conic,
+    fibre_height_cap,
     load_surface,
     section_base_directions,
     singular_fibre_indices,
@@ -142,16 +143,18 @@ class ResultCache:
     def _path(self, surface_id: str, op: str, params: dict) -> Path:
         return self.root / (self._key(surface_id, op, params) + ".txt")
 
-    def get(self, surface_id: str, op: str, params: dict):
+    def get(self, surface_id: str, op: str, params: dict) -> dict | None:
         path = self._path(surface_id, op, params)
         try:
             record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        # stale or colliding record: ignore rather than trust
-        if record.get("surface") != surface_id or record.get("op") != op:
+        # a cache file is outside input: a stale, colliding or malformed
+        # record is a miss, and callers check the result dict's own fields
+        if not isinstance(record, dict) or record.get("surface") != surface_id:
             return None
-        return record.get("result")
+        result = record.get("result")
+        return result if record.get("op") == op and isinstance(result, dict) else None
 
     def put(self, surface_id: str, op: str, params: dict, result: dict) -> None:
         path = self._path(surface_id, op, params)
@@ -226,6 +229,9 @@ def analyze(X: CubicSurfaceNF) -> AnalysisReport:
 # whole-surface counting
 
 
+_COUNT_FIELDS = frozenset(f.name for f in fields(CountRecord))
+
+
 def _count_task(args):
     i, conic, bound = args
     return i, count_points(conic, bound).count
@@ -241,15 +247,13 @@ def _fibre_counts(
     """Point count per fibre at height bound, cache-aware, order-preserving."""
     counts: list[int | None] = [None] * len(fibres)
     missing = []
-    for i, idx in enumerate(fibres):
-        if cache is not None:
-            hit = cache.get(
-                X.surface_hash, "fibre-count", {"s": idx.s, "t": idx.t, "B": bound}
-            )
-            if hit is not None:
-                counts[i] = int(hit["count"])
-                continue
-        missing.append(i)
+    keys = [{"s": idx.s, "t": idx.t, "B": bound} for idx in fibres]
+    for i, key in enumerate(keys):
+        hit = None if cache is None else cache.get(X.surface_hash, "fibre-count", key)
+        if hit is not None and type(hit.get("count")) is int:  # no integer count: a miss
+            counts[i] = hit["count"]
+        else:
+            missing.append(i)
 
     tasks = [(i, fibre_conic(X, fibres[i]), bound) for i in missing]
     # the pool forks all its processes at the first submit, so no more
@@ -266,13 +270,7 @@ def _fibre_counts(
     for i, n in results:
         counts[i] = n
         if cache is not None:
-            idx = fibres[i]
-            cache.put(
-                X.surface_hash,
-                "fibre-count",
-                {"s": idx.s, "t": idx.t, "B": bound},
-                {"count": n},
-            )
+            cache.put(X.surface_hash, "fibre-count", keys[i], {"count": n})
     assert all(c is not None for c in counts)
     return counts  # type: ignore[return-value]
 
@@ -292,7 +290,8 @@ def count_surface(
     fibration: sum of exact conic counts over all fibres of index height up
     to x_cutoff (required).  direct: exhaustive search in the ambient space,
     restricted to the same fibre range when x_cutoff is given; guarded above
-    height 200 because the search is quartic in B.  x_cutoff must be >= 1.
+    height 200 because the search is quartic in B.  x_cutoff must be >= 1
+    (for the fibration, <= MAX_FIBRE_HEIGHT).
     workers >= 1 processes count the fibres, at most one per core and per
     fibre to count.
     """
@@ -313,7 +312,10 @@ def count_surface(
     }
     if cache is not None:
         hit = cache.get(X.surface_hash, "count-surface", params)
-        if hit is not None:
+        # a miss unless it holds a record's fields, no others, and integer counts
+        if hit is not None and hit.keys() == _COUNT_FIELDS and all(
+            type(hit[k]) is int for k in ("count", "excluded_singular_fibres", "runtime_ms")
+        ):
             return CountRecord.from_payload(hit)
 
     start = time.monotonic()
@@ -359,9 +361,6 @@ def count_surface(
 # --------------------------------------------------------------------------
 # constant sums
 
-# the largest x sum-constants takes: ~1.2M fibres on the test surfaces
-MAX_CONSTANT_X = 1000
-
 
 @dataclass
 class ConstantSumResult:
@@ -389,8 +388,6 @@ def sum_constants(
     tol: float = 1e-3,
     strict: bool = False,
 ) -> ConstantSumResult:
-    if not 1 <= x <= MAX_CONSTANT_X:
-        raise ValueError(f"height bound x = {x} is outside [1, {MAX_CONSTANT_X}]")
     fibres = ((idx, fibre_conic(X, idx)) for idx in domain_B(X, x))
     lower, upper, n, failed = constant_sum(fibres, tol=tol, strict=strict)
     return ConstantSumResult(
@@ -427,9 +424,10 @@ def growth_table(
         raise ValueError("heights must be strictly increasing")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
+    cutoffs = [max(1.0, float(b) ** delta) for b in hs]
+    fibre_height_cap(cutoffs[-1])  # the largest: refused before any row is counted
     rows = []
-    for b in hs:
-        cutoff = max(1.0, float(b) ** delta)
+    for b, cutoff in zip(hs, cutoffs):
         rec = count_surface(
             X, b, "fibration", cutoff, cache=cache, workers=workers
         )

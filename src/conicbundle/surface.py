@@ -366,14 +366,23 @@ def singular_fibre_indices(X: CubicSurfaceNF) -> tuple[FibreIndex, ...]:
     return tuple(out)
 
 
+MAX_FIBRE_HEIGHT = 1000  # ~1.2M fibres on the test surfaces
+
+
+def fibre_height_cap(x) -> int:
+    """int(x) for a fibre height x in [1, MAX_FIBRE_HEIGHT], the bound of a
+    walk over the whole base; any other x, NaN and inf included, is refused."""
+    if not 1 <= x <= MAX_FIBRE_HEIGHT:
+        raise ValueError(f"fibre height bound {x} is outside [1, {MAX_FIBRE_HEIGHT}]")
+    return int(x)
+
+
 def domain_B(X: CubicSurfaceNF, x) -> Iterator[FibreIndex]:
-    """Normalized fibre indices of height <= x with nonsingular fibre.
+    """Normalized fibre indices of height <= x <= MAX_FIBRE_HEIGHT with nonsingular fibre.
 
     Deterministic lexicographic order in (s, t).
     """
-    if x < 1:
-        raise ValueError("height bound must be >= 1")
-    cap = int(x)
+    cap = fibre_height_cap(x)
     if X.disc(0, 1) != 0:
         yield FibreIndex(0, 1)
     for s in range(1, cap + 1):

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -281,13 +283,13 @@ def test_tau_rejects_non_irreducible():
 # ---------------------------------------------------------------- wirsing
 
 
+def brute_squarefree_harmonic_terms(x):
+    # g(a) = prod 1/p = 1/a on squarefree a, as (1, a)
+    return [(1, a) for a in range(1, x + 1) if all(e == 1 for e in sympy.factorint(a).values())]
+
+
 def brute_squarefree_harmonic(x):
-    # g(a) = prod 1/p = 1/a on squarefree a
-    tot = Fraction(1)
-    for a in range(2, x + 1):
-        if all(e == 1 for e in sympy.factorint(a).values()):
-            tot += Fraction(1, a)
-    return tot
+    return sum((Fraction(n, d) for n, d in brute_squarefree_harmonic_terms(x)), Fraction(0))
 
 
 def test_wirsing_harmonic_small_sums_exact():
@@ -344,14 +346,14 @@ def recursion_error_bound(s, c, eta):
     return 1.01 * s * (_gamma(c + depth * (eta + 1) + 2) + 3 * _gamma(pi_c + eta) * s)
 
 
-def test_prime_sum_recursion_matches_ascending_prime_loop(s1, split_surface):
+def test_prime_sum_recursion_matches_ascending_prime_loop(floored_sums):
     top = 10**6
     ps_top = shared_primes(top)
     xs = list(range(2, 201)) + [10**6]
     for p in (2, 3, 29, 31, 97, 997):
         xs += [p * p - 1, p * p, p * p + 1]
     small = sorted(x for x in set(xs) if x <= 3 * 10**4)
-    for g in (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface)):
+    for g, brute in zip(*floored_sums):
         got = dict(wirsing_sum(g, top, checkpoints=xs, exact_threshold=1).sums_at)
         # against the sieve on the same float values (eta = 0); the sieve's
         # own error is at most gamma_(L) per cell and gamma_(x) for its cumsum
@@ -360,21 +362,36 @@ def test_prime_sum_recursion_matches_ascending_prime_loop(s1, split_surface):
             s = float(sieve[x])
             bound = recursion_error_bound(s, x, 0) + 1.01 * _gamma(x + x.bit_length()) * s
             assert abs(got[x] - s) <= bound, (g.name, x)
-        # against the exact sums, correctly rounded to float
-        exact = analytic._squarefree_sums(g, shared_primes(small[-1]), small, True)
-        for x, s in zip(small, map(float, exact)):
-            assert abs(got[x] - s) <= recursion_error_bound(s, x, _ETA) + _U * s, (g.name, x)
+        # against the brute sums, each term floored at 96 bits, then rounded
+        for x in small:
+            s = brute[x - 1]
+            bound = recursion_error_bound(s, x, _ETA) + _U * s + x * 2.0**-96
+            assert abs(got[x] - s) <= bound, (g.name, x)
+
+
+def prefix_floor96(terms, top):
+    """[the sum of the terms n / d with a <= c, each floored at 96 bits, for
+    c = 1..top] as floats, from (a, n, d) triples."""
+    at = [0] * (top + 1)
+    for a, n, d in terms:
+        at[a] += (n << 96) // d
+    return [float(Fraction(v, 1 << 96)) for v in itertools.accumulate(at[1:])]
 
 
 @pytest.fixture(scope="module")
 def floored_sums(s1, split_surface):
-    # the sums at every c <= 30031 with each term floored at 96 bits, so at
-    # most c 2^-96 below the exact ones, then rounded to float
+    # the brute sums at every c <= 30031, each term floored at 96 bits, so at
+    # most c 2^-96 below the exact ones, then rounded to float; rho*(p) from
+    # the vector route, which the root-count tests check against the scalar one
     top = 30031
-    ps = shared_primes(top)
     gs = (squarefree_harmonic(), rho_delta_fn(s1), rho_delta_fn(split_surface))
-    cps = list(range(1, top + 1))
-    return gs, [list(map(float, analytic._squarefree_sums(g, ps, cps, False))) for g in gs]
+    keyed = [[(d, n, d) for n, d in brute_squarefree_harmonic_terms(top)]]
+    ps = shared_primes(top)
+    for X in (s1, split_surface):
+        rho_at = dict(zip(ps.tolist(), rho_star_prime_vector(X, ps, delta_factor_data(X)).tolist()))
+        terms = brute_final_lemma_terms(X, top, rho_at)  # (num, a^4)
+        keyed.append([(math.isqrt(math.isqrt(d)), n, d) for n, d in terms])
+    return gs, [prefix_floor96(terms, top) for terms in keyed]
 
 
 # x next to the primorial 30030 = 2*3*5*7*11*13, the start of the deepest
@@ -404,6 +421,76 @@ def test_prime_sum_recursion_matches_exact_sums(floored_sums, x, picks, which):
         want = sums[which][c - 1]
         bound = recursion_error_bound(want, c, _ETA) + _U * want + c * 2.0**-96
         assert abs(got - want) <= bound, (gs[which].name, c)
+
+
+@functools.cache
+def squarefree_factors(top):
+    """{a: its prime factors} for every squarefree a <= top, from sympy."""
+    out = {}
+    for a in range(1, top + 1):
+        fac = sympy.factorint(a)
+        if all(e == 1 for e in fac.values()):
+            out[a] = list(fac)
+    return out
+
+
+def cycled_fn(values):
+    """The squarefree-supported g with g(p) = n / d for the i-th prime
+    p and (n, d) = values[i % len(values)]."""
+    index = {p: i for i, p in enumerate(shared_primes(3000).tolist())}
+
+    def exact(ps):
+        nd = [values[index[p] % len(values)] for p in ps.tolist()]
+        return np.array([n for n, _ in nd], dtype=object), np.array([d for _, d in nd], dtype=object)
+
+    def floats(ps):
+        num, den = exact(ps)
+        return (num / den).astype(np.float64)
+
+    return MultiplicativeFn("cycled", exact, floats)
+
+
+# 0 <= g(p) <= 3: zero values, and values above 1
+_PRIME_VALUE = st.integers(1, 50).flatmap(lambda d: st.tuples(st.integers(0, 3 * d), st.just(d)))
+
+
+@given(
+    x=st.one_of(st.integers(2, 3000), st.sampled_from([2309, 2310, 2311]), _SQUARE_ENDS.filter(
+        lambda x: x <= 3000)),
+    picks=st.lists(st.floats(0, 1), max_size=8),
+    values=st.lists(_PRIME_VALUE, min_size=1, max_size=40),
+)
+@example(x=2, picks=[], values=[(0, 1)])
+@example(x=3, picks=[0.5], values=[(3, 1)])
+@example(x=8, picks=[], values=[(1, 3), (150, 50)])
+@example(x=9, picks=[0.9], values=[(7, 3), (0, 5)])
+@example(x=10, picks=[], values=[(1, 2), (2, 3), (0, 1)])
+@example(x=2808, picks=[0.6], values=[(49, 50), (1, 49), (147, 49)])
+@example(x=2809, picks=[], values=[(1, 3)])
+@example(x=2810, picks=[0.3], values=[(2, 47), (141, 47), (0, 2)])
+@example(x=2309, picks=[0.2, 0.5], values=[(3, 1), (1, 50)])
+@example(x=2311, picks=[], values=[(1, 50), (150, 50), (99, 37)])
+# weights of 2 and 3 off the 2^-96 grid, exact values 3 beyond: a weight
+# rounded up instead of down takes the sum above the exact one
+@example(x=3000, picks=[], values=[(1, 4), (1, 7)] + [(3, 1)] * 38)
+def test_rational_recursion_matches_brute_sums(x, picks, values):
+    # the exact route equals the brute per-integer sum; the floored route is
+    # below it and within the derived bound
+    g = cycled_fn(values)
+    cps = sorted({max(1, int(f * x)) for f in picks} | {x})
+    exact = analytic._exact_sums(g, cps, floored=False)
+    floored = analytic._exact_sums(g, cps, floored=True)
+    num, den = g.exact(shared_primes(x))
+    gp = {p: Fraction(n, d) for p, n, d in zip(shared_primes(x).tolist(), num, den)}
+    factors, total, want = squarefree_factors(3000), Fraction(0), {}
+    for a in range(1, x + 1):
+        if a in factors:
+            total += math.prod((gp[p] for p in factors[a]), start=Fraction(1))
+        want[a] = total
+    m = max([1, *gp.values()])
+    for c, e, f in zip(cps, exact, floored):
+        assert isinstance(e, Fraction) and e == want[c], c
+        assert 0 <= want[c] - f <= floored_error_bound(c, m), c
 
 
 def test_wirsing_sum_memory_is_flat_in_x(monkeypatch):
@@ -598,15 +685,29 @@ def test_final_lemma_frozen_and_floor(s1):
     assert exact - floored < Fraction(1, 10**20)
 
 
-def test_floored_sums_floor_each_term_at_96_bits(s1):
-    rho_at = {p: varrho_star_delta(s1, p) for p in sympy.primerange(2, 3001)}
-    terms = brute_final_lemma_terms(s1, 3000, rho_at)
-    floored = final_lemma_sum(s1, 3000, exact_threshold=1000)
-    assert floored == floor96(terms)
-    # the pin tells per-term flooring from flooring the total
-    exact = sum((Fraction(n, d) for n, d in terms), Fraction(0))
-    assert floored != Fraction(math.floor(exact * 2**96), 2**96)
+def floored_error_bound(x, m=1):
+    """2 L m^(L-1) x 2^-96, the bound of the 96-bit floored recursion, for
+    prime values <= m (m >= 1) and L the most prime factors of a squarefree
+    a <= x."""
+    L, primorial = 0, 1
+    for p in sympy.primerange(2, x + 1):
+        if primorial * p > x:
+            break
+        L, primorial = L + 1, primorial * p
+    return Fraction(2 * L * x, 2**96) * Fraction(m) ** max(L - 1, 0)
 
+
+@pytest.mark.parametrize("x", [3000, 10**4])
+def test_floored_final_lemma_within_the_derived_bound(s1, split_surface, x):
+    # every g(p) = rho*(p) phi(p)^2 / p^4 is below 1, so m = 1
+    for X in (s1, split_surface):
+        floored = final_lemma_sum(X, x, exact_threshold=1000)
+        exact = final_lemma_sum(X, x)
+        assert floored.denominator <= 2**96 < exact.denominator
+        assert 0 <= exact - floored < floored_error_bound(x)
+
+
+def test_floored_sums_floor_each_term_at_96_bits():
     # tau(p) of s^2 + t^2: one root at p = 2, two iff p = 1 mod 4
     taus = [(1 if p == 2 else 2 if p % 4 == 1 else 0, p) for p in sympy.primerange(2, 12001)]
     terms = [(t, p) for t, p in taus if t]

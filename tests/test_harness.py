@@ -11,8 +11,8 @@ import pytest
 
 import conicbundle
 from conicbundle.analytic import MAX_WIRSING_X, final_lemma_sum
+from conicbundle.conic import count_points
 from conicbundle.harness import (
-    MAX_CONSTANT_X,
     CountRecord,
     ResultCache,
     analyze,
@@ -23,6 +23,7 @@ from conicbundle.harness import (
     sum_constants,
     write_growth_csv,
 )
+from conicbundle.surface import MAX_FIBRE_HEIGHT, domain_B, fibre_conic
 
 
 # ---------------------------------------------------------------- records
@@ -170,6 +171,60 @@ def test_count_surface_cache_returns_stored_record(s1, tmp_path):
     again = count_surface(s1, 12, method="fibration", x_cutoff=2, cache=cache)
     assert first == again
     assert first.runtime_ms == again.runtime_ms  # byte-identical, not re-run
+
+
+def _record_text(surface_id, op, params, shape):
+    """A cache file of valid JSON whose record has the given wrong shape."""
+    if shape in ("[]", '"x"'):
+        return shape
+    record = {"surface": surface_id, "op": op, "params": params}
+    return json.dumps({**record, "result": json.loads(shape)})
+
+
+# a fibre-count result must hold an integer count; a count-surface result
+# must also hold every other field of its record
+_BAD_SHAPES = ["[]", '"x"', "5", "{}", '{"count": "3"}', '{"count": 1.5}', '{"count": true}']
+
+
+def _without_runtime(out):
+    return [line for line in out.splitlines() if not line.startswith("runtime_ms:")]
+
+
+@pytest.mark.parametrize("shape", [*_BAD_SHAPES, '{"count": 1}'])
+def test_cli_malformed_count_record_is_a_miss(s1, s1_file, tmp_path, capsys, shape):
+    # a record of another shape is recomputed and overwritten, not a traceback
+    argv = ("count-surface", s1_file, "--height", 10, "--cutoff", 5)
+    assert run_cli("--no-cache", *argv) == 0
+    cold = capsys.readouterr().out
+    cache = ResultCache(tmp_path)
+    params = {"B": 10, "method": "fibration", "x_cutoff": 5.0}
+    path = cache._path(s1.surface_hash, "count-surface", params)
+    path.write_text(_record_text(s1.surface_hash, "count-surface", params, shape))
+    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert _without_runtime(capsys.readouterr().out) == _without_runtime(cold)
+    result = json.loads(path.read_text())["result"]
+    assert CountRecord.from_payload(result) == count_surface(s1, 10, "fibration", 5)
+
+
+@pytest.mark.parametrize("shape", _BAD_SHAPES)
+def test_cli_malformed_fibre_count_record_is_a_miss(s1, s1_file, tmp_path, capsys, shape):
+    argv = ("count-surface", s1_file, "--height", 10, "--cutoff", 3)
+    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    cold = capsys.readouterr().out
+    cache = ResultCache(tmp_path)
+    cache._path(s1.surface_hash, "count-surface",
+                {"B": 10, "method": "fibration", "x_cutoff": 3.0}).unlink()
+    paths = {}
+    for idx in domain_B(s1, 3):
+        params = {"s": idx.s, "t": idx.t, "B": 10}
+        paths[idx] = cache._path(s1.surface_hash, "fibre-count", params)
+        paths[idx].write_text(_record_text(s1.surface_hash, "fibre-count", params, shape))
+    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert _without_runtime(capsys.readouterr().out) == _without_runtime(cold)
+    for idx, path in paths.items():
+        count = json.loads(path.read_text())["result"]["count"]
+        assert type(count) is int
+        assert count == count_points(fibre_conic(s1, idx), 10).count
 
 
 # ---------------------------------------------------------------- constants
@@ -623,6 +678,39 @@ def test_cli_wirsing_refuses_x_past_the_sieve_limit():
     assert run.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-surface", "{surface}", "--height", "10", "--cutoff", "1e30"],
+    ["count-surface", "{surface}", "--height", "10", "--cutoff", "1e5"],
+    ["count-surface", "{surface}", "--height", "10", "--cutoff", "nan"],
+    ["count-surface", "{surface}", "--height", "10", "--cutoff", "inf"],
+    ["growth", "{surface}", "--heights", "10,2000", "--delta", "1", "--out", "{csv}"],
+])
+def test_cli_refuses_a_fibre_cutoff_past_the_limit(s1_file, tmp_path, argv):
+    # refused before any fibre is counted, with the limit in the message
+    csv_path = tmp_path / "growth.csv"
+    start = time.perf_counter()
+    run = _main_capped([a.format(surface=s1_file, csv=csv_path) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error[ValueError]: ")
+    assert str(MAX_FIBRE_HEIGHT) in run.stderr
+    assert run.stdout == ""
+    assert not csv_path.exists()
+
+
+def test_growth_refuses_before_its_first_row(s1, monkeypatch):
+    import conicbundle.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "count_surface", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=str(MAX_FIBRE_HEIGHT)):
+        growth_table(s1, [10, 2000], delta=1)
+    assert calls == []
+    # the direct method only filters by its cutoff: no limit there
+    monkeypatch.undo()
+    assert count_surface(s1, 4, "direct", 1e30).count == count_surface(s1, 4, "direct").count
+
+
 @pytest.mark.parametrize("x", ["1e30", "nan", "inf"])
 def test_cli_sum_constants_refuses_x_past_the_limit(s1_file, x):
     # refused before any fibre is built, with the limit in the message
@@ -631,7 +719,7 @@ def test_cli_sum_constants_refuses_x_past_the_limit(s1_file, x):
     assert time.perf_counter() - start < 1.0
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error[ValueError]: ")
-    assert str(MAX_CONSTANT_X) in run.stderr
+    assert str(MAX_FIBRE_HEIGHT) in run.stderr
     assert run.stdout == ""
 
 
@@ -645,7 +733,7 @@ def test_sum_constants_takes_x_up_to_the_limit(s1, monkeypatch):
         return 0, 0, 0, []
 
     monkeypatch.setattr(harness, "constant_sum", first_fibre_only)
-    assert sum_constants(s1, MAX_CONSTANT_X).x == MAX_CONSTANT_X
-    with pytest.raises(ValueError, match=str(MAX_CONSTANT_X)):
-        sum_constants(s1, MAX_CONSTANT_X + 0.5)
+    assert sum_constants(s1, MAX_FIBRE_HEIGHT).x == MAX_FIBRE_HEIGHT
+    with pytest.raises(ValueError, match=str(MAX_FIBRE_HEIGHT)):
+        sum_constants(s1, MAX_FIBRE_HEIGHT + 0.5)
     assert len(firsts) == 1
