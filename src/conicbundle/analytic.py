@@ -617,9 +617,9 @@ def G_sum(
     """Sum of 1/max(|s|,|t|)^2 over coprime (s,t) = (sigma,tau) mod a,
     s > 0, height <= x, discriminant nonzero.
 
-    Counts pairs row by row at each height, so the rational arithmetic
-    touches one term per height value.  Exact below the threshold, 96-bit
-    floored above it.
+    Counts the pairs of each height with one bincount per row s, so the
+    rational arithmetic touches one term per height value.  Exact below
+    the threshold, 96-bit floored above it.
     """
     if a < 1:
         raise ValueError("modulus must be positive")
@@ -628,32 +628,16 @@ def G_sum(
     x = int(x)
     if x < 1:
         raise ValueError("need x >= 1")
-    bad = [(i.s, i.t) for i in singular_fibre_indices(X) if i.s > 0]
-    terms = []
-    for h in range(1, x + 1):
-        t_edge = np.arange(-h, h + 1, dtype=np.int64)
-        s_all = np.concatenate(
-            [
-                np.full(2 * h + 1, h, dtype=np.int64),
-                np.arange(1, h, dtype=np.int64),
-                np.arange(1, h, dtype=np.int64),
-            ]
-        )
-        t_all = np.concatenate(
-            [
-                t_edge,
-                np.full(h - 1, h, dtype=np.int64),
-                np.full(h - 1, -h, dtype=np.int64),
-            ]
-        )
-        keep = np.gcd(s_all, np.abs(t_all)) == 1
-        if a > 1:
-            keep &= ((s_all - sigma) % a == 0) & ((t_all - tau) % a == 0)
-        n = int(np.count_nonzero(keep))
-        for s0, t0 in bad:
-            if max(s0, abs(t0)) == h:
-                if (s0 - sigma) % a == 0 and (t0 - tau) % a == 0:
-                    n -= 1
-        if n > 0:
-            terms.append((n, h * h))
+    # per height h, the pairs of the class with max(s, |t|) = h: one
+    # bincount per row s of the class, t over the class in [-x, x]
+    counts = np.zeros(x + 1, dtype=np.int64)
+    t = np.arange(-x + (tau + x) % a, x + 1, a, dtype=np.int64)
+    for s in range(1 + (sigma - 1) % a, x + 1, a):
+        keep = np.gcd(s, t) == 1
+        counts += np.bincount(np.maximum(s, np.abs(t[keep])), minlength=x + 1)
+    for i in singular_fibre_indices(X):
+        h = max(i.s, abs(i.t))
+        if i.s > 0 and h <= x and (i.s - sigma) % a == 0 and (i.t - tau) % a == 0:
+            counts[h] -= 1
+    terms = [(n, h * h) for h, n in enumerate(counts.tolist()) if n > 0]
     return _rational_sum(terms, x <= exact_threshold)

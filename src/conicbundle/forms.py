@@ -6,9 +6,11 @@ Coefficient convention: ``coeffs[i]`` multiplies ``s**(d-i) * t**i`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from numbers import Integral
 
 from . import zpoly
+from .numth import projective_normal
 
 
 @dataclass(frozen=True)
@@ -75,28 +77,20 @@ class BinaryForm:
         return BinaryForm(tuple(i * self.coeffs[i] for i in range(1, d + 1)))
 
     def content(self) -> int:
-        return zpoly.z_content(self.coeffs)
+        return gcd(*self.coeffs) or 1
 
     def primitive(self) -> tuple[int, "BinaryForm"]:
-        """(signed content, primitive form with positive first nonzero coefficient)."""
-        c = self.content()
-        for v in self.coeffs:
-            if v:
-                if v < 0:
-                    c = -c
-                break
-        return c, BinaryForm(tuple(v // c for v in self.coeffs))
+        """(signed content, primitive form with positive first nonzero coefficient).
+
+        Raises ValueError on the zero form, as projective_normal does.
+        """
+        prim = projective_normal(self.coeffs)
+        i = next(i for i, v in enumerate(prim) if v)
+        return self.coeffs[i] // prim[i], BinaryForm(prim)
 
     def dehomogenized(self) -> tuple[int, ...]:
         """Coefficients of f(x, 1), ascending in x.  Trailing zeros trimmed."""
         return zpoly.trim(tuple(reversed(self.coeffs)))
-
-    def t_multiplicity(self) -> int:
-        """Largest k with t^k dividing the form (degree+1 when the form is zero)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.degree + 1
 
     def __str__(self) -> str:
         """Leading term first, e.g. ``s^4*t - 2*s^3*t^2 + 3``; ``0`` if zero."""
@@ -210,14 +204,14 @@ class FactorizationQ:
 def factor_over_q(form: BinaryForm) -> FactorizationQ:
     """Factor a nonzero binary form into content times primitive irreducibles.
 
-    The pure-t factor is returned as the form (0, 1).  Every other factor has
-    a positive leading s coefficient.  The recomposition is checked exactly.
+    z_factor factors f(x, 1); the power of t is the degree f(x, 1) lost, and
+    is returned as the form (0, 1).  Every other factor has a positive
+    leading s coefficient.  The recomposition is checked exactly.
     """
     if form.is_zero():
         raise ValueError("cannot factor the zero form")
-    k = form.t_multiplicity()
-    rest = form.coeffs[k:] if k else form.coeffs
-    asc = tuple(reversed(rest))  # univariate in x = s/t, ascending
+    asc = form.dehomogenized()  # univariate in x = s/t, ascending
+    k = form.degree - zpoly.deg(asc)
     content, parts = zpoly.z_factor(asc)
     factors: list[tuple[BinaryForm, int]] = []
     if k:

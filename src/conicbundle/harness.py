@@ -289,9 +289,9 @@ def count_surface(
 
     fibration: sum of exact conic counts over all fibres of index height up
     to x_cutoff (required).  direct: exhaustive search in the ambient space,
-    restricted to the same fibre range when x_cutoff is given; guarded above
-    height 200 because the search is quartic in B.  x_cutoff must be >= 1
-    (for the fibration, <= MAX_FIBRE_HEIGHT).
+    restricted to the same fibre range when x_cutoff is given (inf keeps
+    every fibre); guarded above height 200 because the search is quartic in
+    B.  x_cutoff must be >= 1 (for the fibration, <= MAX_FIBRE_HEIGHT).
     workers >= 1 processes count the fibres, at most one per core and per
     fibre to count.
     """
@@ -300,7 +300,10 @@ def count_surface(
         raise ValueError("height bound must be >= 1")
     if method not in ("fibration", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    if (x_cutoff is None and method == "fibration") or (x_cutoff is not None and x_cutoff < 1):
+    # NaN passes "< 1": the direct method refuses it here, the fibration
+    # with its fibre height limit, as it does inf
+    if (x_cutoff is None and method == "fibration") or (x_cutoff is not None and (
+            x_cutoff < 1 or method == "direct" and math.isnan(x_cutoff))):
         raise ValueError(f"{method} method needs x_cutoff >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -341,8 +344,7 @@ def count_surface(
                 f"direct method above height {DIRECT_HEIGHT_GUARD} is a "
                 "quartic-cost search; pass allow_large_direct to override"
             )
-        cap = None if x_cutoff is None else int(x_cutoff)
-        res = brute_force_surface_count(X, bound, fibre_height_cap=cap)
+        res = brute_force_surface_count(X, bound, fibre_height_cap=x_cutoff)
         total = res.count
     record = CountRecord(
         surface_id=X.surface_hash,

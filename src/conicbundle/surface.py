@@ -404,7 +404,7 @@ class BruteForceResult:
 
 
 def brute_force_surface_count(
-    X: CubicSurfaceNF, B, *, fibre_height_cap: int | None = None
+    X: CubicSurfaceNF, B, *, fibre_height_cap: float | None = None
 ) -> BruteForceResult:
     """Exhaustive search of primitive quadruples of height <= B on the surface.
 

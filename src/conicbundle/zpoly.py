@@ -1,12 +1,13 @@
 """Integer polynomials: arithmetic over Z and Z/m, roots mod p, factoring over Q.
 
 Owns the one root finder mod p (gcd with x^p - x, then an equal-degree
-split into linear factors) and the factorization over Q: squarefree
-decomposition, then per squarefree part one Zassenhaus round: factor mod
-the least odd prime that keeps the part squarefree, Hensel-lift that
-factorization past a Landau-Mignotte coefficient bound, and recombine
-subsets by exact trial division over Z.  One good prime suffices at every
-degree (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 15).
+split into linear factors) and the factorization over Q in one pass: the
+squarefree part f / gcd(f, f') goes through one Zassenhaus round (factor
+mod the least odd prime that keeps it squarefree, Hensel-lift that
+factorization past a Landau-Mignotte coefficient bound, recombine subsets
+by exact trial division over Z), and each factor's multiplicity is read
+off gcd(f, f').  One good prime suffices at every degree (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 14-15).
 
 Polynomials are tuples of ints, ascending degree, no trailing zeros.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
+
+from .numth import is_prime, projective_normal
 
 Poly = tuple[int, ...]
 
@@ -61,21 +64,10 @@ def z_derivative(p: Poly) -> Poly:
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def z_content(p: Poly) -> int:
-    c = 0
-    for v in p:
-        c = gcd(c, abs(v))
-    return c or 1
-
-
 def z_primitive(p: Poly) -> tuple[int, Poly]:
-    """(content with sign of leading coefficient, primitive part)."""
-    if not p:
-        return 1, ()
-    c = z_content(p)
-    if p[-1] < 0:
-        c = -c
-    return c, tuple(v // c for v in p)
+    """(content with sign of leading coefficient, primitive part) of nonzero p."""
+    prim = projective_normal(p[::-1])[::-1]
+    return p[-1] // prim[-1], prim
 
 
 def z_divmod_exact(a: Poly, b: Poly):
@@ -116,16 +108,14 @@ def z_div_exact(a: Poly, b: Poly) -> Poly:
 
 
 def q_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd over Z computed by a Fraction Euclid (degrees are small)."""
+    """Primitive gcd over Z: Euclid over Q with every remainder scaled to its
+    primitive integer part, which keeps the coefficients small."""
     a, b = trim(a), trim(b)
     while b:
-        a, b = b, trim(z_divmod_exact(a, b)[1])
-    if not a:
-        return ()
-    # clear denominators, primitivize, positive lead
-    den = lcm(*(Fraction(c).denominator for c in a))
-    _, prim = z_primitive(tuple(int(c * den) for c in a))
-    return prim
+        r = trim(z_divmod_exact(a, b)[1])
+        den = lcm(*(c.denominator for c in r))
+        a, b = b, z_primitive(tuple(int(c * den) for c in r))[1] if r else ()
+    return z_primitive(a)[1] if a else ()
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +344,6 @@ def _symmetric(c: int, m: int) -> int:
 
 def _good_prime(f: Poly) -> int:
     """The least odd prime that keeps monic f's degree and keeps f squarefree."""
-    from .numth import is_prime
-
     for p in range(3, 10_000, 2):
         if is_prime(p) and gf_is_squarefree(gf_from_z(f, p), p):
             return p
@@ -400,70 +388,37 @@ def factor_squarefree_monic(f: Poly) -> list[Poly]:
     return sorted(result)
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition of a primitive poly: [(primitive squarefree part, multiplicity)]."""
-    out: list[tuple[Poly, int]] = []
-    fp = z_derivative(f)
-    a = q_gcd(f, fp)
-    if deg(a) == 0:
-        return [(f, 1)]
-    b = z_div_exact(f, a)
-    c = z_div_exact(fp, a)
-    i = 1
-    while True:
-        d = z_sub(c, z_derivative(b))
-        if not d:
-            if deg(b) > 0:
-                out.append((b, i))
-            break
-        g = q_gcd(b, d)
-        if deg(g) > 0:
-            out.append((g, i))
-            b = z_div_exact(b, g)
-            c = z_div_exact(d, g)
-        else:
-            c = d
-        if deg(b) == 0:
-            break
-        i += 1
-    return out
-
-
 def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     """Factor f over Q: (integer content with sign, [(primitive irreducible, mult)]).
 
-    After x^k is stripped, every squarefree part (linear ones included) goes
-    through the modular (Zassenhaus) route; each factor leaves it primitive
-    with a positive leading coefficient.  Product check: content *
-    prod(parts^mult) == f exactly.
+    With c = gcd(f, f'), an irreducible of multiplicity m in f has
+    multiplicity m - 1 in c (characteristic 0), so f / c is the squarefree
+    part.  One Zassenhaus round factors it (x included, as an ordinary
+    linear factor); each factor leaves it primitive with a positive leading
+    coefficient, and its multiplicity is 1 plus the number of exact
+    divisions of c by it.  Product check: content * prod(parts^mult) == f
+    exactly.
     """
     f = trim(f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     cont, prim = z_primitive(f)
     found: dict[Poly, int] = {}
-
-    # strip x^k
-    k = 0
-    while prim and prim[0] == 0:
-        prim = prim[1:]
-        k += 1
-    if k:
-        found[(0, 1)] = k
-
     if deg(prim) >= 1:
-        for part, mult in squarefree_decomposition(prim):
-            # monicize:  F(y) = lc^(n-1) part(y / lc)
-            lc = part[-1]
-            n = deg(part)
-            monic = tuple(
-                1 if i == n else c * lc ** (n - 1 - i) for i, c in enumerate(part)
-            )
-            for g in factor_squarefree_monic(monic):
-                # map back: g(lc x), primitivized
-                back = tuple(c * lc**i for i, c in enumerate(g))
-                _, back = z_primitive(back)
-                found[back] = found.get(back, 0) + mult
+        common = q_gcd(prim, z_derivative(prim))
+        part = z_div_exact(prim, common)
+        # monicize:  F(y) = lc^(n-1) part(y / lc)
+        lc = part[-1]
+        n = deg(part)
+        monic = tuple(1 if i == n else c * lc ** (n - 1 - i) for i, c in enumerate(part))
+        for g in factor_squarefree_monic(monic):
+            # map back: g(lc x), primitivized
+            _, back = z_primitive(tuple(c * lc**i for i, c in enumerate(g)))
+            mult = 1
+            while z_divides(back, common):
+                common = z_div_exact(common, back)
+                mult += 1
+            found[back] = mult
 
     prod_poly: Poly = (cont,)
     for g, m in found.items():

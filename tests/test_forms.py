@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
-from sympy.abc import s as S, t as T
+from hypothesis import example, given
+from hypothesis import strategies as st
+from sympy.abc import s as S, t as T, x as X
 
 from conicbundle.forms import (
     BinaryForm,
@@ -12,6 +15,7 @@ from conicbundle.forms import (
     picard_rank,
     resultant,
 )
+from conicbundle.zpoly import z_factor, z_mul
 
 
 def _to_sympy(form):
@@ -163,9 +167,79 @@ def test_factor_over_q_random_vs_sympy(seed):
         assert fac.distinct_count == len(nontrivial)
 
 
-def test_t_multiplicity():
-    f = BinaryForm((0, 0, 3, -3))
-    assert f.t_multiplicity() == 2
+def _signed(content, factors):
+    """{factor: mult} with each factor's first nonzero coefficient positive,
+    and the content carrying the signs taken out."""
+    out = {}
+    for g, m in factors:
+        g = tuple(g)
+        if next(c for c in g if c) < 0:
+            g = tuple(-c for c in g)
+            content *= (-1) ** m
+        out[g] = out.get(g, 0) + m
+    return content, out
+
+
+def _sympy_form_factors(form):
+    """factor_list of the form in (s, t), factors as descending coefficient tuples."""
+    content, parts = sympy.factor_list(_to_sympy(form), S, T)
+    factors = []
+    for g, m in parts:
+        g = sympy.Poly(g, S, T)
+        d = g.total_degree()
+        factors.append(([int(g.coeff_monomial(S ** (d - i) * T**i)) for i in range(d + 1)], m))
+    return _signed(int(content), factors)
+
+
+def _sympy_poly_factors(asc):
+    """factor_list of the ascending integer polynomial in x, factors descending."""
+    content, parts = sympy.factor_list(sum(c * X**i for i, c in enumerate(asc)), X)
+    factors = [([int(c) for c in sympy.Poly(g, X).all_coeffs()], m) for g, m in parts]
+    return _signed(int(content), factors)
+
+
+_coeffs = st.integers(-10**30, 10**30)
+_nonzero = st.integers(1, 10**30) | st.integers(-10**30, -1)
+
+
+def _primitive_factor(low, lead):
+    g = gcd(*low, lead)
+    return tuple(c // g for c in (*low, lead))
+
+
+# ascending coefficients of a primitive polynomial of degree 1-3
+_factors = st.builds(
+    _primitive_factor,
+    st.integers(1, 3).flatmap(lambda d: st.lists(_coeffs, min_size=d, max_size=d)),
+    _nonzero,
+)
+
+
+@given(
+    factors=st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=4),
+    s_power=st.integers(0, 3),
+    t_power=st.integers(0, 3),
+    content=_nonzero,
+)
+@example(factors=[((-1, 1), 2)], s_power=3, t_power=0, content=1)   # x^3 (x-1)^2
+@example(factors=[((1, 0, 1), 2)], s_power=0, t_power=0, content=1)  # (x^2+1)^2
+@example(factors=[((1, 1), 1), ((2, 0, 3), 1)], s_power=2, t_power=2, content=-6)
+def test_factoring_over_q_matches_sympy(factors, s_power, t_power, content):
+    # f(x) = content x^s_power prod g^m; the form is t^t_power times its
+    # homogenization, so s_power is the power of s and of x alike
+    asc = (0,) * s_power + (content,)
+    for g, m in factors:
+        for _ in range(m):
+            asc = z_mul(asc, g)
+    form = BinaryForm((0,) * t_power + tuple(reversed(asc)))
+
+    c, parts = z_factor(asc)
+    assert _signed(c, [(g[::-1], m) for g, m in parts]) == _sympy_poly_factors(asc)
+
+    fac = factor_over_q(form)
+    assert _signed(fac.content, [(g.coeffs, m) for g, m in fac.factors]) == (
+        _sympy_form_factors(form)
+    )
 
 
 def test_picard_rank():

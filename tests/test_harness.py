@@ -428,6 +428,21 @@ def test_cli_count_surface_direct_guard(s1_file, capsys):
     assert rc == 2
 
 
+def test_cli_count_surface_direct_cutoff_nan_and_inf(s1_file, capsys):
+    # NaN is no cutoff >= 1; inf filters no fibre, as 1e30 does
+    args = ("--no-cache", "count-surface", s1_file, "--height", 5, "--method", "direct")
+    assert run_cli(*args, "--cutoff", "nan") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ValueError]: ") and "x_cutoff >= 1" in err
+    assert run_cli(*args, "--cutoff", "1e30") == 0
+    big = capsys.readouterr().out
+    assert run_cli(*args, "--cutoff", "inf") == 0
+    out = capsys.readouterr().out
+    assert "x_cutoff: inf" in out
+    count = [line for line in out.splitlines() if line.startswith("count:")]
+    assert count == [line for line in big.splitlines() if line.startswith("count:")]
+
+
 def test_cli_count_surface_direct_overflow_exits_2(tmp_path, capsys):
     # a 21-digit coefficient does not fit the int64 surface kernel
     big = tmp_path / "big.json"
