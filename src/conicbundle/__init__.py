@@ -1,7 +1,7 @@
 """Exact point counts, local densities, and prime-sum analysis for cubic
 surfaces fibred into conics over the projective line."""
 
-from .conic import CannotCertify, FibreConic, count_points, count_points_reference
+from .conic import FibreConic, count_points, count_points_reference
 from .densities import (
     ToleranceNotMet,
     local_density_report,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryForm",
-    "CannotCertify",
     "CountRecord",
     "CubicSurfaceNF",
     "FibreConic",

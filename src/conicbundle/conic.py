@@ -13,9 +13,10 @@ det(Pi) equals the conic invariant cxx*cyz^2 - cxy*cxz*cyz + czz*cxy^2, the
 content of q(u, v) divides |det(Pi)| for coprime (u, v); combined with a
 certified positive floor for the sup norm of q on the unit box boundary this
 turns "all points of height <= B" into a finite, provably complete search.
-The floor comes from exact integer bounds of that norm on dyadic cells of
-the two box edges (1, t) and (s, 1); there is no sampled or uncertified
-fallback: a floor that cannot be certified raises CannotCertify.
+On the two box edges (1, t) and (s, 1) that norm is max(|L|, w|Q|), L
+linear and Q quadratic in t; `edge_pieces` splits each edge where the two
+tie, and the floor is the exact minimum over the few places the norm can
+take it, with each irrational tie point enclosed in a rational interval.
 
 The floor gives each lattice (the base box, and one sublattice per solution
 class of every layer) a sup-norm box, and the box gives the rows of the
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import floor, gcd, inf, isqrt
 
 import numpy as np
 
@@ -50,10 +51,6 @@ from .modsolve import (
     lattice_rows,
 )
 from .numth import factor, projective_normal
-
-
-class CannotCertify(Exception):
-    """The norm floor was not certified within the subdivision depth cap."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,10 @@ def point_from_pair(C: FibreConic, u: int, v: int) -> HeightedPoint:
 # By q(-u, -v) = q(u, v) the boundary of the unit box is covered by the two
 # edges (1, t) and (s, 1), -1 <= s, t <= 1, and the edge (s, 1) of C is the
 # edge (1, t) of C with (cxx, cxy) swapped against (czz, cyz): x and z trade
-# places and y is unchanged.  A cell of level k is t in [a/S, (a+1)/S] with
-# S = 2^k; scaled by S^2 its components are integers at the cell ends.  The
-# cell arithmetic below uses only +, -, *, abs and // on exact halves, so one
-# formula serves Python ints and integer numpy arrays (int64 or object).
+# places and y is unchanged.  On (1, t) the components are x = L(t),
+# y = -Q(t) and z = t L(t), with L = cxy + cyz t and Q = cxx + cxz t +
+# czz t^2, so |z| <= |x| and N = max(|L|, w |Q|).  N > 0 there: L and Q
+# have no common root, since their resultant is det(Pi).
 
 
 def edge_coeffs(C: FibreConic):
@@ -166,60 +163,97 @@ def edge_norm(c, w, T, S):
     return _max(_max(abs(x), w * abs(y)), abs(z))
 
 
-def edge_cell_bounds(c, w, a, S):
-    """(lo, hi) with lo <= 4 S^2 max(|x|, w|y|, |z|) of q(1, t) <= hi on the
-    cell t in [a/S, (a+1)/S].
+def _root_intervals(a: int, b: int, c: int, k: int):
+    """[T0, T1] with T0 <= 2^k t <= T1 for each real root t of a t^2 + b t + c
+    (not all zero).  isqrt gives R <= 2^k sqrt(D) < R + 1, exact when R^2 =
+    4^k D, so a root of a quadratic lies within 1/|2a| + 2 grid steps."""
+    one = 1 << k
+    if a == 0:
+        return [((-c * one) // b, -((c * one) // b))] if b else []
+    D = b * b - 4 * a * c
+    if D < 0:
+        return []
+    R = isqrt(D << 2 * k)
+    ex = R * R != D << 2 * k
+    out = []
+    for lo, hi in ((-b * one + R, -b * one + R + ex), (-b * one - R - ex, -b * one - R)):
+        if a < 0:
+            lo, hi = -hi, -lo
+        out.append((lo // (2 * abs(a)), -(-hi // (2 * abs(a)))))
+    return out
 
-    On the cell each scaled component is its chord through the two end
-    values plus alpha (T - a)(T - a - 1), alpha its T^2 coefficient, and that
-    product lies between -alpha/4 and 0; the factor 4 keeps it integral.
+
+def edge_pieces(c, w: int, k: int):
+    """The edge (1, t) of edge coefficients c split where |L| and w|Q| tie:
+    (k', ties, pieces) on the grid t = T / 2^k', k' >= k.
+
+    The tie points are the roots in (-1, 1) of w Q - L and w Q + L.  Each
+    lies in a tie interval [T0, T1] (`_root_intervals`; overlapping ones
+    merged), on which L has no root: k is doubled until the exact signs of
+    L at both ends agree, which ends, since N > 0 at a tie.  Between them
+    lie the pieces (T0, T1, linear): no tie point inside, so N is |L|
+    (linear) or w|Q| on the whole closed piece, as the sign of L^2 - w^2 Q^2
+    at its midpoint says, and that term has no root there, so N > 0 keeps
+    the sign of L, resp. Q, constant.
     """
-    lo = hi = 0
-    ends = zip(_edge_components(c, a, S), _edge_components(c, a + 1, S))
-    for (f0, f1), alpha, wt in zip(ends, (0, -c[4], c[3]), (1, w, 1)):
-        f_lo = 2 * (f0 + f1 - abs(f0 - f1)) - (alpha + abs(alpha)) // 2
-        f_hi = 2 * (f0 + f1 + abs(f0 - f1)) + (abs(alpha) - alpha) // 2
-        lo = _max(lo, wt * _max(f_lo, -f_hi))
-        hi = _max(hi, wt * _max(f_hi, -f_lo))
-    return lo, hi
+    cxx, cxy, cxz, cyz, czz = c
+    while True:
+        one = 1 << k
+        found = sorted(
+            (max(t0, -one), min(t1, one))
+            for sign in (1, -1)
+            for t0, t1 in _root_intervals(w * czz, w * cxz - sign * cyz, w * cxx - sign * cxy, k)
+            if t1 > -one and t0 < one
+        )
+        ties = []
+        for t0, t1 in found:
+            if ties and t0 <= ties[-1][1]:
+                ties[-1] = (ties[-1][0], max(ties[-1][1], t1))
+            else:
+                ties.append((t0, t1))
+        if all((cxy * one + cyz * t0) * (cxy * one + cyz * t1) > 0 for t0, t1 in ties):
+            break
+        k *= 2
+    ends = [-one, *(t for tie in ties for t in tie), one]
+    pieces = []
+    for t0, t1 in zip(ends[::2], ends[1::2]):
+        if t0 < t1:
+            # at the midpoint M / 2^(k+1): |L| >= w |Q| on the scale 4^(k+1)
+            M, S = t0 + t1, 2 * one
+            lin = abs(cxy * S + cyz * M) * S >= w * abs(cxx * S * S + cxz * S * M + czz * M * M)
+            pieces.append((t0, t1, lin))
+    return k, ties, pieces
 
 
-# the deepest cell level the floor search may split down to
-_FLOOR_DEPTH = 44
+# tie points are isolated for the floor on the grid 2^-(_FLOOR_BITS + 2 b),
+# b the bit length of w * sum |c|
+_FLOOR_BITS = 32
 
 
 def certified_min_m(C: FibreConic) -> Fraction:
     """Positive rational floor for max(|x|,w|y|,|z|) of q on max(|u|,|v|) = 1.
 
-    Depth-first branch-and-bound over the dyadic cells of the edges (1, t)
-    and (s, 1) (the other two follow from q(-u, -v) = q(u, v)).  The target
-    is 16/17 of the smallest cell-end norm met so far, and a cell is done
-    once its lower bound reaches the target; lowering the target never
-    undoes a cell already done, so the last target is a floor.
+    On each edge (the other two follow from q(-u, -v) = q(u, v)) N is |L|,
+    linear, or w|Q| with Q of constant sign between tie points, so its
+    minimum lies at t = +-1, at the vertex of Q, or at a tie point.  The
+    floor is the exact least value of N at the first two (by edge_norm) and
+    of |L| <= N at the ends of each tie interval, which bounds N there, as
+    L has no root in it.
     """
-    edges = edge_coeffs(C)
     w = C.weight
-    # smallest end norm met so far: best / 4^kb
-    best, kb = edge_norm(edges[0], w, 0, 1), 0
-    stack = [(e, a, 0) for e in (0, 1) for a in (-1, 0)]
-    while stack:
-        e, a, k = stack.pop()
-        S = 1 << k
-        c = edges[e]
-        corner = edge_norm(c, w, a, S)
-        if corner << (2 * kb) < best << (2 * k):
-            best, kb = corner, k
-        # the target 16/17 * best/4^kb on the scale 4 S^2 of the cell bounds
-        target = -((-64 * best << (2 * k)) // (17 << (2 * kb)))
-        if edge_cell_bounds(c, w, a, S)[0] >= target:
-            continue
-        if k >= _FLOOR_DEPTH:
-            raise CannotCertify(
-                f"subdivision depth {_FLOOR_DEPTH} exhausted near cell {(e, a, k)}"
-            )
-        stack.append((e, 2 * a, k + 1))
-        stack.append((e, 2 * a + 1, k + 1))
-    return Fraction(16 * best, 17 << (2 * kb))
+    k = _FLOOR_BITS + 2 * (w * sum(map(abs, C.coeffs))).bit_length()
+    best = None
+    for c in edge_coeffs(C):
+        _, cxy, cxz, cyz, czz = c
+        kk, ties, _ = edge_pieces(c, w, k)
+        cands = [(edge_norm(c, w, 1, 1), 1), (edge_norm(c, w, -1, 1), 1)]
+        if abs(cxz) < 2 * abs(czz):
+            cands.append((edge_norm(c, w, -cxz, 2 * czz), 4 * czz * czz))
+        cands += [(abs(cxy * (1 << kk) + cyz * t), 1 << kk) for tie in ties for t in tie]
+        for num, den in cands:
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+    return Fraction(*best)
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +262,7 @@ def certified_min_m(C: FibreConic) -> Fraction:
 
 @dataclass
 class ConicCountResult:
-    """`certified` is always True: an uncertified floor raises instead."""
+    """`certified` is always True: every floor is certified."""
 
     count: int
     points: list[HeightedPoint] | None
@@ -529,6 +563,13 @@ def _layers(C: FibreConic, bound: int):
     return m, u1, layer_bounds
 
 
+def height_bound(B) -> int:
+    """floor(B) for a height bound B >= 1; NaN and infinities are refused."""
+    if not 1 <= B < inf:
+        raise ValueError(f"--height must be a finite number >= 1, got {B}")
+    return floor(B)
+
+
 def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountResult:
     """Exact number of rational points on C with height <= B.
 
@@ -540,17 +581,14 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     longer than 64 cells is its height interval, the cells that can satisfy
     the three convex height conditions and u >= 0.  Every candidate is
     verified by exact evaluation, so the floor `min_norm` only ever affects
-    completeness, and it is certified (CannotCertify propagates; nothing is
-    counted against an uncertified floor).
+    completeness, and it is certified.
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).
     That layer always reaches it, since max(|u|, |v|) <= sqrt(B*g/m) bounds
     the layer's box and its class mod g is one of the layer's classes.
     """
-    bound = floor(B)
-    if bound < 1:
-        raise ValueError("height bound must be >= 1")
+    bound = height_bound(B)
     m, u1, layer_bounds = _layers(C, bound)
     count, points = _enumerate(C, bound, u1, layer_bounds, want_points)
     return ConicCountResult(

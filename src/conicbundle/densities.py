@@ -3,46 +3,36 @@
 Everything here is exact rational arithmetic.  The non-archimedean side
 counts parameter classes where the quadratic parameterization degenerates
 modulo prime powers; the archimedean side is a plane area, written by
-homogeneity as two integrals of 1/N along the unit-box edges and bracketed
-with the exact cell bounds of `conic.edge_cell_bounds`.  One dyadic walk
-brackets the area for a whole stream of fibres at once (`sigma_inf_walk`):
-each step is one edge_cell_bounds call over the pending cells of many
-fibres, in int64 unless one of them needs Python ints, under a fixed budget
-of pending cells and a cap of _MAX_DEPTH levels per fibre; `sigma_inf` is its
-one-fibre case.  The accepted cells' reciprocals are summed by long
-division of all of them at once in int64 digits, and `constant_sum` adds
-the fibres' products on one dyadic grid, rounded outward.  The only
-approximation anywhere is the explicit (lower, upper) bracket returned for
-area-dependent quantities.
+homogeneity as two integrals of 1/N along the unit-box edges.  On an edge
+N is |L| or w|Q| between the tie points of `conic.edge_pieces`, so each
+piece integrates in closed form to a logarithm, an arctangent or a rational
+number; these are enclosed in fixed-point integers at one working precision
+(_FIX_BITS), by argument reduction and a series with an explicit error
+bound, and `constant_sum` adds the fibres' products on one dyadic grid,
+rounded outward.  The only approximation anywhere is the explicit (lower,
+upper) bracket returned for area-dependent quantities.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, tee
+from functools import lru_cache
+from math import isqrt
 
-import numpy as np
-
-from .conic import (
-    CannotCertify,
-    FibreConic,
-    certified_min_m,
-    edge_cell_bounds,
-    edge_coeffs,
-)
+from .conic import FibreConic, certified_min_m, edge_coeffs, edge_pieces
 from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
 from .surface import PEYRE_PREFACTOR, CubicSurfaceNF, zeta2_bracket
 
 
 class ToleranceNotMet(Exception):
-    """Subdivision hit the depth or pending-cell cap before the requested
-    relative width.
+    """The bracket at the fixed working precision is wider than the
+    requested relative width.
 
-    Carries the best bracket obtained so the caller can still report it.
+    Carries the bracket so the caller can still report it.
     """
 
     def __init__(self, msg, lower: Fraction, upper: Fraction):
@@ -133,206 +123,166 @@ def bad_prime_product(C: FibreConic) -> Fraction:
 # archimedean factor
 
 
-# caps on the levels of one fibre and on its pending cells at one level
-_MAX_DEPTH = 24
-_MAX_BOUNDARY_CELLS = 1 << 20
-# a fibre takes part in the walk's next level only if the fibres before it
-# hold fewer pending cells than this, so one edge_cell_bounds call sees at
-# most this many cells plus one fibre's
-_WALK_CELLS = 1 << 11
-
-# the level-0 cells of a fibre: edge e, t in [a, a + 1]
-_START_E = np.array([0, 0, 1, 1])
-_START_A = np.array([-1, 0, -1, 0])
+# The working precision: a fibre's quantities are fixed-point integers on the
+# grid 2^-k, k = _FIX_BITS + 2 b with b the bit length of w * sum |c|, and
+# the transcendentals carry _GUARD more bits.  sigma_inf >= 2^(2 - b), so a
+# grid step is below 2^-(_FIX_BITS + b) of it.
+_FIX_BITS = 64
+_GUARD = 24
+# argument reduction: atan(2^-j) for j = 0.._TURNS and log(1 + 2^-j) for
+# j = 1.._TURNS leave a series argument below 2^-_TURNS
+_TURNS = 8
 
 
-def _add_recip_sums(acc, ids, levels, starts, dens, bits: int, up: bool) -> None:
-    """acc[f] += sum(4 S / d for d in f's group of dens), rounded down (up)
-    to a multiple of 2^-P, where P gives each term at least `bits` bits.
+def _series(y: int, x: int, P: int, alternating: bool) -> tuple[int, int]:
+    """(S, e) with |S - 2^P f(z)| <= e, z = y / x in [0, 1/2], f(z) the
+    series sum z^(2n+1) / (2n+1), with signs (-1)^n if alternating (atan),
+    else all + (artanh).
 
-    Group g is dens[starts[g]:starts[g + 1]], of fibre ids[g] at level
-    levels[g] (S = 2^level); acc[f] = (num, P) stands for num / 2^P.  The
-    group's sum is that of floor(2^E / d), E = level + 2 + P (ceil: floor
-    plus [remainder != 0]), by schoolbook long division of every cell at
-    once in base 2^c.  int64 cells (d < 2^62) take c = min(63 - bitlen(max
-    d), 62 - bitlen(len(dens))), so r 2^c (r < d) and each group's digit sum
-    stay in int64; a cell of E bits starts with the chunk 2^(E - c(M - 1)),
-    M its number of digits, so that all digits end together.  Object cells
-    take one digit of E bits: a plain division.
+    Z = floor(2^P z) and Z2 = floor(Z^2 / 2^P) are at most 2^P z and 2^P
+    z^2, and Z2 > 2^P z^2 - 2 z - 1 >= 2^P z^2 - 2 once Z >= 1.  So the n-th
+    power t_n = floor(t_(n-1) Z2 / 2^P) (t_0 = Z) is at most u_n = 2^P
+    z^(2n+1), and e_n = u_n - t_n <= z^2 e_(n-1) + 2 z + 1 (as t_(n-1) <=
+    2^P z), so e_n < 8/3 for z <= 1/2 (e_0 < 1).  floor(t_n / (2n+1)) is
+    then within 4 of u_n / (2n+1).  The sum stops at the first t_N = 0,
+    where u_N = e_N, and the terms left out add up to at most u_N / (1 -
+    z^2) < 4 (to at most u_N < 3 when they alternate); so e = 4 N + 4.
     """
-    if not len(dens):
-        return
-    starts = np.asarray(starts)
-    bounds = [*starts.tolist(), len(dens)]
-    tops = [top.bit_length() for top in np.maximum.reduceat(dens, starts).tolist()]
-    levels = np.asarray(levels).tolist()
-    # 4 S = 2^(k + 2), and each term 2^E / d keeps at least `bits` bits
-    E = [max(k + 2, bits + b) for k, b in zip(levels, tops)]
-    c = max(E) if dens.dtype == object else min(63 - max(tops), 62 - len(dens).bit_length())
-    M = [-(-e // c) for e in E]
-    r = np.zeros_like(dens)
-    totals = [0] * len(E)
-    for step in range(max(M), 0, -1):
-        r <<= c
-        for s, t, e, m in zip(bounds, bounds[1:], E, M):
-            if m == step:
-                r[s:t] = 1 << (e - c * (m - 1))
-        q = r // dens
-        r -= q * dens
-        totals = [(x << c) + y for x, y in zip(totals, np.add.reduceat(q, starts).tolist())]
-    if up:
-        rest = np.add.reduceat(r != 0, starts, dtype=np.int64).tolist()
-        totals = [x + y for x, y in zip(totals, rest)]
-    for f, k, e, x in zip(np.asarray(ids).tolist(), levels, E, totals):
-        (num, P0), P = acc[f], e - k - 2
-        acc[f] = ((num << max(0, P - P0)) + (x << max(0, P0 - P)), max(P, P0))
+    Z = (y << P) // x
+    Z2 = Z * Z >> P
+    S = n = 0
+    t = Z
+    while t:
+        term = t // (2 * n + 1)
+        S += -term if alternating and n % 2 else term
+        t = t * Z2 >> P
+        n += 1
+    return S, 4 * n + 4
 
 
-def _exact(acc) -> Fraction:
-    num, P = acc
-    return Fraction(num, 1 << P)
+@lru_cache(maxsize=64)
+def _constants(P: int):
+    """(value, error) pairs at scale 2^P: log 2 = 2 artanh(1/3), log(1 +
+    2^-j) = 2 artanh(1 / (2^(j+1) + 1)), and atan(2^-j), where atan(1) =
+    4 atan(1/5) - atan(1/239) (Machin)."""
+
+    def artanh2(d):
+        S, e = _series(1, d, P, False)
+        return 2 * S, 2 * e
+
+    a5, e5 = _series(1, 5, P, True)
+    a239, e239 = _series(1, 239, P, True)
+    atans = [(4 * a5 - a239, 4 * e5 + e239)]
+    atans += [_series(1, 1 << j, P, True) for j in range(1, _TURNS + 1)]
+    logs = [artanh2(3)] + [artanh2((2 << j) + 1) for j in range(1, _TURNS + 1)]
+    return logs, atans
 
 
-def _runs(x: np.ndarray) -> np.ndarray:
-    """True at each entry of x that differs from the one before it."""
-    new = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    return new
+def _rounded(V: int, e: int, P: int, F: int) -> tuple[int, int]:
+    """The scale-2^F integers below and above [V - e, V + e] / 2^(P - F)."""
+    s = P - F
+    return (V - e) >> s, -((-V - e) >> s)
 
 
-def _fibre_rows(conics) -> dict:
-    """The walk's per-fibre columns for newly joined conics."""
-    c = np.array([edge_coeffs(C) for C in conics], dtype=object).reshape(-1, 2, 5)
-    w = np.array([C.weight for C in conics], dtype=object)
-    # int64 through level kmax: 64 w (sum |c| + 1) 4^k bounds every
-    # intermediate of edge_cell_bounds, and stays below 2^63
-    kmax = np.array([
-        (63 - (64 * C.weight * (sum(abs(x) for x in C.coeffs) + 1)).bit_length()) // 2
-        for C in conics
-    ], dtype=np.int64)
-    fits = kmax >= 0
-    return {
-        "c": c,
-        "w": w,
-        "c64": np.where(fits[:, None, None], c, 0).astype(np.int64),
-        "w64": np.where(fits, w, 0).astype(np.int64),
-        "kmax": kmax,
-        "level": np.zeros(len(kmax), dtype=np.int64),
-    }
+def _log_fix(p: int, q: int, F: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^F log(p / q) <= hi, for integers p >= q > 0.
 
-
-def _failure(C: FibreConic, k: int, lo, hi, sums: list, bits: int) -> Exception:
-    """What a fibre stops with at level k, given the bounds of its pending
-    cells and its running [lower, upper] sums: the CannotCertify of its
-    floor m, or a ToleranceNotMet whose bracket counts 1/m for 1/N on each
-    pending cell whose lo is below 4 S^2 m (N >= m on the edges)."""
-    S = 1 << k
-    try:
-        m = certified_min_m(C)
-    except CannotCertify as exc:
-        return exc
-    floored = lo.astype(object) * m.denominator < 4 * S * S * m.numerator
-    _add_recip_sums(sums, [0], [k], [0], hi, bits, up=False)
-    _add_recip_sums(sums, [1], [k], [0], lo[~floored], bits, up=True)
-    a_lo = _exact(sums[0])
-    a_hi = _exact(sums[1]) + int(np.count_nonzero(floored)) / (S * m)
-    why = (
-        f"subdivision depth {_MAX_DEPTH}" if k == _MAX_DEPTH
-        else f"{len(lo)} pending cells at level {k}"
-    )
-    return ToleranceNotMet(
-        f"{why} reached with bracket [{float(a_lo)}, {float(a_hi)}]", a_lo, a_hi
-    )
-
-
-def sigma_inf_walk(conics: Iterable[FibreConic], tol: float = 1e-4) -> Iterator:
-    """sigma_inf of each conic, in order, from one walk over all of them:
-    (lower, upper), or the ToleranceNotMet (or CannotCertify) it fails with.
-
-    Each step makes one edge_cell_bounds call over the pending cells of
-    every fibre taking part: in int64, or in Python ints if some fibre's
-    magnitude bound 64 w (sum |c| + 1) 4^k leaves int64 at its level.  The
-    pending cells are kept in fibre order, oldest first, and a fibre takes
-    part only while the cells before it number fewer than _WALK_CELLS; new
-    fibres join under the same rule, and conics are read only as they join.
-    So the size of a call is bounded in cells, whatever the number of
-    fibres.  The acceptance rule, the rounding grid (per fibre and level)
-    and both caps (_MAX_DEPTH levels, _MAX_BOUNDARY_CELLS pending cells) are
-    per fibre, so each result is the one the fibre gets alone.
+    p/q = 2^k0 r with r in [1, 2), and r is divided by 1 + 2^-j for j = 1,
+    2, ... _TURNS whenever it is at least that, so r < 1 + 2^-j after step
+    j (1 + 2^-(j-1) <= (1 + 2^-j)^2).  log r = 2 artanh(z), z = (r - 1) /
+    (r + 1) < 2^-(_TURNS + 1).  Every division is exact on the pair (p, q),
+    so the error is that of the series and of the constants used, summed
+    exactly (`_series`), and then rounded outward.
     """
-    reltol = Fraction(tol)
-    if reltol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = -(-reltol.denominator // reltol.numerator) + 1
-    bits = 64 + 2 * n.bit_length()
-    source = iter(conics)
-    # row f of tab and of these lists is the f-th fibre not yet handed out;
-    # out[f] is None until it finishes or fails
-    tab = _fibre_rows([])
-    window, lower, upper, out = [], [], [], []
-    # the pending cells (row, edge, a), contiguous per fibre and in row order
-    fib = e = a = np.empty(0, dtype=np.int64)
-    more = True
-    while True:
-        if more and len(fib) < _WALK_CELLS:
-            want = max(1, -(-(_WALK_CELLS - len(fib)) // 4))
-            new = list(islice(source, want))
-            more = len(new) == want
-            rows = _fibre_rows(new)
-            tab = {key: np.concatenate((col, rows[key])) for key, col in tab.items()}
-            fib = np.concatenate((fib, np.repeat(np.arange(len(out), len(tab["w"])), 4)))
-            e = np.concatenate((e, np.tile(_START_E, len(new))))
-            a = np.concatenate((a, np.tile(_START_A, len(new))))
-            window += new
-            lower += [(0, 0)] * len(new)
-            upper += [(0, 0)] * len(new)
-            out += [None] * len(new)
-        if not len(fib):
-            return
-        cut = len(fib)
-        if cut > _WALK_CELLS:
-            cut = int(np.searchsorted(fib, fib[_WALK_CELLS - 1], side="right"))
-        f, fe, fa = fib[:cut], e[:cut], a[:cut]
-        k = tab["level"][f]
-        if (k > tab["kmax"][f]).any():
-            c, w = tab["c"][f, fe], tab["w"][f]
-            S, a_c, nn = np.left_shift(1, k).astype(object), fa.astype(object), n
-        else:
-            c, w = tab["c64"][f, fe], tab["w64"][f]
-            # an int64 lo is below 2^62, so a larger n acts as 2^62
-            S, a_c, nn = np.left_shift(1, k), fa, min(n, 1 << 62)
-        lo, hi = edge_cell_bounds(tuple(c.T), w, a_c, S)
-        # bank the accepted cells
-        done = hi - lo <= lo // nn
-        fd = f[done]
-        first = np.flatnonzero(_runs(fd))
-        ids, levels = fd[first], k[done][first]
-        _add_recip_sums(lower, ids, levels, first, hi[done], bits, up=False)
-        _add_recip_sums(upper, ids, levels, first, lo[done], bits, up=True)
-        # finish or fail the fibres that stop here, split the others' cells
-        pend = ~done
-        first = np.flatnonzero(_runs(f))
-        ids, levels = f[first], k[first]
-        left = np.add.reduceat(pend, first, dtype=np.int64)
-        stop = (left > 0) & ((levels == _MAX_DEPTH) | (2 * left > _MAX_BOUNDARY_CELLS))
-        for g in ids[left == 0].tolist():
-            out[g] = (_exact(lower[g]), _exact(upper[g]))
-        for g, kg in zip(ids[stop].tolist(), levels[stop].tolist()):
-            mine = pend & (f == g)
-            out[g] = _failure(window[g], kg, lo[mine], hi[mine], [lower[g], upper[g]], bits)
-        go = (left > 0) & ~stop
-        tab["level"][ids[go]] += 1
-        keep = pend & go[np.cumsum(_runs(f)) - 1]
-        fib = np.concatenate((np.repeat(f[keep], 2), fib[cut:]))
-        e = np.concatenate((np.repeat(fe[keep], 2), e[cut:]))
-        a = np.concatenate(((2 * fa[keep, None] + [0, 1]).ravel(), a[cut:]))
-        # hand out the finished fibres at the front and drop their rows
-        ready = next((g for g, r in enumerate(out) if r is None), len(out))
-        yield from out[:ready]
-        del window[:ready], lower[:ready], upper[:ready], out[:ready]
-        tab = {key: col[ready:] for key, col in tab.items()}
-        fib -= ready
-        del lo, hi  # not held through the next level's call
+    P = F + _GUARD
+    logs, _ = _constants(P)
+    k0 = p.bit_length() - q.bit_length()
+    if p < q << k0:
+        k0 -= 1
+    q <<= k0
+    V, e = k0 * logs[0][0], k0 * logs[0][1]
+    for j in range(1, _TURNS + 1):
+        if p << j >= q * ((1 << j) + 1):
+            p, q = p << j, q * ((1 << j) + 1)
+            V, e = V + logs[j][0], e + logs[j][1]
+    S, es = _series(p - q, p + q, P, False)
+    return _rounded(V + 2 * S, e + 2 * es, P, F)
+
+
+def _atan2_fix(y: int, x: int, F: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^F arg(x + i y) <= hi, for integers y >= 0 and
+    (x, y) != (0, 0), so the angle lies in [0, pi].
+
+    A quarter turn (x, y) -> (y, -x) takes off pi/2 = 2 atan(1) while x <=
+    0; then the angle is below pi/2 = 2 atan(1), and multiplying x + i y by
+    2^j - i takes off atan(2^-j) whenever y 2^j >= x, for j = 0.._TURNS:
+    exact Gaussian-integer steps after which the angle is below atan(2^-j)
+    (atan(2^-(j-1)) <= 2 atan(2^-j)), so y / x < 2^-_TURNS at the end and
+    atan(y / x) is one `_series` call.  Errors add as in `_log_fix`.
+    """
+    P = F + _GUARD
+    _, atans = _constants(P)
+    V = e = 0
+    while x <= 0:
+        x, y = y, -x
+        V, e = V + 2 * atans[0][0], e + 2 * atans[0][1]
+    for j in range(_TURNS + 1):
+        if y << j >= x:
+            x, y = (x << j) + y, (y << j) - x
+            V, e = V + atans[j][0], e + atans[j][1]
+    S, es = _series(y, x, P, True)
+    return _rounded(V + S, e + es, P, F)
+
+
+def _linear_piece(a1: int, a0: int, T0: int, T1: int, g: int, F: int, w: int):
+    """The integral of 1 / (w |a1 t + a0|) over [T0, T1] / 2^g, where a1 t +
+    a0 has no root, as (lo, hi) on the scale 2^F: log(V1 / V0) / (w a1)."""
+    if a1 == 0:
+        num, den = (T1 - T0) << F, abs(a0) * w << g
+        return num // den, -(-num // den)
+    V0, V1 = abs(a1 * T0 + (a0 << g)), abs(a1 * T1 + (a0 << g))
+    lo, hi = _log_fix(max(V0, V1), min(V0, V1), F)
+    d = abs(a1) * w
+    return lo // d, -(-hi // d)
+
+
+def _quadratic_piece(c, T0: int, T1: int, g: int, F: int, w: int):
+    """The integral of 1 / (w |Q|) over [T0, T1] / 2^g, Q = czz t^2 + cxz t
+    + cxx without a root there, as (lo, hi) on the scale 2^F.
+
+    With p = 2 czz t + cxz (Gradshteyn & Ryzhik 2.172-2.173), A = p0 p1 -
+    D, B = p1 - p0 at the ends and D = cxz^2 - 4 czz cxx, s = sqrt(|D|):
+    - D = 0: Q = (p^2 / 4 czz), and the integral is 2 |B| / (w |p0 p1|);
+    - D < 0: it is 2 atan2(|B| s, A') / (w s), A' = p0 p1 + s^2, the angle
+      between the ends of atan(p / s);
+    - D > 0: it is log(rho) / (w s), rho = (|A| + |B| s)^2 / (A^2 - B^2 D),
+      the larger of R and 1/R for R = (A + B s) / (A - B s), which is the
+      ratio of (p - s) / (p + s) at the two ends; A^2 - B^2 D = 16 czz^2
+      Q0 Q1 > 0.
+    The angle or log is evaluated at s_lo = S / 2^G, S = isqrt(4^G |D|),
+    s <= s_lo + 2^-G, G = F + 2; its slope in s is below 1/(2s) <= 1/2,
+    resp. 2 |B| / (|A| + |B| s) <= 2 (s >= 1), so it moves by less than an
+    ulp, and 1 / s lies in [2^G / (S + 1), 2^G / S].
+    """
+    cxx, cxz, czz = c[0], c[2], c[4]
+    if czz == 0:
+        return _linear_piece(cxz, cxx, T0, T1, g, F, w)
+    D = cxz * cxz - 4 * czz * cxx
+    P0, P1 = 2 * czz * T0 + (cxz << g), 2 * czz * T1 + (cxz << g)  # 2^g p
+    B = abs(P1 - P0) << g  # 4^g |B|
+    if D == 0:
+        num, den = B << (F + 1), abs(P0 * P1) * w
+        return num // den, -(-num // den)
+    G = F + 2
+    S = isqrt(abs(D) << 2 * G)
+    if D < 0:
+        lo, hi = _atan2_fix(B * S, (P0 * P1 - (D << 2 * g)) << G, F)
+        lo, hi = 2 * max(lo - 1, 0), 2 * (hi + 1)
+    else:
+        A = abs(P0 * P1 - (D << 2 * g))
+        lo, hi = _log_fix(((A << G) + B * S) ** 2, (A * A - B * B * D) << 2 * G, F)
+        hi += 1
+    return (lo << G) // (w * (S + 1)), -(-(hi << G) // (w * S))
 
 
 def sigma_inf(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
@@ -340,21 +290,41 @@ def sigma_inf(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
 
     The region is {(u, v) real : max(|x|, w|y|, |z|) of q(u, v) <= 1}.  By
     homogeneity its area is the integral of 1/N(1, t) plus that of
-    1/N(s, 1) over [-1, 1].  The walk goes level by level over the dyadic
-    cells of both edges: a cell with integer bounds lo <= 4 S^2 N <= hi
-    contributes [4S/hi, 4S/lo] and is accepted once hi - lo <= lo/n, n the
-    smallest integer with 1/n <= tol/(1 + tol), so upper - lower <=
-    tol * lower holds for the sum (the sums are rounded outward far below
-    that margin).  Past _MAX_DEPTH levels or _MAX_BOUNDARY_CELLS pending
-    cells it raises ToleranceNotMet with a finite bracket: a pending cell
-    whose lo is below the certified floor m counts 1/m for 1/N.  This is
-    the one-fibre case of `sigma_inf_walk`, which walks many fibres at once,
-    one edge_cell_bounds call per level.
+    1/N(s, 1) over [-1, 1].  `conic.edge_pieces` splits each edge at the
+    tie points of |L| and w|Q| on the grid 2^-k of the working precision
+    (_FIX_BITS); each piece's integral of 1/|L| or 1/(w|Q|) is enclosed in
+    closed form, a log, an arctangent or a rational number, and each tie
+    interval adds [0, width / m], m the fibre's floor `certified_min_m`.
+    The bracket depends on the fibre only; tol only decides whether it is
+    returned or ToleranceNotMet is raised (upper - lower > tol * lower).
     """
-    (res,) = sigma_inf_walk([C], tol=tol)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    if not 0 < tol < math.inf:
+        raise ValueError(f"--tol must be a finite number > 0, got {tol}")
+    w = C.weight
+    k = _FIX_BITS + 2 * (w * sum(map(abs, C.coeffs))).bit_length()
+    m = certified_min_m(C)
+    lo = hi = 0
+    for c in edge_coeffs(C):
+        g, ties, pieces = edge_pieces(c, w, k)
+        for t0, t1 in ties:
+            num, den = (t1 - t0) * m.denominator << k, m.numerator << g
+            hi += -(-num // den)
+        for t0, t1, linear in pieces:
+            if linear:
+                a, b = _linear_piece(c[3], c[1], t0, t1, g, k, 1)
+            else:
+                a, b = _quadratic_piece(c, t0, t1, g, k, w)
+            lo, hi = lo + a, hi + b
+    lower, upper = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    if upper - lower > Fraction(tol) * lower:
+        raise ToleranceNotMet(
+            f"bracket [{float(lower)}, {float(upper)}] has relative width "
+            f"{float((upper - lower) / lower):.3g} at the working precision 2^-{k}, "
+            f"above tol {tol}",
+            lower,
+            upper,
+        )
+    return lower, upper
 
 
 # --------------------------------------------------------------------------
@@ -385,10 +355,10 @@ def peyre_constant(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction
 def constant_sum(
     fibres: Iterable, tol: float = 1e-4, strict: bool = False
 ) -> tuple[Fraction, Fraction, int, list]:
-    """(lower, upper, count, failed) over (key, conic) pairs, in one
-    sigma_inf_walk: the sum of the peyre_constant brackets of the `count`
-    conics whose sigma_inf reaches tol, and the keys of those that raise
-    ToleranceNotMet (which strict raises instead).
+    """(lower, upper, count, failed) over (key, conic) pairs: the sum of the
+    peyre_constant brackets of the `count` conics whose sigma_inf reaches
+    tol, and the keys of those that raise ToleranceNotMet (which strict
+    raises instead).
 
     The constant is linear in sigma_inf * nonarch, so the common factors
     are applied once to the two sums.  These are integers over one grid
@@ -401,22 +371,22 @@ def constant_sum(
     """
     lower = upper = P = count = 0
     failed = []
-    keys, conics = tee(fibres)
-    areas = sigma_inf_walk((C for _, C in conics), tol=tol)
-    for (key, C), area in zip(keys, areas):
-        if isinstance(area, ToleranceNotMet) and not strict:
+    for key, C in fibres:
+        try:
+            a_lo, a_hi = sigma_inf(C, tol=tol)
+        except ToleranceNotMet:
+            if strict:
+                raise
             failed.append(key)
-        elif isinstance(area, Exception):
-            raise area
-        else:
-            nonarch = bad_prime_product(C)
-            lo, hi = area[0] * nonarch, area[1] * nonarch
-            count += 1
-            e = lo.numerator.bit_length() - lo.denominator.bit_length() - 1
-            grow = max(0, 66 - e - P)
-            P += grow
-            lower = (lower << grow) + (lo.numerator << P) // lo.denominator
-            upper = (upper << grow) - (-hi.numerator << P) // hi.denominator
+            continue
+        nonarch = bad_prime_product(C)
+        lo, hi = a_lo * nonarch, a_hi * nonarch
+        count += 1
+        e = lo.numerator.bit_length() - lo.denominator.bit_length() - 1
+        grow = max(0, 66 - e - P)
+        P += grow
+        lower = (lower << grow) + (lo.numerator << P) // lo.denominator
+        upper = (upper << grow) - (-hi.numerator << P) // hi.denominator
     lower, upper = Fraction(lower, 1 << P), Fraction(upper, 1 << P)
     return (*_leading_constant(lower, upper, Fraction(1)), count, failed)
 

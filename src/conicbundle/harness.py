@@ -30,7 +30,7 @@ from .analytic import (
     squarefree_harmonic,
     wirsing_sum,
 )
-from .conic import CannotCertify, count_points
+from .conic import count_points, height_bound
 from .densities import ToleranceNotMet, constant_sum, local_density_report
 from .forms import BinaryForm
 from .surface import (
@@ -295,9 +295,7 @@ def count_surface(
     workers >= 1 processes count the fibres, at most one per core and per
     fibre to count.
     """
-    bound = int(B)
-    if bound < 1:
-        raise ValueError("height bound must be >= 1")
+    bound = height_bound(B)
     if method not in ("fibration", "direct"):
         raise ValueError(f"unknown method {method!r}")
     # NaN passes "< 1": the direct method refuses it here, the fibration
@@ -372,7 +370,7 @@ class ConstantSumResult:
     lower: Fraction
     upper: Fraction
     fibre_count: int
-    failed_fibres: tuple  # edge walks that missed tol: skipped, never hidden
+    failed_fibres: tuple  # sigma_inf brackets wider than tol: skipped, never hidden
 
     @property
     def midpoint(self) -> float:
@@ -516,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--strict", action="store_true",
-                    help="abort on the first fibre whose edge walk misses --tol")
+                    help="abort on the first fibre whose sigma_inf bracket misses --tol")
 
     sp = sub.add_parser("growth", help="growth table across several heights")
     _add_surface_arg(sp)
@@ -691,7 +689,7 @@ def main(argv=None) -> int:
     except SurfaceValidationError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CannotCertify, OSError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError: coefficients too large for the int64 kernels
         # (OverflowError), a determinant rho cannot factor or a class count
         # past the CRT cap; MemoryError: search arrays that do not fit

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .numth import is_prime, projective_normal
 
@@ -70,51 +69,42 @@ def z_primitive(p: Poly) -> tuple[int, Poly]:
     return p[-1] // prim[-1], prim
 
 
-def z_divmod_exact(a: Poly, b: Poly):
-    """Divide a by b over Q; return (quotient, remainder) as Fraction tuples."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lb = Fraction(b[-1])
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        coef = r[-1] / lb
-        shift = len(r) - len(b)
-        q[shift] = coef
+def z_div(a: Poly, b: Poly) -> Poly | None:
+    """a / b over Z for a primitive b != 0, or None when b does not divide a.
+
+    By Gauss's lemma a primitive b divides a in Z[x] iff it does in Q[x], so
+    the long division stops at the first quotient coefficient that is not an
+    integer, or at the first nonzero remainder coefficient.
+    """
+    r = list(a)
+    n = len(b) - 1
+    q = [0] * max(len(r) - n, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[shift + n], b[-1])
+        if rest:
+            return None
+        q[shift] = c
         for i, cb in enumerate(b):
-            r[shift + i] -= coef * cb
-        r.pop()
-    return tuple(q), tuple(r)
-
-
-def z_divides(b: Poly, a: Poly) -> bool:
-    """True when b divides a exactly over Q (hence over Z for primitive b)."""
-    if not b:
-        return not a
-    q, r = z_divmod_exact(a, b)
-    return all(c == 0 for c in r)
-
-
-def z_div_exact(a: Poly, b: Poly) -> Poly:
-    q, r = z_divmod_exact(a, b)
-    assert all(c == 0 for c in r), "inexact division"
-    out = []
-    for c in q:
-        assert c.denominator == 1
-        out.append(int(c))
-    return trim(out)
+            r[shift + i] -= c * cb
+    if any(r[:n]):
+        return None
+    return trim(q)
 
 
 def q_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd over Z: Euclid over Q with every remainder scaled to its
-    primitive integer part, which keeps the coefficients small."""
+    """Primitive gcd over Z: Euclid on pseudo-remainders (lc(b)^j a minus
+    multiples of b, all in integers), each scaled to its primitive part,
+    which keeps the coefficients small."""
     a, b = trim(a), trim(b)
     while b:
-        r = trim(z_divmod_exact(a, b)[1])
-        den = lcm(*(c.denominator for c in r))
-        a, b = b, z_primitive(tuple(int(c * den) for c in r))[1] if r else ()
+        r = list(a)
+        while len(r) >= len(b):
+            shift, lead = len(r) - len(b), r[-1]
+            r = [c * b[-1] for c in r]
+            for i, cb in enumerate(b):
+                r[shift + i] -= lead * cb
+            r = list(trim(r))
+        a, b = b, z_primitive(tuple(r))[1] if r else ()
     return z_primitive(a)[1] if a else ()
 
 
@@ -372,15 +362,15 @@ def factor_squarefree_monic(f: Poly) -> list[Poly]:
             for i in combo:
                 cand = gf_from_z(z_mul(cand, lifted[i]), modulus)
             cand = trim([_symmetric(c, modulus) for c in cand])
-            if z_divides(cand, fcur):
-                hit = (combo, cand)
+            quotient = z_div(fcur, cand)
+            if quotient is not None:
+                hit = (combo, cand, quotient)
                 break
         if hit is None:
             size += 1
             continue
-        combo, cand = hit
+        combo, cand, fcur = hit
         result.append(cand)
-        fcur = z_div_exact(fcur, cand)
         remaining = [i for i in remaining if i not in combo]
     if deg(fcur) > 0:
         result.append(fcur)
@@ -406,7 +396,7 @@ def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     found: dict[Poly, int] = {}
     if deg(prim) >= 1:
         common = q_gcd(prim, z_derivative(prim))
-        part = z_div_exact(prim, common)
+        part = z_div(prim, common)
         # monicize:  F(y) = lc^(n-1) part(y / lc)
         lc = part[-1]
         n = deg(part)
@@ -415,8 +405,8 @@ def z_factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
             # map back: g(lc x), primitivized
             _, back = z_primitive(tuple(c * lc**i for i, c in enumerate(g)))
             mult = 1
-            while z_divides(back, common):
-                common = z_div_exact(common, back)
+            while (quotient := z_div(common, back)) is not None:
+                common = quotient
                 mult += 1
             found[back] = mult
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conicbundle import analytic, numth
@@ -168,6 +168,30 @@ def test_projective_root_counts_int64_bound(s1):
     assert vec.tolist() == [projective_roots_mod_p(f, below)]
     with pytest.raises(ValueError, match=r"degree \* p\^2 < 2\^63"):
         projective_root_counts(f, np.array([above], dtype=np.int64))
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=8),
+    step=st.integers(0, 3),
+)
+@example(coeffs=[1, 0, -1], step=0)
+@example(coeffs=[3, -5, 0, 0, 0, 0, 0, 7], step=0)
+def test_projective_root_counts_at_the_int64_bound(coeffs, step):
+    # the step-th prime at or below sqrt((2^63 - 1) / n), n the degree of
+    # the kernel's affine part, against the scalar route; the step-th prime
+    # above it is refused
+    form = BinaryForm(tuple(coeffs))
+    assume(not form.is_zero())
+    n = max(len(form.primitive()[1].dehomogenized()) - 1, 1)
+    edge = math.isqrt((2**63 - 1) // n)
+    below, above = edge + 1, edge
+    for _ in range(step + 1):
+        below, above = sympy.prevprime(below), sympy.nextprime(above)
+    vec = projective_root_counts(form, np.array([below], dtype=np.int64))
+    assert vec.tolist() == [projective_roots_mod_p(form, below)]
+    with pytest.raises(ValueError, match=r"degree \* p\^2 < 2\^63"):
+        projective_root_counts(form, np.array([above], dtype=np.int64))
 
 
 # ---------------------------------------------------------------- varrho*

@@ -5,15 +5,13 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conicbundle import conic
 from conicbundle.conic import (
-    CannotCertify,
     FibreConic,
     certified_min_m,
-    edge_cell_bounds,
     edge_coeffs,
     edge_norm,
     count_points,
@@ -24,6 +22,7 @@ from conicbundle.conic import (
 )
 from conicbundle.modsolve import lattice_rows
 from conicbundle.numth import is_prime
+from conicbundle.surface import domain_B, fibre_conic
 
 # det(Pi) = 36: pairs of content 2 and 4 also lie inside the base box
 C36 = FibreConic(2, 6, 1, 3, 1)
@@ -119,13 +118,35 @@ def test_certified_min_m_is_a_true_floor():
 
 
 def test_certified_min_m_frozen_values(c11, xyz_conic):
-    assert certified_min_m(xyz_conic) == Fraction(16, 17)
-    assert certified_min_m(c11) == Fraction(63, 272)
+    # the cell search they replace gave 16/17 and 63/272.  x^2 - yz has N = 1
+    # on both edges; c11's minimum sqrt(5) - 2 lies at the tie points
+    # (-3 +- sqrt(5)) / 2 of its edge (s, 1), just above the floor
+    assert certified_min_m(xyz_conic) == 1 >= Fraction(16, 17)
+    m = certified_min_m(c11)
+    assert m == Fraction(32444935775, 2**37) >= Fraction(63, 272)
+    assert (m + 2) ** 2 < 5 < (m + 2 + Fraction(1, 2**32)) ** 2
 
 
 def _nonsingular(coeffs):
     a, b, c, e, f = coeffs
     return a * e * e - b * c * e + f * b * b != 0
+
+
+def cell_bounds(c, w, a, S):
+    """(lo, hi) with lo <= 4 S^2 max(|x|, w|y|, |z|) of q(1, t) <= hi on the
+    cell t in [a/S, (a+1)/S] of the edge coefficients c, for the cell-walk
+    oracles.  On the cell each scaled component is its chord through the two
+    end values plus alpha (T - a)(T - a - 1), alpha its T^2 coefficient, and
+    that product lies between -alpha/4 and 0; the factor 4 keeps it
+    integral.  Python ints and integer numpy arrays alike."""
+    lo = hi = 0
+    ends = zip(conic._edge_components(c, a, S), conic._edge_components(c, a + 1, S))
+    for (f0, f1), alpha, wt in zip(ends, (0, -c[4], c[3]), (1, w, 1)):
+        f_lo = 2 * (f0 + f1 - abs(f0 - f1)) - (alpha + abs(alpha)) // 2
+        f_hi = 2 * (f0 + f1 + abs(f0 - f1)) + (abs(alpha) - alpha) // 2
+        lo = conic._max(lo, wt * conic._max(f_lo, -f_hi))
+        hi = conic._max(hi, wt * conic._max(f_hi, -f_lo))
+    return lo, hi
 
 
 @given(
@@ -141,7 +162,7 @@ def test_edge_cell_bounds_enclose_norm(coeffs, w, k, frac, j, swap):
     c = edge_coeffs(C)[swap]
     S = 1 << k
     a = min(S - 1, int(frac * S))
-    lo, hi = edge_cell_bounds(c, w, a, S)
+    lo, hi = cell_bounds(c, w, a, S)
     assert 0 <= lo <= hi
     # every point of the cell on the grid 2^j times finer
     for T in range(a << j, ((a + 1) << j) + 1):
@@ -149,15 +170,49 @@ def test_edge_cell_bounds_enclose_norm(coeffs, w, k, frac, j, swap):
     # the same formula on integer arrays, int64 where it fits
     fits = 64 * w * sum(map(abs, c)) * S * S < 2**63
     for dtype in (object, np.int64) if fits else (object,):
-        lo_v, hi_v = edge_cell_bounds(tuple(np.full(2, x, dtype) for x in c), w,
-                                      np.full(2, a, dtype), S)
+        lo_v, hi_v = cell_bounds(tuple(np.full(2, x, dtype) for x in c), w,
+                                 np.full(2, a, dtype), S)
         assert lo_v.tolist() == [lo, lo] and hi_v.tolist() == [hi, hi]
+
+
+def search_floor(C):
+    """The depth-first cell search that certified_min_m replaced: 16/17 of
+    the smallest cell-end norm met, once every cell's lower bound reaches
+    it (so it is a floor)."""
+    edges = edge_coeffs(C)
+    w = C.weight
+    best, kb = edge_norm(edges[0], w, 0, 1), 0
+    stack = [(e, a, 0) for e in (0, 1) for a in (-1, 0)]
+    while stack:
+        e, a, k = stack.pop()
+        S = 1 << k
+        corner = edge_norm(edges[e], w, a, S)
+        if corner << (2 * kb) < best << (2 * k):
+            best, kb = corner, k
+        target = -((-64 * best << (2 * k)) // (17 << (2 * kb)))
+        if cell_bounds(edges[e], w, a, S)[0] < target:
+            assert k < 44
+            stack += [(e, 2 * a, k + 1), (e, 2 * a + 1, k + 1)]
+    return Fraction(16 * best, 17 << (2 * kb))
+
+
+def test_certified_min_m_between_the_search_floor_and_every_cell_end(s1, split_surface):
+    # positive, at most N at every dyadic cell end down to level 12, and at
+    # least the cell search's floor, so no base box grows
+    T = np.arange(-4096, 4097, dtype=np.int64)
+    for X, x in ((s1, 30), (split_surface, 20)):
+        for idx in domain_B(X, x):
+            C = fibre_conic(X, idx)
+            m = certified_min_m(C)
+            assert 0 < search_floor(C) <= m
+            fits = 4 * C.weight * sum(map(abs, C.coeffs)) * 4096**2 < 2**62
+            ends = min(int(edge_norm(c, C.weight, T if fits else T.astype(object), 4096).min())
+                       for c in edge_coeffs(C))
+            assert m <= Fraction(ends, 4096**2)
 
 
 def test_certified_min_m_is_tight(s1, split_surface):
     # within 10% of the norm's minimum sampled on a 2^10 grid of both edges
-    from conicbundle.surface import domain_B, fibre_conic
-
     T = np.arange(-1024, 1025, dtype=np.int64)
     for X in (s1, split_surface):
         for idx in domain_B(X, 6):
@@ -167,19 +222,6 @@ def test_certified_min_m_is_tight(s1, split_surface):
             m = certified_min_m(C)
             assert Fraction(9, 10) * Fraction(sampled, 4**10) <= m
             assert m <= Fraction(sampled, 4**10)
-
-
-def test_count_points_refuses_an_uncertified_floor(monkeypatch, s1_file, c11, capsys):
-    from conicbundle.harness import main
-
-    monkeypatch.setattr(conic, "_FLOOR_DEPTH", 1)
-    with pytest.raises(CannotCertify):
-        count_points(c11, 50)
-    assert main(["--no-cache", "count-fibre", s1_file,
-                 "--s", "1", "--t", "1", "--height", "50"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error[CannotCertify]: subdivision depth 1")
 
 
 FROZEN_C12 = {1: 0, 2: 2, 5: 4, 17: 13, 50: 32, 120: 72}
@@ -473,3 +515,41 @@ def test_count_points_skewed_class_lattice(p, q):
 def test_count_rejects_bad_bound(c12):
     with pytest.raises(ValueError):
         count_points(c12, 0)
+
+
+@given(
+    mirror=st.booleans(),
+    s=st.sampled_from([1, 2, 3, 6]),
+    w=st.integers(1, 3),
+    B=st.integers(1, 30),
+    delta=st.integers(-2, 1),
+)
+@example(mirror=False, s=1, w=1, B=30, delta=-1)
+@example(mirror=True, s=6, w=3, B=7, delta=0)
+def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
+    # one huge coefficient (x^2 or z^2) beside small ones: the floor is w s at
+    # t = 0 on one edge whatever the huge one is, so the box half-width u_cap
+    # is fixed, and the huge coefficient puts 3 maxc u_cap^2 w just below
+    # (delta < 0) or at or above (delta >= 0) 2^62
+    def conic_with(big):
+        return FibreConic(*((s, 0, 0, 1, big) if mirror else (big, 1, 0, 0, s)), weight=w)
+
+    _, u1, layers = conic._layers(conic_with(2**40), B)
+    u_cap = max([u1] + [ug for _, _, ug in layers])
+    big = -(-2**62 // (3 * u_cap * u_cap * w)) + delta
+    C = conic_with(big)
+    _, u1, layers = conic._layers(C, B)
+    assert max([u1] + [ug for _, _, ug in layers]) == u_cap
+    dtypes = set()
+    feed = conic._Collector.feed
+
+    def feed_recording(self, u, v, g):
+        dtypes.add(u.dtype)
+        feed(self, u, v, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic._Collector, "feed", feed_recording)
+        assert count_points(C, B).count == count_points_reference(C, B)
+    below = 3 * big * u_cap * u_cap * w < 2**62
+    assert below == (delta < 0)
+    assert dtypes == {np.dtype(np.int64) if below else np.dtype(object)}

@@ -68,3 +68,35 @@ def test_cli_golden_stdout(case, surface, s1_file, split_file, tmp_path, capsys)
 def test_cli_golden_stdout_without_surface(case, capsys):
     out = golden_stdout(PLAIN_CASES[case], capsys)
     assert out == (GOLDEN / f"{case}.txt").read_text()
+
+
+# the sigma_inf, constant and sum brackets these goldens printed when they
+# came from the dyadic cell walk (densities at tol 1e-4, sum-constants at
+# 1e-3); the closed form's brackets must lie inside them
+WALK_BRACKETS = {
+    ("s1", "densities"): {"sigma_inf": (0.158499669, 0.158511024),
+                          "constant": (0.287061312, 0.287081878)},
+    ("split", "densities"): {"sigma_inf": (0.100906525, 0.100913658),
+                             "constant": (0.405550752, 0.405579422)},
+    ("s1", "sum-constants"): {"sum": (13.072183497, 13.081306750)},
+    ("split", "sum-constants"): {"sum": (26.658746439, 26.677969701)},
+}
+
+
+@pytest.mark.parametrize("surface, case", sorted(WALK_BRACKETS))
+def test_printed_brackets_lie_inside_the_walk_brackets(surface, case, s1_file, split_file,
+                                                       capsys):
+    s, t = DENSITIES_FIBRE[surface]
+    path = s1_file if surface == "s1" else split_file
+    argv = [a.format(surface=path, s=s, t=t) for a in CASES[case]]
+    printed = {}
+    for line in golden_stdout(argv, capsys).splitlines():
+        key, _, value = line.partition(": ")
+        if value.startswith("["):
+            printed[key] = tuple(map(float, value.strip("[]").split(", ")))
+        elif key in ("sum_lower", "sum_upper"):
+            printed.setdefault("sum", ())
+            printed["sum"] += (float(value),)
+    for key, (old_lo, old_hi) in WALK_BRACKETS[surface, case].items():
+        lo, hi = printed[key]
+        assert old_lo <= lo <= hi <= old_hi, key

@@ -245,15 +245,14 @@ def test_sum_constants_monotone(s1):
     assert r2.fibre_count > r1.fibre_count
 
 
-def test_sum_constants_strict_raises(s1, monkeypatch):
-    from conicbundle import densities
+def test_sum_constants_strict_raises(s1):
     from conicbundle.densities import ToleranceNotMet
 
-    monkeypatch.setattr(densities, "_MAX_DEPTH", 10)
+    # 1e-40 is below what the fixed working precision certifies
     with pytest.raises(ToleranceNotMet):
-        sum_constants(s1, 2, tol=1e-13, strict=True)
-    r = sum_constants(s1, 2, tol=1e-13, strict=False)
-    # every fibre's edge walk misses tol, so none contributes to the sum
+        sum_constants(s1, 2, tol=1e-40, strict=True)
+    r = sum_constants(s1, 2, tol=1e-40, strict=False)
+    # every fibre's sigma_inf bracket misses tol, so none contributes to the sum
     assert r.fibre_count == 0
     assert len(r.failed_fibres) == 8
     assert r.lower == r.upper == 0
@@ -402,6 +401,21 @@ def test_cli_densities(s1_file, capsys):
     assert rc == 0
     assert "prime 41" in out
     assert "80/41" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command, flag", [
+    (["count-fibre", "{surface}", "--s", "1", "--t", "2"], "--height"),
+    (["count-surface", "{surface}", "--cutoff", "3"], "--height"),
+    (["densities", "{surface}", "--s", "1", "--t", "2"], "--tol"),
+    (["sum-constants", "{surface}", "--x", "2"], "--tol"),
+])
+def test_cli_refuses_a_non_finite_or_non_positive_number(command, flag, value, s1_file, capsys):
+    argv = [a.format(surface=s1_file) for a in command]
+    assert run_cli("--no-cache", *argv, f"{flag}={value}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[ValueError]: {flag} must be a finite number")
 
 
 def test_cli_densities_unattainable_tol(s1_file, capsys):

@@ -14,9 +14,9 @@ def test_tracer_installs_on_the_current_modules():
     assert run.returncode == 0, run.stderr
 
 
-def _traced_counters(argv, names):
+def _traced_run(argv, names):
     """Run main(argv) under the benchmark's tracer in a fresh interpreter and
-    return the named counters."""
+    return its stdout lines and the named counters."""
     paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
     code = "\n".join([
         f"import sys; sys.path[:0] = {paths!r}",
@@ -28,7 +28,12 @@ def _traced_counters(argv, names):
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    return list(map(int, run.stdout.splitlines()[-1].split()))
+    *out, counters = run.stdout.splitlines()
+    return out, list(map(int, counters.split()))
+
+
+def _traced_counters(argv, names):
+    return _traced_run(argv, names)[1]
 
 
 def test_tracer_spans_cover_the_wirsing_path(s1_file):
@@ -52,3 +57,12 @@ def test_tracer_counts_the_class_solving(split_file):
     )
     assert calls >= 1
     assert classes > 0
+
+
+def test_tracer_counts_every_sigma_inf_of_sum_constants(s1_file):
+    # the benchmark's densities.sigma_inf layers read the wrapped sigma_inf
+    # that constant_sum calls by name, once per fibre
+    argv = ["--no-cache", "sum-constants", s1_file, "--x", "3"]
+    out, (calls,) = _traced_run(argv, ["densities.sigma_inf.calls"])
+    assert f"fibres: {calls}" in out
+    assert calls > 1
