@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, inf, isqrt
 
 import numpy as np
@@ -81,6 +82,14 @@ class FibreConic:
     def coeffs(self) -> tuple[int, int, int, int, int]:
         return (self.cxx, self.cxy, self.cxz, self.cyz, self.czz)
 
+    @cached_property
+    def edges(self):
+        """(k, ((c, k', ties, pieces) for c in edge_coeffs)): `edge_pieces` of both
+        edges at the working precision k, computed once for the floor and sigma_inf."""
+        w = self.weight
+        k = _EDGE_BITS + 2 * (w * sum(map(abs, self.coeffs))).bit_length()
+        return k, tuple((c, *edge_pieces(c, w, k)) for c in edge_coeffs(self))
+
     def quadratic(self, x: int, y: int, z: int) -> int:
         return (
             self.cxx * x * x
@@ -107,11 +116,7 @@ def parameterize(C: FibreConic, u: int, v: int) -> tuple[int, int, int]:
     """Raw image of (u, v) under the quadratic map; rejects (0, 0)."""
     if u == 0 and v == 0:
         raise ValueError("(0, 0) is not a projective parameter")
-    return (
-        C.cxy * u * u + C.cyz * u * v,
-        -C.cxx * u * u - C.cxz * u * v - C.czz * v * v,
-        C.cxy * u * v + C.cyz * v * v,
-    )
+    return _edge_components(C.coeffs, v, u)
 
 
 def height(C: FibreConic, p) -> int:
@@ -140,6 +145,11 @@ def point_from_pair(C: FibreConic, u: int, v: int) -> HeightedPoint:
 def edge_coeffs(C: FibreConic):
     """Coefficients whose edge (1, t) is C's edge (1, t), resp. (s, 1)."""
     return C.coeffs, (C.czz, C.cyz, C.cxz, C.cxy, C.cxx)
+
+
+# The working precision of the edge decomposition: tie points are isolated on
+# the grid 2^-k, k = _EDGE_BITS + 2 b with b the bit length of w * sum |c|.
+_EDGE_BITS = 64
 
 
 def _max(a, b):
@@ -225,11 +235,6 @@ def edge_pieces(c, w: int, k: int):
     return k, ties, pieces
 
 
-# tie points are isolated for the floor on the grid 2^-(_FLOOR_BITS + 2 b),
-# b the bit length of w * sum |c|
-_FLOOR_BITS = 32
-
-
 def certified_min_m(C: FibreConic) -> Fraction:
     """Positive rational floor for max(|x|,w|y|,|z|) of q on max(|u|,|v|) = 1.
 
@@ -241,11 +246,9 @@ def certified_min_m(C: FibreConic) -> Fraction:
     L has no root in it.
     """
     w = C.weight
-    k = _FLOOR_BITS + 2 * (w * sum(map(abs, C.coeffs))).bit_length()
     best = None
-    for c in edge_coeffs(C):
+    for c, kk, ties, _ in C.edges[1]:
         _, cxy, cxz, cyz, czz = c
-        kk, ties, _ = edge_pieces(c, w, k)
         cands = [(edge_norm(c, w, 1, 1), 1), (edge_norm(c, w, -1, 1), 1)]
         if abs(cxz) < 2 * abs(czz):
             cands.append((edge_norm(c, w, -cxz, 2 * czz), 4 * czz * czz))

@@ -7,10 +7,10 @@ homogeneity as two integrals of 1/N along the unit-box edges.  On an edge
 N is |L| or w|Q| between the tie points of `conic.edge_pieces`, so each
 piece integrates in closed form to a logarithm, an arctangent or a rational
 number; these are enclosed in fixed-point integers at one working precision
-(_FIX_BITS), by argument reduction and a series with an explicit error
-bound, and `constant_sum` adds the fibres' products on one dyadic grid,
-rounded outward.  The only approximation anywhere is the explicit (lower,
-upper) bracket returned for area-dependent quantities.
+(`conic._EDGE_BITS`), by argument reduction and a series with an explicit
+error bound, and `constant_sum` adds the fibres' products on one dyadic
+grid, rounded outward.  The only approximation anywhere is the explicit
+(lower, upper) bracket returned for area-dependent quantities.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .conic import FibreConic, certified_min_m, edge_coeffs, edge_pieces
+from .conic import FibreConic, certified_min_m
 from .modsolve import class_levels, solutions_mod_prime_power
 from .numth import euler_phi, factor, is_prime
 from .surface import PEYRE_PREFACTOR, CubicSurfaceNF, zeta2_bracket
@@ -124,10 +124,9 @@ def bad_prime_product(C: FibreConic) -> Fraction:
 
 
 # The working precision: a fibre's quantities are fixed-point integers on the
-# grid 2^-k, k = _FIX_BITS + 2 b with b the bit length of w * sum |c|, and
-# the transcendentals carry _GUARD more bits.  sigma_inf >= 2^(2 - b), so a
-# grid step is below 2^-(_FIX_BITS + b) of it.
-_FIX_BITS = 64
+# grid 2^-k of its edge decomposition, k = _EDGE_BITS + 2 b with b the bit
+# length of w * sum |c|, and the transcendentals carry _GUARD more bits.
+# sigma_inf >= 2^(2 - b), so a grid step is below 2^-(_EDGE_BITS + b) of it.
 _GUARD = 24
 # argument reduction: atan(2^-j) for j = 0.._TURNS and log(1 + 2^-j) for
 # j = 1.._TURNS leave a series argument below 2^-_TURNS
@@ -292,20 +291,20 @@ def sigma_inf(C: FibreConic, tol: float = 1e-4) -> tuple[Fraction, Fraction]:
     homogeneity its area is the integral of 1/N(1, t) plus that of
     1/N(s, 1) over [-1, 1].  `conic.edge_pieces` splits each edge at the
     tie points of |L| and w|Q| on the grid 2^-k of the working precision
-    (_FIX_BITS); each piece's integral of 1/|L| or 1/(w|Q|) is enclosed in
-    closed form, a log, an arctangent or a rational number, and each tie
-    interval adds [0, width / m], m the fibre's floor `certified_min_m`.
+    (`FibreConic.edges`); each piece's integral of 1/|L| or 1/(w|Q|) is
+    enclosed in closed form, a log, an arctangent or a rational number, and
+    each tie interval adds [0, width / m], m the fibre's floor
+    `certified_min_m`.
     The bracket depends on the fibre only; tol only decides whether it is
     returned or ToleranceNotMet is raised (upper - lower > tol * lower).
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"--tol must be a finite number > 0, got {tol}")
     w = C.weight
-    k = _FIX_BITS + 2 * (w * sum(map(abs, C.coeffs))).bit_length()
+    k, edges = C.edges
     m = certified_min_m(C)
     lo = hi = 0
-    for c in edge_coeffs(C):
-        g, ties, pieces = edge_pieces(c, w, k)
+    for c, g, ties, pieces in edges:
         for t0, t1 in ties:
             num, den = (t1 - t0) * m.denominator << k, m.numerator << g
             hi += -(-num // den)

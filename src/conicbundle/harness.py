@@ -2,11 +2,12 @@
 
 Whole-surface counting runs fibre by fibre: enumerate parameter pairs up to
 a cutoff, count points on each fibre conic exactly, and merge.  Expensive
-per-fibre results are cached in a content-addressed directory of plain-text
-records so growth tables and repeated runs reuse overlapping work.  The CLI
-exposes the analysis, counting, density, and prime-sum entry points; every
-command exits 0 on success, 2 on validation failure or an input too large to
-compute, and 3 on a tolerance failure in strict mode.
+results are cached in a content-addressed directory of plain-text records:
+each whole-surface count, and one record of per-fibre counts per surface and
+height bound, which a run at a larger cutoff extends.  The CLI exposes the
+analysis, counting, density, and prime-sum entry points; every command exits
+0 on success, 2 on validation failure or an input too large to compute, and
+3 on a tolerance failure in strict mode.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class GrowthRow:
 
     @property
     def normalized(self) -> float:
-        # count / (B (log B)^(rho-1)); positive and finite once B >= 3
+        # count / (B (log B)^(rho-1)); positive and finite once B >= 2
         b = self.height_bound
         return self.count / (b * math.log(b) ** (self.rho - 1))
 
@@ -111,10 +112,7 @@ _ALGORITHM_VERSION = 1
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(_CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "conicbundle"
+    return Path(os.environ.get(_CACHE_ENV) or Path.home() / ".cache" / "conicbundle")
 
 
 class ResultCache:
@@ -233,46 +231,44 @@ _COUNT_FIELDS = frozenset(f.name for f in fields(CountRecord))
 
 
 def _count_task(args):
-    i, conic, bound = args
-    return i, count_points(conic, bound).count
+    key, conic, bound = args
+    return key, count_points(conic, bound).count
 
 
-def _fibre_counts(
-    X: CubicSurfaceNF,
-    fibres: list[FibreIndex],
-    bound: int,
-    cache: ResultCache | None,
-    workers: int,
-) -> list[int]:
-    """Point count per fibre at height bound, cache-aware, order-preserving."""
-    counts: list[int | None] = [None] * len(fibres)
-    missing = []
-    keys = [{"s": idx.s, "t": idx.t, "B": bound} for idx in fibres]
-    for i, key in enumerate(keys):
-        hit = None if cache is None else cache.get(X.surface_hash, "fibre-count", key)
-        if hit is not None and type(hit.get("count")) is int:  # no integer count: a miss
-            counts[i] = hit["count"]
-        else:
-            missing.append(i)
+def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
+                  cache: ResultCache | None, workers: int) -> list[int]:
+    """Point count per fibre at height bound, cache-aware, order-preserving.
 
-    tasks = [(i, fibre_conic(X, fibres[i]), bound) for i in missing]
+    One "fibre-counts" record per (surface, bound) holds the count of every
+    fibre counted so far at that bound, keyed "s:t".  It is read once, only
+    the fibres it lacks are counted, and if any were, it is written back
+    once, extended.  A record that is not a dict of counts is a miss, and so
+    is an entry that is not an int, for its fibre alone.
+    """
+    params = {"B": bound}
+    hit = None if cache is None else cache.get(X.surface_hash, "fibre-counts", params)
+    stored = hit.get("counts") if hit else None
+    known = {k: n for k, n in stored.items() if type(n) is int} if isinstance(stored, dict) else {}
+    keys = [f"{idx.s}:{idx.t}" for idx in fibres]
+    missing = [(key, idx) for key, idx in zip(keys, fibres) if key not in known]
+    # lazily: the serial path drops each conic, with its edge pieces, once counted
+    tasks = ((key, fibre_conic(X, idx), bound) for key, idx in missing)
     # the pool forks all its processes at the first submit, so no more
     # than there are tasks or cores
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(missing), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing costs ~25 ms that one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_task, tasks, chunksize=16))
+            known.update(pool.map(_count_task, tasks, chunksize=16))
     else:
-        results = [_count_task(t) for t in tasks]
-    for i, n in results:
-        counts[i] = n
-        if cache is not None:
-            cache.put(X.surface_hash, "fibre-count", keys[i], {"count": n})
-    assert all(c is not None for c in counts)
-    return counts  # type: ignore[return-value]
+        known.update(map(_count_task, tasks))
+    # the last writer wins: runs sharing the directory can drop each other's
+    # entries, never corrupt them, as each put is atomic
+    if missing and cache is not None:
+        cache.put(X.surface_hash, "fibre-counts", params, {"counts": known})
+    return [known[key] for key in keys]
 
 
 def count_surface(
@@ -390,13 +386,8 @@ def sum_constants(
 ) -> ConstantSumResult:
     fibres = ((idx, fibre_conic(X, idx)) for idx in domain_B(X, x))
     lower, upper, n, failed = constant_sum(fibres, tol=tol, strict=strict)
-    return ConstantSumResult(
-        x=float(x),
-        lower=lower,
-        upper=upper,
-        fibre_count=n,
-        failed_fibres=tuple(failed),
-    )
+    return ConstantSumResult(x=float(x), lower=lower, upper=upper, fibre_count=n,
+                             failed_fibres=tuple(failed))
 
 
 # --------------------------------------------------------------------------
@@ -422,6 +413,8 @@ def growth_table(
         raise ValueError("no heights given")
     if any(b2 <= b1 for b1, b2 in zip(hs, hs[1:])):
         raise ValueError("heights must be strictly increasing")
+    if hs[0] < 2:  # log B = 0 at B = 1: no normalized value
+        raise ValueError(f"--heights must all be >= 2, got {hs[0]}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     cutoffs = [max(1.0, float(b) ** delta) for b in hs]

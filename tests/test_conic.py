@@ -5,7 +5,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conicbundle import conic
@@ -20,7 +20,7 @@ from conicbundle.conic import (
     parameterize,
     point_from_pair,
 )
-from conicbundle.modsolve import lattice_rows
+from conicbundle.modsolve import class_lattice_basis, lattice_rows
 from conicbundle.numth import is_prime
 from conicbundle.surface import domain_B, fibre_conic
 
@@ -120,11 +120,14 @@ def test_certified_min_m_is_a_true_floor():
 def test_certified_min_m_frozen_values(c11, xyz_conic):
     # the cell search they replace gave 16/17 and 63/272.  x^2 - yz has N = 1
     # on both edges; c11's minimum sqrt(5) - 2 lies at the tie points
-    # (-3 +- sqrt(5)) / 2 of its edge (s, 1), just above the floor
+    # (-3 +- sqrt(5)) / 2 of its edge (s, 1), just above the floor, which
+    # the 64-bit working precision of `FibreConic.edges` isolates more
+    # tightly than the 32-bit floor grid it replaced (32444935775 / 2^37)
     assert certified_min_m(xyz_conic) == 1 >= Fraction(16, 17)
     m = certified_min_m(c11)
-    assert m == Fraction(32444935775, 2**37) >= Fraction(63, 272)
-    assert (m + 2) ** 2 < 5 < (m + 2 + Fraction(1, 2**32)) ** 2
+    assert m == Fraction(34837484519494762847, 2**67) >= Fraction(32444935775, 2**37)
+    assert m >= Fraction(63, 272)
+    assert (m + 2) ** 2 <= 5 < (m + 2 + Fraction(1, 2**64)) ** 2
 
 
 def _nonsingular(coeffs):
@@ -307,6 +310,54 @@ def _row_tables(C, B, int64_ok):
     lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, int64_ok)
     box = lattice_rows(lats, n2_lo, n2_hi)
     return lats, box, conic._height_rows(C, B, lats, box)
+
+
+def _lattice_reach(u1, g, sigma, tau, ug):
+    """The largest |row offset| + box half-width of the base box and of the
+    class lattice of (sigma : tau) mod g with half-width ug."""
+    (a, b), (c, d) = class_lattice_basis(sigma, tau, g)
+    return max(2 * u1, ug + ug * (abs(a) + abs(b)) // g * max(abs(c), abs(d)))
+
+
+@given(
+    u1=st.integers(0, 50),
+    gp=st.integers(1, 30),
+    d=st.integers(2**55, 2**58),
+    r=st.integers(1, 30),
+    sigma=st.integers(0, 2**63),
+)
+def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, d, r, sigma):
+    # a class lattice (gp, 0), (u0, d) of index g = gp d: few rows, each far
+    # out, so the half-width ug decides the reach
+    g = gp * d
+    tau, sigma = d * r, sigma % g
+    assume(gcd(r, gp) == 1 and gcd(sigma, g) == 1)
+    lo, hi = 0, 2**62  # the least ug whose reach is 2^62 or more
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if _lattice_reach(u1, g, sigma, tau, mid) < 2**62 else (lo, mid)
+    for ug, dtype in ((lo - 1, np.int64), (lo, object)):
+        layers = [(g, [(sigma, tau)], ug)]
+        lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
+        exact = conic._fibre_lattices(u1, layers, False)
+        assert lats.U.dtype == dtype and exact[0].U.dtype == object
+        rows, want = lattice_rows(lats, n2_lo, n2_hi), lattice_rows(*exact)
+        for got, col in zip(rows, want):
+            assert got.tolist() == col.tolist()
+        # the cells at both ends of every row, against the object route
+        ends = _row_end_cells(lats, rows)
+        for (u, v), (u_exact, v_exact) in zip(ends, _row_end_cells(exact[0], want)):
+            assert u.tolist() == u_exact.tolist() and v.tolist() == v_exact.tolist()
+            U = exact[0].U[want.lat[want.lo <= want.hi]]
+            assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
+
+
+def _row_end_cells(lats, rows):
+    """(u, v) of the first and of the last cell of every nonempty row."""
+    live = rows.lo <= rows.hi
+    lat, n2 = rows.lat[live], rows.n2[live]
+    return [(n1 * lats.b1u[lat] + n2 * lats.b2u[lat], n1 * lats.b1v[lat] + n2 * lats.b2v[lat])
+            for n1 in (rows.lo[live], rows.hi[live])]
 
 
 def test_count_points_chunk_independent(monkeypatch, c12):

@@ -181,8 +181,8 @@ def _record_text(surface_id, op, params, shape):
     return json.dumps({**record, "result": json.loads(shape)})
 
 
-# a fibre-count result must hold an integer count; a count-surface result
-# must also hold every other field of its record
+# a count-surface result must hold every field of its record, with integer
+# counts
 _BAD_SHAPES = ["[]", '"x"', "5", "{}", '{"count": "3"}', '{"count": 1.5}', '{"count": true}']
 
 
@@ -206,25 +206,106 @@ def test_cli_malformed_count_record_is_a_miss(s1, s1_file, tmp_path, capsys, sha
     assert CountRecord.from_payload(result) == count_surface(s1, 10, "fibration", 5)
 
 
-@pytest.mark.parametrize("shape", _BAD_SHAPES)
-def test_cli_malformed_fibre_count_record_is_a_miss(s1, s1_file, tmp_path, capsys, shape):
+# a fibre-counts result must be a dict of integer counts: a record of another
+# shape is a miss for every fibre, an entry of another type (here on every
+# fibre, "s:t") a miss for its own fibre only
+_BAD_COUNTS = ["[]", '"x"', "5", "{}", '{"counts": []}',
+               '{"counts": {"s:t": "3"}}', '{"counts": {"s:t": 1.5}}', '{"counts": {"s:t": true}}']
+
+
+def _fibre_keys(X, cutoff):
+    return [f"{idx.s}:{idx.t}" for idx in domain_B(X, cutoff)]
+
+
+def _exact_counts(X, cutoff, B):
+    """count_points at height B on every fibre up to the cutoff, by "s:t"."""
+    return {f"{idx.s}:{idx.t}": count_points(fibre_conic(X, idx), B).count
+            for idx in domain_B(X, cutoff)}
+
+
+def _record_calls(monkeypatch):
+    """The conics harness.count_points is called on from now on."""
+    import conicbundle.harness as harness
+
+    calls = []
+
+    def recorded(C, B, **kw):
+        calls.append(C)
+        return count_points(C, B, **kw)
+
+    monkeypatch.setattr(harness, "count_points", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("shape", _BAD_COUNTS)
+def test_cli_malformed_fibre_count_record_is_a_miss(
+    s1, s1_file, tmp_path, capsys, monkeypatch, shape
+):
     argv = ("count-surface", s1_file, "--height", 10, "--cutoff", 3)
-    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert run_cli("--no-cache", *argv) == 0
     cold = capsys.readouterr().out
     cache = ResultCache(tmp_path)
-    cache._path(s1.surface_hash, "count-surface",
-                {"B": 10, "method": "fibration", "x_cutoff": 3.0}).unlink()
-    paths = {}
-    for idx in domain_B(s1, 3):
-        params = {"s": idx.s, "t": idx.t, "B": 10}
-        paths[idx] = cache._path(s1.surface_hash, "fibre-count", params)
-        paths[idx].write_text(_record_text(s1.surface_hash, "fibre-count", params, shape))
+    path = cache._path(s1.surface_hash, "fibre-counts", {"B": 10})
+    if "s:t" in shape:
+        entry = json.loads(shape)["counts"]["s:t"]
+        shape = json.dumps({"counts": dict.fromkeys(_fibre_keys(s1, 3), entry)})
+    path.write_text(_record_text(s1.surface_hash, "fibre-counts", {"B": 10}, shape))
+    calls = _record_calls(monkeypatch)
     assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert len(calls) == len(_fibre_keys(s1, 3))  # every fibre is recounted
     assert _without_runtime(capsys.readouterr().out) == _without_runtime(cold)
-    for idx, path in paths.items():
-        count = json.loads(path.read_text())["result"]["count"]
-        assert type(count) is int
-        assert count == count_points(fibre_conic(s1, idx), 10).count
+    counts = json.loads(path.read_text())["result"]["counts"]
+    assert all(type(n) is int for n in counts.values())
+    assert counts == _exact_counts(s1, 3, 10)
+
+
+class _SerialPool:
+    """A stand-in process pool that maps in this process: no process starts."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("setup", ["fresh", "two workers", "foreign entry"])
+def test_larger_cutoff_extends_the_fibre_counts_record(
+    s1, s1_file, tmp_path, capsys, monkeypatch, setup
+):
+    # one record per (surface, B): a second cutoff counts only the fibres the
+    # first left out, and the directory holds it and the two count records
+    import concurrent.futures
+
+    workers = 2 if setup == "two workers" else 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cache = ResultCache(tmp_path)
+    path = cache._path(s1.surface_hash, "fibre-counts", {"B": 10})
+    foreign = {"999:1": 7} if setup == "foreign entry" else {}
+    if foreign:
+        cache.put(s1.surface_hash, "fibre-counts", {"B": 10}, {"counts": foreign})
+    calls = _record_calls(monkeypatch)
+    counted = []
+    for cutoff in (3, 5):
+        argv = ("count-surface", s1_file, "--height", 10, "--cutoff", cutoff)
+        assert run_cli("--cache-dir", tmp_path, *argv, "--workers", workers) == 0
+        counted.append(len(calls))
+        cached = _without_runtime(capsys.readouterr().out)
+        assert run_cli("--no-cache", *argv) == 0
+        assert cached == _without_runtime(capsys.readouterr().out)
+        calls.clear()
+    first, both = _fibre_keys(s1, 3), _fibre_keys(s1, 5)
+    assert counted == [len(first), len(both) - len(first)]
+    assert len(list(tmp_path.iterdir())) == 3
+    counts = json.loads(path.read_text())["result"]["counts"]
+    assert counts == {**foreign, **_exact_counts(s1, 5, 10)}
 
 
 # ---------------------------------------------------------------- constants
@@ -306,6 +387,8 @@ def test_growth_table_validation(s1):
         growth_table(s1, [10, 20], delta=0.0)
     with pytest.raises(ValueError):
         growth_table(s1, [10, 20], delta=1.5)
+    with pytest.raises(ValueError, match="--heights"):
+        growth_table(s1, [1, 10])
 
 
 def test_write_growth_csv(s1, tmp_path):
@@ -530,6 +613,17 @@ def test_cli_growth_bad_heights(s1_file, tmp_path):
     assert rc == 2
 
 
+def test_cli_growth_refuses_height_1(s1_file, tmp_path, capsys):
+    # log 1 = 0 leaves no normalized value: refused before any row is counted
+    out_csv = tmp_path / "rows.csv"
+    rc = run_cli("--no-cache", "growth", s1_file, "--heights", "1,10", "--out", out_csv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[ValueError]: --heights must all be >= 2, got 1\n"
+    assert not out_csv.exists()
+
+
 def test_cli_wirsing_builtin(capsys):
     rc = run_cli("--no-cache", "wirsing-check", "--function",
                  "squarefree-harmonic", "--x", 20000)
@@ -603,18 +697,9 @@ def test_workers_are_capped_at_the_cores_and_refused_below_one(
 
     sizes = []
 
-    class SerialPool:
+    class SerialPool(_SerialPool):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

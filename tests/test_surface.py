@@ -1,12 +1,18 @@
+import dataclasses
 import json
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conicbundle import surface
 from conicbundle.conic import count_points
+from conicbundle.forms import BinaryForm
 from conicbundle.surface import (
     PEYRE_PREFACTOR,
     CubicSurfaceNF,
@@ -232,3 +238,35 @@ def test_section_base_directions(s1, split_surface):
         assert q == 0  # the shared direction lies on every fibre conic
     with pytest.raises(ValueError):
         fibration_index(split_surface, ProjPoint3.from_raw(0, 0, x2, x3))
+
+
+def _term_sum(forms, bound, x0, x1):
+    """The bound `_cubic_zeros` puts on |F| at (x0, x1): sum |c_i| * max |monomial_i|."""
+    size = (bound * bound,) * 3 + (bound, bound)
+    return sum(abs(f(x0, x1)) * n for f, n in zip(forms, size))
+
+
+@given(
+    shape=st.tuples(*[st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                      for n in (2, 2, 2, 3, 3)]).filter(lambda c: any(map(any, c))),
+    bound=st.integers(1, 2),
+)
+def test_cubic_zeros_just_below_and_at_the_int64_bound(s1, shape, bound):
+    # the surface's cubic, scaled so that the largest term sum over the
+    # (x0, x1) grid lies just below 2^63, then just at or past it
+    grid = range(-bound, bound + 1)
+    top = max(_term_sum([BinaryForm(c) for c in shape], bound, x0, x1)
+              for x0, x1 in product(grid, grid))
+    for k, fits in (((2**63 - 1) // top, True), (-(-2**63 // top), False)):
+        X = dataclasses.replace(s1, **{
+            name: BinaryForm(c).scale(k)
+            for name, c in zip(("cxx", "cxz", "czz", "cxy", "cyz"), shape)})
+        forms = (X.cxx, X.cxz, X.czz, X.cxy, X.cyz)
+        if not fits:
+            with pytest.raises(OverflowError, match="int64"):
+                surface._cubic_zeros(bound, [(*forms, None)])
+            continue
+        # the int64 route against Python ints
+        want = {ProjPoint3.from_raw(*p) for p in product(grid, repeat=4)
+                if any(p) and gcd(*p) == 1 and X.evaluate(*p) == 0}
+        assert sorted(surface._cubic_zeros(bound, [(*forms, None)])) == sorted(want)

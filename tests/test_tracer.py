@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conicbundle.surface import domain_B
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -14,16 +16,17 @@ def test_tracer_installs_on_the_current_modules():
     assert run.returncode == 0, run.stderr
 
 
-def _traced_run(argv, names):
-    """Run main(argv) under the benchmark's tracer in a fresh interpreter and
-    return its stdout lines and the named counters."""
+def _traced_run(names, *argvs):
+    """Run main(argv) for each argv in turn under the benchmark's tracer in
+    one fresh interpreter and return its stdout lines and the named
+    counters."""
     paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
     code = "\n".join([
         f"import sys; sys.path[:0] = {paths!r}",
         "from tracer import Tracer, install",
         "from conicbundle.harness import main",
         "tracer = Tracer(); install(tracer)",
-        f"assert main({argv!r}) == 0",
+        f"for argv in {list(argvs)!r}: assert main(argv) == 0",
         f"print(*(tracer.counters[n] for n in {names!r}))",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -33,7 +36,7 @@ def _traced_run(argv, names):
 
 
 def _traced_counters(argv, names):
-    return _traced_run(argv, names)[1]
+    return _traced_run(names, argv)[1]
 
 
 def test_tracer_spans_cover_the_wirsing_path(s1_file):
@@ -63,6 +66,15 @@ def test_tracer_counts_every_sigma_inf_of_sum_constants(s1_file):
     # the benchmark's densities.sigma_inf layers read the wrapped sigma_inf
     # that constant_sum calls by name, once per fibre
     argv = ["--no-cache", "sum-constants", s1_file, "--x", "3"]
-    out, (calls,) = _traced_run(argv, ["densities.sigma_inf.calls"])
+    out, (calls,) = _traced_run(["densities.sigma_inf.calls"], argv)
     assert f"fibres: {calls}" in out
     assert calls > 1
+
+
+def test_tracer_counts_each_fibre_once_across_cutoffs(s1, s1_file, tmp_path):
+    # the benchmark's count-wide expects its cutoff-30 command to count only
+    # the fibres its cutoff-28 command left out: the same pair at small size
+    argvs = [["--cache-dir", str(tmp_path), "count-surface", s1_file,
+              "--height", "10", "--cutoff", str(cutoff)] for cutoff in (3, 5)]
+    (calls,) = _traced_run(["conic.count_points.calls"], *argvs)[1]
+    assert calls == len(list(domain_B(s1, 5)))
