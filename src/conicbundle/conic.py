@@ -24,9 +24,15 @@ lattice and the range of n1 along each row.  What is scanned is less: along
 a row each component of q is a quadratic in n1, and the cells that can have
 height <= B*g lie in one interval of n1 per component, whose ends are fixed
 by exact evaluation; a row longer than 64 cells is narrowed to that
-interval, a shorter one is cheaper to scan whole.  All rows of all lattices
-of a fibre form one table, streamed in bounded chunks through one
-acceptance test.
+interval, a shorter one is cheaper to scan whole.  In a fibre with enough
+long rows, a narrowed row is then counted, not scanned, unless the points
+are wanted: along it every test but the height is a residue of n1 modulo
+one prime (coprimality, and the classes of the layers above), so
+inclusion-exclusion over those primes counts its cells in a few terms, its
+height set being the interval less at most one hole, on the side of one
+component that is not convex.  The rows left, of all lattices of a fibre,
+form one table, streamed in bounded chunks through one acceptance test.
+Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import floor, gcd, inf, isqrt
 
 import numpy as np
@@ -51,7 +58,7 @@ from .modsolve import (
     iter_lattice_points,
     lattice_rows,
 )
-from .numth import factor, projective_normal
+from .numth import factor, primes_up_to, projective_normal
 
 
 @dataclass(frozen=True)
@@ -300,7 +307,8 @@ def _content_height(C: FibreConic, u, v):
 
 
 class _Collector:
-    """Chunk pipeline: ownership filter, height test, exact content, count."""
+    """Chunk pipeline: ownership and height in one mask, then exact content
+    on the cells that pass it, count."""
 
     def __init__(self, C: FibreConic, bound: int, want_points: bool):
         self.C = C
@@ -315,22 +323,27 @@ class _Collector:
 
         d = gcd(u, v) divides L and d^2 divides q2, so d | gcd(|L|, |q2|):
         "coprime with content g" is "gcd(|L|, |q2|) = g and gcd(u, v, g) = 1",
-        which needs one gcd on the cells that pass the height test, and a
-        second only where that one holds and g > 1."""
-        own = (u > 0) | ((u == 0) & (v > 0))
-        u, v, g = u[own], v[own], g[own]
+        which needs one gcd on the cells that own their pair and pass the
+        height test, and a second only where that one holds and g > 1."""
         L, q2, hw = _content_height(self.C, u, v)
-        ok = hw <= self.bound * g
-        u, v, g = u[ok], v[ok], g[ok]
-        ok = np.gcd(L[ok], q2[ok]) == g
+        i = np.flatnonzero(((u > 0) | ((u == 0) & (v > 0))) & (hw <= self.bound * g))
+        g = g[i]
+        ok = np.gcd(L[i], q2[i]) == g
         deep = np.flatnonzero(ok & (g > 1))
-        ok[deep] = np.gcd(np.gcd(u[deep], g[deep]), v[deep]) == 1
-        u, v = u[ok], v[ok]
-        self.count += len(u)
+        ok[deep] = np.gcd(np.gcd(u[i[deep]], g[deep]), v[i[deep]]) == 1
+        self.count += int(np.count_nonzero(ok))
         if self.points is not None:
+            i = i[ok]
             self.points.extend(
-                point_from_pair(self.C, a, b) for a, b in zip(u.tolist(), v.tolist())
+                point_from_pair(self.C, a, b) for a, b in zip(u[i].tolist(), v[i].tolist())
             )
+
+
+# Work budgets of one fibre, refused before the work starts: the rows of its
+# lattices (S1 at B = 10^6 builds at most ~12,000 in a fibre) and the cells
+# left to scan (at most ~2.1M there with every row scanned; ~0.12 us each).
+_ROW_BUDGET = 1 << 18
+_CELL_BUDGET = 1 << 24
 
 
 def _fibre_lattices(u1, layer_bounds, int64_ok):
@@ -338,7 +351,8 @@ def _fibre_lattices(u1, layer_bounds, int64_ok):
     and every class lattice of every layer, with each lattice's rows n2.
 
     Exact on Python ints; int64 when int64_ok holds and every row offset
-    n2*b2 stays below 2^62 beside the box, object arrays otherwise.
+    n2*b2 stays below 2^62 beside the box, object arrays otherwise.  More
+    rows than _ROW_BUDGET raise ArithmeticError before any is built.
     """
     entries = [(0, 1, 1, 0, 1, u1, 0, u1)]
     for g, sols, ug in layer_bounds:
@@ -347,6 +361,12 @@ def _fibre_lattices(u1, layer_bounds, int64_ok):
             # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g)
             n2 = ug * (abs(a) + abs(b)) // g
             entries.append((a, b, c, d, g, ug, -n2, n2))
+    rows = sum(e[7] - e[6] + 1 for e in entries)
+    if rows > _ROW_BUDGET:
+        raise ArithmeticError(
+            f"row budget exceeded: the fibre's lattices have {rows} rows, "
+            f"more than the {_ROW_BUDGET} one fibre may build"
+        )
     reach = max(e[5] + e[7] * max(abs(e[2]), abs(e[3])) for e in entries)
     dtype = np.int64 if int64_ok and reach < 2**62 else object
     cols = [np.array(col, dtype=dtype) for col in zip(*entries)]
@@ -358,24 +378,26 @@ def _first_true(pred, lo, hi, seed):
     that is false and then true along [lo, hi].
 
     pred(n, idx) judges the entries idx (an index array, or a slice for all
-    of them) at n.  The seed is only a guess: judging it and its left
-    neighbour settles every entry whose seed was right, and the rest are
+    of them) at n.  The seed s is only a guess: judging it and its left
+    neighbour settles every entry whose seed was right, one more judgement,
+    of s + 1 or s - 2, every entry whose seed was one off, and the rest are
     bisected.
     """
-    bad, good = lo - 1, hi + 1
-    s = np.minimum(np.maximum(seed, lo), hi)
     every = slice(None)
+    s = np.minimum(np.maximum(seed, lo), hi)
     at = pred(s, every)
     left_of = pred(np.maximum(s - 1, lo), every) & (s > lo)
-    good = np.where(at, np.where(left_of, s - 1, s), good)
-    bad = np.where(at, np.where(left_of, bad, s - 1), s)
+    good = np.where(at, np.where(left_of, s - 1, s), hi + 1)
+    bad = np.where(at, np.where(left_of, lo - 1, s - 1), s)
     idx = np.flatnonzero(good - bad > 1)
+    if len(idx):  # the cell just past the side the answer lies on
+        mid = np.where(at[idx], good[idx] - 1, bad[idx] + 1)
     while len(idx):
-        mid = (good[idx] + bad[idx]) // 2
         t = pred(mid, idx)
         good[idx[t]] = mid[t]
         bad[idx[~t]] = mid[~t]
         idx = idx[good[idx] - bad[idx] > 1]
+        mid = (good[idx] + bad[idx]) // 2
     return good
 
 
@@ -404,9 +426,16 @@ def _as_ints(x, dtype):
 # scanning a cell costs ~0.1 us, clipping ~1-2 us a row and ~0.4 ms a
 # fibre, so clipping a shorter row, or a fibre of short rows, costs more
 # than it saves.  Rows are clipped in batches of _HULL_ROWS, which bounds
-# the temporaries (~1.5 KB a row).
+# the temporaries (~1.5 KB a row), and counted in batches of at most
+# _TERMS inclusion-exclusion terms (~100 bytes each).
 _LONG_ROW = 64
 _HULL_ROWS = 256
+_TERMS = 1 << 13
+# Counting by congruences costs ~0.3 ms a fibre beyond the hull, and the
+# hull's search for holes more, so only a fibre whose long rows hold at
+# least _COUNT_CELLS box cells is counted; the cells of the others are
+# scanned (~0.1 us each).
+_COUNT_CELLS = 1 << 13
 # the cells of one acceptance-test call
 _CHUNK = 4096
 
@@ -428,86 +457,71 @@ def _lattice_coeffs(C: FibreConic, lats: Lattices):
     return sign, np.abs(Af), Bf, Cf
 
 
-def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows) -> Rows:
-    """Clip every row's n1 range to a hull of the height region.
+def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long, coeffs, holes):
+    """Clip the n1 range of the rows `long` (index array) to a hull of the
+    height region and, if `holes`, find the holes the hull leaves; coeffs
+    are the fibre's `_lattice_coeffs`.  Returns the rows and, per component
+    (row k) and long row, the ends P, Q of its hole (P > Q where it has
+    none, or where holes were not sought).
 
     Along a row, component k of q is F_k = A n1^2 + B n2 n1 + C n2^2 with
     A = F_k(b1).  A cell of height <= bound*g has sign(A) F_k <= cap_k (caps
     bound*g, bound*g // w, bound*g), convex in n1, and |F_k| <= cap_k where
-    A = 0, so each component keeps one interval of n1.  Rows of at most
-    _LONG_ROW box cells are left as they are.
+    A = 0, so each component keeps one interval of n1.  What the hull keeps
+    of the other side, sign(A) F_k >= -cap_k, is the hull less one interval,
+    the hole.
     """
-    long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
     lo, hi = rows.lo.copy(), rows.hi.copy()
-    if len(long):
-        coeffs = _lattice_coeffs(C, lats)
-        for start in range(0, len(long), _HULL_ROWS):
-            r = long[start:start + _HULL_ROWS]
-            lo[r], hi[r] = _row_hull(C, bound, lats, coeffs, rows.lat[r], rows.n2[r],
-                                     lo[r], hi[r])
-    return Rows(rows.lat, rows.n2, lo, hi)
+    P, Q = np.empty((2, 3, len(long)), dtype=lo.dtype)
+    for start in range(0, len(long), _HULL_ROWS):
+        part = slice(start, start + _HULL_ROWS)
+        r = long[part]
+        lo[r], hi[r], P[:, part], Q[:, part] = _row_hull(C, bound, lats, coeffs, rows.lat[r],
+                                                         rows.n2[r], lo[r], hi[r], holes)
+    return Rows(rows.lat, rows.n2, lo, hi), P, Q
 
 
-def _hull_seeds(coeffs, lat, n2, lo, hi, cap):
+def _hull_seeds(sign, Af, Bn, Cn, cap, lo, hi):
     """Float guesses, inside [lo, hi], of where each entry's interval starts
-    and of where it has ended: the real roots of sign(A) F = cap, or of
-    |F| = cap where A = 0, rounded inwards."""
-    sign, Af, Bf, Cf = (x[:, lat].ravel() for x in coeffs)
+    and of where it has ended: the real roots of Af n^2 + Bn n + Cn = cap
+    (sign(A) F_k along the row, Af = |A|), or of |Bn n + Cn| = cap where
+    A = 0, rounded inwards; the vertex where there are none."""
     with np.errstate(all="ignore"):
-        nf = np.concatenate([_floats(n2)] * 3)
-        capf = _floats(cap)
-        Bn, Cn = Bf * nf, Cf * nf * nf
-        # A n^2 + B n + C0 - cap <= 0 by the stable root formula
-        B, cq = sign * Bn, sign * Cn - capf
-        disc = B * B - 4 * Af * cq
-        q = -(B + np.copysign(np.sqrt(np.maximum(disc, 0)), B)) / 2
-        r1, r2 = q / Af, np.where(q == 0, q / Af, cq / q)
-        vertex = -B / (2 * Af)
-        # |Bn n + Cn| <= cap where A = 0
-        l1, l2 = (-capf - Cn) / Bn, (capf - Cn) / Bn
+        vertex = -Bn / (2 * Af)
+        half = np.sqrt(np.maximum(Bn * Bn - 4 * Af * (Cn - cap), 0)) / (2 * Af)
+        l1, l2 = (-cap - Cn) / Bn, (cap - Cn) / Bn
         lin = sign == 0
-        end_lo = np.where(lin, np.minimum(l1, l2), np.where(disc < 0, vertex, np.minimum(r1, r2)))
-        end_hi = np.where(lin, np.maximum(l1, l2), np.where(disc < 0, vertex, np.maximum(r1, r2)))
-        lof, hif = _floats(lo), _floats(hi)
-        seed_lo = np.where(np.isnan(end_lo), lof, np.ceil(end_lo))
-        seed_hi = np.where(np.isnan(end_hi), hif, np.floor(end_hi) + 1)
-        return np.clip(np.concatenate([seed_lo, seed_hi]), np.concatenate([lof, lof]),
-                       np.concatenate([hif, hif]))
+        end_lo = np.where(lin, np.minimum(l1, l2), vertex - half)
+        end_hi = np.where(lin, np.maximum(l1, l2), vertex + half)
+        seed_lo = np.where(np.isnan(end_lo), lo, np.ceil(end_lo))
+        seed_hi = np.where(np.isnan(end_hi), hi, np.floor(end_hi) + 1)
+        return np.clip(np.concatenate([seed_lo, seed_hi]), np.concatenate([lo, lo]),
+                       np.concatenate([hi, hi]))
 
 
-def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi):
-    """Each row's n1 range (lo, hi) clipped to its three convex intervals.
+def _sublevel(C, lats, k, lat, n2, sign, lo, hi, cap, flip, seed):
+    """Per entry, component k along row n2 of lattice lat, with G = sign(A)
+    F_k (F_k where A = 0, sign 0): the range [L, H] of the n1 in [lo, hi]
+    with h = max(G, flip G) <= cap; L > H where there are none.  For flip
+    in {-1, 0, 1}, h is convex in n1, so that is one interval.
 
-    Float roots only seed the interval ends; one `_first_true` call fixes all
-    of them by exact evaluation of F_k through (u, v), on the dtype of the
-    rows, at cells inside the box.
+    The float seeds of `_hull_seeds` only guess its ends; one `_first_true`
+    call fixes all of them by exact evaluation, on the dtype of lo, at cells
+    inside [lo, hi].
     """
     dtype = lo.dtype
-    R = len(lat)
-
-    def tile(x):  # entry k*R + r is component k of row r
-        return np.concatenate([x] * 3)
-
-    lo, hi = tile(lo), tile(hi)
-    cap = bound * lats.g[lat]
-    cap = np.concatenate([cap, cap // C.weight, cap])
-    seed = _as_ints(_hull_seeds(coeffs, lat, n2, lo, hi, cap), dtype)
-    sgn = coeffs[0][:, lat].ravel()
-    lin = sgn == 0
-    # h is sgn * F, or |F| where A = 0: max(G, flip * G) with G = sgn * F and
-    # flip = -1 there; elsewhere flip = 0 gives max(G, 0), which is convex
-    # too and meets every cap (>= 0) exactly where G does
-    sgn = np.where(lin, 1, sgn).astype(dtype)
-    flip = np.where(lin, -1, 0).astype(dtype)
     E = len(lo)
 
     def pair(x):  # search entry d*E + e: where entry e starts (d = 0), ends (1)
         return np.concatenate([x, x])
 
-    a, b, c = (pair(sgn * np.repeat(np.array(x, dtype=dtype), R)) for x in zip(*_forms(C)))
+    k, lat, n2 = pair(k), pair(lat), pair(n2)
+    sgn = pair(np.where(sign == 0, 1, sign)).astype(dtype)
+    forms = np.array(_forms(C), dtype=dtype)[k]
+    a, b, c = (sgn * forms[:, i] for i in range(3))
+    b1u, b1v = lats.b1u[lat], lats.b1v[lat]
+    u0, v0 = n2 * lats.b2u[lat], n2 * lats.b2v[lat]
     flip, cap2, lo2, hi2 = pair(flip), pair(cap), pair(lo), pair(hi)
-    b1u, b1v = pair(tile(lats.b1u[lat])), pair(tile(lats.b1v[lat]))
-    u0, v0 = pair(tile(n2 * lats.b2u[lat])), pair(tile(n2 * lats.b2v[lat]))
     upper = np.arange(2 * E) >= E
     step = np.where(upper, -1, 1).astype(dtype)
 
@@ -527,16 +541,248 @@ def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi):
         hn = h(n, j)
         return ((hn <= cap2[j]) | (h(m, j) >= hn)) ^ upper[j]
 
-    ends = _first_true(pred, lo2, hi2, seed)
+    ends = _first_true(pred, lo2, hi2, _as_ints(seed, dtype))
     L, H = ends[:E], ends[E:] - 1
-    H = np.where(h(L, slice(0, E)) <= cap, H, L - 1)
-    return L.reshape(3, -1).max(axis=0), H.reshape(3, -1).min(axis=0)
+    return L, np.where(h(L, slice(0, E)) <= cap, H, L - 1)
+
+
+def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi, holes):
+    """Each row's n1 range (lo, hi) clipped to its three convex intervals,
+    and per component and row the hole in that, if `holes`: where sign(A)
+    F_k <= -cap_k - 1, for A != 0, as [P, Q] with Q = P - 1 where it is
+    empty or not sought."""
+    R = len(lat)
+    k, lat3 = np.repeat(np.arange(3), R), np.concatenate([lat] * 3)
+    sign, Af, Bf, Cf = (x[k, lat3] for x in coeffs)
+    n2, lo, hi = (np.concatenate([x] * 3) for x in (n2, lo, hi))
+    cap = bound * lats.g[lat]
+    cap = np.concatenate([cap, cap // C.weight, cap])
+    lof, hif = _floats(lo), _floats(hi)
+    with np.errstate(all="ignore"):
+        # G = sign(A) F_k, F_k where A = 0, is Af n^2 + Bn n + Cn along the row
+        nf, sgn = _floats(n2), np.where(sign == 0, 1, sign)
+        Bn, Cn = sgn * Bf * nf, sgn * Cf * nf * nf
+        side = np.zeros(0, dtype=np.int64)
+        if holes:
+            # a hole is sought only where G may fall below -cap at its vertex,
+            # in floats with a wide margin for their error (and where NaN)
+            drop = Bn * Bn / (4 * Af)
+            clear = Cn - drop > 1e-9 * (np.abs(Cn) + drop) + 1 - _floats(cap)
+            side = np.flatnonzero((sign != 0) & ~clear)
+    # h is |F| where A = 0 (flip -1); elsewhere max(G, 0) (flip 0), which
+    # meets every cap (>= 0) exactly where G does; G itself (flip 1) on the
+    # entries that look for holes
+    flip = np.concatenate([np.where(sign == 0, -1, 0), np.ones(len(side), dtype=np.int64)])
+
+    def every(x):  # the hull entries, then the hole entries
+        return np.concatenate([x, x[side]])
+
+    E = 3 * R
+    caps = every(cap)
+    caps[E:] = -caps[E:] - 1
+    seed = _hull_seeds(every(sign), every(Af), every(Bn), every(Cn), _floats(caps), every(lof),
+                       every(hif))
+    ends = _sublevel(C, lats, every(k), every(lat3), every(n2), every(sign), every(lo),
+                     every(hi), caps, flip.astype(lo.dtype), seed)
+    L, H = ends[0][:E].reshape(3, -1).max(axis=0), ends[1][:E].reshape(3, -1).min(axis=0)
+    P = np.concatenate([L] * 3)
+    Q = P - 1
+    P[side] = np.maximum(ends[0][E:], L[side % R])
+    Q[side] = np.maximum(np.minimum(ends[1][E:], H[side % R]), P[side] - 1)
+    return L, H, P.reshape(3, -1), Q.reshape(3, -1)
+
+
+@lru_cache(maxsize=None)
+def _factor_tables(bits: int):
+    """For n < 2^bits: spf[n], the least prime factor of n, and nxt[n], n
+    with every factor spf[n] taken out (spf[1] = nxt[1] = 1)."""
+    size = 1 << bits
+    spf = np.arange(size)
+    spf[0] = 1
+    for p in primes_up_to(isqrt(size - 1))[::-1].tolist():  # the least prime wins
+        spf[p * p :: p] = p
+    q = np.arange(size) // spf
+    same = spf[q] == spf
+    nxt = q
+    while True:  # as many rounds as the largest exponent
+        new = np.where(same, nxt[q], q)
+        if np.array_equal(new, nxt):
+            spf.flags.writeable = nxt.flags.writeable = False  # shared by every caller
+            return spf, nxt
+        nxt = new
+
+
+def _lattice_events(lats: Lattices, layer_bounds, used):
+    """The layer primes of the fibre, and per lattice (those in `used`) the
+    congruences, beside coprimality at primes outside its layer g, that
+    reject a cell n1 along its row n2: at each layer prime p,
+
+    - p | (u, v), for p | g: n1 b1 + n2 b2 = 0 mod p.  As det = +-g, b2 =
+      lambda b1 mod p, so this is n1 = gamma n2 mod p, gamma = -lambda, or
+      p | n2 where b1 = 0 mod p;
+    - content g p, for each class (s : t) mod g p that lifts the lattice's
+      class: t u - s v = g (alpha n1 + beta n2) = 0 mod g p, which is n1 =
+      gamma n2 mod p, gamma = -beta / alpha, or p | n2 where alpha = 0 mod p
+      (beta = 0 mod p too would put the lattice, of index g, inside the
+      class's lattice, of index g p).
+
+    Each prime of a layer divisor is a layer divisor itself (they are
+    products of prime powers with classes), so the primes are the layer
+    divisors that no smaller one divides.  Per lattice:
+    `kill`, the bits (by index in the primes) of the p whose congruence
+    rejects the whole row where p | n2, and the inclusion-exclusion terms
+    over the sets of distinct residues gamma n2 (at most one per prime):
+    (sign, modulus e, Gamma mod e from the gammas by CRT, excl).  Where p |
+    n2 every gamma n2 is 0 mod p, one residue, which the Moebius factor of
+    a row counts if p is not in g: excl has bit p for such p, and for the
+    gammas after the first at p.
+    """
+    classes = {g: sols for g, sols, _ in layer_bounds}
+    primes = [p for p in classes if all(p % d for d in classes if d < p)]
+    b1u, b1v, b2u, b2v, gs = (x.tolist() for x in lats[:5])
+    kill = [0] * len(gs)
+    terms = [[] for _ in gs]
+    for l in used:
+        g = gs[l]
+        gammas = {}
+        for i, p in enumerate(primes):
+            found = []
+            if g % p == 0:
+                if b1u[l] % p or b1v[l] % p:
+                    x, y = (b1u[l], b2u[l]) if b1u[l] % p else (b1v[l], b2v[l])
+                    found.append(-y * pow(x, -1, p) % p)
+                else:
+                    kill[l] |= 1 << i
+            for s, t in classes.get(g * p, ()):
+                alpha, beta = t * b1u[l] - s * b1v[l], t * b2u[l] - s * b2v[l]
+                if alpha % g or beta % g:
+                    continue  # it lifts another class mod g
+                if alpha // g % p:
+                    found.append(-(beta // g) * pow(alpha // g, -1, p) % p)
+                else:
+                    kill[l] |= 1 << i
+            if found:
+                gammas[i] = list(dict.fromkeys(found))
+        table = [(1, 1, 0, 0)]
+        for i, residues in gammas.items():
+            p = primes[i]
+            table += [(-sign, e * p, G + e * ((c - G) * pow(e, -1, p) % p),
+                       excl | (1 << i if g % p or j else 0))
+                      for sign, e, G, excl in table for j, c in enumerate(residues)]
+        terms[l] = table
+    return primes, kill, terms
+
+
+def _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds):
+    """Count the accepted cells of those clipped rows `long`, with holes
+    [P, Q] from `_height_rows`, that congruences count in no more terms
+    than the rows have cells, and return the count and the rows with those
+    emptied.  Rows n2 = 0 are left to the scan.
+
+    Along row n2 of a lattice of layer g, a cell n1 of the hull [a, b] is
+    accepted iff it lies outside the row's holes (has height <= bound*g),
+    is coprime, has content g and owns its pair.  Each of the middle two
+    fails by a residue of n1 mod one prime: for q not in g, q | (u, v) iff
+    q | (n1, n2), that is n1 = 0 mod q for the q | n2 (Moebius over the
+    squarefree d | n2 prime to g); the rest are the congruences n1 = gamma
+    n2 mod p of `_lattice_events`.  So one inclusion-exclusion term counts
+    the n1 = Gamma n2 mod d e (Gamma n2 is 0 mod d, as d | n2) of [a, b],
+    less those of the holes; a row where p | n2 for a p in `kill` has none.
+    Every cell counted owns its pair: the half box holds none with u < 0,
+    and the one coprime cell with u = 0 that does not, (0, -1), lies in a
+    lattice u = 0 mod g (b1 = (0, 1)) only, on its row n2 = 0.
+    """
+    sel = np.flatnonzero((rows.n2[long] != 0) & (rows.lo[long] <= rows.hi[long]))
+    if not len(sel):
+        return 0, rows
+    r = long[sel]
+    lat, n2, a, b = (x[r] for x in rows)
+    # k layer primes make at least 2^k lattices, each with a row, so k < 18
+    # (_ROW_BUDGET) and a set of them fits the bits of an int64
+    primes, kill, tables = _lattice_events(lats, layer_bounds, set(lat.tolist()))
+    m = np.abs(n2).astype(np.int64)  # below _ROW_BUDGET
+    # the distinct primes of each row (column of qs), then 1s; those of g
+    # set to 1 too, which leaves the Moebius primes
+    spf, nxt = _factor_tables(int(m.max()).bit_length())
+    qs, rest = [], m
+    p = spf[rest]
+    while p.max() > 1:
+        qs.append(p)
+        rest = nxt[rest]
+        p = spf[rest]
+    g = lats.g[lat]
+    qs = np.array(qs, dtype=np.int64).reshape(-1, len(r))
+    qs = np.where(g % qs != 0, qs, 1)
+    # ones: the bits of the columns of 1s, which no divisor takes
+    ones = (1 << np.arange(len(qs))) @ (qs == 1)
+    ps = np.array(primes, dtype=object if primes and max(primes) >= 2**63 else np.int64)
+    bits = (1 << np.arange(len(primes))) @ (m % ps[:, None] == 0)
+    live = (bits & np.array(kill)[lat]) == 0
+    # every lattice's terms padded to n_max with empty ones (sign 0)
+    n_max = max(map(len, tables))
+    per_row = (1 << (qs > 1).sum(axis=0)) * n_max
+    use = np.flatnonzero(live & (per_row <= b - a + 1))
+    # with f(x) = #{n1 <= x in a term's class}, a row has f(b) - f(a - 1)
+    # cells, less those of the union of its holes: by inclusion-exclusion,
+    # f(Q) - f(P - 1) for each nonempty intersection [P, Q] of k holes, with
+    # the sign (-1)^k, each an entry of its own (top f(P - 1), bottom f(Q)
+    # for a negative one)
+    entry, top, bottom = [use], [b[use]], [a[use] - 1]
+    P, Q = P[:, sel[use]], Q[:, sel[use]]
+    sought = [k for k in range(3) if np.any(P[k] <= Q[k])]
+    for size in range(1, len(sought) + 1):
+        for ks in combinations(sought, size):
+            lo, hi = P[list(ks)].max(axis=0), Q[list(ks)].min(axis=0)
+            i = np.flatnonzero(lo <= hi)
+            entry.append(use[i])
+            ends = (lo[i] - 1, hi[i]) if size % 2 else (hi[i], lo[i] - 1)
+            top.append(ends[0])
+            bottom.append(ends[1])
+    entry, bottom = np.concatenate(entry), np.concatenate(bottom)
+    length = np.concatenate(top) - bottom
+    # int64 while every modulus d e and every Gamma n2 stays below 2^62
+    flat = [term for terms in tables for term in terms + [(0, 1, 0, 0)] * (n_max - len(terms))]
+    wide = rows.lo.dtype == object or max(term[1] for term in flat) * int(m.max()) >= 2**62
+    table = np.array(flat, dtype=object if wide else np.int64).T
+    args = (qs[:, entry], ones[entry], bits[entry], n2[entry], bottom, length,
+            lat[entry] * n_max)
+    total = 0
+    step = max(1, _TERMS // int(per_row.max()))  # entries of one batch
+    for start in range(0, len(entry), step):
+        total += _part_count(*(x[..., start:start + step] for x in args), table, n_max)
+    done = r[np.concatenate([np.flatnonzero(~live), use])]
+    left = rows.hi.copy()
+    left[done] = rows.lo[done] - 1
+    return total, Rows(rows.lat, rows.n2, rows.lo, left)
+
+
+def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
+    """The count of a batch of entries: per entry (column of qs, a prime or
+    1 each) the sum over the squarefree divisors d of the product of its
+    primes and over the n_max terms of its lattice (from first in table)
+    that bits admits of mu(d) sign f, with f the number of n1 in (bottom,
+    bottom + length] with n1 = Gamma n2 mod d e, or minus that number in
+    (bottom + length, bottom] where length < 0."""
+    d, mu = np.ones((1, len(n2)), dtype=np.int64), [1]
+    for q in qs:
+        d = np.concatenate([d, d * q])
+        mu += [-x for x in mu]
+    t, e = np.nonzero((np.arange(len(mu))[:, None] & ones) == 0)
+    sign, mod, gamma, excl = table[:, first[e][:, None] + np.arange(n_max)]
+    mod = mod * d[t, e][:, None]
+    f = ((bottom[e][:, None] - gamma * n2[e][:, None]) % mod + length[e][:, None]) // mod
+    f *= sign * ((bits[e][:, None] & excl) == 0)
+    return int(np.array(mu)[t] @ f.sum(axis=1))
 
 
 def _enumerate(C, bound, u1, layer_bounds, want_points):
     """Shared enumeration core: every lattice of the fibre (the base box is
-    layer 1) in one row table, long rows clipped to their height hull, and
-    each pair counted in the layer of its exact content."""
+    layer 1) in one row table, long rows clipped to their height hull and,
+    unless the points are wanted or they hold fewer than _COUNT_CELLS box
+    cells, counted by congruences where that takes no more terms than
+    cells; every other cell is scanned, each pair counted in the layer of
+    its exact content.  More cells to scan than _CELL_BUDGET raise
+    ArithmeticError before the scan."""
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
     # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
     # and the bound*content comparison of the acceptance test
@@ -547,11 +793,27 @@ def _enumerate(C, bound, u1, layer_bounds, want_points):
     )
     col = _Collector(C, bound, want_points)
     lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, int64_ok)
-    rows = _height_rows(C, bound, lats, lattice_rows(lats, n2_lo, n2_hi))
+    rows = lattice_rows(lats, n2_lo, n2_hi)
+    long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
+    counted = 0
+    if len(long):
+        coeffs = _lattice_coeffs(C, lats)
+        count = not want_points and int((rows.hi[long] - rows.lo[long]).sum()) >= _COUNT_CELLS
+        rows, P, Q = _height_rows(C, bound, lats, rows, long, coeffs, count)
+        if count:
+            counted, rows = _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds)
+    # a row holds at most 2 u_cap + 1 cells
+    if len(rows.lat) * (2 * u_cap + 1) > _CELL_BUDGET:
+        cells = int(np.maximum(rows.hi - rows.lo + 1, 0).sum())
+        if cells > _CELL_BUDGET:
+            raise ArithmeticError(
+                f"cell budget exceeded: the fibre has {cells} cells to scan, "
+                f"more than the {_CELL_BUDGET} one fibre may scan"
+            )
     for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
         col.feed(u, v, g)
     points = sorted(col.points) if want_points else None
-    return col.count, points
+    return counted + col.count, points
 
 
 def _layers(C: FibreConic, bound: int):
@@ -580,11 +842,16 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     every divisor g of |det(Pi)| the parameters giving content-g points lie
     on index-g sublattices (one per solution class of q = 0 mod g), inside
     the correspondingly larger box.  The boxes only fix which rows of each
-    lattice exist and how far each row may reach; what is scanned of a row
-    longer than 64 cells is its height interval, the cells that can satisfy
-    the three convex height conditions and u >= 0.  Every candidate is
-    verified by exact evaluation, so the floor `min_norm` only ever affects
-    completeness, and it is certified.
+    lattice exist and how far each row may reach; a row longer than 64
+    cells is narrowed to its height interval, the cells that can satisfy
+    the three convex height conditions and u >= 0, and then, unless
+    want_points or the long rows are few (_COUNT_CELLS), counted by
+    congruences (`_count_rows`) where that takes no more terms than it has
+    cells.  Every other cell is verified by exact
+    evaluation, and the counted rows have exact ends and holes, so the floor
+    `min_norm` only ever affects completeness, and it is certified.  A fibre
+    needing more than _ROW_BUDGET rows or _CELL_BUDGET cells to scan raises
+    ArithmeticError.
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).

@@ -20,7 +20,7 @@ from conicbundle.conic import (
     parameterize,
     point_from_pair,
 )
-from conicbundle.modsolve import class_lattice_basis, lattice_rows
+from conicbundle.modsolve import Rows, class_lattice_basis, iter_lattice_points, lattice_rows
 from conicbundle.numth import is_prime
 from conicbundle.surface import domain_B, fibre_conic
 
@@ -309,7 +309,9 @@ def _row_tables(C, B, int64_ok):
     _, u1, layers = conic._layers(C, B)
     lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, int64_ok)
     box = lattice_rows(lats, n2_lo, n2_hi)
-    return lats, box, conic._height_rows(C, B, lats, box)
+    long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
+    coeffs = conic._lattice_coeffs(C, lats)
+    return lats, box, conic._height_rows(C, B, lats, box, long, coeffs, False)[0]
 
 
 def _lattice_reach(u1, g, sigma, tau, ug):
@@ -604,3 +606,179 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
     below = 3 * big * u_cap * u_cap * w < 2**62
     assert below == (delta < 0)
     assert dtypes == {np.dtype(np.int64) if below else np.dtype(object)}
+
+
+# --------------------------------------------------------------------------
+# long rows counted by congruences
+
+
+def _counted_rows(C, B):
+    """(the count of the rows count_points counts by congruences, the same
+    rows scanned cell by cell, how many they are, how many have a hole)."""
+    _, u1, layers = conic._layers(C, B)
+    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
+    box = lattice_rows(lats, n2_lo, n2_hi)
+    long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
+    if not len(long):
+        return 0, 0, 0, 0
+    rows, P, Q = conic._height_rows(C, B, lats, box, long, conic._lattice_coeffs(C, lats), True)
+    total, left = conic._count_rows(C, B, lats, rows, long, P, Q, layers)
+    done = np.flatnonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))
+    assert np.all(rows.n2[done] != 0)  # the rows n2 = 0 are scanned
+    col = conic._Collector(C, B, want_points=False)
+    for u, v, g in iter_lattice_points(lats, Rows(*(x[done] for x in rows)), 4096):
+        col.feed(u, v, g)
+    holed = np.intersect1d(done, long[(P <= Q).any(axis=0)])
+    return total, col.count, len(done), len(holed)
+
+
+@pytest.mark.parametrize("B, step", [(10**2, 1), (10**3, 1), (10**4, 1), (10**5, 8)])
+def test_row_counts_equal_the_scan_on_every_fibre(s1, split_surface, B, step):
+    # every fibre of S1 up to fibre height 30 and of the split surface up to
+    # 20 (at 10^5 every 8th, for time): the rows counted by congruences
+    # hold exactly the cells the scan accepts on them
+    rows = holed = 0
+    for X, x, every in ((s1, 30, 1), (split_surface, 20, step)):
+        for idx in list(domain_B(X, x))[::every]:
+            try:
+                C = fibre_conic(X, idx)
+            except ValueError:  # a singular fibre
+                continue
+            counted, scanned, n, h = _counted_rows(C, B)
+            assert counted == scanned, (idx, B)
+            rows, holed = rows + n, holed + h
+    assert rows >= {10**2: 0, 10**3: 50, 10**4: 1000, 10**5: 10000}[B]
+    assert holed >= {10**2: 0, 10**3: 0, 10**4: 100, 10**5: 1000}[B]
+
+
+@pytest.mark.parametrize("B, step", [(10**2, 1), (10**3, 4)])
+def test_count_points_equals_the_point_list(s1, split_surface, B, step):
+    # the count against the scan with the points kept, which counts no row
+    # by congruences
+    for X, x in ((s1, 30), (split_surface, 20)):
+        for idx in list(domain_B(X, x))[::step]:
+            try:
+                C = fibre_conic(X, idx)
+            except ValueError:
+                continue
+            assert count_points(C, B).count == len(count_points(C, B, want_points=True).points)
+
+
+def test_first_true_settles_a_seed_one_off_without_bisecting():
+    # per entry, pred is true from its answer on; a seed off by -1, 0 or +1
+    # is settled by the seed's own two judgements and one more
+    rng = np.random.default_rng(3)
+    lo = rng.integers(-50, 50, 300)
+    hi = lo + rng.integers(0, 40, 300)
+    answer = lo + rng.integers(0, hi - lo + 2)  # hi + 1: never true
+    calls = []
+
+    def pred(n, j):
+        calls.append(n)
+        return n >= answer[j]
+
+    for offset in (-1, 0, 1):
+        calls.clear()
+        assert conic._first_true(pred, lo, hi, answer + offset).tolist() == answer.tolist()
+        assert len(calls) <= 3
+    # a seed farther off is bisected, to the same answers
+    calls.clear()
+    far = answer + rng.integers(-30, 30, 300)
+    assert conic._first_true(pred, lo, hi, far).tolist() == answer.tolist()
+    assert len(calls) > 3
+
+
+def _det(coeffs):
+    a, b, c, e, f = coeffs
+    return a * e * e - b * c * e + f * b * b
+
+
+def test_row_counts_on_random_conics_vs_reference(monkeypatch):
+    # every row clipped and counted by congruences where it can be, and
+    # every fourth conic on object rows
+    monkeypatch.setattr(conic, "_LONG_ROW", 0)
+    monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
+    fibre_lattices, count_rows = conic._fibre_lattices, conic._count_rows
+    wide = False
+    monkeypatch.setattr(conic, "_fibre_lattices",
+                        lambda u1, layers, ok: fibre_lattices(u1, layers, ok and not wide))
+    counted = []
+
+    def counting(C, bound, lats, rows, *args):
+        total, left = count_rows(C, bound, lats, rows, *args)
+        counted.append(int(np.count_nonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))))
+        return total, left
+
+    monkeypatch.setattr(conic, "_count_rows", counting)
+    rng = random.Random(31)
+    kinds = {"composite": 0, "even": 0, "square": 0}
+    for done in range(200):
+        while True:
+            coeffs = [rng.randint(-12, 12) for _ in range(5)]
+            det = abs(_det(coeffs))
+            if det:
+                break
+        wide = done % 4 == 3
+        C = FibreConic(*coeffs, weight=rng.randint(1, 3))
+        B = rng.randint(1, 40) if done % 2 else rng.randint(40, 150)
+        assert count_points(C, B).count == count_points_reference(C, B), (coeffs, B)
+        kinds["composite"] += det > 3 and not is_prime(det)
+        kinds["even"] += det % 2 == 0
+        kinds["square"] += any(det % (p * p) == 0 for p in (2, 3, 5, 7))
+    assert min(kinds.values()) >= 40
+    assert sum(counted) >= 1000
+
+
+def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
+    # on a row with p | n2 for a layer prime p where b1 = 0 mod p (p | g)
+    # or alpha = 0 mod p (content g p), every cell is rejected: it counts 0
+    monkeypatch.setattr(conic, "_LONG_ROW", 0)
+    C, B = FibreConic(7, -4, 11, -1, 10), 114
+    _, u1, layers = conic._layers(C, B)
+    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
+    primes, kill, _ = conic._lattice_events(lats, layers, range(len(lats.g)))
+    rows = lattice_rows(lats, n2_lo, n2_hi)
+    assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
+               for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))
+    counted, scanned, n, _ = _counted_rows(C, B)
+    assert counted == scanned and n > 0
+    assert count_points(C, B).count == count_points_reference(C, B)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 0, 2, 2), (1, 3, 1, 6, 9), (5, 2, 1, 3, 3)])
+def test_the_cell_that_does_not_own_its_pair_is_never_counted_by_congruences(monkeypatch, coeffs):
+    # (0, -1) has content gcd(czz, cyz) > 1 here and is counted where it is
+    # scanned; its lattice u = 0 mod g has b1 = (0, 1), so it lies on the
+    # row n2 = 0, which congruences never count
+    monkeypatch.setattr(conic, "_LONG_ROW", 0)
+    monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
+    C = FibreConic(*coeffs)
+    g0 = gcd(C.czz, C.cyz)
+    (a, b), _ = class_lattice_basis(0, 1, g0)
+    assert (abs(a), abs(b)) == (0, 1)
+    for B in (10, 60, 150):
+        assert count_points(C, B).count == count_points_reference(C, B)
+
+
+def test_row_counts_take_object_terms_on_object_rows(monkeypatch, c12):
+    # the terms are int64 while the moduli and rows allow it, object
+    # otherwise; both give the same counts
+    monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
+    tables = []
+    part_count, fibre_lattices = conic._part_count, conic._fibre_lattices
+
+    def recording(qs, ones, bits, n2, bottom, length, first, table, n_max):
+        tables.append(table.dtype)
+        return part_count(qs, ones, bits, n2, bottom, length, first, table, n_max)
+
+    monkeypatch.setattr(conic, "_part_count", recording)
+    for C in (c12, C36):
+        tables.clear()
+        want = count_points(C, 3000).count
+        assert set(tables) == {np.dtype(np.int64)}
+        tables.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conic, "_fibre_lattices",
+                       lambda u1, layers, int64_ok: fibre_lattices(u1, layers, False))
+            assert count_points(C, 3000).count == want
+        assert set(tables) == {np.dtype(object)}

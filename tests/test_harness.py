@@ -792,6 +792,33 @@ def test_cli_wirsing_refuses_x_past_the_sieve_limit():
     assert run.stdout == ""
 
 
+def test_cli_count_fibre_refuses_past_the_row_budget(s1_file):
+    # at height 10^12 the lattices of fibre (1 : 2) have 2,253,149 rows:
+    # refused before any is built, where it used to run without end
+    start = time.perf_counter()
+    run = _main_capped(["count-fibre", s1_file, "--s", "1", "--t", "2", "--height", "1e12"])
+    assert time.perf_counter() - start < 5
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error[ArithmeticError]: row budget exceeded: ")
+    assert "2253149 rows" in run.stderr and run.stderr.count("\n") == 1
+    assert run.stdout == ""
+
+
+def test_cli_count_fibre_points_scan_every_row_within_the_cell_budget(s1_file, capsys,
+                                                                     monkeypatch):
+    # at height 10^5 fibre (1 : 2) leaves 1,715 cells to scan beside the rows
+    # counted by congruences, and 99,071 when its points are listed
+    monkeypatch.setattr(conicbundle.conic, "_CELL_BUDGET", 10_000)
+    argv = ["--no-cache", "count-fibre", s1_file, "--s", 1, "--t", 2, "--height", 10**5]
+    assert run_cli(*argv) == 0
+    assert "count: 58235\n" in capsys.readouterr().out
+    assert run_cli(*argv, "--dump-points") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[ArithmeticError]: cell budget exceeded: the fibre has 99071 "
+                            "cells to scan, more than the 10000 one fibre may scan\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["count-surface", "{surface}", "--height", "10", "--cutoff", "1e30"],
     ["count-surface", "{surface}", "--height", "10", "--cutoff", "1e5"],

@@ -78,3 +78,14 @@ def test_tracer_counts_each_fibre_once_across_cutoffs(s1, s1_file, tmp_path):
               "--height", "10", "--cutoff", str(cutoff)] for cutoff in (3, 5)]
     (calls,) = _traced_run(["conic.count_points.calls"], *argvs)[1]
     assert calls == len(list(domain_B(s1, 5)))
+
+
+def test_tracer_points_equal_the_printed_count_of_a_growth_row(s1_file, tmp_path):
+    # the benchmark's count-deep checks conic.points against its printed
+    # count: rows counted by congruences never reach iter_lattice_points,
+    # but every fibre's count still goes through the wrapped count_points
+    argv = ["--no-cache", "growth", s1_file, "--heights", "10000", "--out", str(tmp_path / "g.csv")]
+    out, (points,) = _traced_run(["conic.points"], argv)
+    (row,) = [line for line in out if line.startswith("B=10000 ")]
+    count = int(row.split("count=")[1].split()[0])
+    assert points == count > 0
