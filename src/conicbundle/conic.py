@@ -22,15 +22,16 @@ The floor gives each lattice (the base box, and one sublattice per solution
 class of every layer) a sup-norm box, and the box gives the rows of the
 lattice and the range of n1 along each row.  What is scanned is less: along
 a row each component of q is a quadratic in n1, and the cells that can have
-height <= B*g lie in one interval of n1 per component, whose ends are fixed
-by exact evaluation; a row longer than 64 cells is narrowed to that
-interval, a shorter one is cheaper to scan whole.  In a fibre with enough
-long rows, a narrowed row is then counted, not scanned, unless the points
-are wanted: along it every test but the height is a residue of n1 modulo
-one prime (coprimality, and the classes of the layers above), so
-inclusion-exclusion over those primes counts its cells in a few terms, its
-height set being the interval less at most one hole, on the side of one
-component that is not convex.  The rows left, of all lattices of a fibre,
+height <= B*g lie in one interval of n1 per component, whose exact ends are
+closed forms in the integer square root of its discriminant; a row longer
+than 64 cells is narrowed to that interval, a shorter one is cheaper to
+scan whole.  In a fibre with enough long rows, a narrowed row is then
+counted, not scanned, unless the points are wanted: along it every test
+but the height is a residue of n1 modulo one prime (coprimality, and the
+classes of the layers above), so inclusion-exclusion over those primes
+counts its cells in a few terms, its height set being the interval less
+at most one hole per component, where the side of the height condition
+that is not convex fails.  The rows left, of all lattices of a fibre,
 form one table, streamed in bounded chunks through one acceptance test.
 Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
@@ -57,6 +58,7 @@ from .modsolve import (
     divisor_solutions,
     iter_lattice_points,
     lattice_rows,
+    linear_range,
 )
 from .numth import factor, primes_up_to, projective_normal
 
@@ -281,7 +283,8 @@ class ConicCountResult:
 
 
 def _ceil_sqrt_ratio(num: int, den: int) -> int:
-    """Smallest integer U with U^2 >= num/den (num, den > 0)."""
+    """An integer U > sqrt(num/den) (num, den > 0): isqrt(num // den) + 1,
+    which exceeds the root by at most 1."""
     return isqrt(num // den) + 1
 
 
@@ -290,18 +293,12 @@ def _forms(C: FibreConic):
     return ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
 
 
-def _form(f, uu, uv, vv):
-    """The one formula for q's components, shared by the acceptance test and
-    the row hulls; f may hold numbers or per-entry arrays."""
-    return f[0] * uu + f[1] * uv + f[2] * vv
-
-
 def _content_height(C: FibreConic, u, v):
     """(|L|, |q2|, max(|q1|, w |q2|, |q3|)) of q(u, v), L = cxy u + cyz v:
     q1 = u L and q3 = v L, so max(|q1|, |q3|) = max(|u|, |v|) |L|, and for
     coprime (u, v) the content gcd(q1, q2, q3) is gcd(|L|, |q2|)."""
     L = np.abs(C.cxy * u + C.cyz * v)
-    q2 = np.abs(_form(_forms(C)[1], u * u, u * v, v * v))
+    q2 = np.abs(C.cxx * u * u + C.cxz * u * v + C.czz * v * v)
     hw = np.maximum(np.maximum(np.abs(u), np.abs(v)) * L, C.weight * q2)
     return L, q2, hw
 
@@ -373,223 +370,134 @@ def _fibre_lattices(u1, layer_bounds, int64_ok):
     return Lattices(*cols[:6]), cols[6], cols[7]
 
 
-def _first_true(pred, lo, hi, seed):
-    """Least n in [lo, hi] with pred, or hi + 1, per entry, for a predicate
-    that is false and then true along [lo, hi].
-
-    pred(n, idx) judges the entries idx (an index array, or a slice for all
-    of them) at n.  The seed s is only a guess: judging it and its left
-    neighbour settles every entry whose seed was right, one more judgement,
-    of s + 1 or s - 2, every entry whose seed was one off, and the rest are
-    bisected.
-    """
-    every = slice(None)
-    s = np.minimum(np.maximum(seed, lo), hi)
-    at = pred(s, every)
-    left_of = pred(np.maximum(s - 1, lo), every) & (s > lo)
-    good = np.where(at, np.where(left_of, s - 1, s), hi + 1)
-    bad = np.where(at, np.where(left_of, lo - 1, s - 1), s)
-    idx = np.flatnonzero(good - bad > 1)
-    if len(idx):  # the cell just past the side the answer lies on
-        mid = np.where(at[idx], good[idx] - 1, bad[idx] + 1)
-    while len(idx):
-        t = pred(mid, idx)
-        good[idx[t]] = mid[t]
-        bad[idx[~t]] = mid[~t]
-        idx = idx[good[idx] - bad[idx] > 1]
-        mid = (good[idx] + bad[idx]) // 2
-    return good
-
-
-def _float(x: int) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return float("nan")  # a seed is only a guess
-
-
-def _floats(x: np.ndarray) -> np.ndarray:
-    """x as float64 (NaN where an object entry overflows)."""
-    if x.dtype == object:
-        return np.array([_float(t) for t in x.tolist()], dtype=float)
-    return x.astype(float)
-
-
-def _as_ints(x, dtype):
-    """Float array x (finite, integral) as integers of the given dtype."""
-    if dtype == object:
-        return np.array([int(t) for t in x.tolist()], dtype=object)
-    return x.astype(np.int64)
-
-
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
-# scanning a cell costs ~0.1 us, clipping ~1-2 us a row and ~0.4 ms a
-# fibre, so clipping a shorter row, or a fibre of short rows, costs more
-# than it saves.  Rows are clipped in batches of _HULL_ROWS, which bounds
-# the temporaries (~1.5 KB a row), and counted in batches of at most
-# _TERMS inclusion-exclusion terms (~100 bytes each).
+# scanning a cell costs ~0.1 us, clipping ~1.5 us a row and ~0.3 ms a
+# fibre (S1 at B = 10^5), so clipping a fibre of short rows costs more than
+# it saves; there 16 or 32 in place of 64 measured no faster, 128 slower.
+# Rows are clipped in batches of _HULL_ROWS, which bounds the temporaries
+# (~1.2 KB a row), and counted in batches of at most _TERMS
+# inclusion-exclusion terms (~100 bytes each).
 _LONG_ROW = 64
 _HULL_ROWS = 256
 _TERMS = 1 << 13
-# Counting by congruences costs ~0.3 ms a fibre beyond the hull, and the
-# hull's search for holes more, so only a fibre whose long rows hold at
-# least _COUNT_CELLS box cells is counted; the cells of the others are
-# scanned (~0.1 us each).
+# Counting by congruences costs ~0.4 ms a fibre and ~0.8 us a long row
+# beyond the hull, so only a fibre whose long rows hold at least
+# _COUNT_CELLS box cells is counted; the cells of the others are scanned
+# (~0.1 us each).  At S1, B = 10^5, 2^11 to 2^14 measured alike.
 _COUNT_CELLS = 1 << 13
 # the cells of one acceptance-test call
 _CHUNK = 4096
 
 
-def _lattice_coeffs(C: FibreConic, lats: Lattices):
-    """Per component (row) and lattice (column): F_k(n1*b1 + n2*b2) =
-    A n1^2 + B n1 n2 + C n2^2 as the exact sign of A and floats |A|, B, C."""
-    forms = np.array(_forms(C), dtype=object)  # component k, coefficient j
-    b1u, b1v = lats.b1u.astype(object), lats.b1v.astype(object)
-    sign = np.sign(forms @ np.array([b1u * b1u, b1u * b1v, b1v * b1v])).astype(np.int64)
-    b1u, b1v, b2u, b2v = (_floats(x) for x in lats[:4])
-    monomials = np.array([  # coefficient kind, j, lattice
-        [b1u * b1u, b1u * b1v, b1v * b1v],
-        [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
-        [b2u * b2u, b2u * b2v, b2v * b2v],
-    ])
-    F = _floats(forms.ravel()).reshape(3, 3)
-    Af, Bf, Cf = (F[None, :, :, None] * monomials[:, None]).sum(axis=2)
-    return sign, np.abs(Af), Bf, Cf
-
-
-def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long, coeffs, holes):
+def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long):
     """Clip the n1 range of the rows `long` (index array) to a hull of the
-    height region and, if `holes`, find the holes the hull leaves; coeffs
-    are the fibre's `_lattice_coeffs`.  Returns the rows and, per component
-    (row k) and long row, the ends P, Q of its hole (P > Q where it has
-    none, or where holes were not sought).
+    height region and find the holes the hull leaves.  Returns the rows
+    and, per component (row k) and long row, the ends P, Q of its hole (P >
+    Q where it has none).
 
     Along a row, component k of q is F_k = A n1^2 + B n2 n1 + C n2^2 with
     A = F_k(b1).  A cell of height <= bound*g has sign(A) F_k <= cap_k (caps
     bound*g, bound*g // w, bound*g), convex in n1, and |F_k| <= cap_k where
     A = 0, so each component keeps one interval of n1.  What the hull keeps
     of the other side, sign(A) F_k >= -cap_k, is the hull less one interval,
-    the hole.
+    the hole.  Per component and lattice, |A|, s B, s C (s = sign(A), 1
+    where A = 0) and cap_k are tabulated once, by `_hull_tables`, for the
+    lattices (col) of the long rows.
     """
+    used, col = np.unique(rows.lat[long], return_inverse=True)
+    b1u, b1v, b2u, b2v, g = (x[used].astype(object) for x in lats[:5])
+    forms = np.array(_forms(C), dtype=object)  # component k, coefficient j
+    A, B, Cn = (forms @ np.array(monomials, dtype=object) for monomials in (
+        [b1u * b1u, b1u * b1v, b1v * b1v],
+        [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
+        [b2u * b2u, b2u * b2v, b2v * b2v],
+    ))
+    s = np.where(A < 0, -1, 1)
+    cap = bound * g
+    exact = np.array([np.abs(A), s * B, s * Cn, [cap, cap // C.weight, cap]], dtype=object)
+    tables = _hull_tables(exact)
     lo, hi = rows.lo.copy(), rows.hi.copy()
     P, Q = np.empty((2, 3, len(long)), dtype=lo.dtype)
     for start in range(0, len(long), _HULL_ROWS):
         part = slice(start, start + _HULL_ROWS)
         r = long[part]
-        lo[r], hi[r], P[:, part], Q[:, part] = _row_hull(C, bound, lats, coeffs, rows.lat[r],
-                                                         rows.n2[r], lo[r], hi[r], holes)
+        lo[r], hi[r], P[:, part], Q[:, part] = _row_hull(tables, col[part], rows.n2[r], lo[r],
+                                                         hi[r])
     return Rows(rows.lat, rows.n2, lo, hi), P, Q
 
 
-def _hull_seeds(sign, Af, Bn, Cn, cap, lo, hi):
-    """Float guesses, inside [lo, hi], of where each entry's interval starts
-    and of where it has ended: the real roots of Af n^2 + Bn n + Cn = cap
-    (sign(A) F_k along the row, Af = |A|), or of |Bn n + Cn| = cap where
-    A = 0, rounded inwards; the vertex where there are none."""
-    with np.errstate(all="ignore"):
-        vertex = -Bn / (2 * Af)
-        half = np.sqrt(np.maximum(Bn * Bn - 4 * Af * (Cn - cap), 0)) / (2 * Af)
-        l1, l2 = (-cap - Cn) / Bn, (cap - Cn) / Bn
-        lin = sign == 0
-        end_lo = np.where(lin, np.minimum(l1, l2), vertex - half)
-        end_hi = np.where(lin, np.maximum(l1, l2), vertex + half)
-        seed_lo = np.where(np.isnan(end_lo), lo, np.ceil(end_lo))
-        seed_hi = np.where(np.isnan(end_hi), hi, np.floor(end_hi) + 1)
-        return np.clip(np.concatenate([seed_lo, seed_hi]), np.concatenate([lo, lo]),
-                       np.concatenate([hi, hi]))
+def _hull_tables(exact):
+    """The exact table (coefficient, component, lattice) of Python ints,
+    its int64 copy (0 where out of int64 reach) and its float magnitudes,
+    capped at 2^62 so that no entry overflows a float."""
+    mag = np.minimum(np.abs(exact), 2**62)
+    return exact, np.where(mag < 2**62, exact, 0).astype(np.int64), mag.astype(float)
 
 
-def _sublevel(C, lats, k, lat, n2, sign, lo, hi, cap, flip, seed):
-    """Per entry, component k along row n2 of lattice lat, with G = sign(A)
-    F_k (F_k where A = 0, sign 0): the range [L, H] of the n1 in [lo, hi]
-    with h = max(G, flip G) <= cap; L > H where there are none.  For flip
-    in {-1, 0, 1}, h is convex in n1, so that is one interval.
+def _row_hull(tables, lat, n2, lo, hi):
+    """Each row's n1 range [lo, hi] clipped to its three convex intervals,
+    and per component and row the hole in that, where sign(A) F_k <=
+    -cap_k - 1: (L, H, P, Q), with P > Q where a hole is empty.
 
-    The float seeds of `_hull_seeds` only guess its ends; one `_first_true`
-    call fixes all of them by exact evaluation, on the dtype of lo, at cells
-    inside [lo, hi].
+    Each entry (component, row) is solved on int64 where the float bound
+    b^2 (|b| where a = 0) + 4 (a + 1)(|c| + cap + 1) on the terms of
+    `_entry_ends` is below 2^61, a factor 4 from overflow, which covers the
+    float error; on Python ints elsewhere.  Its ends are exact either way,
+    and clipped to [lo - 1, hi + 1], which changes neither the hull nor a
+    hole inside it.
     """
-    dtype = lo.dtype
-    E = len(lo)
-
-    def pair(x):  # search entry d*E + e: where entry e starts (d = 0), ends (1)
-        return np.concatenate([x, x])
-
-    k, lat, n2 = pair(k), pair(lat), pair(n2)
-    sgn = pair(np.where(sign == 0, 1, sign)).astype(dtype)
-    forms = np.array(_forms(C), dtype=dtype)[k]
-    a, b, c = (sgn * forms[:, i] for i in range(3))
-    b1u, b1v = lats.b1u[lat], lats.b1v[lat]
-    u0, v0 = n2 * lats.b2u[lat], n2 * lats.b2v[lat]
-    flip, cap2, lo2, hi2 = pair(flip), pair(cap), pair(lo), pair(hi)
-    upper = np.arange(2 * E) >= E
-    step = np.where(upper, -1, 1).astype(dtype)
-
-    def h(n, j):
-        u = n * b1u[j]
-        u += u0[j]
-        v = n * b1v[j]
-        v += v0[j]
-        G = _form((a[j], b[j], c[j]), u * u, u * v, v * v)
-        return np.maximum(G, flip[j] * G)
-
-    def pred(n, j):
-        # where an entry starts: feasible, or at or past the minimum of h;
-        # where it has ended: the negation with the neighbour on the left,
-        # infeasible and rising.  Both are false, then true along the row.
-        m = np.minimum(np.maximum(n + step[j], lo2[j]), hi2[j])
-        hn = h(n, j)
-        return ((hn <= cap2[j]) | (h(m, j) >= hn)) ^ upper[j]
-
-    ends = _first_true(pred, lo2, hi2, _as_ints(seed, dtype))
-    L, H = ends[:E], ends[E:] - 1
-    return L, np.where(h(L, slice(0, E)) <= cap, H, L - 1)
-
-
-def _row_hull(C, bound, lats, coeffs, lat, n2, lo, hi, holes):
-    """Each row's n1 range (lo, hi) clipped to its three convex intervals,
-    and per component and row the hole in that, if `holes`: where sign(A)
-    F_k <= -cap_k - 1, for A != 0, as [P, Q] with Q = P - 1 where it is
-    empty or not sought."""
+    exact, narrow, mag = tables
     R = len(lat)
-    k, lat3 = np.repeat(np.arange(3), R), np.concatenate([lat] * 3)
-    sign, Af, Bf, Cf = (x[k, lat3] for x in coeffs)
-    n2, lo, hi = (np.concatenate([x] * 3) for x in (n2, lo, hi))
-    cap = bound * lats.g[lat]
-    cap = np.concatenate([cap, cap // C.weight, cap])
-    lof, hif = _floats(lo), _floats(hi)
-    with np.errstate(all="ignore"):
-        # G = sign(A) F_k, F_k where A = 0, is Af n^2 + Bn n + Cn along the row
-        nf, sgn = _floats(n2), np.where(sign == 0, 1, sign)
-        Bn, Cn = sgn * Bf * nf, sgn * Cf * nf * nf
-        side = np.zeros(0, dtype=np.int64)
-        if holes:
-            # a hole is sought only where G may fall below -cap at its vertex,
-            # in floats with a wide margin for their error (and where NaN)
-            drop = Bn * Bn / (4 * Af)
-            clear = Cn - drop > 1e-9 * (np.abs(Cn) + drop) + 1 - _floats(cap)
-            side = np.flatnonzero((sign != 0) & ~clear)
-    # h is |F| where A = 0 (flip -1); elsewhere max(G, 0) (flip 0), which
-    # meets every cap (>= 0) exactly where G does; G itself (flip 1) on the
-    # entries that look for holes
-    flip = np.concatenate([np.where(sign == 0, -1, 0), np.ones(len(side), dtype=np.int64)])
+    k, col = np.repeat(np.arange(3), R), np.concatenate([lat, lat, lat])
+    n2, lo3, hi3 = (np.concatenate([x, x, x]) for x in (n2, lo, hi))
+    af, bf, cf, capf = mag[:, k, col]
+    m = np.maximum(np.abs(n2).astype(float), 1)
+    bf *= m
+    fast = np.where(af > 0, bf * bf, bf) + 4 * (af + 1) * (cf * m * m + capf + 1) < 2**61
+    ends = np.empty((4, 3 * R), dtype=lo.dtype)
+    for i, table, dtype in ((np.flatnonzero(fast), narrow, np.int64),
+                            (np.flatnonzero(~fast), exact, object)):
+        if len(i):
+            a, sb, sc, cap = table[:, k[i], col[i]]
+            t = n2[i].astype(dtype)
+            ends[:, i] = np.clip(_entry_ends(a, sb * t, sc * t * t, cap), lo3[i] - 1, hi3[i] + 1)
+    l, h, p, q = ends.reshape(4, 3, R)
+    L, H = np.maximum(l.max(axis=0), lo), np.minimum(h.min(axis=0), hi)
+    return L, H, np.maximum(p, L), np.minimum(q, H)
 
-    def every(x):  # the hull entries, then the hole entries
-        return np.concatenate([x, x[side]])
 
-    E = 3 * R
-    caps = every(cap)
-    caps[E:] = -caps[E:] - 1
-    seed = _hull_seeds(every(sign), every(Af), every(Bn), every(Cn), _floats(caps), every(lof),
-                       every(hif))
-    ends = _sublevel(C, lats, every(k), every(lat3), every(n2), every(sign), every(lo),
-                     every(hi), caps, flip.astype(lo.dtype), seed)
-    L, H = ends[0][:E].reshape(3, -1).max(axis=0), ends[1][:E].reshape(3, -1).min(axis=0)
-    P = np.concatenate([L] * 3)
-    Q = P - 1
-    P[side] = np.maximum(ends[0][E:], L[side % R])
-    Q[side] = np.maximum(np.minimum(ends[1][E:], H[side % R]), P[side] - 1)
-    return L, H, P.reshape(3, -1), Q.reshape(3, -1)
+def _entry_ends(a, b, c, cap):
+    """(l, h, p, q) per entry, a >= 0: the integers n with a n^2 + b n + c
+    <= cap form [l, h] and those with a n^2 + b n + c <= -cap - 1 form
+    [p, q]; where a = 0, [l, h] holds the n with |b n + c| <= cap and [p, q]
+    is empty.  An empty range has l > h, resp. p > q.
+
+    For a > 0, a n^2 + b n + e <= 0 iff |2 a n + b| <= sqrt(D), D = b^2 -
+    4 a e, iff |2 a n + b| <= r = floor(sqrt(D)) (r = -1 where D < 0, which
+    no n meets): n from ceil((-b - r) / 2a) to floor((r - b) / 2a).
+    """
+    lin = a == 0
+    # on the linear entries the quadratics are n^2 + c, whose ends are replaced
+    a, bq = a + lin, np.where(lin, 0, b)
+    r = _isqrt(bq * bq - 4 * a * np.array([c - cap, c + cap + 1]))
+    l, p = -((bq + r) // (2 * a))
+    h, q = (r - bq) // (2 * a)
+    lin_lo, lin_hi = linear_range(c, b, -cap, cap)
+    return (np.where(lin, lin_lo, l), np.where(lin, lin_hi, h),
+            np.where(lin, 1, p), np.where(lin, 0, q))
+
+
+def _isqrt(D):
+    """floor(sqrt(D)) per entry, -1 where D < 0: on int64 (D below 2^61) a
+    float root, which is at most 1 off, and an exact correction; isqrt on
+    object entries."""
+    if D.dtype == object:
+        return np.array([isqrt(d) if d >= 0 else -1 for d in D.ravel().tolist()],
+                        dtype=object).reshape(D.shape)
+    r = np.sqrt(np.maximum(D, 0).astype(float)).astype(np.int64)
+    r -= r * r > D
+    r += (r + 1) * (r + 1) <= D
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -777,12 +685,13 @@ def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
 
 def _enumerate(C, bound, u1, layer_bounds, want_points):
     """Shared enumeration core: every lattice of the fibre (the base box is
-    layer 1) in one row table, long rows clipped to their height hull and,
-    unless the points are wanted or they hold fewer than _COUNT_CELLS box
-    cells, counted by congruences where that takes no more terms than
-    cells; every other cell is scanned, each pair counted in the layer of
-    its exact content.  More cells to scan than _CELL_BUDGET raise
-    ArithmeticError before the scan."""
+    layer 1) in one row table, long rows clipped to their height hull (ends
+    and holes in closed form, `_height_rows`) and, unless the points are
+    wanted or they hold fewer than _COUNT_CELLS box cells, counted by
+    congruences where that takes no more terms than cells; every other
+    cell is scanned, each pair counted in the layer of its exact content.
+    More cells to scan than _CELL_BUDGET raise ArithmeticError before the
+    scan."""
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
     # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
     # and the bound*content comparison of the acceptance test
@@ -797,9 +706,8 @@ def _enumerate(C, bound, u1, layer_bounds, want_points):
     long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
     counted = 0
     if len(long):
-        coeffs = _lattice_coeffs(C, lats)
         count = not want_points and int((rows.hi[long] - rows.lo[long]).sum()) >= _COUNT_CELLS
-        rows, P, Q = _height_rows(C, bound, lats, rows, long, coeffs, count)
+        rows, P, Q = _height_rows(C, bound, lats, rows, long)
         if count:
             counted, rows = _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds)
     # a row holds at most 2 u_cap + 1 cells
@@ -847,9 +755,10 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     the three convex height conditions and u >= 0, and then, unless
     want_points or the long rows are few (_COUNT_CELLS), counted by
     congruences (`_count_rows`) where that takes no more terms than it has
-    cells.  Every other cell is verified by exact
-    evaluation, and the counted rows have exact ends and holes, so the floor
-    `min_norm` only ever affects completeness, and it is certified.  A fibre
+    cells.  The ends of that interval and of its holes are exact, from the
+    integer square roots of the quadratics' discriminants, and every other
+    cell is verified by exact evaluation, so the floor `min_norm` only ever
+    affects completeness, and it is certified.  A fibre
     needing more than _ROW_BUDGET rows or _CELL_BUDGET cells to scan raises
     ArithmeticError.
 

@@ -149,10 +149,11 @@ class ResultCache:
             return None
         # a cache file is outside input: a stale, colliding or malformed
         # record is a miss, and callers check the result dict's own fields
-        if not isinstance(record, dict) or record.get("surface") != surface_id:
+        key = {"surface": surface_id, "op": op, "params": params}
+        if not isinstance(record, dict) or any(record.get(k) != v for k, v in key.items()):
             return None
         result = record.get("result")
-        return result if record.get("op") == op and isinstance(result, dict) else None
+        return result if isinstance(result, dict) else None
 
     def put(self, surface_id: str, op: str, params: dict, result: dict) -> None:
         path = self._path(surface_id, op, params)
@@ -243,12 +244,13 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
     fibre counted so far at that bound, keyed "s:t".  It is read once, only
     the fibres it lacks are counted, and if any were, it is written back
     once, extended.  A record that is not a dict of counts is a miss, and so
-    is an entry that is not an int, for its fibre alone.
+    is an entry that is not an int >= 0, for its fibre alone.
     """
     params = {"B": bound}
     hit = None if cache is None else cache.get(X.surface_hash, "fibre-counts", params)
     stored = hit.get("counts") if hit else None
-    known = {k: n for k, n in stored.items() if type(n) is int} if isinstance(stored, dict) else {}
+    known = ({k: n for k, n in stored.items() if type(n) is int and n >= 0}
+             if isinstance(stored, dict) else {})
     keys = [f"{idx.s}:{idx.t}" for idx in fibres]
     missing = [(key, idx) for key, idx in zip(keys, fibres) if key not in known]
     # lazily: the serial path drops each conic, with its edge pieces, once counted
@@ -309,9 +311,11 @@ def count_surface(
     }
     if cache is not None:
         hit = cache.get(X.surface_hash, "count-surface", params)
-        # a miss unless it holds a record's fields, no others, and integer counts
+        # a miss unless it holds a record's fields, no others, and counts
+        # that are ints >= 0
         if hit is not None and hit.keys() == _COUNT_FIELDS and all(
-            type(hit[k]) is int for k in ("count", "excluded_singular_fibres", "runtime_ms")
+            type(hit[k]) is int and hit[k] >= 0
+            for k in ("count", "excluded_singular_fibres", "runtime_ms")
         ):
             return CountRecord.from_payload(hit)
 

@@ -305,13 +305,13 @@ def test_count_points_want_points(c12):
 
 
 def _row_tables(C, B, int64_ok):
-    """The fibre's box rows and height-clipped rows, as count_points builds them."""
+    """The fibre's box rows and height-clipped rows, as count_points builds
+    them, then the long rows and the ends P, Q of their holes."""
     _, u1, layers = conic._layers(C, B)
     lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, int64_ok)
     box = lattice_rows(lats, n2_lo, n2_hi)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
-    coeffs = conic._lattice_coeffs(C, lats)
-    return lats, box, conic._height_rows(C, B, lats, box, long, coeffs, False)[0]
+    return lats, box, *conic._height_rows(C, B, lats, box, long), long
 
 
 def _lattice_reach(u1, g, sigma, tau, ug):
@@ -381,52 +381,142 @@ def _composite_det(coeffs):
     return det >= 4 and not is_prime(det)
 
 
-@given(
-    coeffs=st.tuples(*[st.integers(-9, 9)] * 5).filter(_composite_det),
-    w=st.integers(1, 3),
-    B=st.integers(1, 60),
-)
-def test_height_rows_keep_every_owned_cell_of_bounded_height(coeffs, w, B):
-    C = FibreConic(*coeffs, weight=w)
+def _check_height_rows(C, B):
+    """With every row clipped: the same rows and holes on int64 as on object
+    rows; a row keeps exactly the cells of its box row that meet the convex
+    condition of every component (sign(A) F <= cap, or |F| <= cap where A =
+    F(b1) = 0), so every owned cell of height <= B g; and a hole of a
+    component holds exactly the kept cells with sign(A) F < -cap (A != 0)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 0)  # clip every row, not just long ones
-        lats, box, rows = _row_tables(C, B, True)
+        lats, box, rows, P, Q, long = _row_tables(C, B, True)
         exact = _row_tables(C, B, False)
     assert rows.lo.dtype == np.int64
     assert exact[2].lo.dtype == object
-    for a, b in zip(rows, exact[2]):
+    for a, b in zip((*rows, P, Q), (*exact[2], exact[3], exact[4])):
         assert a.tolist() == b.tolist()
-    # every box cell, tagged with its row
+    # every box cell, tagged with its row; every nonempty box row is long
     counts = np.maximum(box.hi - box.lo + 1, 0)
     r = np.repeat(np.arange(len(counts)), counts)
     n1 = box.lo[r] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     lat = box.lat[r]
     u = n1 * lats.b1u[lat] + box.n2[r] * lats.b2u[lat]
     v = n1 * lats.b1v[lat] + box.n2[r] * lats.b2v[lat]
-    g = lats.g[lat]
-    x = np.abs(C.cxy * u * u + C.cyz * u * v)
-    y = np.abs(C.cxx * u * u + C.cxz * u * v + C.czz * v * v)
-    z = np.abs(C.cxy * u * v + C.cyz * v * v)
-    low = np.maximum(np.maximum(x, w * y), z) <= B * g
-    owned = (u > 0) | ((u == 0) & (v > 0))
+    b1u, b1v, cap = lats.b1u[lat], lats.b1v[lat], B * lats.g[lat]
     kept = (rows.lo[r] <= n1) & (n1 <= rows.hi[r])
+    j = np.searchsorted(long, r)
+    convex = np.ones(len(n1), dtype=bool)
+    low = np.ones(len(n1), dtype=bool)
+    forms = ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
+    for k, ((fa, fb, fc), k_cap) in enumerate(zip(forms, (cap, cap // C.weight, cap))):
+        F = fa * u * u + fb * u * v + fc * v * v
+        A = fa * b1u * b1u + fb * b1u * b1v + fc * b1v * b1v
+        convex &= np.where(A == 0, np.abs(F), np.sign(A) * F) <= k_cap
+        low &= np.abs(F) <= k_cap
+        in_hole = (P[k, j] <= n1) & (n1 <= Q[k, j])
+        assert np.array_equal(in_hole, kept & (A != 0) & (np.sign(A) * F < -k_cap))
+    owned = (u > 0) | ((u == 0) & (v > 0))
+    assert np.array_equal(kept, convex)
     assert not np.any(owned & low & ~kept)
-    # the hull only ever narrows a row, and both ends of a kept range meet
-    # the convex condition of every component: sign(A) F <= cap, or |F| <= cap
-    # where A = F(b1) = 0
     live = rows.lo <= rows.hi
     assert np.all(rows.lo[live] >= box.lo[live]) and np.all(rows.hi[live] <= box.hi[live])
-    forms = ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
-    lat = rows.lat[live]
-    for n1 in (rows.lo[live], rows.hi[live]):
-        u = n1 * lats.b1u[lat] + rows.n2[live] * lats.b2u[lat]
-        v = n1 * lats.b1v[lat] + rows.n2[live] * lats.b2v[lat]
-        b1u, b1v = lats.b1u[lat], lats.b1v[lat]
-        cap = B * lats.g[lat]
-        for (fa, fb, fc), k_cap in zip(forms, (cap, cap // w, cap)):
-            F = fa * u * u + fb * u * v + fc * v * v
-            A = fa * b1u * b1u + fb * b1u * b1v + fc * b1v * b1v
-            assert np.all(np.where(A == 0, np.abs(F), np.sign(A) * F) <= k_cap)
+
+
+@given(
+    coeffs=st.tuples(*[st.integers(-9, 9)] * 5).filter(_composite_det),
+    w=st.integers(1, 3),
+    B=st.integers(1, 60),
+)
+def test_height_rows_keep_every_owned_cell_of_bounded_height(coeffs, w, B):
+    _check_height_rows(FibreConic(*coeffs, weight=w), B)
+
+
+@pytest.mark.parametrize("B", [3, 40, 500])
+def test_height_rows_of_fixed_fibres(c11, c12, B):
+    for C in (c11, c12, C36):
+        _check_height_rows(C, B)
+
+
+@pytest.mark.parametrize("C, B", [(FibreConic(1, 1, 0, 0, 3 * 10**6 + 2), 10),
+                                  (FibreConic(4, 0, -5, 6, -2, 3), 90)])
+def test_height_rows_of_fixed_skewed_fibres(C, B):
+    _check_height_rows(C, B)
+
+
+def _one_row_hull(entries, lo, hi, routes=None):
+    """`_row_hull` of one row n2 = 1 per entry (a, b, c, cap), each of a
+    lattice of its own, where component 0 is a n1^2 + b n1 + c with that
+    cap, and components 1 and 2 are 0, which meets every cap.  routes, if
+    a list, gets the dtype and the b of every `_entry_ends` call."""
+    exact = np.zeros((4, 3, len(entries)), dtype=object)
+    for j, entry in enumerate(entries):
+        exact[:, 0, j] = entry
+    tables = conic._hull_tables(exact)
+    if routes is None:  # every entry on object rows
+        tables = (*tables[:2], np.full_like(tables[2], np.inf))
+    entry_ends = conic._entry_ends
+
+    def recording(a, b, c, cap):
+        if routes is not None:
+            routes.append((a.dtype, b.tolist()))
+        return entry_ends(a, b, c, cap)
+
+    n = len(entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "_entry_ends", recording)
+        return conic._row_hull(tables, np.arange(n), np.ones(n, dtype=lo.dtype),
+                               np.full(n, lo, dtype=lo.dtype), np.full(n, hi, dtype=lo.dtype))
+
+
+def test_hull_entries_just_below_and_at_the_int64_bound():
+    # a = 1, b = 2^30, cap = 2^52 - 1: the float bound b^2 + 4 (a + 1)(|c|
+    # + cap + 1) is 2^61 - 2^8 for the first c and 2^61 for the second,
+    # exactly and in floats; the first entry is solved on int64, the second
+    # on object, and both give the ends of the object route
+    a, b, cap = 1, 2**30, 2**52 - 1
+    cs = [2**57 - 2**52 - 2**5, 2**57 - 2**52]
+    for c, bound in zip(cs, (2**61 - 2**8, 2**61)):
+        assert float(b) ** 2 + 4 * (a + 1) * (float(c) + float(cap) + 1) == bound
+        assert b * b + 4 * (a + 1) * (c + cap + 1) == bound
+    entries = [(a, b, c, cap) for c in cs]
+    lo = np.array(-2**62, dtype=np.int64)
+    routes = []
+    got = _one_row_hull(entries, lo, -lo, routes)
+    want = _one_row_hull(entries, lo, -lo)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    assert (np.dtype(object), [b]) in routes
+    assert not any(dtype == object and len(bs) > 1 for dtype, bs in routes)
+    # the ends are tight: L and H meet n^2 + b n + c <= cap, their outer
+    # neighbours do not; the hole [P, Q] likewise for <= -cap - 1
+    L, H, P, Q = (x.tolist() for x in got)
+    for j, c in enumerate(cs):
+        def f(n):
+            return a * n * n + b * n + c
+        assert f(L[j]) <= cap < f(L[j] - 1) and f(H[j]) <= cap < f(H[j] + 1)
+        p, q = P[0][j], Q[0][j]
+        assert L[j] <= p <= q <= H[j]
+        assert f(p) <= -cap - 1 < f(p - 1) and f(q) <= -cap - 1 < f(q + 1)
+
+
+@pytest.mark.parametrize("row_dtype", [np.int64, object])
+def test_hull_entry_past_float_range_takes_the_object_route(row_dtype):
+    # 10^400 n^2 - 3 10^406 between -10^406 and 10^406: no float holds the
+    # coefficients, so the entry goes to the object route, not to an
+    # OverflowError, on rows of either dtype; |n| <= 2000, less the hole
+    # |n| <= isqrt(2 10^6 - 1)
+    entry = (10**400, 0, -3 * 10**406, 10**406)
+    lo = np.array(-10**4, dtype=row_dtype)
+    routes = []
+    L, H, P, Q = (x.tolist() for x in _one_row_hull([entry], lo, -lo, routes))
+    assert (np.dtype(object), [0]) in routes
+    assert (L, H, P[0], Q[0]) == ([-2000], [2000], [-1414], [1414])
+
+
+def test_isqrt_on_int64_is_exact_at_squares_and_their_neighbours():
+    # the float root is corrected to floor(sqrt(D)) up to the 2^61 bound
+    ks = [0, 1, 2, 3, 2**26 + 1, 2**30 - 1, 2**30, isqrt(2**61) - 1, isqrt(2**61)]
+    D = np.array(sorted({k * k + d for k in ks for d in (-1, 0, 1)} | {-5, 2**61 - 1}))
+    assert conic._isqrt(D).tolist() == [isqrt(d) if d >= 0 else -1 for d in D.tolist()]
 
 
 def test_count_points_with_every_row_clipped_vs_reference(monkeypatch):
@@ -442,26 +532,6 @@ def test_count_points_with_every_row_clipped_vs_reference(monkeypatch):
         res = count_points(C, B, want_points=True)
         assert res.count == len(res.points) == count_points_reference(C, B)
         done += 1
-
-
-def test_height_rows_do_not_depend_on_the_seeds(monkeypatch, c11, c12):
-    # float roots only seed the interval ends; random seeds must give the
-    # same rows through the exact correction alone
-    monkeypatch.setattr(conic, "_LONG_ROW", 0)
-    rng = np.random.default_rng(7)
-    cases = [(C, B) for C in (c11, c12, C36) for B in (3, 40, 500)]
-    cases += [(FibreConic(1, 1, 0, 0, 3 * 10**6 + 2), 10), (FibreConic(4, 0, -5, 6, -2, 3), 90)]
-    want = [[r.tolist() for r in _row_tables(C, B, ok)[2]] for C, B in cases for ok in (True, False)]
-    as_ints = conic._as_ints
-
-    def random_seeds(x, dtype):
-        near = x + rng.integers(-5, 6, len(x))
-        far = rng.integers(-2**40, 2**40, len(x)).astype(float)
-        return as_ints(np.where(rng.random(len(x)) < 0.5, near, far), dtype)
-
-    monkeypatch.setattr(conic, "_as_ints", random_seeds)
-    got = [[r.tolist() for r in _row_tables(C, B, ok)[2]] for C, B in cases for ok in (True, False)]
-    assert got == want
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -621,7 +691,7 @@ def _counted_rows(C, B):
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     if not len(long):
         return 0, 0, 0, 0
-    rows, P, Q = conic._height_rows(C, B, lats, box, long, conic._lattice_coeffs(C, lats), True)
+    rows, P, Q = conic._height_rows(C, B, lats, box, long)
     total, left = conic._count_rows(C, B, lats, rows, long, P, Q, layers)
     done = np.flatnonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))
     assert np.all(rows.n2[done] != 0)  # the rows n2 = 0 are scanned
@@ -662,30 +732,6 @@ def test_count_points_equals_the_point_list(s1, split_surface, B, step):
             except ValueError:
                 continue
             assert count_points(C, B).count == len(count_points(C, B, want_points=True).points)
-
-
-def test_first_true_settles_a_seed_one_off_without_bisecting():
-    # per entry, pred is true from its answer on; a seed off by -1, 0 or +1
-    # is settled by the seed's own two judgements and one more
-    rng = np.random.default_rng(3)
-    lo = rng.integers(-50, 50, 300)
-    hi = lo + rng.integers(0, 40, 300)
-    answer = lo + rng.integers(0, hi - lo + 2)  # hi + 1: never true
-    calls = []
-
-    def pred(n, j):
-        calls.append(n)
-        return n >= answer[j]
-
-    for offset in (-1, 0, 1):
-        calls.clear()
-        assert conic._first_true(pred, lo, hi, answer + offset).tolist() == answer.tolist()
-        assert len(calls) <= 3
-    # a seed farther off is bisected, to the same answers
-    calls.clear()
-    far = answer + rng.integers(-30, 30, 300)
-    assert conic._first_true(pred, lo, hi, far).tolist() == answer.tolist()
-    assert len(calls) > 3
 
 
 def _det(coeffs):

@@ -206,11 +206,48 @@ def test_cli_malformed_count_record_is_a_miss(s1, s1_file, tmp_path, capsys, sha
     assert CountRecord.from_payload(result) == count_surface(s1, 10, "fibration", 5)
 
 
-# a fibre-counts result must be a dict of integer counts: a record of another
-# shape is a miss for every fibre, an entry of another type (here on every
-# fibre, "s:t") a miss for its own fibre only
+@pytest.mark.parametrize("field", ["count", "excluded_singular_fibres", "runtime_ms"])
+def test_cli_count_record_with_a_negative_field_is_a_miss(s1, s1_file, tmp_path, capsys, field):
+    # a record of every field, one of them negative, is recounted
+    argv = ("count-surface", s1_file, "--height", 10, "--cutoff", 5)
+    assert run_cli("--no-cache", *argv) == 0
+    cold = capsys.readouterr().out
+    cache = ResultCache(tmp_path)
+    params = {"B": 10, "method": "fibration", "x_cutoff": 5.0}
+    fresh = count_surface(s1, 10, "fibration", 5)
+    cache.put(s1.surface_hash, "count-surface", params, {**fresh.to_payload(), field: -7})
+    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert _without_runtime(capsys.readouterr().out) == _without_runtime(cold)
+    result = cache.get(s1.surface_hash, "count-surface", params)
+    assert CountRecord.from_payload(result) == fresh and result[field] >= 0
+
+
+def test_cli_record_of_other_params_is_a_miss(s1, s1_file, tmp_path, capsys):
+    # the file of (B = 10, cutoff 5) holds the record of (B = 12, cutoff 5),
+    # as a colliding key would: a miss, which is recounted and replaced
+    argv = ("count-surface", s1_file, "--height", 10, "--cutoff", 5)
+    assert run_cli("--no-cache", *argv) == 0
+    cold = capsys.readouterr().out
+    cache = ResultCache(tmp_path)
+    params = {"B": 10, "method": "fibration", "x_cutoff": 5.0}
+    other = {**params, "B": 12}
+    record = count_surface(s1, 12, "fibration", 5)
+    assert record.count != count_surface(s1, 10, "fibration", 5).count
+    path = cache._path(s1.surface_hash, "count-surface", params)
+    path.write_text(json.dumps({"surface": s1.surface_hash, "op": "count-surface",
+                                "params": other, "result": record.to_payload()}))
+    assert cache.get(s1.surface_hash, "count-surface", params) is None
+    assert run_cli("--cache-dir", tmp_path, *argv) == 0
+    assert _without_runtime(capsys.readouterr().out) == _without_runtime(cold)
+    assert json.loads(path.read_text())["params"] == params
+
+
+# a fibre-counts result must be a dict of counts, ints >= 0: a record of
+# another shape is a miss for every fibre, an entry of another type or a
+# negative one (here on every fibre, "s:t") a miss for its own fibre only
 _BAD_COUNTS = ["[]", '"x"', "5", "{}", '{"counts": []}',
-               '{"counts": {"s:t": "3"}}', '{"counts": {"s:t": 1.5}}', '{"counts": {"s:t": true}}']
+               '{"counts": {"s:t": "3"}}', '{"counts": {"s:t": 1.5}}', '{"counts": {"s:t": true}}',
+               '{"counts": {"s:t": -1000}}']
 
 
 def _fibre_keys(X, cutoff):
