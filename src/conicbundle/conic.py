@@ -35,6 +35,12 @@ that is not convex fails.  The rows left, of all lattices of a fibre,
 form one table, streamed in bounded chunks through one acceptance test.
 Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
+A fibre's table (its floor, layers, lattices and rows) is built for many
+fibres at once by `fibre_tables`: class bases and row ranges on arrays for
+a group of fibres, rows in pieces of whole fibres.  Each fibre is still
+counted on its own, by `count_points`, and its count does not depend on
+the group it was built in.
+
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
 image has content exactly g is counted only in the layer of g (the base box
@@ -48,13 +54,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import floor, gcd, inf, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .modsolve import (
+    BASIS_G,
     Lattices,
     Rows,
-    class_lattice_basis,
+    class_bases,
     divisor_solutions,
     iter_lattice_points,
     lattice_rows,
@@ -282,12 +290,6 @@ class ConicCountResult:
     certified: bool
 
 
-def _ceil_sqrt_ratio(num: int, den: int) -> int:
-    """An integer U > sqrt(num/den) (num, den > 0): isqrt(num // den) + 1,
-    which exceeds the root by at most 1."""
-    return isqrt(num // den) + 1
-
-
 def _forms(C: FibreConic):
     """(a, b, c) with a u^2 + b uv + c v^2 = q1, -q2 and q3 of q(u, v)."""
     return ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
@@ -343,31 +345,124 @@ _ROW_BUDGET = 1 << 18
 _CELL_BUDGET = 1 << 24
 
 
-def _fibre_lattices(u1, layer_bounds, int64_ok):
-    """The base box (layer 1: b1 = (0, 1), so n1 = v, and rows u = 0..u1)
-    and every class lattice of every layer, with each lattice's rows n2.
+class FibreTable(NamedTuple):
+    """What count_points needs of a fibre besides its conic: the floor m,
+    the base box half-width u1, per layer (g, classes, half-width), and the
+    lattices of every layer (the base box first) with their rows."""
 
-    Exact on Python ints; int64 when int64_ok holds and every row offset
-    n2*b2 stays below 2^62 beside the box, object arrays otherwise.  More
-    rows than _ROW_BUDGET raise ArithmeticError before any is built.
+    m: Fraction
+    u1: int
+    layers: list
+    lats: Lattices
+    rows: Rows
+
+
+def _int64_ok(C: FibreConic, bound: int, u1: int, layers) -> bool:
+    """Whether the fibre's lattices, rows and acceptance test fit int64: 3
+    summed coefficient*U^2 terms, the weighted norm and the bound*content
+    comparison stay below 2^62 for every half-width U, and every layer g is
+    below BASIS_G, so class_bases reduces on int64.  Then U < 2^30.2, and as
+    a reduced basis has |b1| |b2| <= 2 g / sqrt(3), every row offset n2 b2
+    and n1 bound of `lattice_rows` stays below 1.7 U, far inside int64."""
+    # the half-width grows with g: the largest g has the largest one
+    g, u_cap = max([(1, u1)] + [(g, ug) for g, _, ug in layers])
+    maxc = max(1, max(abs(c) for c in C.coeffs))
+    return (3 * maxc * u_cap * u_cap * C.weight < 2**62
+            and bound * abs(C.pi_det) < 2**62
+            and g < BASIS_G)
+
+
+def fibre_tables(conics, bound: int):
+    """The FibreTable of each conic in turn (bound = floor of the height
+    bound), built for a group of fibres at a time.
+
+    Per fibre the floor, the factorisation and the classes come from
+    `_layers`.  The fibres that fit int64 (`_int64_ok`) of a group of at
+    most _BASES lattices and _GROUP_FIBRES fibres (or one fibre) then get
+    their class bases, row ranges and row budgets as arrays, all checked
+    before any row is built, and their rows from one `lattice_rows` call per
+    piece of whole fibres of at most _CHUNK rows (or one fibre); every other
+    fibre gets a table of its own on object arrays.  More rows in a fibre
+    than _ROW_BUDGET raise ArithmeticError.
     """
-    entries = [(0, 1, 1, 0, 1, u1, 0, u1)]
-    for g, sols, ug in layer_bounds:
-        for sigma, tau in sols:
-            (a, b), (c, d) = class_lattice_basis(sigma, tau, g)
-            # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g)
-            n2 = ug * (abs(a) + abs(b)) // g
-            entries.append((a, b, c, d, g, ug, -n2, n2))
-    rows = sum(e[7] - e[6] + 1 for e in entries)
-    if rows > _ROW_BUDGET:
-        raise ArithmeticError(
-            f"row budget exceeded: the fibre's lattices have {rows} rows, "
-            f"more than the {_ROW_BUDGET} one fibre may build"
-        )
-    reach = max(e[5] + e[7] * max(abs(e[2]), abs(e[3])) for e in entries)
-    dtype = np.int64 if int64_ok and reach < 2**62 else object
-    cols = [np.array(col, dtype=dtype) for col in zip(*entries)]
-    return Lattices(*cols[:6]), cols[6], cols[7]
+    group, size = [], 0
+    for C in conics:
+        m, u1, layers = _layers(C, bound)
+        n = 1 + sum([len(layer[1]) for layer in layers])
+        if group and (size + n > _BASES or len(group) == _GROUP_FIBRES):
+            yield from _group_tables(group, bound)
+            group, size = [], 0
+        group.append((C, m, u1, layers))
+        size += n
+    yield from _group_tables(group, bound)
+
+
+def _group_tables(group, bound):
+    """The FibreTables of a group of fibres (C, m, u1, layers), in order:
+    the int64 fibres' lattices built together, every other fibre's alone."""
+    narrow = [_int64_ok(C, bound, u1, layers) for C, _, u1, layers in group]
+    built = _lattice_tables([f[2:] for f, ok in zip(group, narrow) if ok], np.int64)
+    sources = [built if ok else _lattice_tables([f[2:]], object) for f, ok in zip(group, narrow)]
+    for (_, m, u1, layers), source in zip(group, sources):
+        yield FibreTable(m, u1, layers, *next(source))
+
+
+def _lattice_tables(fibres, dtype):
+    """The lattices and rows of each fibre (u1, layers), on `dtype` arrays:
+    the base box (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then every
+    class lattice of every layer.  The bases, row ranges and row budgets are
+    built and checked here; the rows when the iterator returned is read."""
+    classes, sizes = [], []
+    for _, layers in fibres:
+        n = len(classes)
+        classes += [(s, t, g, ug) for g, sols, ug in layers for s, t in sols]
+        sizes.append(1 + len(classes) - n)
+    sigma, tau, g, U = np.array(classes, dtype=dtype).reshape(-1, 4).T
+    b1u, b1v, b2u, b2v = class_bases(sigma, tau, g)
+    # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g)
+    n2 = U * (abs(b1u) + abs(b1v)) // g
+    sizes = np.array(sizes, dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    box = np.zeros(int(sizes.sum()), dtype=bool)
+    box[first] = True
+    u1 = np.array([fibre[0] for fibre in fibres], dtype=dtype)
+
+    def col(at_box, at_classes):
+        out = np.empty(len(box), dtype=dtype)
+        out[first], out[~box] = at_box, at_classes
+        return out
+
+    lats = Lattices(col(0, b1u), col(1, b1v), col(1, b2u), col(0, b2v), col(1, g), col(u1, U))
+    n2_lo, n2_hi = col(0, -n2), col(u1, n2)
+    rows = np.add.reduceat(n2_hi - n2_lo + 1, first).tolist() if fibres else []
+    for n in rows:
+        if n > _ROW_BUDGET:
+            raise ArithmeticError(
+                f"row budget exceeded: the fibre's lattices have {n} rows, "
+                f"more than the {_ROW_BUDGET} one fibre may build"
+            )
+    return _row_pieces(lats, n2_lo, n2_hi, first.tolist(), sizes.tolist(), rows)
+
+
+def _row_pieces(lats, n2_lo, n2_hi, first, sizes, rows):
+    """(Lattices, Rows) of each fibre: one `lattice_rows` call per piece of
+    whole fibres of at most _CHUNK rows, or one fibre that alone has more."""
+    start = 0
+    while start < len(first):
+        stop, total = start + 1, rows[start]
+        while stop < len(first) and total + rows[stop] <= _CHUNK:
+            total += rows[stop]
+            stop += 1
+        l0 = first[start]
+        l1 = first[stop - 1] + sizes[stop - 1]
+        piece = lattice_rows(Lattices(*(x[l0:l1] for x in lats)), n2_lo[l0:l1], n2_hi[l0:l1])
+        r = 0
+        for f in range(start, stop):
+            a, n = first[f], rows[f]
+            yield (Lattices(*(x[a:a + sizes[f]] for x in lats)),
+                   Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])))
+            r += n
+        start = stop
 
 
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
@@ -385,8 +480,17 @@ _TERMS = 1 << 13
 # _COUNT_CELLS box cells is counted; the cells of the others are scanned
 # (~0.1 us each).  At S1, B = 10^5, 2^11 to 2^14 measured alike.
 _COUNT_CELLS = 1 << 13
-# the cells of one acceptance-test call
+# the cells of one acceptance-test call, and the rows of one lattice_rows call
 _CHUNK = 4096
+# A group of fibres, whose class bases are built together, holds at most
+# _BASES lattices and _GROUP_FIBRES fibres (or one fibre); its classes and
+# conics stay alive until its last fibre is counted.  A group costs ~0.4 ms
+# of array calls, so one fibre a group made S1 at B = 100 three times as
+# slow; on count-surface at B = 100 (split cutoff 20, S1 cutoff 28; 2
+# cores) 1024 lattices added ~0.4 MiB of peak RSS to 512 for no clear gain
+# in time, and S1 without the fibre cap ~0.6 MiB.
+_BASES = 1 << 9
+_GROUP_FIBRES = 64
 
 
 def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long):
@@ -460,17 +564,19 @@ def _row_hull(tables, lat, n2, lo, hi):
         if len(i):
             a, sb, sc, cap = table[:, k[i], col[i]]
             t = n2[i].astype(dtype)
-            ends[:, i] = np.clip(_entry_ends(a, sb * t, sc * t * t, cap), lo3[i] - 1, hi3[i] + 1)
+            first, last = lo3[i] - 1, hi3[i] + 1
+            ends[:, i] = np.clip(_entry_ends(a, sb * t, sc * t * t, cap, first, last), first,
+                                 last)
     l, h, p, q = ends.reshape(4, 3, R)
     L, H = np.maximum(l.max(axis=0), lo), np.minimum(h.min(axis=0), hi)
     return L, H, np.maximum(p, L), np.minimum(q, H)
 
 
-def _entry_ends(a, b, c, cap):
+def _entry_ends(a, b, c, cap, first, last):
     """(l, h, p, q) per entry, a >= 0: the integers n with a n^2 + b n + c
     <= cap form [l, h] and those with a n^2 + b n + c <= -cap - 1 form
-    [p, q]; where a = 0, [l, h] holds the n with |b n + c| <= cap and [p, q]
-    is empty.  An empty range has l > h, resp. p > q.
+    [p, q]; where a = 0, [l, h] holds the n of [first, last] with |b n + c|
+    <= cap and [p, q] is empty.  An empty range has l > h, resp. p > q.
 
     For a > 0, a n^2 + b n + e <= 0 iff |2 a n + b| <= sqrt(D), D = b^2 -
     4 a e, iff |2 a n + b| <= r = floor(sqrt(D)) (r = -1 where D < 0, which
@@ -482,7 +588,7 @@ def _entry_ends(a, b, c, cap):
     r = _isqrt(bq * bq - 4 * a * np.array([c - cap, c + cap + 1]))
     l, p = -((bq + r) // (2 * a))
     h, q = (r - bq) // (2 * a)
-    lin_lo, lin_hi = linear_range(c, b, -cap, cap)
+    lin_lo, lin_hi = linear_range(c, b, -cap, cap, first, last)
     return (np.where(lin, lin_lo, l), np.where(lin, lin_hi, h),
             np.where(lin, 1, p), np.where(lin, 0, q))
 
@@ -683,26 +789,18 @@ def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
     return int(np.array(mu)[t] @ f.sum(axis=1))
 
 
-def _enumerate(C, bound, u1, layer_bounds, want_points):
-    """Shared enumeration core: every lattice of the fibre (the base box is
-    layer 1) in one row table, long rows clipped to their height hull (ends
-    and holes in closed form, `_height_rows`) and, unless the points are
-    wanted or they hold fewer than _COUNT_CELLS box cells, counted by
-    congruences where that takes no more terms than cells; every other
-    cell is scanned, each pair counted in the layer of its exact content.
-    More cells to scan than _CELL_BUDGET raise ArithmeticError before the
-    scan."""
+def _enumerate(C, bound, table: FibreTable, want_points):
+    """Shared enumeration core, on the fibre's table: every lattice of the
+    fibre (the base box is layer 1) in one row table, long rows clipped to
+    their height hull (ends and holes in closed form, `_height_rows`) and,
+    unless the points are wanted or they hold fewer than _COUNT_CELLS box
+    cells, counted by congruences where that takes no more terms than
+    cells; every other cell is scanned, each pair counted in the layer of
+    its exact content.  More cells to scan than _CELL_BUDGET raise
+    ArithmeticError before the scan."""
+    _, u1, layer_bounds, lats, rows = table
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
-    # int64 safety for 3 summed coefficient*U^2 terms, the weighted norm,
-    # and the bound*content comparison of the acceptance test
-    maxc = max(1, max(abs(c) for c in C.coeffs))
-    int64_ok = (
-        3 * maxc * u_cap * u_cap * max(C.weight, 1) < 2**62
-        and bound * abs(C.pi_det) < 2**62
-    )
     col = _Collector(C, bound, want_points)
-    lats, n2_lo, n2_hi = _fibre_lattices(u1, layer_bounds, int64_ok)
-    rows = lattice_rows(lats, n2_lo, n2_hi)
     long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
     counted = 0
     if len(long):
@@ -726,14 +824,16 @@ def _enumerate(C, bound, u1, layer_bounds, want_points):
 
 def _layers(C: FibreConic, bound: int):
     """The certified floor m, the base box half-width u1 and, per divisor g
-    of |det(Pi)| with solution classes, (g, classes, half-width)."""
+    of |det(Pi)| with solution classes, (g, classes, half-width).  The
+    half-width of layer g is isqrt(bound g // m) + 1, which exceeds
+    sqrt(bound g / m) by at most 1 (u1 is that of g = 1)."""
     m = certified_min_m(C)
-    u1 = _ceil_sqrt_ratio(bound * m.denominator, m.numerator)
+    num, scale = m.numerator, bound * m.denominator
     layer_bounds = [
-        (g, sols, _ceil_sqrt_ratio(bound * g * m.denominator, m.numerator))
+        (g, sols, isqrt(scale * g // num) + 1)
         for g, sols in divisor_solutions(C.coeffs, factor(abs(C.pi_det)))
     ]
-    return m, u1, layer_bounds
+    return m, isqrt(scale // num) + 1, layer_bounds
 
 
 def height_bound(B) -> int:
@@ -743,8 +843,12 @@ def height_bound(B) -> int:
     return floor(B)
 
 
-def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountResult:
+def count_points(C: FibreConic, B, *, want_points: bool = False,
+                 table: FibreTable | None = None) -> ConicCountResult:
     """Exact number of rational points on C with height <= B.
+
+    table is C's FibreTable at this B, as `fibre_tables` yields it for many
+    fibres at once; without one, a table of C alone is built the same way.
 
     A base box covers all parameters giving points with unit content; for
     every divisor g of |det(Pi)| the parameters giving content-g points lie
@@ -768,12 +872,13 @@ def count_points(C: FibreConic, B, *, want_points: bool = False) -> ConicCountRe
     the layer's box and its class mod g is one of the layer's classes.
     """
     bound = height_bound(B)
-    m, u1, layer_bounds = _layers(C, bound)
-    count, points = _enumerate(C, bound, u1, layer_bounds, want_points)
+    if table is None:
+        table = next(fibre_tables([C], bound))
+    count, points = _enumerate(C, bound, table, want_points)
     return ConicCountResult(
         count=count,
         points=points,
-        min_norm=m,
+        min_norm=table.m,
         certified=True,
     )
 

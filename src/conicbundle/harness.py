@@ -23,6 +23,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import tee
 from pathlib import Path
 
 from .analytic import (
@@ -31,7 +32,7 @@ from .analytic import (
     squarefree_harmonic,
     wirsing_sum,
 )
-from .conic import count_points, height_bound
+from .conic import count_points, fibre_tables, height_bound
 from .densities import ToleranceNotMet, constant_sum, local_density_report
 from .forms import BinaryForm
 from .surface import (
@@ -229,11 +230,21 @@ def analyze(X: CubicSurfaceNF) -> AnalysisReport:
 
 
 _COUNT_FIELDS = frozenset(f.name for f in fields(CountRecord))
+# The fibres of one worker task.  With 2 workers on count-surface at B =
+# 100 (S1 cutoff 30, split cutoff 20; 2 cores) 16 took 0.23 + 0.30 s, 64
+# took 0.16-0.24 + 0.22-0.28 s, and 256, too few tasks to balance,
+# 0.19-0.25 + 0.27-0.35 s.
+_TASK_FIBRES = 64
 
 
 def _count_task(args):
-    key, conic, bound = args
-    return key, count_points(conic, bound).count
+    """(key, count) per fibre of a task (keys, conics, bound): the conics
+    are zipped with their tables, which fibre_tables builds a group at a
+    time, and each is counted by count_points."""
+    keys, conics, bound = args
+    mine, theirs = tee(conics)
+    return [(key, count_points(conic, bound, table=table).count)
+            for key, conic, table in zip(keys, mine, fibre_tables(theirs, bound))]
 
 
 def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
@@ -253,8 +264,6 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
              if isinstance(stored, dict) else {})
     keys = [f"{idx.s}:{idx.t}" for idx in fibres]
     missing = [(key, idx) for key, idx in zip(keys, fibres) if key not in known]
-    # lazily: the serial path drops each conic, with its edge pieces, once counted
-    tasks = ((key, fibre_conic(X, idx), bound) for key, idx in missing)
     # the pool forks all its processes at the first submit, so no more
     # than there are tasks or cores
     workers = min(workers, len(missing), os.cpu_count() or 1)
@@ -262,10 +271,17 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
         # imported here: multiprocessing costs ~25 ms that one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
+        tasks = [([key for key, _ in part], [fibre_conic(X, idx) for _, idx in part], bound)
+                 for part in (missing[i:i + _TASK_FIBRES]
+                              for i in range(0, len(missing), _TASK_FIBRES))]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            known.update(pool.map(_count_task, tasks, chunksize=16))
+            for counted in pool.map(_count_task, tasks):
+                known.update(counted)
     else:
-        known.update(map(_count_task, tasks))
+        # lazily: the conics of a group, with their edge pieces, are dropped
+        # once the group is counted
+        known.update(_count_task(([key for key, _ in missing],
+                                  (fibre_conic(X, idx) for _, idx in missing), bound)))
     # the last writer wins: runs sharing the directory can drop each other's
     # entries, never corrupt them, as each put is atomic
     if missing and cache is not None:

@@ -3,16 +3,16 @@
 Engine for the layered conic count: find every class (sigma : tau) on the
 projective line over Z/g with all three parameterization quadratics zero,
 turn each class into the index-g sublattice {(u,v) : tau*u - sigma*v = 0
-mod g}, and lay the rows of all lattices of a fibre out in one table whose
-cells are streamed in bounded chunks.  Classes mod p^k come from one exact
-route for every p and k: the level-1 roots of a linear (or, when p divides
-it, quadratic) congruence, then one Hensel digit per level from two linear
-congruences mod p.  An incremental (Garner) CRT joins the prime powers,
-extending the divisors built so far by one prime power at a time.
+mod g}, its reduced basis built on arrays for many classes at once, and lay
+the rows of many lattices out in one table whose cells are streamed in
+bounded chunks.  Classes mod p^k come from one exact route for every p and
+k: the level-1 roots of a linear (or, when p divides it, quadratic)
+congruence, then one Hensel digit per level from two linear congruences
+mod p.  An incremental (Garner) CRT joins the prime powers, extending the
+divisors built so far by one prime power at a time.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -123,41 +123,66 @@ def divisor_solutions(coeffs, fd: FactoredInteger):
     yield from layers[1:]
 
 
-def lagrange_reduce(b1, b2):
-    """Gauss-reduce a 2-D lattice basis (shortest vector first)."""
-    v1 = list(b1)
-    v2 = list(b2)
-    n1 = v1[0] * v1[0] + v1[1] * v1[1]
-    n2 = v2[0] * v2[0] + v2[1] * v2[1]
-    if n1 > n2:
-        v1, v2 = v2, v1
-        n1, n2 = n2, n1
-    while True:
-        d = v1[0] * v2[0] + v1[1] * v2[1]
-        # nearest integer to d / n1
-        mu = (2 * d + n1) // (2 * n1) if d >= 0 else -((2 * (-d) + n1) // (2 * n1))
-        if mu:
-            v2 = [v2[0] - mu * v1[0], v2[1] - mu * v1[1]]
-        n2 = v2[0] * v2[0] + v2[1] * v2[1]
-        if n2 >= n1:
-            return (v1[0], v1[1]), (v2[0], v2[1])
-        v1, v2 = v2, v1
-        n1, n2 = n2, n1
+def _inverse(x, m):
+    """x^-1 mod m per entry, for x prime to m >= 1 (0 where m = 1): the
+    extended Euclid algorithm on every entry at once, r = s x mod m at each
+    remainder r; an entry leaves the loop when its remainder reaches 0."""
+    inv = np.zeros_like(m)
+    i = np.arange(len(m))
+    r0, r1, s0, s1 = m, x % m, np.zeros_like(m), np.ones_like(m)
+    while len(i):
+        done = r1 == 0
+        inv[i[done]] = s0[done]
+        i, r0, r1, s0, s1 = (y[~done] for y in (i, r0, r1, s0, s1))
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return inv % m
 
 
-def class_lattice_basis(sigma: int, tau: int, g: int):
-    """Reduced basis of {(u,v) : tau*u - sigma*v = 0 mod g} for a primitive class."""
-    sigma %= g
-    tau %= g
-    d = gcd(tau, g)
+def _gauss_reduce(b1u, b1v, b2u, b2v):
+    """Gauss (Lagrange) reduction of the bases b1, b2, per entry: the shorter
+    vector first, then b2 less the nearest integer multiple of b1 (halves
+    rounded away from 0), swapped while that leaves b2 shorter than b1.  An
+    entry leaves the loop at the first step that leaves its b2 no shorter
+    than its b1."""
+    n1, n2 = b1u * b1u + b1v * b1v, b2u * b2u + b2v * b2v
+    swap = n1 > n2
+    x1, y1, x2, y2 = (np.where(swap, q, p) for p, q in ((b1u, b2u), (b1v, b2v), (b2u, b1u),
+                                                         (b2v, b1v)))
+    n1 = np.where(swap, n2, n1)
+    out = np.empty((4, len(n1)), dtype=n1.dtype)
+    i = np.arange(len(n1))
+    while len(i):
+        dot = x1 * x2 + y1 * y2
+        mu = np.where(dot >= 0, (2 * dot + n1) // (2 * n1), -((n1 - 2 * dot) // (2 * n1)))
+        x2, y2 = x2 - mu * x1, y2 - mu * y1
+        n2 = x2 * x2 + y2 * y2
+        done = n2 >= n1
+        out[:, i[done]] = x1[done], y1[done], x2[done], y2[done]
+        more = ~done
+        i, x1, y1, x2, y2, n1 = i[more], x2[more], y2[more], x1[more], y1[more], n2[more]
+    return out
+
+
+def class_bases(sigma, tau, g):
+    """Reduced bases (b1u, b1v, b2u, b2v) of the lattices {(u, v) : tau u -
+    sigma v = 0 mod g} of primitive classes, one per entry of the arrays.
+
+    With d = gcd(tau, g) and g' = g / d the lattice has the basis (g', 0),
+    (u0, d), u0 = sigma (tau / d)^-1 mod g' (u0 = 0 where g' = 1), which
+    Gauss reduction makes reduced: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2.
+    On int64 every g must be below BASIS_G: each term of the reduction is
+    then at most 3 (g^2 + 1) < 2^62.  Object arrays take any g.
+    """
+    sigma, tau = sigma % g, tau % g
+    d = np.gcd(tau, g)
     gp = g // d
-    if gp == 1:
-        b1, b2 = (1, 0), (0, d)
-    else:
-        taup = (tau // d) % gp
-        u0 = sigma * pow(taup, -1, gp) % gp
-        b1, b2 = (gp, 0), (u0, d)
-    return lagrange_reduce(b1, b2)
+    u0 = sigma * _inverse(tau // d % gp, gp) % gp
+    return _gauss_reduce(gp, np.zeros_like(g), u0, d)
+
+
+# the int64 reach of class_bases
+BASIS_G = 1 << 30
 
 
 class Lattices(NamedTuple):
@@ -182,10 +207,6 @@ class Rows(NamedTuple):
     hi: np.ndarray
 
 
-# stands for an unbounded end of a range; real ends stay below 2^62
-_FAR = 2**62
-
-
 def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
@@ -197,18 +218,19 @@ def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return starts[rep] + offsets
 
 
-def linear_range(base, c, lo_val, hi_val):
-    """Least and greatest integer n with lo_val <= base + n*c <= hi_val, per
-    entry; c may have either sign or be 0, and an empty range has lo > hi."""
+def linear_range(base, c, lo_val, hi_val, lo, hi):
+    """Least and greatest integer n of the caller's range [lo, hi] with
+    lo_val <= base + n*c <= hi_val, per entry; c may have either sign or be
+    0 (every n of [lo, hi], or none), and an empty range has first > last."""
     zero = c == 0
     c = np.where(zero, 1, c)
     neg = c < 0
-    lo = -((base - np.where(neg, hi_val, lo_val)) // c)
-    hi = (np.where(neg, lo_val, hi_val) - base) // c
+    first = -((base - np.where(neg, hi_val, lo_val)) // c)
+    last = (np.where(neg, lo_val, hi_val) - base) // c
     inside = (lo_val <= base) & (base <= hi_val)
-    lo = np.where(zero, np.where(inside, -_FAR, 1), lo)
-    hi = np.where(zero, np.where(inside, _FAR, 0), hi)
-    return lo, hi
+    first = np.where(zero, np.where(inside, lo, 1), first)
+    last = np.where(zero, np.where(inside, hi, 0), last)
+    return np.maximum(first, lo), np.minimum(last, hi)
 
 
 def lattice_rows(lats: Lattices, n2_lo: np.ndarray, n2_hi: np.ndarray) -> Rows:
@@ -217,15 +239,18 @@ def lattice_rows(lats: Lattices, n2_lo: np.ndarray, n2_hi: np.ndarray) -> Rows:
 
     The half box holds one of each pair +-(u, v) off the line u = 0, and
     both of them on it.  Rows |n2| <= U (|b1u| + |b1v|) / |det| cover the
-    whole box (Cramer).
+    whole box, and its cells have |n1| <= U (|b2u| + |b2v|) / |det|
+    (Cramer), which bounds n1 where b1u or b1v is 0.
     """
     counts = (n2_hi - n2_lo + 1).astype(np.int64)
     lat = np.repeat(np.arange(len(counts)), counts)
     n2 = _multi_arange(n2_lo, counts)
     U = lats.U[lat]
-    lo_u, hi_u = linear_range(n2 * lats.b2u[lat], lats.b1u[lat], 0, U)
-    lo_v, hi_v = linear_range(n2 * lats.b2v[lat], lats.b1v[lat], -U, U)
-    return Rows(lat, n2, np.maximum(lo_u, lo_v), np.minimum(hi_u, hi_v))
+    det = abs(lats.b1u * lats.b2v - lats.b1v * lats.b2u)
+    far = (lats.U * (abs(lats.b2u) + abs(lats.b2v)) // det)[lat]
+    lo, hi = linear_range(n2 * lats.b2u[lat], lats.b1u[lat], 0, U, -far, far)
+    lo, hi = linear_range(n2 * lats.b2v[lat], lats.b1v[lat], -U, U, lo, hi)
+    return Rows(lat, n2, lo, hi)
 
 
 def iter_lattice_points(lats: Lattices, rows: Rows, chunk: int):

@@ -20,7 +20,7 @@ from conicbundle.conic import (
     parameterize,
     point_from_pair,
 )
-from conicbundle.modsolve import Rows, class_lattice_basis, iter_lattice_points, lattice_rows
+from conicbundle.modsolve import BASIS_G, Rows, class_bases, iter_lattice_points
 from conicbundle.numth import is_prime
 from conicbundle.surface import domain_B, fibre_conic
 
@@ -304,54 +304,57 @@ def test_count_points_want_points(c12):
         assert seen == {point_from_pair(C, u, v).triple for u, v, _ in _accepted_pairs(C, B)}
 
 
+def _table(C, B, int64_ok=True):
+    """The fibre's table, on object arrays unless int64_ok."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not int64_ok:
+            mp.setattr(conic, "_int64_ok", lambda *args: False)
+        return next(conic.fibre_tables([C], B))
+
+
 def _row_tables(C, B, int64_ok):
     """The fibre's box rows and height-clipped rows, as count_points builds
     them, then the long rows and the ends P, Q of their holes."""
-    _, u1, layers = conic._layers(C, B)
-    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, int64_ok)
-    box = lattice_rows(lats, n2_lo, n2_hi)
+    _, _, _, lats, box = _table(C, B, int64_ok)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     return lats, box, *conic._height_rows(C, B, lats, box, long), long
-
-
-def _lattice_reach(u1, g, sigma, tau, ug):
-    """The largest |row offset| + box half-width of the base box and of the
-    class lattice of (sigma : tau) mod g with half-width ug."""
-    (a, b), (c, d) = class_lattice_basis(sigma, tau, g)
-    return max(2 * u1, ug + ug * (abs(a) + abs(b)) // g * max(abs(c), abs(d)))
 
 
 @given(
     u1=st.integers(0, 50),
     gp=st.integers(1, 30),
-    d=st.integers(2**55, 2**58),
+    at=st.booleans(),
+    k=st.integers(0, 2**10),
     r=st.integers(1, 30),
     sigma=st.integers(0, 2**63),
+    ug=st.integers(0, 2**20),
 )
-def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, d, r, sigma):
-    # a class lattice (gp, 0), (u0, d) of index g = gp d: few rows, each far
-    # out, so the half-width ug decides the reach
+def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigma, ug):
+    # a class lattice (gp, 0), (u0, d) of index g = gp d just below
+    # BASIS_G, the int64 reach of class_bases, or at or just above it:
+    # below, its int64 table equals the object one; at it, the fibre is an
+    # object fibre
+    d = -(-BASIS_G // gp) + k if at else (BASIS_G - 1) // gp - k
     g = gp * d
-    tau, sigma = d * r, sigma % g
-    assume(gcd(r, gp) == 1 and gcd(sigma, g) == 1)
-    lo, hi = 0, 2**62  # the least ug whose reach is 2^62 or more
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if _lattice_reach(u1, g, sigma, tau, mid) < 2**62 else (lo, mid)
-    for ug, dtype in ((lo - 1, np.int64), (lo, object)):
-        layers = [(g, [(sigma, tau)], ug)]
-        lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
-        exact = conic._fibre_lattices(u1, layers, False)
-        assert lats.U.dtype == dtype and exact[0].U.dtype == object
-        rows, want = lattice_rows(lats, n2_lo, n2_hi), lattice_rows(*exact)
-        for got, col in zip(rows, want):
-            assert got.tolist() == col.tolist()
-        # the cells at both ends of every row, against the object route
-        ends = _row_end_cells(lats, rows)
-        for (u, v), (u_exact, v_exact) in zip(ends, _row_end_cells(exact[0], want)):
-            assert u.tolist() == u_exact.tolist() and v.tolist() == v_exact.tolist()
-            U = exact[0].U[want.lat[want.lo <= want.hi]]
-            assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
+    tau, sigma = d * r % g, sigma % g
+    assume(gcd(r, gp) == 1 and gcd(sigma, tau, g) == 1)
+    layers = [(g, [(sigma, tau)], ug)]
+    C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
+    assert conic._int64_ok(C, 1, u1, layers) == (g < BASIS_G)
+    exact = next(conic._lattice_tables([(u1, layers)], object))
+    assert exact[0].U.dtype == object
+    if g >= BASIS_G:
+        return
+    lats, rows = next(conic._lattice_tables([(u1, layers)], np.int64))
+    assert lats.U.dtype == np.int64
+    for got, col in zip((*lats, *rows), (*exact[0], *exact[1])):
+        assert got.tolist() == col.tolist()
+    # the cells at both ends of every row, against the object route
+    ends = _row_end_cells(lats, rows)
+    for (u, v), (u_exact, v_exact) in zip(ends, _row_end_cells(*exact)):
+        assert u.tolist() == u_exact.tolist() and v.tolist() == v_exact.tolist()
+        U = exact[0].U[exact[1].lat[exact[1].lo <= exact[1].hi]]
+        assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
 
 
 def _row_end_cells(lats, rows):
@@ -456,10 +459,10 @@ def _one_row_hull(entries, lo, hi, routes=None):
         tables = (*tables[:2], np.full_like(tables[2], np.inf))
     entry_ends = conic._entry_ends
 
-    def recording(a, b, c, cap):
+    def recording(a, b, c, cap, first, last):
         if routes is not None:
             routes.append((a.dtype, b.tolist()))
-        return entry_ends(a, b, c, cap)
+        return entry_ends(a, b, c, cap, first, last)
 
     n = len(entries)
     with pytest.MonkeyPatch.context() as mp:
@@ -510,6 +513,15 @@ def test_hull_entry_past_float_range_takes_the_object_route(row_dtype):
     L, H, P, Q = (x.tolist() for x in _one_row_hull([entry], lo, -lo, routes))
     assert (np.dtype(object), [0]) in routes
     assert (L, H, P[0], Q[0]) == ([-2000], [2000], [-1414], [1414])
+
+
+def test_hull_of_constant_components_is_the_whole_object_row():
+    # every component constant along the row and within its cap: the hull
+    # is the row itself, whose ends lie past 2^62
+    lo = np.array(-10**60, dtype=object)
+    L, H, P, Q = (x.tolist() for x in _one_row_hull([(0, 0, 5, 10)], lo, -lo))
+    assert (L, H) == ([-10**60], [10**60])
+    assert all(p > q for p, q in zip(P, Q))
 
 
 def test_isqrt_on_int64_is_exact_at_squares_and_their_neighbours():
@@ -602,15 +614,14 @@ def test_collector_filter_equals_coprime_then_content(dtype):
 
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
     default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
-    fibre_lattices, feed = conic._fibre_lattices, conic._Collector.feed
+    feed = conic._Collector.feed
     dtypes = set()
 
     def feed_recording(self, u, v, g):
         dtypes.update((u.dtype, v.dtype, g.dtype))
         feed(self, u, v, g)
 
-    monkeypatch.setattr(conic, "_fibre_lattices",
-                        lambda u1, layers, int64_ok: fibre_lattices(u1, layers, False))
+    monkeypatch.setattr(conic, "_int64_ok", lambda *args: False)
     monkeypatch.setattr(conic._Collector, "feed", feed_recording)
     for C, res in zip((c12, C36), default):
         exact = count_points(C, 300, want_points=True)
@@ -685,9 +696,7 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
 def _counted_rows(C, B):
     """(the count of the rows count_points counts by congruences, the same
     rows scanned cell by cell, how many they are, how many have a hole)."""
-    _, u1, layers = conic._layers(C, B)
-    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
-    box = lattice_rows(lats, n2_lo, n2_hi)
+    _, _, layers, lats, box = _table(C, B)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     if not len(long):
         return 0, 0, 0, 0
@@ -734,6 +743,47 @@ def test_count_points_equals_the_point_list(s1, split_surface, B, step):
             assert count_points(C, B).count == len(count_points(C, B, want_points=True).points)
 
 
+def _fibre_conics(X, x):
+    conics = []
+    for idx in domain_B(X, x):
+        try:
+            conics.append(fibre_conic(X, idx))
+        except ValueError:  # a singular fibre
+            continue
+    return conics
+
+
+def _table_counts(conics, B):
+    tables = conic.fibre_tables(conics, B)
+    return [count_points(C, B, table=t).count for C, t in zip(conics, tables)]
+
+
+@pytest.mark.parametrize("B", [10, 100, 1000])
+def test_fibre_tables_give_the_single_fibre_counts(s1, split_surface, monkeypatch, B):
+    # every fibre of S1 up to fibre height 30 and of the split surface up to
+    # 20, with one fibre per group and with all of them in one group
+    for X, x in ((s1, 30), (split_surface, 20)):
+        conics = _fibre_conics(X, x)
+        want = [count_points(C, B).count for C in conics]
+        for size in (1, 10**9):
+            monkeypatch.setattr(conic, "_BASES", size)
+            monkeypatch.setattr(conic, "_GROUP_FIBRES", size)
+            assert _table_counts(conics, B) == want, (x, size)
+
+
+def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface, monkeypatch):
+    conics = _fibre_conics(split_surface, 8)
+    want = _table_counts(conics, 300)
+    wide = set(conics[1::2])
+    int64_ok = conic._int64_ok
+    monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C not in wide and int64_ok(C, *args))
+    monkeypatch.setattr(conic, "_BASES", 10**9)
+    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
+    dtypes = [t.lats.g.dtype for t in conic.fibre_tables(conics, 300)]
+    assert dtypes == [np.dtype(object) if C in wide else np.dtype(np.int64) for C in conics]
+    assert _table_counts(conics, 300) == want
+
+
 def _det(coeffs):
     a, b, c, e, f = coeffs
     return a * e * e - b * c * e + f * b * b
@@ -744,10 +794,9 @@ def test_row_counts_on_random_conics_vs_reference(monkeypatch):
     # every fourth conic on object rows
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
-    fibre_lattices, count_rows = conic._fibre_lattices, conic._count_rows
+    int64_ok, count_rows = conic._int64_ok, conic._count_rows
     wide = False
-    monkeypatch.setattr(conic, "_fibre_lattices",
-                        lambda u1, layers, ok: fibre_lattices(u1, layers, ok and not wide))
+    monkeypatch.setattr(conic, "_int64_ok", lambda *args: int64_ok(*args) and not wide)
     counted = []
 
     def counting(C, bound, lats, rows, *args):
@@ -780,10 +829,8 @@ def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
     # or alpha = 0 mod p (content g p), every cell is rejected: it counts 0
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     C, B = FibreConic(7, -4, 11, -1, 10), 114
-    _, u1, layers = conic._layers(C, B)
-    lats, n2_lo, n2_hi = conic._fibre_lattices(u1, layers, True)
+    _, _, layers, lats, rows = _table(C, B)
     primes, kill, _ = conic._lattice_events(lats, layers, range(len(lats.g)))
-    rows = lattice_rows(lats, n2_lo, n2_hi)
     assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
                for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))
     counted, scanned, n, _ = _counted_rows(C, B)
@@ -800,7 +847,7 @@ def test_the_cell_that_does_not_own_its_pair_is_never_counted_by_congruences(mon
     monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
     C = FibreConic(*coeffs)
     g0 = gcd(C.czz, C.cyz)
-    (a, b), _ = class_lattice_basis(0, 1, g0)
+    (a,), (b,), _, _ = class_bases(*(np.array([x]) for x in (0, 1, g0)))
     assert (abs(a), abs(b)) == (0, 1)
     for B in (10, 60, 150):
         assert count_points(C, B).count == count_points_reference(C, B)
@@ -811,7 +858,7 @@ def test_row_counts_take_object_terms_on_object_rows(monkeypatch, c12):
     # otherwise; both give the same counts
     monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
     tables = []
-    part_count, fibre_lattices = conic._part_count, conic._fibre_lattices
+    part_count = conic._part_count
 
     def recording(qs, ones, bits, n2, bottom, length, first, table, n_max):
         tables.append(table.dtype)
@@ -824,7 +871,6 @@ def test_row_counts_take_object_terms_on_object_rows(monkeypatch, c12):
         assert set(tables) == {np.dtype(np.int64)}
         tables.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conic, "_fibre_lattices",
-                       lambda u1, layers, int64_ok: fibre_lattices(u1, layers, False))
+            mp.setattr(conic, "_int64_ok", lambda *args: False)
             assert count_points(C, 3000).count == want
         assert set(tables) == {np.dtype(object)}

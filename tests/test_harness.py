@@ -719,6 +719,55 @@ def test_harness_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_counting_leaves_numpy_ma_unimported(s1_file, tmp_path):
+    # np.unique without return_inverse and np.isin import numpy.ma, ~1.7 MiB
+    # of peak RSS on the first call; no counting path may reach them
+    src = os.path.dirname(os.path.dirname(conicbundle.__file__))
+    code = ("import sys; from conicbundle.harness import main; "
+            "assert main(sys.argv[1:8]) == 0 and main(sys.argv[8:]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    argv = ["--no-cache", "count-surface", s1_file, "--height", "100", "--cutoff", "10",
+            "--no-cache", "growth", s1_file, "--heights", "10000", "--out", tmp_path / "g.csv"]
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_per_fibre_counts_do_not_depend_on_workers_or_task_size(split_surface, monkeypatch):
+    import conicbundle.harness as harness
+
+    fibres = list(domain_B(split_surface, 8))
+    one = harness._fibre_counts(split_surface, fibres, 100, None, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert harness._fibre_counts(split_surface, fibres, 100, None, 2) == one
+    monkeypatch.setattr(harness, "_TASK_FIBRES", 7)
+    assert harness._fibre_counts(split_surface, fibres, 100, None, 2) == one
+
+
+def test_a_fibre_past_the_row_budget_in_a_group_is_refused(s1, s1_file, monkeypatch, capsys):
+    # one group of every fibre; the fibre with the most rows lies inside
+    # it, and with the budget one row short of it, the group is refused
+    # before any table of it is yielded, and the CLI exits 2 with one line
+    conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 5)]
+    rows = [len(next(conicbundle.conic.fibre_tables([C], 100)).rows.lat) for C in conics]
+    i = rows.index(max(rows))
+    assert 0 < i < len(conics) - 1
+    monkeypatch.setattr(conicbundle.conic, "_BASES", 10**9)
+    monkeypatch.setattr(conicbundle.conic, "_GROUP_FIBRES", 10**9)
+    monkeypatch.setattr(conicbundle.conic, "_ROW_BUDGET", rows[i] - 1)
+    message = (f"row budget exceeded: the fibre's lattices have {rows[i]} rows, more than "
+               f"the {rows[i] - 1} one fibre may build")
+    with pytest.raises(ArithmeticError) as err:
+        next(conicbundle.conic.fibre_tables(conics, 100))
+    assert str(err.value) == message
+    argv = ["--no-cache", "count-surface", s1_file, "--height", 100, "--cutoff", 5]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[ArithmeticError]: {message}\n"
+
+
 def test_count_surface_with_two_workers_matches_one(s1):
     one = count_surface(s1, 15, method="fibration", x_cutoff=6)
     two = count_surface(s1, 15, method="fibration", x_cutoff=6, workers=2)

@@ -3,20 +3,68 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conicbundle import modsolve
 from conicbundle.conic import FibreConic, parameterize
 from conicbundle.modsolve import (
+    BASIS_G,
     Lattices,
-    class_lattice_basis,
+    class_bases,
     class_levels,
     divisor_solutions,
     iter_lattice_points,
-    lagrange_reduce,
     lattice_rows,
     linear_range,
     solutions_mod_prime_power,
 )
 from conicbundle.numth import euler_phi, factor
+
+
+def lagrange_reduce(b1, b2):
+    """Oracle: Gauss-reduce one 2-D lattice basis (shortest vector first)."""
+    v1 = list(b1)
+    v2 = list(b2)
+    n1 = v1[0] * v1[0] + v1[1] * v1[1]
+    n2 = v2[0] * v2[0] + v2[1] * v2[1]
+    if n1 > n2:
+        v1, v2 = v2, v1
+        n1, n2 = n2, n1
+    while True:
+        d = v1[0] * v2[0] + v1[1] * v2[1]
+        # nearest integer to d / n1
+        mu = (2 * d + n1) // (2 * n1) if d >= 0 else -((2 * (-d) + n1) // (2 * n1))
+        if mu:
+            v2 = [v2[0] - mu * v1[0], v2[1] - mu * v1[1]]
+        n2 = v2[0] * v2[0] + v2[1] * v2[1]
+        if n2 >= n1:
+            return (v1[0], v1[1]), (v2[0], v2[1])
+        v1, v2 = v2, v1
+        n1, n2 = n2, n1
+
+
+def class_lattice_basis(sigma: int, tau: int, g: int):
+    """Oracle: reduced basis of {(u,v) : tau*u - sigma*v = 0 mod g} for one
+    primitive class."""
+    sigma %= g
+    tau %= g
+    d = gcd(tau, g)
+    gp = g // d
+    if gp == 1:
+        b1, b2 = (1, 0), (0, d)
+    else:
+        taup = (tau // d) % gp
+        u0 = sigma * pow(taup, -1, gp) % gp
+        b1, b2 = (gp, 0), (u0, d)
+    return lagrange_reduce(b1, b2)
+
+
+def _bases(classes, dtype):
+    """class_bases of the classes (sigma, tau, g), as ((a, b), (c, d)) each."""
+    b1u, b1v, b2u, b2v = class_bases(*(np.array(col, dtype=dtype) for col in zip(*classes)))
+    return [((a, b), (c, d)) for a, b, c, d in
+            zip(b1u.tolist(), b1v.tolist(), b2u.tolist(), b2v.tolist())]
 
 
 def half_box_cells(lattices, chunk=4_000_000, dtype=np.int64):
@@ -213,14 +261,22 @@ def test_divisor_solutions_class_cap():
 
 
 def test_lagrange_reduce_preserves_lattice_and_shortens():
+    # the array reduction, on every basis at once, against the oracle
     rng = random.Random(5)
+    bases = []
     for _ in range(100):
         b1 = (rng.randint(-9, 9), rng.randint(-9, 9))
         b2 = (rng.randint(-9, 9), rng.randint(-9, 9))
         det = b1[0] * b2[1] - b1[1] * b2[0]
         if det == 0:
             continue
-        r1, r2 = lagrange_reduce(b1, b2)
+        bases.append((b1, b2))
+    cols = (np.array(col) for col in zip(*(b1 + b2 for b1, b2 in bases)))
+    reduced = modsolve._gauss_reduce(*cols).T.tolist()
+    for (b1, b2), (a, b, c, d) in zip(bases, reduced):
+        det = b1[0] * b2[1] - b1[1] * b2[0]
+        r1, r2 = (a, b), (c, d)
+        assert (r1, r2) == lagrange_reduce(b1, b2)
         rdet = r1[0] * r2[1] - r1[1] * r2[0]
         assert abs(rdet) == abs(det)
         # reduction never lengthens the basis in the euclidean sense (the
@@ -240,13 +296,67 @@ def test_lagrange_reduce_preserves_lattice_and_shortens():
 
 
 def test_class_lattice_basis_membership():
-    for sigma, tau, g in [(1, 3, 25), (1, 0, 9), (2, 1, 8), (0, 1, 7)]:
-        b1, b2 = class_lattice_basis(sigma, tau, g)
-        for c1 in range(-3, 4):
-            for c2 in range(-3, 4):
-                u = c1 * b1[0] + c2 * b2[0]
-                v = c1 * b1[1] + c2 * b2[1]
-                assert (tau * u - sigma * v) % g == 0
+    classes = [(1, 3, 25), (1, 0, 9), (2, 1, 8), (0, 1, 7)]
+    for dtype in (np.int64, object):
+        for (sigma, tau, g), (b1, b2) in zip(classes, _bases(classes, dtype)):
+            for c1 in range(-3, 4):
+                for c2 in range(-3, 4):
+                    u = c1 * b1[0] + c2 * b2[0]
+                    v = c1 * b1[1] + c2 * b2[1]
+                    assert (tau * u - sigma * v) % g == 0
+
+
+def _primitive_class(g, d, r, sigma):
+    """(sigma : tau) mod g with gcd(tau, g) = d, tau = d r mod g, made
+    primitive by moving sigma to the nearest value prime to d."""
+    gp = g // d
+    r = next(x for x in range(r, r + gp + 1) if gcd(x, gp) == 1) % gp if gp > 1 else 0
+    sigma %= g
+    while gcd(sigma, d) != 1:
+        sigma += 1
+    return sigma % g, d * r % g
+
+
+@st.composite
+def _classes(draw, low, high):
+    """Primitive classes mod g, low <= g < high, with d = gcd(tau, g) = 1,
+    d > 1, or d = g (g' = 1)."""
+    g = draw(st.integers(low, high - 1))
+    divisors = [x for x in (1, 2, 3, 4, 6, 8, 12) if g % x == 0] + [g]
+    d = draw(st.sampled_from(divisors))
+    return (*_primitive_class(g, d, draw(st.integers(0, g)), draw(st.integers(0, g))), g)
+
+
+@given(st.lists(_classes(1, 200), min_size=1, max_size=40))
+@example([(1, 0, 1), (0, 1, 7), (1, 0, 9), (5, 4, 12), (3, 6, 12), (1, 12, 12)])
+def test_class_bases_equal_the_oracle_on_random_classes(classes):
+    want = [class_lattice_basis(*c) for c in classes]
+    assert _bases(classes, np.int64) == want
+    assert _bases(classes, object) == want
+
+
+@given(st.lists(_classes(BASIS_G - 2**20, BASIS_G), min_size=1, max_size=20),
+       st.lists(_classes(BASIS_G, BASIS_G + 2**20), min_size=1, max_size=20))
+@example([(1, 0, BASIS_G - 1), (BASIS_G - 2, 1, BASIS_G - 1)],
+         [(1, 0, BASIS_G), (BASIS_G - 1, 1, BASIS_G), (1, 2, BASIS_G)])
+def test_class_bases_just_below_and_at_the_int64_reach(below, at):
+    # below BASIS_G the int64 reduction is exact; at it and above, object
+    # arrays are
+    assert _bases(below, np.int64) == [class_lattice_basis(*c) for c in below]
+    assert _bases(at, object) == [class_lattice_basis(*c) for c in at]
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 2**30)), min_size=1,
+                max_size=40))
+@example([(0, 1), (5, 1), (1, 2), (3, 7), (2**30 - 2, 2**30 - 1)])
+def test_inverse_equals_pow(pairs):
+    pairs = [(x, m) for x, m in pairs if gcd(x, m) == 1]
+    if not pairs:
+        return
+    x, m = (np.array(col) for col in zip(*pairs))
+    want = [pow(a, -1, b) if b > 1 else 0 for a, b in pairs]
+    assert modsolve._inverse(x, m).tolist() == want
+    assert modsolve._inverse(x.astype(object), m.astype(object)).tolist() == want
 
 
 def test_lattice_points_in_box_vs_brute():
@@ -292,7 +402,7 @@ def test_linear_range_vs_brute():
     c = np.array([rng.randint(-6, 6) for _ in range(400)])
     lo_val = np.array([rng.randint(-20, 5) for _ in range(400)])
     hi_val = lo_val + np.array([rng.randint(-3, 25) for _ in range(400)])
-    lo, hi = linear_range(base, c, lo_val, hi_val)
+    lo, hi = linear_range(base, c, lo_val, hi_val, -101, 101)
     for i in range(400):
         ns = [n for n in range(-100, 101) if lo_val[i] <= base[i] + n * c[i] <= hi_val[i]]
         if c[i] == 0 and ns:
@@ -301,3 +411,14 @@ def test_linear_range_vs_brute():
             assert (lo[i], hi[i]) == (ns[0], ns[-1])
         else:
             assert lo[i] > hi[i]
+
+
+def test_linear_range_keeps_to_the_callers_range():
+    # an end that c = 0 leaves open is the caller's own, however far out,
+    # and a bounded range is cut to the caller's
+    far = 10**60
+    base, c = np.array([5, 5, 5, 0], dtype=object), np.array([0, 0, 1, 3], dtype=object)
+    lo, hi = linear_range(base, c, np.array([0, 6, 0, -9], dtype=object), 10,
+                          np.array([-far, -far, -far, -2], dtype=object),
+                          np.full(4, far, dtype=object))
+    assert lo.tolist() == [-far, 1, -5, -2] and hi.tolist() == [far, 0, 5, 3]

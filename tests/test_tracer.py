@@ -2,7 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conicbundle.surface import domain_B
+from conicbundle.surface import domain_B, section_base_directions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +89,18 @@ def test_tracer_points_equal_the_printed_count_of_a_growth_row(s1_file, tmp_path
     (row,) = [line for line in out if line.startswith("B=10000 ")]
     count = int(row.split("count=")[1].split()[0])
     assert points == count > 0
+
+
+def test_tracer_counts_each_fibre_of_a_count_surface_run_once(split_surface, split_file):
+    # the benchmark's count-wide checks conic.points against the printed
+    # counts (its EXPECTED_POINTS): the fibre sum is the count plus each
+    # shared point of the section line once per fibre, and the tables built
+    # for many fibres at once still leave one count_points call per fibre
+    argv = ["--no-cache", "count-surface", split_file, "--height", "40", "--cutoff", "4"]
+    out, (calls, points) = _traced_run(["conic.count_points.calls", "conic.points"], argv)
+    (count,) = [int(line.split(": ")[1]) for line in out if line.startswith("count: ")]
+    fibres = len(list(domain_B(split_surface, 4)))
+    shared = sum(1 for d in section_base_directions(split_surface) if max(map(abs, d)) <= 40)
+    assert calls == fibres
+    assert points == count + shared * fibres
+    assert shared == 1 and count > 0
