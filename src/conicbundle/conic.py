@@ -35,11 +35,13 @@ that is not convex fails.  The rows left, of all lattices of a fibre,
 form one table, streamed in bounded chunks through one acceptance test.
 Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
-A fibre's table (its floor, layers, lattices and rows) is built for many
-fibres at once by `fibre_tables`: class bases and row ranges on arrays for
-a group of fibres, rows in pieces of whole fibres.  Each fibre is still
-counted on its own, by `count_points`, and its count does not depend on
-the group it was built in.
+A fibre's table (its floor, layers, lattices, rows and the count of its
+counted rows) is built for many fibres at once by `fibre_tables`: class
+bases and row ranges on arrays for a group of fibres, then, a piece of
+whole fibres at a time, the rows, their clipping to the height hull and
+their counting by congruences.  What a table leaves is scanned per fibre,
+by `count_points`, and no count depends on the group or the piece it was
+built in.
 
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
@@ -347,14 +349,19 @@ _CELL_BUDGET = 1 << 24
 
 class FibreTable(NamedTuple):
     """What count_points needs of a fibre besides its conic: the floor m,
-    the base box half-width u1, per layer (g, classes, half-width), and the
-    lattices of every layer (the base box first) with their rows."""
+    the base box half-width u1, per layer (g, classes, half-width), the
+    lattices of every layer (the base box first) with the rows left to
+    scan, and the count of the rows counted by congruences (None where the
+    table was built without counting).  The long rows come clipped to the
+    height hull, and the counted ones emptied, a piece of whole fibres at a
+    time; neither depends on the piece."""
 
     m: Fraction
     u1: int
     layers: list
     lats: Lattices
     rows: Rows
+    counted: int | None
 
 
 def _int64_ok(C: FibreConic, bound: int, u1: int, layers) -> bool:
@@ -372,48 +379,54 @@ def _int64_ok(C: FibreConic, bound: int, u1: int, layers) -> bool:
             and g < BASIS_G)
 
 
-def fibre_tables(conics, bound: int):
+def fibre_tables(conics, bound: int, *, count: bool = True):
     """The FibreTable of each conic in turn (bound = floor of the height
-    bound), built for a group of fibres at a time.
+    bound), built for a group of fibres at a time; unless count is False,
+    its long rows are counted by congruences where that pays.
 
     Per fibre the floor, the factorisation and the classes come from
     `_layers`.  The fibres that fit int64 (`_int64_ok`) of a group of at
     most _BASES lattices and _GROUP_FIBRES fibres (or one fibre) then get
     their class bases, row ranges and row budgets as arrays, all checked
-    before any row is built, and their rows from one `lattice_rows` call per
-    piece of whole fibres of at most _CHUNK rows (or one fibre); every other
-    fibre gets a table of its own on object arrays.  More rows in a fibre
-    than _ROW_BUDGET raise ArithmeticError.
+    before any row is built; every other fibre gets a table of its own on
+    object arrays.  The rows are built, clipped to the height hull and
+    counted a piece of whole fibres at a time (`_row_pieces`), each lattice
+    with its own fibre's forms, weight and primes, so no count depends on
+    the group or the piece.  More rows in a fibre than _ROW_BUDGET raise
+    ArithmeticError.
     """
     group, size = [], 0
     for C in conics:
         m, u1, layers = _layers(C, bound)
         n = 1 + sum([len(layer[1]) for layer in layers])
         if group and (size + n > _BASES or len(group) == _GROUP_FIBRES):
-            yield from _group_tables(group, bound)
+            yield from _group_tables(group, bound, count)
             group, size = [], 0
         group.append((C, m, u1, layers))
         size += n
-    yield from _group_tables(group, bound)
+    yield from _group_tables(group, bound, count)
 
 
-def _group_tables(group, bound):
+def _group_tables(group, bound, count):
     """The FibreTables of a group of fibres (C, m, u1, layers), in order:
     the int64 fibres' lattices built together, every other fibre's alone."""
     narrow = [_int64_ok(C, bound, u1, layers) for C, _, u1, layers in group]
-    built = _lattice_tables([f[2:] for f, ok in zip(group, narrow) if ok], np.int64)
-    sources = [built if ok else _lattice_tables([f[2:]], object) for f, ok in zip(group, narrow)]
+    fibres = [(C, u1, layers) for C, _, u1, layers in group]
+    built = _lattice_tables([f for f, ok in zip(fibres, narrow) if ok], bound, count, np.int64)
+    sources = [built if ok else _lattice_tables([f], bound, count, object)
+               for f, ok in zip(fibres, narrow)]
     for (_, m, u1, layers), source in zip(group, sources):
         yield FibreTable(m, u1, layers, *next(source))
 
 
-def _lattice_tables(fibres, dtype):
-    """The lattices and rows of each fibre (u1, layers), on `dtype` arrays:
-    the base box (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then every
-    class lattice of every layer.  The bases, row ranges and row budgets are
-    built and checked here; the rows when the iterator returned is read."""
+def _lattice_tables(fibres, bound, count, dtype):
+    """The lattices, rows and count of each fibre (C, u1, layers), on
+    `dtype` arrays, as the last three fields of its FibreTable: the base box
+    (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then every class lattice
+    of every layer.  The bases, row ranges and row budgets are built and
+    checked here; the rows when the iterator returned is read."""
     classes, sizes = [], []
-    for _, layers in fibres:
+    for _, _, layers in fibres:
         n = len(classes)
         classes += [(s, t, g, ug) for g, sols, ug in layers for s, t in sols]
         sizes.append(1 + len(classes) - n)
@@ -425,7 +438,7 @@ def _lattice_tables(fibres, dtype):
     first = np.cumsum(sizes) - sizes
     box = np.zeros(int(sizes.sum()), dtype=bool)
     box[first] = True
-    u1 = np.array([fibre[0] for fibre in fibres], dtype=dtype)
+    u1 = np.array([fibre[1] for fibre in fibres], dtype=dtype)
 
     def col(at_box, at_classes):
         out = np.empty(len(box), dtype=dtype)
@@ -441,12 +454,17 @@ def _lattice_tables(fibres, dtype):
                 f"row budget exceeded: the fibre's lattices have {n} rows, "
                 f"more than the {_ROW_BUDGET} one fibre may build"
             )
-    return _row_pieces(lats, n2_lo, n2_hi, first.tolist(), sizes.tolist(), rows)
+    return _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first.tolist(),
+                       sizes.tolist(), rows)
 
 
-def _row_pieces(lats, n2_lo, n2_hi, first, sizes, rows):
-    """(Lattices, Rows) of each fibre: one `lattice_rows` call per piece of
-    whole fibres of at most _CHUNK rows, or one fibre that alone has more."""
+def _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first, sizes, rows):
+    """(Lattices, Rows, counted) of each fibre (C, u1, layers), a piece of
+    whole fibres of at most _CHUNK rows, or one fibre that alone has more,
+    at a time: one `lattice_rows` call builds the piece's rows, one
+    `_height_rows` call clips its long rows (more than _LONG_ROW box cells)
+    and, if count, one `_count_rows` call counts those of its fibres whose
+    long rows hold at least _COUNT_CELLS box cells."""
     start = 0
     while start < len(first):
         stop, total = start + 1, rows[start]
@@ -455,31 +473,63 @@ def _row_pieces(lats, n2_lo, n2_hi, first, sizes, rows):
             stop += 1
         l0 = first[start]
         l1 = first[stop - 1] + sizes[stop - 1]
-        piece = lattice_rows(Lattices(*(x[l0:l1] for x in lats)), n2_lo[l0:l1], n2_hi[l0:l1])
+        piece_lats = Lattices(*(x[l0:l1] for x in lats))
+        piece = lattice_rows(piece_lats, n2_lo[l0:l1], n2_hi[l0:l1])
+        long = np.flatnonzero(piece.hi - piece.lo >= _LONG_ROW)
+        counted = [0 if count else None] * (stop - start)
+        if len(long):
+            piece, counted = _clip_piece(fibres[start:stop], bound, count, piece_lats,
+                                         sizes[start:stop], rows[start:stop], piece, long)
         r = 0
-        for f in range(start, stop):
+        for f, total in zip(range(start, stop), counted):
             a, n = first[f], rows[f]
             yield (Lattices(*(x[a:a + sizes[f]] for x in lats)),
-                   Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])))
+                   Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])), total)
             r += n
         start = stop
 
 
+def _clip_piece(fibres, bound, count, lats, sizes, rows, piece, long):
+    """The rows of a piece of fibres (C, u1, layers), with the long rows
+    `long` clipped to the height hull (`_height_rows`) and, if count, those
+    of the fibres whose long rows hold at least _COUNT_CELLS box cells
+    counted by congruences (`_count_rows`) and emptied; and the count of
+    each fibre (0 where none was counted)."""
+    # box cells per long row, before clipping; those of fibre f are
+    # long[ends[f]:ends[f + 1]]
+    span = piece.hi[long] - piece.lo[long]
+    ends = np.searchsorted(long, np.cumsum([0] + rows))
+    piece, P, Q = _height_rows([C for C, _, _ in fibres], sizes, bound, lats, piece, long)
+    if count:
+        cells = np.diff(np.concatenate([[0], np.cumsum(span)])[ends])
+        mine = np.repeat(cells >= _COUNT_CELLS, np.diff(ends))
+        if mine.any():
+            totals, piece = _count_rows([layers for _, _, layers in fibres], sizes, lats, piece,
+                                        long[mine], P[:, mine], Q[:, mine])
+            return piece, totals
+    return piece, [0 if count else None] * len(fibres)
+
+
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
-# scanning a cell costs ~0.1 us, clipping ~1.5 us a row and ~0.3 ms a
-# fibre (S1 at B = 10^5), so clipping a fibre of short rows costs more than
-# it saves; there 16 or 32 in place of 64 measured no faster, 128 slower.
-# Rows are clipped in batches of _HULL_ROWS, which bounds the temporaries
-# (~1.2 KB a row), and counted in batches of at most _TERMS
-# inclusion-exclusion terms (~100 bytes each).
+# scanning a cell costs ~0.1 us and clipping ~0.85 us a row beside ~0.5 ms
+# a piece of fibres (S1 at B = 10^5, ~16 fibres a piece), so a row of a
+# few cells is cheaper to scan whole.  There, in alternating runs of
+# fibre_tables and count_points, 128 was slower than 64 by 17 %, and 32
+# faster by 4 % (0.256 against 0.268 s) but it added 0.4 MiB to the 37.3
+# MiB peak RSS of that growth row; at B = 100 (count-surface, S1 cutoff 28,
+# split cutoff 20) and at B = 10^6 the three measured alike.  Rows are
+# clipped in batches of _HULL_ROWS, which bounds the temporaries (~1.2 KB a
+# row), and counted in batches of at most _TERMS inclusion-exclusion terms
+# (~100 bytes each).
 _LONG_ROW = 64
 _HULL_ROWS = 256
 _TERMS = 1 << 13
-# Counting by congruences costs ~0.4 ms a fibre and ~0.8 us a long row
-# beyond the hull, so only a fibre whose long rows hold at least
-# _COUNT_CELLS box cells is counted; the cells of the others are scanned
-# (~0.1 us each).  At S1, B = 10^5, 2^11 to 2^14 measured alike.
-_COUNT_CELLS = 1 << 13
+# Counting by congruences costs ~0.15 ms a fibre (its layer primes and
+# terms) and ~0.7 us a long row beyond the hull, so only a fibre whose long
+# rows hold at least _COUNT_CELLS box cells is counted; the cells of the
+# others are scanned (~0.1 us each).  At S1, B = 10^5, 2^11 took 0.270 s
+# against 0.283 s for 2^13, and 2^15 was slower than 2^13 by 22 %.
+_COUNT_CELLS = 1 << 11
 # the cells of one acceptance-test call, and the rows of one lattice_rows call
 _CHUNK = 4096
 # A group of fibres, whose class bases are built together, holds at most
@@ -493,11 +543,12 @@ _BASES = 1 << 9
 _GROUP_FIBRES = 64
 
 
-def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long):
-    """Clip the n1 range of the rows `long` (index array) to a hull of the
-    height region and find the holes the hull leaves.  Returns the rows
-    and, per component (row k) and long row, the ends P, Q of its hole (P >
-    Q where it has none).
+def _height_rows(conics, sizes, bound: int, lats: Lattices, rows: Rows, long):
+    """Clip the n1 range of the rows `long` (index array) of a piece of
+    fibres to a hull of the height region and find the holes the hull
+    leaves.  The lattices of fibre f (conics[f]) are the next sizes[f] of
+    lats.  Returns the rows and, per component (row k) and long row, the
+    ends P, Q of its hole (P > Q where it has none).
 
     Along a row, component k of q is F_k = A n1^2 + B n2 n1 + C n2^2 with
     A = F_k(b1).  A cell of height <= bound*g has sign(A) F_k <= cap_k (caps
@@ -505,20 +556,23 @@ def _height_rows(C: FibreConic, bound: int, lats: Lattices, rows: Rows, long):
     A = 0, so each component keeps one interval of n1.  What the hull keeps
     of the other side, sign(A) F_k >= -cap_k, is the hull less one interval,
     the hole.  Per component and lattice, |A|, s B, s C (s = sign(A), 1
-    where A = 0) and cap_k are tabulated once, by `_hull_tables`, for the
-    lattices (col) of the long rows.
+    where A = 0) and cap_k are tabulated once for the piece, by
+    `_hull_tables`, for the lattices (col) of the long rows, each from its
+    own fibre's forms and weight.
     """
     used, col = np.unique(rows.lat[long], return_inverse=True)
+    owner = np.repeat(np.arange(len(sizes)), sizes)[used]
     b1u, b1v, b2u, b2v, g = (x[used].astype(object) for x in lats[:5])
-    forms = np.array(_forms(C), dtype=object)  # component k, coefficient j
-    A, B, Cn = (forms @ np.array(monomials, dtype=object) for monomials in (
-        [b1u * b1u, b1u * b1v, b1v * b1v],
-        [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
-        [b2u * b2u, b2u * b2v, b2v * b2v],
-    ))
+    # lattice, component k, coefficient j
+    forms = np.array([_forms(C) for C in conics], dtype=object)[owner]
+    A, B, Cn = ((forms * np.array(monomials, dtype=object).T[:, None, :]).sum(axis=2).T
+                for monomials in ([b1u * b1u, b1u * b1v, b1v * b1v],
+                                  [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
+                                  [b2u * b2u, b2u * b2v, b2v * b2v]))
     s = np.where(A < 0, -1, 1)
     cap = bound * g
-    exact = np.array([np.abs(A), s * B, s * Cn, [cap, cap // C.weight, cap]], dtype=object)
+    weight = np.array([C.weight for C in conics], dtype=object)[owner]
+    exact = np.array([np.abs(A), s * B, s * Cn, [cap, cap // weight, cap]], dtype=object)
     tables = _hull_tables(exact)
     lo, hi = rows.lo.copy(), rows.hi.copy()
     P, Q = np.empty((2, 3, len(long)), dtype=lo.dtype)
@@ -687,11 +741,13 @@ def _lattice_events(lats: Lattices, layer_bounds, used):
     return primes, kill, terms
 
 
-def _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds):
-    """Count the accepted cells of those clipped rows `long`, with holes
-    [P, Q] from `_height_rows`, that congruences count in no more terms
-    than the rows have cells, and return the count and the rows with those
-    emptied.  Rows n2 = 0 are left to the scan.
+def _count_rows(layers, sizes, lats, rows, long, P, Q):
+    """Count the accepted cells of those clipped rows `long` of a piece of
+    fibres, with holes [P, Q] from `_height_rows`, that congruences count in
+    no more terms than the rows have cells, and return the count of each
+    fibre and the rows with those emptied.  The lattices of fibre f (layers
+    layers[f]) are the next sizes[f] of lats.  Rows n2 = 0 are left to the
+    scan.
 
     Along row n2 of a lattice of layer g, a cell n1 of the hull [a, b] is
     accepted iff it lies outside the row's holes (has height <= bound*g),
@@ -699,21 +755,35 @@ def _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds):
     fails by a residue of n1 mod one prime: for q not in g, q | (u, v) iff
     q | (n1, n2), that is n1 = 0 mod q for the q | n2 (Moebius over the
     squarefree d | n2 prime to g); the rest are the congruences n1 = gamma
-    n2 mod p of `_lattice_events`.  So one inclusion-exclusion term counts
-    the n1 = Gamma n2 mod d e (Gamma n2 is 0 mod d, as d | n2) of [a, b],
-    less those of the holes; a row where p | n2 for a p in `kill` has none.
-    Every cell counted owns its pair: the half box holds none with u < 0,
-    and the one coprime cell with u = 0 that does not, (0, -1), lies in a
-    lattice u = 0 mod g (b1 = (0, 1)) only, on its row n2 = 0.
+    n2 mod p of `_lattice_events`, per fibre.  So one inclusion-exclusion
+    term counts the n1 = Gamma n2 mod d e (Gamma n2 is 0 mod d, as d | n2)
+    of [a, b], less those of the holes; a row where p | n2 for a p in
+    `kill` has none.  Every cell counted owns its pair: the half box holds
+    none with u < 0, and the one coprime cell with u = 0 that does not,
+    (0, -1), lies in a lattice u = 0 mod g (b1 = (0, 1)) only, on its row
+    n2 = 0.
     """
+    totals = [0] * len(sizes)
     sel = np.flatnonzero((rows.n2[long] != 0) & (rows.lo[long] <= rows.hi[long]))
     if not len(sel):
-        return 0, rows
+        return totals, rows
     r = long[sel]
     lat, n2, a, b = (x[r] for x in rows)
-    # k layer primes make at least 2^k lattices, each with a row, so k < 18
-    # (_ROW_BUDGET) and a set of them fits the bits of an int64
-    primes, kill, tables = _lattice_events(lats, layer_bounds, set(lat.tolist()))
+    # the fibre of each row, and per fibre its layer primes, and per lattice
+    # its kill bits and terms
+    first = np.cumsum(sizes) - sizes
+    fib = np.searchsorted(first, lat, side="right") - 1
+    primes, kill, tables = [[]] * len(sizes), [], []
+    for f, (l0, size) in enumerate(zip(first.tolist(), sizes)):
+        used = {l - l0 for l in lat[fib == f].tolist()}
+        if not used:
+            kill += [0] * size
+            tables += [[]] * size
+            continue
+        own = Lattices(*(x[l0:l0 + size] for x in lats))
+        primes[f], k, t = _lattice_events(own, layers[f], used)
+        kill += k
+        tables += t
     m = np.abs(n2).astype(np.int64)  # below _ROW_BUDGET
     # the distinct primes of each row (column of qs), then 1s; those of g
     # set to 1 too, which leaves the Moebius primes
@@ -729,11 +799,21 @@ def _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds):
     qs = np.where(g % qs != 0, qs, 1)
     # ones: the bits of the columns of 1s, which no divisor takes
     ones = (1 << np.arange(len(qs))) @ (qs == 1)
-    ps = np.array(primes, dtype=object if primes and max(primes) >= 2**63 else np.int64)
-    bits = (1 << np.arange(len(primes))) @ (m % ps[:, None] == 0)
+    # k layer primes make at least 2^k lattices, each with a row, so k < 18
+    # (_ROW_BUDGET) and a set of them fits the bits of an int64; a fibre's
+    # primes are padded with 2^62, which divides no n2
+    k = max(map(len, primes))
+    big = any(p >= 2**63 for ps in primes for p in ps)
+    ps = np.array([ps + [2**62] * (k - len(ps)) for ps in primes],
+                  dtype=object if big else np.int64).reshape(len(primes), k)
+    bits = (1 << np.arange(k)) @ (m % ps[fib].T == 0)
     live = (bits & np.array(kill)[lat]) == 0
-    # every lattice's terms padded to n_max with empty ones (sign 0)
-    n_max = max(map(len, tables))
+    # every lattice's terms padded to its fibre's n_max with empty ones (sign
+    # 0), in a table of n_top terms a lattice
+    fibre_max = np.array([max(map(len, tables[l0:l0 + size]), default=0)
+                          for l0, size in zip(first.tolist(), sizes)])
+    n_max = fibre_max[fib]
+    n_top = int(fibre_max.max())
     per_row = (1 << (qs > 1).sum(axis=0)) * n_max
     use = np.flatnonzero(live & (per_row <= b - a + 1))
     # with f(x) = #{n1 <= x in a term's class}, a row has f(b) - f(a - 1)
@@ -755,19 +835,25 @@ def _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds):
     entry, bottom = np.concatenate(entry), np.concatenate(bottom)
     length = np.concatenate(top) - bottom
     # int64 while every modulus d e and every Gamma n2 stays below 2^62
-    flat = [term for terms in tables for term in terms + [(0, 1, 0, 0)] * (n_max - len(terms))]
+    flat = [term for terms in tables for term in terms + [(0, 1, 0, 0)] * (n_top - len(terms))]
     wide = rows.lo.dtype == object or max(term[1] for term in flat) * int(m.max()) >= 2**62
     table = np.array(flat, dtype=object if wide else np.int64).T
+    # by fibre, in batches of at most _TERMS terms
+    order = np.argsort(fib[entry], kind="stable")
+    entry, bottom, length = entry[order], bottom[order], length[order]
     args = (qs[:, entry], ones[entry], bits[entry], n2[entry], bottom, length,
-            lat[entry] * n_max)
-    total = 0
-    step = max(1, _TERMS // int(per_row.max()))  # entries of one batch
-    for start in range(0, len(entry), step):
-        total += _part_count(*(x[..., start:start + step] for x in args), table, n_max)
+            lat[entry] * n_top)
+    cut = np.flatnonzero(np.diff(fib[entry], prepend=-1)).tolist() + [len(entry)]
+    for start, stop in zip(cut, cut[1:]):
+        f = int(fib[entry[start]])
+        step = max(1, _TERMS // int(per_row[entry[start:stop]].max()))  # entries of one batch
+        for part in range(start, stop, step):
+            at = slice(part, min(part + step, stop))
+            totals[f] += _part_count(*(x[..., at] for x in args), table, int(fibre_max[f]))
     done = r[np.concatenate([np.flatnonzero(~live), use])]
     left = rows.hi.copy()
     left[done] = rows.lo[done] - 1
-    return total, Rows(rows.lat, rows.n2, rows.lo, left)
+    return totals, Rows(rows.lat, rows.n2, rows.lo, left)
 
 
 def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
@@ -791,23 +877,18 @@ def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
 
 def _enumerate(C, bound, table: FibreTable, want_points):
     """Shared enumeration core, on the fibre's table: every lattice of the
-    fibre (the base box is layer 1) in one row table, long rows clipped to
-    their height hull (ends and holes in closed form, `_height_rows`) and,
-    unless the points are wanted or they hold fewer than _COUNT_CELLS box
-    cells, counted by congruences where that takes no more terms than
-    cells; every other cell is scanned, each pair counted in the layer of
-    its exact content.  More cells to scan than _CELL_BUDGET raise
-    ArithmeticError before the scan."""
-    _, u1, layer_bounds, lats, rows = table
+    fibre (the base box is layer 1) in one row table, whose long rows come
+    clipped to their height hull and, in a counting table, counted by
+    congruences where that pays; every other cell is scanned, each pair
+    counted in the layer of its exact content.  More cells to scan than
+    _CELL_BUDGET raise ArithmeticError before the scan, and a counting
+    table, which keeps no points of its counted rows, raises ValueError
+    where the points are wanted."""
+    _, u1, layer_bounds, lats, rows, counted = table
+    if want_points and counted is not None:
+        raise ValueError("the points of a fibre need a table built without counting")
     u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
     col = _Collector(C, bound, want_points)
-    long = np.flatnonzero(rows.hi - rows.lo >= _LONG_ROW)
-    counted = 0
-    if len(long):
-        count = not want_points and int((rows.hi[long] - rows.lo[long]).sum()) >= _COUNT_CELLS
-        rows, P, Q = _height_rows(C, bound, lats, rows, long)
-        if count:
-            counted, rows = _count_rows(C, bound, lats, rows, long, P, Q, layer_bounds)
     # a row holds at most 2 u_cap + 1 cells
     if len(rows.lat) * (2 * u_cap + 1) > _CELL_BUDGET:
         cells = int(np.maximum(rows.hi - rows.lo + 1, 0).sum())
@@ -819,7 +900,7 @@ def _enumerate(C, bound, table: FibreTable, want_points):
     for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
         col.feed(u, v, g)
     points = sorted(col.points) if want_points else None
-    return counted + col.count, points
+    return (counted or 0) + col.count, points
 
 
 def _layers(C: FibreConic, bound: int):
@@ -848,23 +929,26 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     """Exact number of rational points on C with height <= B.
 
     table is C's FibreTable at this B, as `fibre_tables` yields it for many
-    fibres at once; without one, a table of C alone is built the same way.
+    fibres at once, its rows already clipped and, where that pays, counted a
+    piece of fibres at a time; without one, a table of C alone is built the
+    same way, without counting where want_points.  A counting table has no
+    points of its counted rows: with want_points it raises ValueError.
 
     A base box covers all parameters giving points with unit content; for
     every divisor g of |det(Pi)| the parameters giving content-g points lie
     on index-g sublattices (one per solution class of q = 0 mod g), inside
     the correspondingly larger box.  The boxes only fix which rows of each
-    lattice exist and how far each row may reach; a row longer than 64
-    cells is narrowed to its height interval, the cells that can satisfy
-    the three convex height conditions and u >= 0, and then, unless
-    want_points or the long rows are few (_COUNT_CELLS), counted by
-    congruences (`_count_rows`) where that takes no more terms than it has
-    cells.  The ends of that interval and of its holes are exact, from the
-    integer square roots of the quadratics' discriminants, and every other
-    cell is verified by exact evaluation, so the floor `min_norm` only ever
-    affects completeness, and it is certified.  A fibre
-    needing more than _ROW_BUDGET rows or _CELL_BUDGET cells to scan raises
-    ArithmeticError.
+    lattice exist and how far each row may reach; a row longer than
+    _LONG_ROW cells is narrowed to its height interval, the cells that can
+    satisfy the three convex height conditions and u >= 0, and then, unless
+    the table is built without counting or the long rows are few
+    (_COUNT_CELLS), counted by congruences (`_count_rows`) where that takes
+    no more terms than it has cells.  The ends of that interval and of its
+    holes are exact, from the integer square roots of the quadratics'
+    discriminants, and every other cell is verified by exact evaluation, so
+    the floor `min_norm` only ever affects completeness, and it is
+    certified.  A fibre needing more than _ROW_BUDGET rows or _CELL_BUDGET
+    cells to scan raises ArithmeticError.
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).
@@ -873,7 +957,7 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     """
     bound = height_bound(B)
     if table is None:
-        table = next(fibre_tables([C], bound))
+        table = next(fibre_tables([C], bound, count=not want_points))
     count, points = _enumerate(C, bound, table, want_points)
     return ConicCountResult(
         count=count,

@@ -265,8 +265,8 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
     keys = [f"{idx.s}:{idx.t}" for idx in fibres]
     missing = [(key, idx) for key, idx in zip(keys, fibres) if key not in known]
     # the pool forks all its processes at the first submit, so no more
-    # than there are tasks or cores
-    workers = min(workers, len(missing), os.cpu_count() or 1)
+    # than there are tasks or cores; a single task takes the serial path
+    workers = min(workers, -(-len(missing) // _TASK_FIBRES), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing costs ~25 ms that one worker never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -307,7 +307,7 @@ def count_surface(
     every fibre); guarded above height 200 because the search is quartic in
     B.  x_cutoff must be >= 1 (for the fibration, <= MAX_FIBRE_HEIGHT).
     workers >= 1 processes count the fibres, at most one per core and per
-    fibre to count.
+    task of _TASK_FIBRES fibres to count.
     """
     bound = height_bound(B)
     if method not in ("fibration", "direct"):

@@ -312,12 +312,20 @@ def _table(C, B, int64_ok=True):
         return next(conic.fibre_tables([C], B))
 
 
+def _box_table(C, B, int64_ok=True):
+    """The fibre's layers, lattices and box rows, none of them clipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is long
+        table = _table(C, B, int64_ok)
+    return table.layers, table.lats, table.rows
+
+
 def _row_tables(C, B, int64_ok):
     """The fibre's box rows and height-clipped rows, as count_points builds
     them, then the long rows and the ends P, Q of their holes."""
-    _, _, _, lats, box = _table(C, B, int64_ok)
+    _, lats, box = _box_table(C, B, int64_ok)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
-    return lats, box, *conic._height_rows(C, B, lats, box, long), long
+    return lats, box, *conic._height_rows([C], [len(lats.g)], B, lats, box, long), long
 
 
 @given(
@@ -341,17 +349,17 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigm
     layers = [(g, [(sigma, tau)], ug)]
     C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
     assert conic._int64_ok(C, 1, u1, layers) == (g < BASIS_G)
-    exact = next(conic._lattice_tables([(u1, layers)], object))
+    exact = next(conic._lattice_tables([(C, u1, layers)], 1, False, object))
     assert exact[0].U.dtype == object
     if g >= BASIS_G:
         return
-    lats, rows = next(conic._lattice_tables([(u1, layers)], np.int64))
+    lats, rows, *_ = next(conic._lattice_tables([(C, u1, layers)], 1, False, np.int64))
     assert lats.U.dtype == np.int64
     for got, col in zip((*lats, *rows), (*exact[0], *exact[1])):
         assert got.tolist() == col.tolist()
     # the cells at both ends of every row, against the object route
     ends = _row_end_cells(lats, rows)
-    for (u, v), (u_exact, v_exact) in zip(ends, _row_end_cells(*exact)):
+    for (u, v), (u_exact, v_exact) in zip(ends, _row_end_cells(*exact[:2])):
         assert u.tolist() == u_exact.tolist() and v.tolist() == v_exact.tolist()
         U = exact[0].U[exact[1].lat[exact[1].lo <= exact[1].hi]]
         assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
@@ -696,12 +704,12 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
 def _counted_rows(C, B):
     """(the count of the rows count_points counts by congruences, the same
     rows scanned cell by cell, how many they are, how many have a hole)."""
-    _, _, layers, lats, box = _table(C, B)
+    layers, lats, box = _box_table(C, B)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     if not len(long):
         return 0, 0, 0, 0
-    rows, P, Q = conic._height_rows(C, B, lats, box, long)
-    total, left = conic._count_rows(C, B, lats, rows, long, P, Q, layers)
+    rows, P, Q = conic._height_rows([C], [len(lats.g)], B, lats, box, long)
+    (total,), left = conic._count_rows([layers], [len(lats.g)], lats, rows, long, P, Q)
     done = np.flatnonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))
     assert np.all(rows.n2[done] != 0)  # the rows n2 = 0 are scanned
     col = conic._Collector(C, B, want_points=False)
@@ -741,6 +749,20 @@ def test_count_points_equals_the_point_list(s1, split_surface, B, step):
             except ValueError:
                 continue
             assert count_points(C, B).count == len(count_points(C, B, want_points=True).points)
+
+
+def test_points_need_a_table_built_without_counting(s1):
+    # a counting table keeps no points of its counted rows, so it is
+    # refused where the points are wanted; a table built without counting
+    # gives them all
+    B, conics = 10**5, _fibre_conics(s1, 3)
+    C, table = next((C, t) for C, t in zip(conics, conic.fibre_tables(conics, B)) if t.counted)
+    with pytest.raises(ValueError, match="without counting"):
+        count_points(C, B, want_points=True, table=table)
+    plain = next(conic.fibre_tables([C], B, count=False))
+    assert plain.counted is None
+    points = count_points(C, B, want_points=True, table=plain).points
+    assert len(points) == count_points(C, B, table=table).count
 
 
 def _fibre_conics(X, x):
@@ -784,6 +806,56 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
     assert _table_counts(conics, 300) == want
 
 
+def test_counts_do_not_depend_on_the_piece(s1, monkeypatch):
+    # every fibre of S1 at B = 10^5 (the count-deep growth row): each has
+    # long rows, clipped a piece of fibres at a time, and 261 are counted
+    # by congruences.  Pieces of at most 7 rows (one fibre each), of the
+    # default _CHUNK rows and of whole groups, in groups of one fibre and
+    # of all of them; the scan keeps its chunk, which is tested apart
+    B = 10**5
+    conics = _fibre_conics(s1, B**0.25)
+    scan = conic.iter_lattice_points
+    monkeypatch.setattr(conic, "iter_lattice_points", lambda lats, rows, _: scan(lats, rows, 4096))
+    counts = []
+    for chunk in (7, conic._CHUNK, 10**9):
+        for size in (1, 10**9):
+            monkeypatch.setattr(conic, "_CHUNK", chunk)
+            monkeypatch.setattr(conic, "_BASES", size)
+            monkeypatch.setattr(conic, "_GROUP_FIBRES", size)
+            counts.append(_table_counts(conics, B))
+    assert all(c == counts[0] for c in counts)
+    assert len(conics) == 384 and sum(counts[0]) == 2288864
+
+
+def test_a_piece_of_counted_and_uncounted_fibres_beside_an_object_fibre(s1, monkeypatch):
+    # the first 15 fibres of S1 at B = 10^5 in one group: the int64 fibres
+    # share pieces, counted ones beside uncounted ones, and the fibre forced
+    # onto object arrays is a piece of its own between them; each count is
+    # that of the fibre counted alone
+    B = 10**5
+    conics = _fibre_conics(s1, B**0.25)[:15]
+    want = [count_points(C, B).count for C in conics]
+    wide = conics[8]
+    int64_ok, height_rows = conic._int64_ok, conic._height_rows
+    pieces = []
+
+    def recording(piece, *args):
+        pieces.append(list(piece))
+        return height_rows(piece, *args)
+
+    monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C is not wide and int64_ok(C, *args))
+    monkeypatch.setattr(conic, "_height_rows", recording)
+    monkeypatch.setattr(conic, "_BASES", 10**9)
+    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
+    tables = list(conic.fibre_tables(conics, B))
+    assert [t.lats.g.dtype == object for t in tables] == [C is wide for C in conics]
+    counted = {C for C, t in zip(conics, tables) if t.counted}
+    assert [wide] in pieces
+    assert any(len(counted.intersection(p)) not in (0, len(p)) for p in pieces)
+    assert wide in counted
+    assert [count_points(C, B, table=t).count for C, t in zip(conics, tables)] == want
+
+
 def _det(coeffs):
     a, b, c, e, f = coeffs
     return a * e * e - b * c * e + f * b * b
@@ -799,10 +871,10 @@ def test_row_counts_on_random_conics_vs_reference(monkeypatch):
     monkeypatch.setattr(conic, "_int64_ok", lambda *args: int64_ok(*args) and not wide)
     counted = []
 
-    def counting(C, bound, lats, rows, *args):
-        total, left = count_rows(C, bound, lats, rows, *args)
+    def counting(layers, sizes, lats, rows, *args):
+        totals, left = count_rows(layers, sizes, lats, rows, *args)
         counted.append(int(np.count_nonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))))
-        return total, left
+        return totals, left
 
     monkeypatch.setattr(conic, "_count_rows", counting)
     rng = random.Random(31)
@@ -829,7 +901,8 @@ def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
     # or alpha = 0 mod p (content g p), every cell is rejected: it counts 0
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     C, B = FibreConic(7, -4, 11, -1, 10), 114
-    _, _, layers, lats, rows = _table(C, B)
+    table = _table(C, B)
+    layers, lats, rows = table.layers, table.lats, table.rows
     primes, kill, _ = conic._lattice_events(lats, layers, range(len(lats.g)))
     assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
                for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))

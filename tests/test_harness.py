@@ -738,11 +738,16 @@ def test_per_fibre_counts_do_not_depend_on_workers_or_task_size(split_surface, m
     import conicbundle.harness as harness
 
     fibres = list(domain_B(split_surface, 8))
-    one = harness._fibre_counts(split_surface, fibres, 100, None, 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert harness._fibre_counts(split_surface, fibres, 100, None, 2) == one
-    monkeypatch.setattr(harness, "_TASK_FIBRES", 7)
-    assert harness._fibre_counts(split_surface, fibres, 100, None, 2) == one
+    # at B = 10^4 every fibre has long rows, clipped a piece of fibres at a
+    # time, and most are counted by congruences: the task boundaries cut
+    # the fibres into other pieces
+    for B in (100, 10**4):
+        one = harness._fibre_counts(split_surface, fibres, B, None, 1)
+        monkeypatch.setattr(harness, "_TASK_FIBRES", 64)
+        assert harness._fibre_counts(split_surface, fibres, B, None, 2) == one
+        monkeypatch.setattr(harness, "_TASK_FIBRES", 7)
+        assert harness._fibre_counts(split_surface, fibres, B, None, 2) == one
 
 
 def test_a_fibre_past_the_row_budget_in_a_group_is_refused(s1, s1_file, monkeypatch, capsys):
@@ -789,15 +794,22 @@ def test_workers_are_capped_at_the_cores_and_refused_below_one(
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # tasks of 2 fibres: more tasks than cores up to fibre height 6
+    monkeypatch.setattr(conicbundle.harness, "_TASK_FIBRES", 2)
     one = count_surface(s1, 15, method="fibration", x_cutoff=6)
     many = count_surface(s1, 15, method="fibration", x_cutoff=6, workers=10**6)
     assert many.count == one.count
     assert sizes == [3]
-    # no more processes than fibres to count: S1 has 8 up to fibre height 2
+    # no more processes than tasks: S1 has 8 fibres up to fibre height 2,
+    # 4 tasks of 2
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     few = count_surface(s1, 15, method="fibration", x_cutoff=2, workers=10**6)
     assert few.count == count_surface(s1, 15, method="fibration", x_cutoff=2).count
-    assert sizes == [3, 8]
+    assert sizes == [3, 4]
+    # one task of all 8 fibres starts no pool
+    monkeypatch.setattr(conicbundle.harness, "_TASK_FIBRES", 8)
+    assert count_surface(s1, 15, method="fibration", x_cutoff=2, workers=10**6).count == few.count
+    assert sizes == [3, 4]
     for argv in (["count-surface", s1_file, "--height", "15", "--cutoff", "6", "--workers", "0"],
                  ["growth", s1_file, "--heights", "15", "--out", tmp_path / "g.csv",
                   "--workers", "-3"]):
@@ -805,7 +817,7 @@ def test_workers_are_capped_at_the_cores_and_refused_below_one(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error[ValueError]: workers must be >= 1, got {argv[-1]}\n"
-    assert sizes == [3, 8]
+    assert sizes == [3, 4]
     assert not (tmp_path / "g.csv").exists()
 
 
