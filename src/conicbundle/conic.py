@@ -478,8 +478,9 @@ def _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first, sizes, rows):
         long = np.flatnonzero(piece.hi - piece.lo >= _LONG_ROW)
         counted = [0 if count else None] * (stop - start)
         if len(long):
-            piece, counted = _clip_piece(fibres[start:stop], bound, count, piece_lats,
-                                         sizes[start:stop], rows[start:stop], piece, long)
+            piece, totals = _clip_piece(fibres[start:stop], bound, count, piece_lats,
+                                        sizes[start:stop], rows[start:stop], piece, long)
+            counted = totals or counted
         r = 0
         for f, total in zip(range(start, stop), counted):
             a, n = first[f], rows[f]
@@ -494,7 +495,7 @@ def _clip_piece(fibres, bound, count, lats, sizes, rows, piece, long):
     `long` clipped to the height hull (`_height_rows`) and, if count, those
     of the fibres whose long rows hold at least _COUNT_CELLS box cells
     counted by congruences (`_count_rows`) and emptied; and the count of
-    each fibre (0 where none was counted)."""
+    each fibre, or None where no fibre was counted."""
     # box cells per long row, before clipping; those of fibre f are
     # long[ends[f]:ends[f + 1]]
     span = piece.hi[long] - piece.lo[long]
@@ -507,7 +508,7 @@ def _clip_piece(fibres, bound, count, lats, sizes, rows, piece, long):
             totals, piece = _count_rows([layers for _, _, layers in fibres], sizes, lats, piece,
                                         long[mine], P[:, mine], Q[:, mine])
             return piece, totals
-    return piece, [0 if count else None] * len(fibres)
+    return piece, None
 
 
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box

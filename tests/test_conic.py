@@ -349,11 +349,14 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigm
     layers = [(g, [(sigma, tau)], ug)]
     C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
     assert conic._int64_ok(C, 1, u1, layers) == (g < BASIS_G)
-    exact = next(conic._lattice_tables([(C, u1, layers)], 1, False, object))
-    assert exact[0].U.dtype == object
-    if g >= BASIS_G:
-        return
-    lats, rows, *_ = next(conic._lattice_tables([(C, u1, layers)], 1, False, np.int64))
+    fibres = [(C, u1, layers)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is clipped: the box rows
+        exact = next(conic._lattice_tables(fibres, 1, False, object))
+        assert exact[0].U.dtype == object
+        if g >= BASIS_G:
+            return
+        lats, rows, _ = next(conic._lattice_tables(fibres, 1, False, np.int64))
     assert lats.U.dtype == np.int64
     for got, col in zip((*lats, *rows), (*exact[0], *exact[1])):
         assert got.tolist() == col.tolist()
@@ -363,6 +366,11 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigm
         assert u.tolist() == u_exact.tolist() and v.tolist() == v_exact.tolist()
         U = exact[0].U[exact[1].lat[exact[1].lo <= exact[1].hi]]
         assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
+    # the rows clipped to the height hull, against the object route
+    clipped = next(conic._lattice_tables(fibres, 1, False, np.int64))[1]
+    clipped_exact = next(conic._lattice_tables(fibres, 1, False, object))[1]
+    for got, col in zip(clipped, clipped_exact):
+        assert got.tolist() == col.tolist()
 
 
 def _row_end_cells(lats, rows):
