@@ -61,7 +61,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .modsolve import (
-    BASIS_G,
     Lattices,
     Rows,
     class_bases,
@@ -365,18 +364,25 @@ class FibreTable(NamedTuple):
 
 
 def _int64_ok(C: FibreConic, bound: int, u1: int, layers) -> bool:
-    """Whether the fibre's lattices, rows and acceptance test fit int64: 3
-    summed coefficient*U^2 terms, the weighted norm and the bound*content
-    comparison stay below 2^62 for every half-width U, and every layer g is
-    below BASIS_G, so class_bases reduces on int64.  Then U < 2^30.2, and as
-    a reduced basis has |b1| |b2| <= 2 g / sqrt(3), every row offset n2 b2
-    and n1 bound of `lattice_rows` stays below 1.7 U, far inside int64."""
+    """Whether the fibre's lattices, rows and acceptance test fit int64.
+    With U and g those of its largest layer (the base box is g = 1), whose
+    U and U g are the largest, each clause keeps products below 2^62: 3
+    max|c| U^2 w those of `_Collector.feed` (3 summed coefficient*U^2 terms,
+    the weighted norm), so U < 2^30.2; bound |det| its bound*g (g | det);
+    and U g < 2^61 those of the lattices.  A reduced basis has 1 <= |b1| <=
+    |b2| and |b1| |b2| <= 2 g / sqrt(3), so |b1u| + |b1v| <= 1.52 sqrt(g)
+    and |b2u| + |b2v| <= 1.63 g.  So in `_lattice_tables` U (|b1u| + |b1v|)
+    <= 1.52 U g and its n2 range is at most 1.52 U; in `lattice_rows` each
+    term of det = g is at most 1.16 g, U (|b2u| + |b2v|) <= 1.63 U g before
+    its division by det, far <= 1.63 U and each row offset |n2 b2| <= U
+    (|b1u| + |b1v|) |b2| / g <= 1.63 U; and the cells n1 b1 + n2 b2 of the
+    box, built by `iter_lattice_points`, have terms of at most 2.7 U."""
     # the half-width grows with g: the largest g has the largest one
     g, u_cap = max([(1, u1)] + [(g, ug) for g, _, ug in layers])
     maxc = max(1, max(abs(c) for c in C.coeffs))
     return (3 * maxc * u_cap * u_cap * C.weight < 2**62
             and bound * abs(C.pi_det) < 2**62
-            and g < BASIS_G)
+            and u_cap * g < 2**61)
 
 
 def fibre_tables(conics, bound: int, *, count: bool = True):
@@ -385,11 +391,11 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
     its long rows are counted by congruences where that pays.
 
     Per fibre the floor, the factorisation and the classes come from
-    `_layers`.  The fibres that fit int64 (`_int64_ok`) of a group of at
-    most _BASES lattices and _GROUP_FIBRES fibres (or one fibre) then get
-    their class bases, row ranges and row budgets as arrays, all checked
-    before any row is built; every other fibre gets a table of its own on
-    object arrays.  The rows are built, clipped to the height hull and
+    `_layers`.  A group of at most _BASES lattices and _GROUP_FIBRES fibres
+    (or one fibre) then gets its class bases, row ranges and row budgets as
+    arrays, all checked before any row is built: in one build for the
+    fibres that fit int64 (`_int64_ok`) and in one on object arrays for the
+    others.  The rows are built, clipped to the height hull and
     counted a piece of whole fibres at a time (`_row_pieces`), each lattice
     with its own fibre's forms, weight and primes, so no count depends on
     the group or the piece.  More rows in a fibre than _ROW_BUDGET raise
@@ -409,14 +415,14 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
 
 def _group_tables(group, bound, count):
     """The FibreTables of a group of fibres (C, m, u1, layers), in order:
-    the int64 fibres' lattices built together, every other fibre's alone."""
+    the lattices of its int64 fibres built together, and those of its
+    object fibres together; a dtype that no fibre takes builds nothing."""
     narrow = [_int64_ok(C, bound, u1, layers) for C, _, u1, layers in group]
-    fibres = [(C, u1, layers) for C, _, u1, layers in group]
-    built = _lattice_tables([f for f, ok in zip(fibres, narrow) if ok], bound, count, np.int64)
-    sources = [built if ok else _lattice_tables([f], bound, count, object)
-               for f, ok in zip(fibres, narrow)]
-    for (_, m, u1, layers), source in zip(group, sources):
-        yield FibreTable(m, u1, layers, *next(source))
+    built = {ok: _lattice_tables([(C, u1, layers) for (C, _, u1, layers), n
+                                  in zip(group, narrow) if n == ok], bound, count, dtype)
+             for ok, dtype in ((True, np.int64), (False, object)) if ok in narrow}
+    for (_, m, u1, layers), ok in zip(group, narrow):
+        yield FibreTable(m, u1, layers, *next(built[ok]))
 
 
 def _lattice_tables(fibres, bound, count, dtype):
@@ -447,7 +453,7 @@ def _lattice_tables(fibres, bound, count, dtype):
 
     lats = Lattices(col(0, b1u), col(1, b1v), col(1, b2u), col(0, b2v), col(1, g), col(u1, U))
     n2_lo, n2_hi = col(0, -n2), col(u1, n2)
-    rows = np.add.reduceat(n2_hi - n2_lo + 1, first).tolist() if fibres else []
+    rows = np.add.reduceat(n2_hi - n2_lo + 1, first).tolist()
     for n in rows:
         if n > _ROW_BUDGET:
             raise ArithmeticError(
@@ -535,9 +541,9 @@ _COUNT_CELLS = 1 << 11
 _CHUNK = 4096
 # A group of fibres, whose class bases are built together, holds at most
 # _BASES lattices and _GROUP_FIBRES fibres (or one fibre); its classes and
-# conics stay alive until its last fibre is counted.  A group costs ~0.4 ms
-# of array calls, so one fibre a group made S1 at B = 100 three times as
-# slow; on count-surface at B = 100 (split cutoff 20, S1 cutoff 28; 2
+# conics stay alive until its last fibre is counted.  A group costs ~0.25 ms
+# of array calls, so one fibre a group made S1 at B = 100 (cutoff 28) three
+# times as slow; on count-surface at B = 100 (split cutoff 20, S1 cutoff 28; 2
 # cores) 1024 lattices added ~0.4 MiB of peak RSS to 512 for no clear gain
 # in time, and S1 without the fibre cap ~0.6 MiB.
 _BASES = 1 << 9

@@ -3,13 +3,14 @@
 Engine for the layered conic count: find every class (sigma : tau) on the
 projective line over Z/g with all three parameterization quadratics zero,
 turn each class into the index-g sublattice {(u,v) : tau*u - sigma*v = 0
-mod g}, its reduced basis built on arrays for many classes at once, and lay
-the rows of many lattices out in one table whose cells are streamed in
-bounded chunks.  Classes mod p^k come from one exact route for every p and
-k: the level-1 roots of a linear (or, when p divides it, quadratic)
-congruence, then one Hensel digit per level from two linear congruences
-mod p.  An incremental (Garner) CRT joins the prime powers, extending the
-divisors built so far by one prime power at a time.
+mod g}, its reduced basis built for many classes at once (an inverse per
+class, then Gauss reduction on int64 arrays below BASIS_G and on object
+arrays from it), and lay the rows of many lattices out in one table whose
+cells are streamed in bounded chunks.  Classes mod p^k come from one exact
+route for every p and k: the level-1 roots of a linear (or, when p divides
+it, quadratic) congruence, then one Hensel digit per level from two linear
+congruences mod p.  An incremental (Garner) CRT joins the prime powers,
+extending the divisors built so far by one prime power at a time.
 """
 from __future__ import annotations
 
@@ -123,22 +124,6 @@ def divisor_solutions(coeffs, fd: FactoredInteger):
     yield from layers[1:]
 
 
-def _inverse(x, m):
-    """x^-1 mod m per entry, for x prime to m >= 1 (0 where m = 1): the
-    extended Euclid algorithm on every entry at once, r = s x mod m at each
-    remainder r; an entry leaves the loop when its remainder reaches 0."""
-    inv = np.zeros_like(m)
-    i = np.arange(len(m))
-    r0, r1, s0, s1 = m, x % m, np.zeros_like(m), np.ones_like(m)
-    while len(i):
-        done = r1 == 0
-        inv[i[done]] = s0[done]
-        i, r0, r1, s0, s1 = (y[~done] for y in (i, r0, r1, s0, s1))
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return inv % m
-
-
 def _gauss_reduce(b1u, b1v, b2u, b2v):
     """Gauss (Lagrange) reduction of the bases b1, b2, per entry: the shorter
     vector first, then b2 less the nearest integer multiple of b1 (halves
@@ -169,19 +154,27 @@ def class_bases(sigma, tau, g):
     sigma v = 0 mod g} of primitive classes, one per entry of the arrays.
 
     With d = gcd(tau, g) and g' = g / d the lattice has the basis (g', 0),
-    (u0, d), u0 = sigma (tau / d)^-1 mod g' (u0 = 0 where g' = 1), which
+    (u0, d), u0 = sigma (tau / d)^-1 mod g' by `pow` (0 where g' = 1), which
     Gauss reduction makes reduced: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2.
-    On int64 every g must be below BASIS_G: each term of the reduction is
-    then at most 3 (g^2 + 1) < 2^62.  Object arrays take any g.
+    It runs on int64 where g < BASIS_G, each term then at most 3 (g^2 + 1) <
+    2^62, and on object arrays elsewhere.  The bases come back in g's dtype,
+    an entry that does not fit raising OverflowError; each is at most 2 g /
+    sqrt(3), as |b1| >= 1 and |b1| |b2| <= 2 g / sqrt(3).
     """
-    sigma, tau = sigma % g, tau % g
     d = np.gcd(tau, g)
     gp = g // d
-    u0 = sigma * _inverse(tau // d % gp, gp) % gp
-    return _gauss_reduce(gp, np.zeros_like(g), u0, d)
+    u0 = np.array([s * pow(t, -1, m) % m for s, t, m in
+                   zip(sigma.tolist(), (tau // d).tolist(), gp.tolist())], dtype=g.dtype)
+    out = np.empty((4, len(g)), dtype=g.dtype)
+    for i, dtype in ((np.flatnonzero(g < BASIS_G), np.int64),
+                     (np.flatnonzero(g >= BASIS_G), object)):
+        if len(i):
+            b1u = gp[i].astype(dtype)
+            out[:, i] = _gauss_reduce(b1u, 0 * b1u, u0[i].astype(dtype), d[i].astype(dtype))
+    return out
 
 
-# the int64 reach of class_bases
+# the int64 reach of the Gauss reduction
 BASIS_G = 1 << 30
 
 

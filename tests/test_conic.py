@@ -336,28 +336,38 @@ def _row_tables(C, B, int64_ok):
     r=st.integers(1, 30),
     sigma=st.integers(0, 2**63),
     ug=st.integers(0, 2**20),
+    big=st.integers(2**38, 2**41),
+    j=st.integers(-4, 3),
 )
-def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigma, ug):
+def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigma, ug, big, j):
     # a class lattice (gp, 0), (u0, d) of index g = gp d just below
-    # BASIS_G, the int64 reach of class_bases, or at or just above it:
-    # below, its int64 table equals the object one; at it, the fibre is an
-    # object fibre
+    # BASIS_G, where class_bases reduces on int64, or at or just above it,
+    # where it reduces on object arrays; beside it a layer `big` whose
+    # half-width puts U big just below (j < 0) or at or above (j >= 0)
+    # 2^61, the int64 reach of the fibre's lattices (`_int64_ok`), with the
+    # longest b2 of its index, (0, big), and one more class.  The fibre's
+    # table, on int64 below that reach and on object arrays at it, equals
+    # the object table
     d = -(-BASIS_G // gp) + k if at else (BASIS_G - 1) // gp - k
     g = gp * d
     tau, sigma = d * r % g, sigma % g
     assume(gcd(r, gp) == 1 and gcd(sigma, tau, g) == 1)
-    layers = [(g, [(sigma, tau)], ug)]
+    U = -(-2**61 // big) + j
+    layers = [(g, [(sigma, tau)], ug), (big, [(1, 0), (sigma % big, 1)], U)]
     C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
-    assert conic._int64_ok(C, 1, u1, layers) == (g < BASIS_G)
+    assert conic._int64_ok(C, 1, u1, layers) == (j < 0)
     fibres = [(C, u1, layers)]
+
+    def tables():
+        exact = next(conic._lattice_tables(fibres, 1, False, object))
+        table = next(conic._group_tables([(C, None, u1, layers)], 1, False))
+        assert exact[0].U.dtype == object
+        assert table.lats.U.dtype == (np.int64 if j < 0 else object)
+        return exact, table.lats, table.rows
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is clipped: the box rows
-        exact = next(conic._lattice_tables(fibres, 1, False, object))
-        assert exact[0].U.dtype == object
-        if g >= BASIS_G:
-            return
-        lats, rows, _ = next(conic._lattice_tables(fibres, 1, False, np.int64))
-    assert lats.U.dtype == np.int64
+        exact, lats, rows = tables()
     for got, col in zip((*lats, *rows), (*exact[0], *exact[1])):
         assert got.tolist() == col.tolist()
     # the cells at both ends of every row, against the object route
@@ -367,9 +377,8 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigm
         U = exact[0].U[exact[1].lat[exact[1].lo <= exact[1].hi]]
         assert np.all((0 <= u_exact) & (u_exact <= U) & (abs(v_exact) <= U))
     # the rows clipped to the height hull, against the object route
-    clipped = next(conic._lattice_tables(fibres, 1, False, np.int64))[1]
-    clipped_exact = next(conic._lattice_tables(fibres, 1, False, object))[1]
-    for got, col in zip(clipped, clipped_exact):
+    exact, _, clipped = tables()
+    for got, col in zip(clipped, exact[1]):
         assert got.tolist() == col.tolist()
 
 
@@ -802,15 +811,29 @@ def test_fibre_tables_give_the_single_fibre_counts(s1, split_surface, monkeypatc
 
 
 def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface, monkeypatch):
+    # all fibres in one group: with every fibre on int64, one int64 build
+    # and no object one; with every other fibre forced onto object arrays,
+    # one build per dtype.  Each count is that of the fibre counted alone
     conics = _fibre_conics(split_surface, 8)
-    want = _table_counts(conics, 300)
+    want = [count_points(C, 300).count for C in conics]
+    lattice_tables, calls = conic._lattice_tables, []
+
+    def recording(fibres, bound, count, dtype):
+        calls.append((dtype, [C for C, _, _ in fibres]))
+        return lattice_tables(fibres, bound, count, dtype)
+
+    monkeypatch.setattr(conic, "_lattice_tables", recording)
+    monkeypatch.setattr(conic, "_BASES", 10**9)
+    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
+    assert _table_counts(conics, 300) == want
+    assert calls == [(np.int64, conics)]
+    calls.clear()
     wide = set(conics[1::2])
     int64_ok = conic._int64_ok
     monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C not in wide and int64_ok(C, *args))
-    monkeypatch.setattr(conic, "_BASES", 10**9)
-    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
     dtypes = [t.lats.g.dtype for t in conic.fibre_tables(conics, 300)]
     assert dtypes == [np.dtype(object) if C in wide else np.dtype(np.int64) for C in conics]
+    assert calls == [(np.int64, conics[::2]), (object, conics[1::2])]
     assert _table_counts(conics, 300) == want
 
 

@@ -339,24 +339,18 @@ def test_class_bases_equal_the_oracle_on_random_classes(classes):
        st.lists(_classes(BASIS_G, BASIS_G + 2**20), min_size=1, max_size=20))
 @example([(1, 0, BASIS_G - 1), (BASIS_G - 2, 1, BASIS_G - 1)],
          [(1, 0, BASIS_G), (BASIS_G - 1, 1, BASIS_G), (1, 2, BASIS_G)])
+# near g = 2^61: |b2| <= 2 g / sqrt(3) still fits int64 after the object
+# reduction, (1, 0) giving b2 = (0, g)
+@example([(1, 0, BASIS_G - 1)],
+         [(1, 0, 2**61 + 1), (2**60 + 3, 1, 2**61 - 1), (3, 2**61 - 2, 2**61 - 1)])
 def test_class_bases_just_below_and_at_the_int64_reach(below, at):
-    # below BASIS_G the int64 reduction is exact; at it and above, object
-    # arrays are
-    assert _bases(below, np.int64) == [class_lattice_basis(*c) for c in below]
-    assert _bases(at, object) == [class_lattice_basis(*c) for c in at]
-
-
-@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 2**30)), min_size=1,
-                max_size=40))
-@example([(0, 1), (5, 1), (1, 2), (3, 7), (2**30 - 2, 2**30 - 1)])
-def test_inverse_equals_pow(pairs):
-    pairs = [(x, m) for x, m in pairs if gcd(x, m) == 1]
-    if not pairs:
-        return
-    x, m = (np.array(col) for col in zip(*pairs))
-    want = [pow(a, -1, b) if b > 1 else 0 for a, b in pairs]
-    assert modsolve._inverse(x, m).tolist() == want
-    assert modsolve._inverse(x.astype(object), m.astype(object)).tolist() == want
+    # below BASIS_G the reduction runs on int64, at it and above on object
+    # arrays; the bases come back in the caller's dtype, also from a list
+    # that takes both routes
+    for classes in (below, at, below + at):
+        want = [class_lattice_basis(*c) for c in classes]
+        assert _bases(classes, np.int64) == want
+        assert _bases(classes, object) == want
 
 
 def test_lattice_points_in_box_vs_brute():
