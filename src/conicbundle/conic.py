@@ -35,13 +35,16 @@ that is not convex fails.  The rows left, of all lattices of a fibre,
 form one table, streamed in bounded chunks through one acceptance test.
 Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
-A fibre's table (its floor, layers, lattices, rows and the count of its
-counted rows) is built for many fibres at once by `fibre_tables`: class
-bases and row ranges on arrays for a group of fibres, then, a piece of
-whole fibres at a time, the rows, their clipping to the height hull and
-their counting by congruences.  What a table leaves is scanned per fibre,
-by `count_points`, and no count depends on the group or the piece it was
-built in.
+A fibre's table (its floor, classes, lattices, rows and the count of its
+counted rows) is built for many fibres at once by `fibre_tables`.  Per
+fibre only the classes mod each prime power of det(Pi) are solved, in
+Python; a group of fibres then gets, on arrays, the class and lattice of
+every divisor from the grid of its fibres' prime-power choices (joined by
+a Garner step per prime), the half-widths, reduced bases and row ranges,
+and, a piece of whole fibres at a time, the rows, their clipping to the
+height hull and their counting by congruences.  What a table leaves is
+scanned per fibre, by `count_points`, and no count depends on the group or
+the piece it was built in.
 
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
@@ -54,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import floor, gcd, inf, isqrt
+from itertools import accumulate, combinations
+from math import floor, gcd, inf, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +67,7 @@ from .modsolve import (
     Lattices,
     Rows,
     class_bases,
+    divisor_grid,
     divisor_solutions,
     iter_lattice_points,
     lattice_rows,
@@ -348,37 +352,38 @@ _CELL_BUDGET = 1 << 24
 
 class FibreTable(NamedTuple):
     """What count_points needs of a fibre besides its conic: the floor m,
-    the base box half-width u1, per layer (g, classes, half-width), the
-    lattices of every layer (the base box first) with the rows left to
-    scan, and the count of the rows counted by congruences (None where the
-    table was built without counting).  The long rows come clipped to the
-    height hull, and the counted ones emptied, a piece of whole fibres at a
-    time; neither depends on the piece."""
+    the lattices of every layer (the base box first) with the class (sigma,
+    tau) of each (rows 0 and 1 of `classes`; the box's is (0, 1)), the rows
+    left to scan, and the count of the rows counted by congruences (None
+    where the table was built without counting).  The long rows come
+    clipped to the height hull, and the counted ones emptied, a piece of
+    whole fibres at a time; neither depends on the piece."""
 
     m: Fraction
-    u1: int
-    layers: list
+    classes: np.ndarray
     lats: Lattices
     rows: Rows
     counted: int | None
 
 
-def _int64_ok(C: FibreConic, bound: int, u1: int, layers) -> bool:
-    """Whether the fibre's lattices, rows and acceptance test fit int64.
-    With U and g those of its largest layer (the base box is g = 1), whose
-    U and U g are the largest, each clause keeps products below 2^62: 3
-    max|c| U^2 w those of `_Collector.feed` (3 summed coefficient*U^2 terms,
-    the weighted norm), so U < 2^30.2; bound |det| its bound*g (g | det);
-    and U g < 2^61 those of the lattices.  A reduced basis has 1 <= |b1| <=
-    |b2| and |b1| |b2| <= 2 g / sqrt(3), so |b1u| + |b1v| <= 1.52 sqrt(g)
-    and |b2u| + |b2v| <= 1.63 g.  So in `_lattice_tables` U (|b1u| + |b1v|)
-    <= 1.52 U g and its n2 range is at most 1.52 U; in `lattice_rows` each
-    term of det = g is at most 1.16 g, U (|b2u| + |b2v|) <= 1.63 U g before
-    its division by det, far <= 1.63 U and each row offset |n2 b2| <= U
-    (|b1u| + |b1v|) |b2| / g <= 1.63 U; and the cells n1 b1 + n2 b2 of the
-    box, built by `iter_lattice_points`, have terms of at most 2.7 U."""
-    # the half-width grows with g: the largest g has the largest one
-    g, u_cap = max([(1, u1)] + [(g, ug) for g, _, ug in layers])
+def _int64_ok(C: FibreConic, bound: int, g: int, u_cap: int) -> bool:
+    """Whether the fibre's lattices, rows and acceptance test fit int64,
+    with g and u_cap the index and half-width of its largest layer (g = 1
+    and the base box's where it has none), whose U and U g are the largest.
+    Each clause keeps products below 2^62: 3 max|c| U^2 w those of
+    `_Collector.feed` (3 summed coefficient*U^2 terms, the weighted norm),
+    so U < 2^30.2; bound |det| its bound*g (g | det); and U g < 2^61 those
+    of the lattices.  `divisor_grid` builds every layer's class and Hermite
+    basis with values and products below g, the product of the largest
+    prime powers, so below 2^61 (its int64 reach is 2^63).  A reduced basis
+    has 1 <= |b1| <= |b2| and |b1| |b2| <= 2 g / sqrt(3), so |b1u| + |b1v|
+    <= 1.52 sqrt(g) and |b2u| + |b2v| <= 1.63 g.  So in `_lattice_tables` U
+    (|b1u| + |b1v|) <= 1.52 U g and its n2 range is at most 1.52 U; in
+    `lattice_rows` each term of det = g is at most 1.16 g, U (|b2u| +
+    |b2v|) <= 1.63 U g before its division by det, far <= 1.63 U and each
+    row offset |n2 b2| <= U (|b1u| + |b1v|) |b2| / g <= 1.63 U; and the
+    cells n1 b1 + n2 b2 of the box, built by `iter_lattice_points`, have
+    terms of at most 2.7 U."""
     maxc = max(1, max(abs(c) for c in C.coeffs))
     return (3 * maxc * u_cap * u_cap * C.weight < 2**62
             and bound * abs(C.pi_det) < 2**62
@@ -390,84 +395,100 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
     bound), built for a group of fibres at a time; unless count is False,
     its long rows are counted by congruences where that pays.
 
-    Per fibre the floor, the factorisation and the classes come from
-    `_layers`.  A group of at most _BASES lattices and _GROUP_FIBRES fibres
-    (or one fibre) then gets its class bases, row ranges and row budgets as
-    arrays, all checked before any row is built: in one build for the
-    fibres that fit int64 (`_int64_ok`) and in one on object arrays for the
-    others.  The rows are built, clipped to the height hull and
-    counted a piece of whole fibres at a time (`_row_pieces`), each lattice
-    with its own fibre's forms, weight and primes, so no count depends on
-    the group or the piece.  More rows in a fibre than _ROW_BUDGET raise
-    ArithmeticError.
+    Per fibre the floor, the factorisation and the lattices of its classes
+    mod prime powers come from `_layers`.  A group of at most _BASES
+    lattices and _GROUP_FIBRES fibres (or one fibre) then gets, as arrays,
+    the classes and Hermite bases of every divisor from the grid of its
+    fibres' prime-power choices (`divisor_grid`), their half-widths, reduced
+    bases, row ranges and row budgets, all checked before any row is built:
+    in one build for the fibres that fit int64 (`_int64_ok`) and in one on
+    object arrays for the others.  The rows are built, clipped to the height
+    hull and counted a piece of whole fibres at a time (`_row_pieces`), each
+    lattice with its own fibre's forms, weight and primes, so no count
+    depends on the group or the piece.  More rows in a fibre than
+    _ROW_BUDGET raise ArithmeticError.
     """
     group, size = [], 0
     for C in conics:
-        m, u1, layers = _layers(C, bound)
-        n = 1 + sum([len(layer[1]) for layer in layers])
+        m, primes, top = _layers(C, bound)
+        n = prod(1 + len(lattices) for lattices in primes)
         if group and (size + n > _BASES or len(group) == _GROUP_FIBRES):
             yield from _group_tables(group, bound, count)
             group, size = [], 0
-        group.append((C, m, u1, layers))
+        group.append((C, m, primes, top))
         size += n
     yield from _group_tables(group, bound, count)
 
 
 def _group_tables(group, bound, count):
-    """The FibreTables of a group of fibres (C, m, u1, layers), in order:
-    the lattices of its int64 fibres built together, and those of its
-    object fibres together; a dtype that no fibre takes builds nothing."""
-    narrow = [_int64_ok(C, bound, u1, layers) for C, _, u1, layers in group]
-    built = {ok: _lattice_tables([(C, u1, layers) for (C, _, u1, layers), n
+    """The FibreTables of a group of fibres (C, m, primes, (g, U) of the
+    largest layer), in order: the lattices of its int64 fibres built
+    together, and those of its object fibres together; a dtype that no
+    fibre takes builds nothing."""
+    narrow = [_int64_ok(C, bound, *top) for C, _, _, top in group]
+    built = {ok: _lattice_tables([(C, m, primes) for (C, m, primes, _), n
                                   in zip(group, narrow) if n == ok], bound, count, dtype)
              for ok, dtype in ((True, np.int64), (False, object)) if ok in narrow}
-    for (_, m, u1, layers), ok in zip(group, narrow):
-        yield FibreTable(m, u1, layers, *next(built[ok]))
+    for (_, m, _, _), ok in zip(group, narrow):
+        yield FibreTable(m, *next(built[ok]))
 
 
 def _lattice_tables(fibres, bound, count, dtype):
-    """The lattices, rows and count of each fibre (C, u1, layers), on
-    `dtype` arrays, as the last three fields of its FibreTable: the base box
-    (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then every class lattice
-    of every layer.  The bases, row ranges and row budgets are built and
-    checked here; the rows when the iterator returned is read."""
-    classes, sizes = [], []
-    for _, _, layers in fibres:
-        n = len(classes)
-        classes += [(s, t, g, ug) for g, sols, ug in layers for s, t in sols]
-        sizes.append(1 + len(classes) - n)
-    sigma, tau, g, U = np.array(classes, dtype=dtype).reshape(-1, 4).T
-    b1u, b1v, b2u, b2v = class_bases(sigma, tau, g)
-    # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g)
-    n2 = U * (abs(b1u) + abs(b1v)) // g
-    sizes = np.array(sizes, dtype=np.int64)
-    first = np.cumsum(sizes) - sizes
-    box = np.zeros(int(sizes.sum()), dtype=bool)
-    box[first] = True
-    u1 = np.array([fibre[1] for fibre in fibres], dtype=dtype)
-
-    def col(at_box, at_classes):
-        out = np.empty(len(box), dtype=dtype)
-        out[first], out[~box] = at_box, at_classes
-        return out
-
-    lats = Lattices(col(0, b1u), col(1, b1v), col(1, b2u), col(0, b2v), col(1, g), col(u1, U))
-    n2_lo, n2_hi = col(0, -n2), col(u1, n2)
-    rows = np.add.reduceat(n2_hi - n2_lo + 1, first).tolist()
+    """The classes, lattices, rows and count of each fibre (C, m, primes),
+    on `dtype` arrays, as the last four fields of its FibreTable: the base
+    box (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then the lattice of
+    every class of every divisor g > 1 with classes, all from one
+    `divisor_grid` (whose divisor 1 is the box).  The half-widths, bases,
+    row ranges and row budgets are built and checked here; the rows when
+    the iterator returned is read."""
+    g, gp, u0, d, sigma = divisor_grid([primes for _, _, primes in fibres], dtype)
+    sizes = [prod(1 + len(lats) for lats in primes) for _, _, primes in fibres]
+    first = list(accumulate(sizes, initial=0))[:-1]
+    U = _half_widths(g, [m for _, m, _ in fibres], sizes, bound)
+    bases = class_bases(gp, u0, d)
+    # Cramer: |n2| <= U (|b1u| + |b1v|) / g covers the box (det = g); the
+    # divisor 1 has the basis (1, 0), (0, 1), so n2 = U = u1 there
+    n2 = U * (abs(bases[0]) + abs(bases[1])) // g
+    bases[:, first] = np.array([[0], [1], [1], [0]])
+    lats = Lattices(*bases, g, U)
+    n2_lo = -n2
+    n2_lo[first] = 0
+    rows = np.add.reduceat(n2 - n2_lo + 1, first).tolist()
     for n in rows:
         if n > _ROW_BUDGET:
             raise ArithmeticError(
                 f"row budget exceeded: the fibre's lattices have {n} rows, "
                 f"more than the {_ROW_BUDGET} one fibre may build"
             )
-    return _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first.tolist(),
-                       sizes.tolist(), rows)
+    return _row_pieces(fibres, bound, count, np.array([sigma, d]), lats, n2_lo, n2, first,
+                       sizes, rows)
 
 
-def _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first, sizes, rows):
-    """(Lattices, Rows, counted) of each fibre (C, u1, layers), a piece of
-    whole fibres of at most _CHUNK rows, or one fibre that alone has more,
-    at a time: one `lattice_rows` call builds the piece's rows, one
+def _half_widths(g, ms, sizes, bound):
+    """isqrt(bound g // m) + 1 of each entry, exactly, with m = ms[f] for
+    the next sizes[f] entries: the half-width of layer g, which exceeds
+    sqrt(bound g / m) by at most 1.  On int64 it is the floor of the float
+    root y, which lies within y 2^-51 of the exact one (each of g, bound /
+    m, their product and the root rounds by at most 2^-53), that is within
+    2^-20 as y < U < 2^30.2 (`_int64_ok`), but by isqrt where y lies within
+    2^-20 of an integer."""
+    if g.dtype == object:
+        near, s = np.arange(len(g)), np.empty(len(g), dtype=object)
+    else:
+        y = np.sqrt(g * np.repeat([bound * m.denominator / m.numerator for m in ms], sizes))
+        s = y.astype(np.int64)
+        near = np.flatnonzero(abs(y - s - 0.5) >= 0.5 - 2.0**-20)
+    if len(near):
+        fib = np.repeat(np.arange(len(ms)), sizes)[near].tolist()
+        s[near] = np.array([isqrt(bound * ms[f].denominator * x // ms[f].numerator)
+                            for x, f in zip(g[near].tolist(), fib)], dtype=s.dtype)
+    return s + 1
+
+
+def _row_pieces(fibres, bound, count, classes, lats, n2_lo, n2_hi, first, sizes, rows):
+    """(classes, Lattices, Rows, counted) of each fibre (C, m, primes), a
+    piece of whole fibres of at most _CHUNK rows, or one fibre that alone
+    has more, at a time: one `lattice_rows` call builds the piece's rows, one
     `_height_rows` call clips its long rows (more than _LONG_ROW box cells)
     and, if count, one `_count_rows` call counts those of its fibres whose
     long rows hold at least _COUNT_CELLS box cells."""
@@ -484,35 +505,37 @@ def _row_pieces(fibres, bound, count, lats, n2_lo, n2_hi, first, sizes, rows):
         long = np.flatnonzero(piece.hi - piece.lo >= _LONG_ROW)
         counted = [0 if count else None] * (stop - start)
         if len(long):
-            piece, totals = _clip_piece(fibres[start:stop], bound, count, piece_lats,
+            piece, totals = _clip_piece([C for C, _, _ in fibres[start:stop]],
+                                        classes[:, l0:l1], bound, count, piece_lats,
                                         sizes[start:stop], rows[start:stop], piece, long)
             counted = totals or counted
         r = 0
         for f, total in zip(range(start, stop), counted):
             a, n = first[f], rows[f]
-            yield (Lattices(*(x[a:a + sizes[f]] for x in lats)),
+            yield (classes[:, a:a + sizes[f]], Lattices(*(x[a:a + sizes[f]] for x in lats)),
                    Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])), total)
             r += n
         start = stop
 
 
-def _clip_piece(fibres, bound, count, lats, sizes, rows, piece, long):
-    """The rows of a piece of fibres (C, u1, layers), with the long rows
-    `long` clipped to the height hull (`_height_rows`) and, if count, those
-    of the fibres whose long rows hold at least _COUNT_CELLS box cells
-    counted by congruences (`_count_rows`) and emptied; and the count of
-    each fibre, or None where no fibre was counted."""
+def _clip_piece(conics, classes, bound, count, lats, sizes, rows, piece, long):
+    """The rows of a piece of fibres (conics, and the classes of their
+    lattices lats), with the long rows `long` clipped to the height hull
+    (`_height_rows`) and, if count, those of the fibres whose long rows hold
+    at least _COUNT_CELLS box cells counted by congruences (`_count_rows`)
+    and emptied; and the count of each fibre, or None where no fibre was
+    counted."""
     # box cells per long row, before clipping; those of fibre f are
     # long[ends[f]:ends[f + 1]]
     span = piece.hi[long] - piece.lo[long]
     ends = np.searchsorted(long, np.cumsum([0] + rows))
-    piece, P, Q = _height_rows([C for C, _, _ in fibres], sizes, bound, lats, piece, long)
+    piece, P, Q = _height_rows(conics, sizes, bound, lats, piece, long)
     if count:
         cells = np.diff(np.concatenate([[0], np.cumsum(span)])[ends])
         mine = np.repeat(cells >= _COUNT_CELLS, np.diff(ends))
         if mine.any():
-            totals, piece = _count_rows([layers for _, _, layers in fibres], sizes, lats, piece,
-                                        long[mine], P[:, mine], Q[:, mine])
+            totals, piece = _count_rows(classes, sizes, lats, piece, long[mine], P[:, mine],
+                                        Q[:, mine])
             return piece, totals
     return piece, None
 
@@ -539,14 +562,18 @@ _TERMS = 1 << 13
 _COUNT_CELLS = 1 << 11
 # the cells of one acceptance-test call, and the rows of one lattice_rows call
 _CHUNK = 4096
-# A group of fibres, whose class bases are built together, holds at most
-# _BASES lattices and _GROUP_FIBRES fibres (or one fibre); its classes and
-# conics stay alive until its last fibre is counted.  A group costs ~0.25 ms
-# of array calls, so one fibre a group made S1 at B = 100 (cutoff 28) three
-# times as slow; on count-surface at B = 100 (split cutoff 20, S1 cutoff 28; 2
-# cores) 1024 lattices added ~0.4 MiB of peak RSS to 512 for no clear gain
-# in time, and S1 without the fibre cap ~0.6 MiB.
-_BASES = 1 << 9
+# A group of fibres, whose divisor grid and bases are built together, holds
+# at most _BASES lattices and _GROUP_FIBRES fibres (or one fibre); its
+# classes and conics stay alive until its last fibre is counted.  A group
+# costs ~0.25 ms of array calls, and its grid ~20 us more per prime after
+# the first, so one fibre a group made S1 at B = 100 (cutoff 28) three
+# times as slow.  S1 fibres (~4.5 lattices each) fill 64 fibres first;
+# _BASES binds on the split surface (~106 lattices a fibre).  In 6
+# alternating perfbench count-wide runs (2 cores) the median wall_s was
+# 0.480 s at 512 lattices, 0.428 s at 1024 and 0.406 s at 2048 (0.552 s
+# before the grid), at a median peak RSS of 37.00, 37.00 and 37.21 MiB
+# (37.32 MiB).
+_BASES = 1 << 11
 _GROUP_FIBRES = 64
 
 
@@ -687,8 +714,9 @@ def _factor_tables(bits: int):
         nxt = new
 
 
-def _lattice_events(lats: Lattices, layer_bounds, used):
-    """The layer primes of the fibre, and per lattice (those in `used`) the
+def _lattice_events(lats: Lattices, classes, used):
+    """The layer primes of the fibre, whose lattices have the classes
+    `classes` (rows sigma and tau), and per lattice (those in `used`) the
     congruences, beside coprimality at primes outside its layer g, that
     reject a cell n1 along its row n2: at each layer prime p,
 
@@ -712,9 +740,11 @@ def _lattice_events(lats: Lattices, layer_bounds, used):
     a row counts if p is not in g: excl has bit p for such p, and for the
     gammas after the first at p.
     """
-    classes = {g: sols for g, sols, _ in layer_bounds}
-    primes = [p for p in classes if all(p % d for d in classes if d < p)]
     b1u, b1v, b2u, b2v, gs = (x.tolist() for x in lats[:5])
+    layers = {}
+    for g, s, t in zip(gs, *classes.tolist()):
+        layers.setdefault(g, []).append((s, t))
+    primes = [p for p in layers if p > 1 and all(p % d for d in layers if 1 < d < p)]
     kill = [0] * len(gs)
     terms = [[] for _ in gs]
     for l in used:
@@ -728,7 +758,7 @@ def _lattice_events(lats: Lattices, layer_bounds, used):
                     found.append(-y * pow(x, -1, p) % p)
                 else:
                     kill[l] |= 1 << i
-            for s, t in classes.get(g * p, ()):
+            for s, t in layers.get(g * p, ()):
                 alpha, beta = t * b1u[l] - s * b1v[l], t * b2u[l] - s * b2v[l]
                 if alpha % g or beta % g:
                     continue  # it lifts another class mod g
@@ -748,13 +778,13 @@ def _lattice_events(lats: Lattices, layer_bounds, used):
     return primes, kill, terms
 
 
-def _count_rows(layers, sizes, lats, rows, long, P, Q):
+def _count_rows(classes, sizes, lats, rows, long, P, Q):
     """Count the accepted cells of those clipped rows `long` of a piece of
     fibres, with holes [P, Q] from `_height_rows`, that congruences count in
     no more terms than the rows have cells, and return the count of each
-    fibre and the rows with those emptied.  The lattices of fibre f (layers
-    layers[f]) are the next sizes[f] of lats.  Rows n2 = 0 are left to the
-    scan.
+    fibre and the rows with those emptied.  The lattices of fibre f are the
+    next sizes[f] of lats, their classes those of `classes`.  Rows n2 = 0
+    are left to the scan.
 
     Along row n2 of a lattice of layer g, a cell n1 of the hull [a, b] is
     accepted iff it lies outside the row's holes (has height <= bound*g),
@@ -788,7 +818,7 @@ def _count_rows(layers, sizes, lats, rows, long, P, Q):
             tables += [[]] * size
             continue
         own = Lattices(*(x[l0:l0 + size] for x in lats))
-        primes[f], k, t = _lattice_events(own, layers[f], used)
+        primes[f], k, t = _lattice_events(own, classes[:, l0:l0 + size], used)
         kill += k
         tables += t
     m = np.abs(n2).astype(np.int64)  # below _ROW_BUDGET
@@ -891,10 +921,11 @@ def _enumerate(C, bound, table: FibreTable, want_points):
     _CELL_BUDGET raise ArithmeticError before the scan, and a counting
     table, which keeps no points of its counted rows, raises ValueError
     where the points are wanted."""
-    _, u1, layer_bounds, lats, rows, counted = table
+    _, _, lats, rows, counted = table
     if want_points and counted is not None:
         raise ValueError("the points of a fibre need a table built without counting")
-    u_cap = max([u1] + [ug for _, _, ug in layer_bounds])
+    # the last lattice is one of the largest layer, of the largest U
+    u_cap = int(lats.U[-1])
     col = _Collector(C, bound, want_points)
     # a row holds at most 2 u_cap + 1 cells
     if len(rows.lat) * (2 * u_cap + 1) > _CELL_BUDGET:
@@ -911,17 +942,16 @@ def _enumerate(C, bound, table: FibreTable, want_points):
 
 
 def _layers(C: FibreConic, bound: int):
-    """The certified floor m, the base box half-width u1 and, per divisor g
-    of |det(Pi)| with solution classes, (g, classes, half-width).  The
-    half-width of layer g is isqrt(bound g // m) + 1, which exceeds
-    sqrt(bound g / m) by at most 1 (u1 is that of g = 1)."""
+    """The certified floor m, the lattices of the classes mod the prime
+    powers of |det(Pi)| (`divisor_solutions`), per prime with classes, the
+    largest power first, and (g, U) of the largest layer: g the product of
+    those powers, U = isqrt(bound g // m) + 1 its half-width (the base box's
+    where g = 1), which exceeds sqrt(bound g / m) by at most 1."""
     m = certified_min_m(C)
-    num, scale = m.numerator, bound * m.denominator
-    layer_bounds = [
-        (g, sols, isqrt(scale * g // num) + 1)
-        for g, sols in divisor_solutions(C.coeffs, factor(abs(C.pi_det)))
-    ]
-    return m, isqrt(scale // num) + 1, layer_bounds
+    primes = sorted((lats for _, lats in divisor_solutions(C.coeffs, factor(abs(C.pi_det)))),
+                    key=lambda lats: lats[-1][0], reverse=True)
+    g = prod(lats[-1][0] for lats in primes)
+    return m, primes, (g, isqrt(bound * m.denominator * g // m.numerator) + 1)
 
 
 def height_bound(B) -> int:

@@ -3,17 +3,19 @@
 Engine for the layered conic count: find every class (sigma : tau) on the
 projective line over Z/g with all three parameterization quadratics zero,
 turn each class into the index-g sublattice {(u,v) : tau*u - sigma*v = 0
-mod g}, its reduced basis built for many classes at once (an inverse per
-class, then Gauss reduction on int64 arrays below BASIS_G and on object
-arrays from it), and lay the rows of many lattices out in one table whose
-cells are streamed in bounded chunks.  Classes mod p^k come from one exact
-route for every p and k: the level-1 roots of a linear (or, when p divides
-it, quadratic) congruence, then one Hensel digit per level from two linear
-congruences mod p.  An incremental (Garner) CRT joins the prime powers,
-extending the divisors built so far by one prime power at a time.
+mod g}, its reduced basis built for many classes at once (Gauss reduction
+on int64 arrays below BASIS_G and on object arrays from it), and lay the
+rows of many lattices out in one table whose cells are streamed in bounded
+chunks.  Classes mod p^k come from one exact route for every p and k: the
+level-1 roots of a linear (or, when p divides it, quadratic) congruence,
+then one Hensel digit per level from two linear congruences mod p.  Each
+becomes its lattice's Hermite basis in Python; the lattices of every
+divisor of many fibres at once are then joined from those on arrays, by a
+Garner (CRT) step per prime over the grid of each fibre's choices.
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -89,88 +91,142 @@ def solutions_mod_prime_power(coeffs, p: int, k: int) -> list[tuple[int, int]]:
 
 
 def divisor_solutions(coeffs, fd: FactoredInteger):
-    """Yield (g, classes) for every divisor g > 1 of |fd.value| with classes.
+    """Yield (p, lattices) for each prime p of |fd.value| with classes: the
+    lattice (q, g', d, u0) of every class (sigma : tau) mod q = p^j, levels
+    ascending, whose Hermite basis is (g', 0), (u0, d) with d = gcd(tau, q),
+    g' = q / d and u0 = sigma (tau / d)^-1 mod g', or 1 where g' = 1.
 
-    One pass over the prime powers: each nonempty level p^j of a prime
-    (from one class_levels call; a level with no classes has no lifts, so
-    the levels above it are empty too) extends every divisor g built from
-    the later primes by Garner's step, which joins a mod g and s mod p^j
-    into a + g ((s - a) g^-1 mod p^j) mod g p^j, for sigma and for tau.
-    Taking the primes last first puts the divisors in the order of their
-    exponent vectors, the first prime's exponent most significant.  A
-    divisor of two or more prime powers with more than _COMBO_CAP classes
-    raises ArithmeticError before its list is built.
+    The levels come from one class_levels call per prime; a level with no
+    classes has no lifts, so the levels above it are empty too.  Before a
+    prime's lattices are yielded, a divisor of two or more prime powers with
+    more than _COMBO_CAP classes raises ArithmeticError: its classes number
+    the product of its powers' classes, at most that of a level of this
+    prime times the largest levels of the primes before it.
     """
-    layers = [(1, [(0, 0)])]
-    for p, k in reversed(fd.factors):
-        grown = []
+    before = 0
+    for p, k in fd.factors:
+        lattices, most = [], 0
         for j, sols in enumerate(class_levels(coeffs, p, k), 1):
             if not sols:
                 break
-            pj = p**j
-            for g, classes in layers:
-                total = len(sols) * len(classes)
-                if g > 1 and total > _COMBO_CAP:
-                    raise ArithmeticError(
-                        f"solution class explosion: {total} CRT combinations"
-                    )
-                h = pow(g, -1, pj)
-                grown.append((g * pj, [
-                    (a + g * ((s - a) * h % pj), b + g * ((t - b) * h % pj))
-                    for s, t in sols
-                    for a, b in classes
-                ]))
-        layers += grown
-    yield from layers[1:]
+            total = len(sols) * before
+            if total > _COMBO_CAP:
+                raise ArithmeticError(f"solution class explosion: {total} CRT combinations")
+            q = p**j
+            for sigma, tau in sols:
+                d = gcd(tau, q)
+                gp = q // d
+                lattices.append((q, gp, d, sigma * pow(tau // d, -1, gp) % gp if gp > 1 else 1))
+            most = max(most, len(sols))
+        if lattices:
+            before = max(before, 1) * most
+            yield p, lattices
 
 
-def _gauss_reduce(b1u, b1v, b2u, b2v):
-    """Gauss (Lagrange) reduction of the bases b1, b2, per entry: the shorter
-    vector first, then b2 less the nearest integer multiple of b1 (halves
-    rounded away from 0), swapped while that leaves b2 shorter than b1.  An
-    entry leaves the loop at the first step that leaves its b2 no shorter
-    than its b1."""
-    n1, n2 = b1u * b1u + b1v * b1v, b2u * b2u + b2v * b2v
-    swap = n1 > n2
-    x1, y1, x2, y2 = (np.where(swap, q, p) for p, q in ((b1u, b2u), (b1v, b2v), (b2u, b1u),
-                                                         (b2v, b1v)))
-    n1 = np.where(swap, n2, n1)
-    out = np.empty((4, len(n1)), dtype=n1.dtype)
-    i = np.arange(len(n1))
-    while len(i):
-        dot = x1 * x2 + y1 * y2
-        mu = np.where(dot >= 0, (2 * dot + n1) // (2 * n1), -((n1 - 2 * dot) // (2 * n1)))
-        x2, y2 = x2 - mu * x1, y2 - mu * y1
-        n2 = x2 * x2 + y2 * y2
-        done = n2 >= n1
-        out[:, i[done]] = x1[done], y1[done], x2[done], y2[done]
-        more = ~done
-        i, x1, y1, x2, y2, n1 = i[more], x2[more], y2[more], x1[more], y1[more], n2[more]
-    return out
+def divisor_grid(fibres, dtype):
+    """The lattice of every class mod every divisor g of each fibre, from its
+    prime-power lattices, on `dtype` arrays (g, g', u0, d, sigma): the class
+    (sigma : d) mod g, whose lattice has the Hermite basis (g', 0), (u0, d).
 
+    A fibre is a list of primes, the largest power first, each a list of
+    lattices (q, g', d, u0) as divisor_solutions yields them.  Its divisors
+    are the choices of one lattice or none per prime, in turn, the first
+    prime's choice most significant and none first; so its first entry is
+    the divisor 1, of the lattice Z^2, and it has the product of its
+    primes' numbers of lattices plus one entries.
 
-def class_bases(sigma, tau, g):
-    """Reduced bases (b1u, b1v, b2u, b2v) of the lattices {(u, v) : tau u -
-    sigma v = 0 mod g} of primitive classes, one per entry of the arrays.
-
-    With d = gcd(tau, g) and g' = g / d the lattice has the basis (g', 0),
-    (u0, d), u0 = sigma (tau / d)^-1 mod g' by `pow` (0 where g' = 1), which
-    Gauss reduction makes reduced: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2.
-    It runs on int64 where g < BASIS_G, each term then at most 3 (g^2 + 1) <
-    2^62, and on object arrays elsewhere.  The bases come back in g's dtype,
-    an entry that does not fit raising OverflowError; each is at most 2 g /
-    sqrt(3), as |b1| >= 1 and |b1| |b2| <= 2 g / sqrt(3).
+    A class mod g joins one class mod each q_i of g = prod q_i, and its
+    lattice is the intersection of theirs: d = prod d_i, g' = prod g'_i and
+    u0 = u0_i d / d_i mod g'_i for each i.  Garner's step builds x with x =
+    u0_i d / d_i mod P_i, P_i the largest q of prime i, on arrays one prime
+    at a time, the first prime needing none: with N the product of the P
+    before P_k, x joins prime k as a = x d_k mod N, b = u0_k d mod P_k, x' =
+    a + N ((b - a) N^-1 mod P_k), N^-1 mod P_k by one `pow` per fibre and
+    prime (no choice at P_k is the lattice (1, 1, 1, 0)).  Then u0 = x mod
+    g', and (x : d) is primitive, so sigma = x mod g: u0_i = 1 is a unit
+    where g'_i = 1, and so is u0_i where 1 < d_i < q_i.  Every value and
+    product stays below the product G of a fibre's P (P_k^2 <= P_1 P_k, the
+    largest power coming first), so int64 holds any fibre with G < 2^63; a
+    fibre past that raises OverflowError on int64.
     """
-    d = np.gcd(tau, g)
-    gp = g // d
-    u0 = np.array([s * pow(t, -1, m) % m for s, t, m in
-                   zip(sigma.tolist(), (tau // d).tolist(), gp.tolist())], dtype=g.dtype)
-    out = np.empty((4, len(g)), dtype=g.dtype)
-    for i, dtype in ((np.flatnonzero(g < BASIS_G), np.int64),
-                     (np.flatnonzero(g >= BASIS_G), object)):
+    g = None
+    tops, sizes = [1] * len(fibres), [1] * len(fibres)
+    for i in range(max(1, max(map(len, fibres)))):
+        table, steps, old, new = [], [], 0, 0
+        for f, primes in enumerate(fibres):
+            lattices = primes[i] if i < len(primes) else []
+            top = lattices[-1][0] if lattices else 1
+            # per fibre: its first new entry, its choices, its first old
+            # entry and first choice, then P, N and N^-1 mod P
+            steps.append((new, 1 + len(lattices), old, len(table), top, tops[f],
+                          pow(tops[f], -1, top)))
+            table += [(1, 1, 1, 0)] + lattices
+            old += sizes[f]
+            sizes[f] *= 1 + len(lattices)
+            new += sizes[f]
+            tops[f] *= top
+        table = np.array(table, dtype=dtype).T
+        if g is None:
+            g, gp, d, x = table
+            continue
+        step = np.repeat(np.array(steps, dtype=dtype).T, sizes, axis=1)
+        first, n, par, opt = step[:4].astype(np.int64, copy=False)
+        P, N, inv = step[4:]
+        k, r = np.divmod(np.arange(new) - first, n)
+        par += k
+        q, gp_k, d_k, u0_k = table[:, opt + r]
+        a = x[par] * d_k % N
+        dp = d[par]
+        x = a + N * ((u0_k * dp % P - a) * inv % P)
+        g, gp, d = g[par] * q, gp[par] * gp_k, dp * d_k
+    if dtype != object and max(tops) >= 2**63:
+        raise OverflowError("a fibre's divisors are past the int64 grid")
+    return g, gp, x % gp, d, x % g
+
+
+def _gauss_reduce(W):
+    """Gauss (Lagrange) reduction of the bases b1, b2 (the rows b1u, b1v,
+    b2u, b2v of W), per entry: the shorter vector first, then b2 less the
+    nearest integer multiple of b1 (halves rounded away from 0), swapped
+    while that leaves b2 shorter than b1.  An entry stops at the first step
+    that leaves its b2 no shorter than its b1: its multiple is 0 from then
+    on."""
+    sq = W * W
+    n1, n2 = sq[0] + sq[1], sq[2] + sq[3]
+    swap = n1 > n2
+    V = np.where(swap, W[[2, 3, 0, 1]], W)
+    n1 = np.where(swap, n2, n1)
+    swap = True
+    while True:
+        t = 2 * (V[0] * V[2] + V[1] * V[3])
+        V[2:] -= np.sign(t) * ((abs(t) + n1) // (2 * n1) * swap) * V[:2]
+        n2 = V[2] * V[2] + V[3] * V[3]
+        swap = n2 < n1
+        if not swap.any():
+            return V
+        V = np.where(swap, V[[2, 3, 0, 1]], V)
+        n1 = np.where(swap, n2, n1)
+
+
+def class_bases(gp, u0, d):
+    """Reduced bases (b1u, b1v, b2u, b2v) of the lattices with the Hermite
+    bases (g', 0), (u0, d), one per entry of the arrays.
+
+    Gauss reduction makes them reduced: |b1| <= |b2| and |<b1, b2>| <= |b1|^2
+    / 2.  It runs on int64 where g = g' d < BASIS_G, each term then at most 3
+    (g^2 + 1) < 2^62, and on object arrays elsewhere.  The bases come back in
+    g's dtype, an entry that does not fit raising OverflowError; each is at
+    most 2 g / sqrt(3), as |b1| >= 1 and |b1| |b2| <= 2 g / sqrt(3).
+    """
+    g = gp * d
+    W = np.array([gp, 0 * gp, u0, d])
+    small = np.flatnonzero(g < BASIS_G)
+    if len(small) == len(g):
+        return _gauss_reduce(W.astype(np.int64, copy=False)).astype(W.dtype, copy=False)
+    out = np.empty_like(W)
+    for i, dtype in ((small, np.int64), (np.flatnonzero(g >= BASIS_G), object)):
         if len(i):
-            b1u = gp[i].astype(dtype)
-            out[:, i] = _gauss_reduce(b1u, 0 * b1u, u0[i].astype(dtype), d[i].astype(dtype))
+            out[:, i] = _gauss_reduce(W[:, i].astype(dtype))
     return out
 
 
@@ -200,17 +256,6 @@ class Rows(NamedTuple):
     hi: np.ndarray
 
 
-def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return starts[rep] + offsets
-
-
 def linear_range(base, c, lo_val, hi_val, lo, hi):
     """Least and greatest integer n of the caller's range [lo, hi] with
     lo_val <= base + n*c <= hi_val, per entry; c may have either sign or be
@@ -237,7 +282,7 @@ def lattice_rows(lats: Lattices, n2_lo: np.ndarray, n2_hi: np.ndarray) -> Rows:
     """
     counts = (n2_hi - n2_lo + 1).astype(np.int64)
     lat = np.repeat(np.arange(len(counts)), counts)
-    n2 = _multi_arange(n2_lo, counts)
+    n2 = (n2_lo - np.cumsum(counts) + counts)[lat] + np.arange(len(lat))
     U = lats.U[lat]
     det = abs(lats.b1u * lats.b2v - lats.b1v * lats.b2u)
     far = (lats.U * (abs(lats.b2u) + abs(lats.b2v)) // det)[lat]

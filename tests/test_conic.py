@@ -313,11 +313,11 @@ def _table(C, B, int64_ok=True):
 
 
 def _box_table(C, B, int64_ok=True):
-    """The fibre's layers, lattices and box rows, none of them clipped."""
+    """The fibre's classes, lattices and box rows, none of them clipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is long
         table = _table(C, B, int64_ok)
-    return table.layers, table.lats, table.rows
+    return table.classes, table.lats, table.rows
 
 
 def _row_tables(C, B, int64_ok):
@@ -329,41 +329,46 @@ def _row_tables(C, B, int64_ok):
 
 
 @given(
-    u1=st.integers(0, 50),
     gp=st.integers(1, 30),
     at=st.booleans(),
     k=st.integers(0, 2**10),
     r=st.integers(1, 30),
     sigma=st.integers(0, 2**63),
-    ug=st.integers(0, 2**20),
-    big=st.integers(2**38, 2**41),
+    big=st.integers(2**8, 2**11),
     j=st.integers(-4, 3),
 )
-def test_fibre_lattices_just_below_and_at_the_int64_reach(u1, gp, at, k, r, sigma, ug, big, j):
+def test_fibre_lattices_just_below_and_at_the_int64_reach(gp, at, k, r, sigma, big, j):
     # a class lattice (gp, 0), (u0, d) of index g = gp d just below
     # BASIS_G, where class_bases reduces on int64, or at or just above it,
-    # where it reduces on object arrays; beside it a layer `big` whose
-    # half-width puts U big just below (j < 0) or at or above (j >= 0)
-    # 2^61, the int64 reach of the fibre's lattices (`_int64_ok`), with the
-    # longest b2 of its index, (0, big), and one more class.  The fibre's
-    # table, on int64 below that reach and on object arrays at it, equals
-    # the object table
+    # where it reduces on object arrays, is one choice of a power g; beside
+    # it a power `big` prime to g, each also with the class (1 : 0), so
+    # that the grid holds the longest b2 of the largest index G = g big, (0,
+    # G).  The floor m puts U G of that layer just below (j < 0) or at or
+    # above (j >= 0) 2^61, the int64 reach of the fibre's grid and lattices
+    # (`_int64_ok`).  The fibre's table, on int64 below that reach and on
+    # object arrays at it, equals the object table
     d = -(-BASIS_G // gp) + k if at else (BASIS_G - 1) // gp - k
     g = gp * d
     tau, sigma = d * r % g, sigma % g
-    assume(gcd(r, gp) == 1 and gcd(sigma, tau, g) == 1)
-    U = -(-2**61 // big) + j
-    layers = [(g, [(sigma, tau)], ug), (big, [(1, 0), (sigma % big, 1)], U)]
+    assume(gcd(r, gp) == 1 and gcd(sigma, tau, g) == 1 and gcd(g, big) == 1)
+    u0 = sigma * pow(tau // d, -1, gp) % gp if gp > 1 else 1
+    top = g * big
+    u_top = -(-2**61 // top) + j
+    m = Fraction(top, (u_top - 1) ** 2)  # u_top = isqrt(top / m) + 1 at bound 1
+    primes = [[(g, gp, d, u0), (g, 1, g, 1)], [(big, 1, big, 1), (big, big, 1, sigma % big)]]
     C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
-    assert conic._int64_ok(C, 1, u1, layers) == (j < 0)
-    fibres = [(C, u1, layers)]
+    assert conic._int64_ok(C, 1, top, u_top) == (j < 0)
+    fibres = [(C, m, primes)]
 
     def tables():
         exact = next(conic._lattice_tables(fibres, 1, False, object))
-        table = next(conic._group_tables([(C, None, u1, layers)], 1, False))
-        assert exact[0].U.dtype == object
+        table = next(conic._group_tables([(C, m, primes, (top, u_top))], 1, False))
+        assert exact[1].U.dtype == object
         assert table.lats.U.dtype == (np.int64 if j < 0 else object)
-        return exact, table.lats, table.rows
+        assert table.lats.U.max() == u_top and table.lats.g.max() == top
+        assert (0, top) in zip(abs(table.lats.b2u).tolist(), abs(table.lats.b2v).tolist())
+        assert table.classes.tolist() == exact[0].tolist()
+        return exact[1:], table.lats, table.rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is clipped: the box rows
@@ -693,12 +698,10 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
     def conic_with(big):
         return FibreConic(*((s, 0, 0, 1, big) if mirror else (big, 1, 0, 0, s)), weight=w)
 
-    _, u1, layers = conic._layers(conic_with(2**40), B)
-    u_cap = max([u1] + [ug for _, _, ug in layers])
+    _, _, (_, u_cap) = conic._layers(conic_with(2**40), B)
     big = -(-2**62 // (3 * u_cap * u_cap * w)) + delta
     C = conic_with(big)
-    _, u1, layers = conic._layers(C, B)
-    assert max([u1] + [ug for _, _, ug in layers]) == u_cap
+    assert conic._layers(C, B)[2][1] == u_cap
     dtypes = set()
     feed = conic._Collector.feed
 
@@ -721,12 +724,12 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
 def _counted_rows(C, B):
     """(the count of the rows count_points counts by congruences, the same
     rows scanned cell by cell, how many they are, how many have a hole)."""
-    layers, lats, box = _box_table(C, B)
+    classes, lats, box = _box_table(C, B)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     if not len(long):
         return 0, 0, 0, 0
     rows, P, Q = conic._height_rows([C], [len(lats.g)], B, lats, box, long)
-    (total,), left = conic._count_rows([layers], [len(lats.g)], lats, rows, long, P, Q)
+    (total,), left = conic._count_rows(classes, [len(lats.g)], lats, rows, long, P, Q)
     done = np.flatnonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))
     assert np.all(rows.n2[done] != 0)  # the rows n2 = 0 are scanned
     col = conic._Collector(C, B, want_points=False)
@@ -797,6 +800,32 @@ def _table_counts(conics, B):
     return [count_points(C, B, table=t).count for C, t in zip(conics, tables)]
 
 
+def test_half_widths_are_exact_next_to_perfect_squares():
+    # isqrt(bound g // m) + 1 per lattice, with bound g / m just below, at
+    # and just above k^2 (by 2^-60 relative), where the float root rounds
+    # to k either side; the largest k keep U below 2^30.2, as on int64
+    rng = random.Random(41)
+    gs, ms, sizes = [], [], []
+    for k in [1, 2, 3, 1000, 2**26 + 1, 2**30 - 3, 2**30 + 7]:
+        for shift in (-1, 0, 1):
+            bound, g = rng.randint(1, 10**6), rng.randint(1, 2**20)
+            D = 2**60
+            ms.append(Fraction(bound * g * D, k * k * D + shift))
+            gs.append([1, g])
+            sizes.append(2)
+            want = [isqrt(bound * x * ms[-1].denominator // ms[-1].numerator) + 1
+                    for x in gs[-1]]
+            for dtype in (np.int64, object):
+                got = conic._half_widths(np.array(gs[-1], dtype=dtype), [ms[-1]], [2], bound)
+                assert got.tolist() == want, (k, shift)
+            assert want[1] == k + (shift >= 0)
+    # several fibres at once, each with its own floor
+    bound = 7
+    want = [isqrt(bound * x * m.denominator // m.numerator) + 1 for xs, m in zip(gs, ms)
+            for x in xs]
+    assert conic._half_widths(np.array(sum(gs, [])), ms, sizes, bound).tolist() == want
+
+
 @pytest.mark.parametrize("B", [10, 100, 1000])
 def test_fibre_tables_give_the_single_fibre_counts(s1, split_surface, monkeypatch, B):
     # every fibre of S1 up to fibre height 30 and of the split surface up to
@@ -835,6 +864,33 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
     assert dtypes == [np.dtype(object) if C in wide else np.dtype(np.int64) for C in conics]
     assert calls == [(np.int64, conics[::2]), (object, conics[1::2])]
     assert _table_counts(conics, 300) == want
+
+
+def test_a_group_of_int64_and_object_grids_gives_the_reference_counts(monkeypatch, c12):
+    # fibres whose divisor grids fit int64 beside fibres past the int64
+    # reach (coefficients or det past it, several primes each), all in one
+    # group: one divisor_grid call per dtype, and each count is that of the
+    # fibre counted alone and of the reference
+    wide = [FibreConic(4, 0, -5, 6 * (2**32 - 1), -2),
+            FibreConic(1, 1, 0, 0, 10000000019 * 30000000001)]
+    conics = [c12, wide[0], C36, wide[1], FibreConic(6, 0, 0, -6, 0)]
+    grid, calls = conic.divisor_grid, []
+
+    def recording(fibres, dtype):
+        calls.append((dtype, len(fibres)))
+        return grid(fibres, dtype)
+
+    monkeypatch.setattr(conic, "divisor_grid", recording)
+    monkeypatch.setattr(conic, "_BASES", 10**9)
+    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
+    for B in (5, 40):
+        calls.clear()
+        tables = list(conic.fibre_tables(conics, B))
+        assert calls == [(np.int64, 3), (object, 2)]
+        assert [t.lats.g.dtype == object for t in tables] == [C in wide for C in conics]
+        want = [count_points_reference(C, B) for C in conics]
+        assert [count_points(C, B, table=t).count for C, t in zip(conics, tables)] == want
+        assert [count_points(C, B).count for C in conics] == want
 
 
 def test_counts_do_not_depend_on_the_piece(s1, monkeypatch):
@@ -933,8 +989,8 @@ def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     C, B = FibreConic(7, -4, 11, -1, 10), 114
     table = _table(C, B)
-    layers, lats, rows = table.layers, table.lats, table.rows
-    primes, kill, _ = conic._lattice_events(lats, layers, range(len(lats.g)))
+    classes, lats, rows = table.classes, table.lats, table.rows
+    primes, kill, _ = conic._lattice_events(lats, classes, range(len(lats.g)))
     assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
                for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))
     counted, scanned, n, _ = _counted_rows(C, B)
@@ -951,7 +1007,8 @@ def test_the_cell_that_does_not_own_its_pair_is_never_counted_by_congruences(mon
     monkeypatch.setattr(conic, "_COUNT_CELLS", 0)
     C = FibreConic(*coeffs)
     g0 = gcd(C.czz, C.cyz)
-    (a,), (b,), _, _ = class_bases(*(np.array([x]) for x in (0, 1, g0)))
+    # the class (0 : 1) mod g0, of the Hermite basis (g0, 0), (0, 1)
+    (a,), (b,), _, _ = class_bases(*(np.array([x]) for x in (g0, 0, 1)))
     assert (abs(a), abs(b)) == (0, 1)
     for B in (10, 60, 150):
         assert count_points(C, B).count == count_points_reference(C, B)

@@ -1,5 +1,6 @@
 import random
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conicbundle.modsolve import (
     Lattices,
     class_bases,
     class_levels,
+    divisor_grid,
     divisor_solutions,
     iter_lattice_points,
     lattice_rows,
@@ -60,9 +62,18 @@ def class_lattice_basis(sigma: int, tau: int, g: int):
     return lagrange_reduce(b1, b2)
 
 
+def _hermite(sigma, tau, g):
+    """(g', u0, d) of the primitive class (sigma : tau) mod g, whose lattice
+    has the Hermite basis (g', 0), (u0, d)."""
+    d = gcd(tau, g)
+    gp = g // d
+    return gp, sigma * pow(tau // d, -1, gp) % gp if gp > 1 else 0, d
+
+
 def _bases(classes, dtype):
     """class_bases of the classes (sigma, tau, g), as ((a, b), (c, d)) each."""
-    b1u, b1v, b2u, b2v = class_bases(*(np.array(col, dtype=dtype) for col in zip(*classes)))
+    hermite = [_hermite(*c) for c in classes]
+    b1u, b1v, b2u, b2v = class_bases(*(np.array(col, dtype=dtype) for col in zip(*hermite)))
     return [((a, b), (c, d)) for a, b, c, d in
             zip(b1u.tolist(), b1v.tolist(), b2u.tolist(), b2v.tolist())]
 
@@ -234,20 +245,82 @@ DIVISOR_CONICS = [
 ]
 
 
+def _garner_divisors(coeffs, fd):
+    """Oracle: (g, classes) of every divisor g > 1 of |fd.value| with
+    classes, by Garner's step on Python ints, one divisor and class at a
+    time: a mod g and s mod p^j join as a + g ((s - a) g^-1 mod p^j)."""
+    layers = [(1, [(0, 0)])]
+    for p, k in reversed(fd.factors):
+        grown = []
+        for j, sols in enumerate(class_levels(coeffs, p, k), 1):
+            if not sols:
+                break
+            pj = p**j
+            for g, classes in layers:
+                h = pow(g, -1, pj)
+                grown.append((g * pj, [
+                    (a + g * ((s - a) * h % pj), b + g * ((t - b) * h % pj))
+                    for s, t in sols
+                    for a, b in classes
+                ]))
+        layers += grown
+    return layers[1:]
+
+
+def _primes(coeffs):
+    """The prime-power lattices of the conic's primes, the largest power
+    first, as conic._layers sorts them for divisor_grid."""
+    fd = factor(abs(FibreConic(*coeffs).pi_det))
+    return sorted((lats for _, lats in divisor_solutions(coeffs, fd)),
+                  key=lambda lats: lats[-1][0], reverse=True)
+
+
+def _grid_classes(coeffs, dtype=np.int64):
+    """{g: [(sigma, tau), ...]} of every divisor g > 1 of the conic's grid."""
+    g, gp, u0, d, sigma = divisor_grid([_primes(coeffs)], dtype)
+    table = {}
+    for g, s, t in zip(g.tolist()[1:], sigma.tolist()[1:], d.tolist()[1:]):
+        table.setdefault(g, []).append((s, t))
+    return table
+
+
+def _grid_oracle(primes):
+    """(g, g', u0, d) of every choice of one lattice or none per prime, in
+    the grid's order, the lattices joined by a CRT on Python ints."""
+    out = []
+    for choice in product(*([(1, 1, 1, 0)] + lats for lats in primes)):
+        g, gp, d = (prod(c[i] for c in choice) for i in range(3))
+        u0, mod = 0, 1
+        for _, gp_i, d_i, u0_i in choice:
+            r = u0_i * (d // d_i) % gp_i
+            u0 += mod * ((r - u0) * pow(mod, -1, gp_i) % gp_i)
+            mod *= gp_i
+        out.append((g, gp, u0, d))
+    return out
+
+
+def _grid(fibres, dtype):
+    """divisor_grid of the fibres as (g, g', u0, d) per entry, and the
+    classes (sigma : d)."""
+    g, gp, u0, d, sigma = (x.tolist() for x in divisor_grid(fibres, dtype))
+    return list(zip(g, gp, u0, d)), list(zip(sigma, d, g))
+
+
 def test_divisor_solutions_covers_divisors():
     """For every g | det the classes are exactly the unit orbits of the
-    primitive zeros mod g, each once; a divisor not yielded has none."""
+    primitive zeros mod g, each once; a divisor not in the grid has none."""
     for coeffs in DIVISOR_CONICS:
         C = FibreConic(*coeffs)
         fd = factor(abs(C.pi_det))
-        table = dict(divisor_solutions(coeffs, fd))
-        assert table
-        for g in fd.divisors()[1:]:
-            classes = table.get(g, [])
-            units = [lam for lam in range(g) if gcd(lam, g) == 1]
-            orbits = {((lam * u) % g, (lam * v) % g) for u, v in classes for lam in units}
-            assert len(orbits) == len(classes) * len(units), (coeffs, g)
-            assert orbits == _primitive_zeros(coeffs, g), (coeffs, g)
+        for dtype in (np.int64, object):
+            table = _grid_classes(coeffs, dtype)
+            assert table
+            for g in fd.divisors()[1:]:
+                classes = table.get(g, [])
+                units = [lam for lam in range(g) if gcd(lam, g) == 1]
+                orbits = {((lam * u) % g, (lam * v) % g) for u, v in classes for lam in units}
+                assert len(orbits) == len(classes) * len(units), (coeffs, g)
+                assert orbits == _primitive_zeros(coeffs, g), (coeffs, g)
 
 
 def test_divisor_solutions_class_cap():
@@ -256,8 +329,93 @@ def test_divisor_solutions_class_cap():
     with pytest.raises(ArithmeticError, match="explosion: 10608 CRT combinations"):
         list(divisor_solutions(coeffs, factor(abs(FibreConic(*coeffs).pi_det))))
     coeffs = tuple(10007 * c for c in (1, 0, 0, -1, 0))  # det 10007^3, all of P^1 mod 10007
-    table = dict(divisor_solutions(coeffs, factor(abs(FibreConic(*coeffs).pi_det))))
+    table = _grid_classes(coeffs)
     assert {g: len(classes) for g, classes in table.items()} == {10007: 10008}
+
+
+def test_divisor_solutions_cap_at_the_largest_joined_divisor(monkeypatch):
+    # with the cap just below the most classes of a divisor of two or more
+    # prime powers (by the Garner oracle) the solve refuses, and at it the
+    # solve passes; each level's classes count, not only the last level's
+    seen = 0
+    for coeffs in DIVISOR_CONICS + _random_conics(300, 13):
+        fd = factor(abs(FibreConic(*coeffs).pi_det))
+        joined = [len(classes) for g, classes in _garner_divisors(coeffs, fd)
+                  if sum(g % p == 0 for p, _ in fd.factors) > 1]
+        if not joined:
+            continue
+        seen += 1
+        monkeypatch.setattr(modsolve, "_COMBO_CAP", max(joined) - 1)
+        with pytest.raises(ArithmeticError, match="explosion"):
+            list(divisor_solutions(coeffs, fd))
+        monkeypatch.setattr(modsolve, "_COMBO_CAP", max(joined))
+        list(divisor_solutions(coeffs, fd))
+    assert seen >= 50
+
+
+def _random_conics(n, seed):
+    rng = random.Random(seed)
+    conics = []
+    while len(conics) < n:
+        coeffs = tuple(rng.randint(-40, 40) for _ in range(5))
+        if coeffs[1] or coeffs[3]:
+            try:
+                FibreConic(*coeffs)
+            except ValueError:
+                continue
+            conics.append(coeffs)
+    return conics
+
+
+def test_divisor_grid_equals_the_garner_oracle():
+    # per fibre, each divisor's classes as lattices (Hermite bases) against
+    # the divisor-at-a-time Garner oracle; every grid class is primitive
+    # and has the grid's Hermite basis; int64 and object alike
+    for coeffs in DIVISOR_CONICS + _random_conics(60, 11):
+        want = {(g, *_hermite(s % g, t % g, g)) for g, classes in
+                _garner_divisors(coeffs, factor(abs(FibreConic(*coeffs).pi_det)))
+                for s, t in classes}
+        for dtype in (np.int64, object):
+            lattices, classes = _grid([_primes(coeffs)], dtype)
+            assert lattices[0] == (1, 1, 0, 1)  # the divisor 1
+            assert set(lattices[1:]) == want and len(lattices) == len(want) + 1, coeffs
+            for (g, gp, u0, d), (s, t, _) in zip(lattices, classes):
+                assert gcd(gcd(s, t), g) == 1
+                assert _hermite(s, t, g) == (gp, u0 if gp > 1 else 0, d)
+
+
+def test_divisor_grid_of_a_group_equals_its_fibres():
+    # fibres of 0 to 4 primes in one grid: each fibre's entries in turn,
+    # those of the Python CRT oracle
+    conics = [(1, 0, 0, -1, 0)] + DIVISOR_CONICS + _random_conics(40, 12)  # det 1 first
+    fibres = [_primes(coeffs) for coeffs in conics]
+    assert {len(primes) for primes in fibres} >= {0, 1, 2, 3, 4}
+    want = [entry for primes in fibres for entry in _grid_oracle(primes)]
+    for dtype in (np.int64, object):
+        assert _grid(fibres, dtype)[0] == want
+
+
+@pytest.mark.parametrize("q", [5, 7919])
+def test_divisor_grid_just_below_and_at_its_int64_reach(q):
+    # two coprime powers P > q whose product G lies just below 2^63, and
+    # two whose product lies at or just above it, each with the lattices
+    # (P, P, 1, u) and (P, 1, P, 1), in one group with a small fibre: below,
+    # int64 equals the object grid and the oracle; at it, int64 refuses
+    # with OverflowError and the object grid is still the oracle's
+    below = next(P for P in range((2**63 - 1) // q, 0, -1) if gcd(P, q) == 1)
+    at = next(P for P in range(-(-2**63 // q), 2**64) if gcd(P, q) == 1)
+    small = _primes(DIVISOR_CONICS[2])
+    for P in (below, at):
+        fibre = [[(P, P, 1, P // 3), (P, 1, P, 1)], [(q, q, 1, 2), (q, 1, q, 1)]]
+        assert (P * q < 2**63) == (P == below)
+        fibres = [small, fibre, small]
+        want = [entry for primes in fibres for entry in _grid_oracle(primes)]
+        assert _grid(fibres, object)[0] == want
+        if P == below:
+            assert _grid(fibres, np.int64)[0] == want
+        else:
+            with pytest.raises(OverflowError):
+                divisor_grid(fibres, np.int64)
 
 
 def test_lagrange_reduce_preserves_lattice_and_shortens():
@@ -271,8 +429,7 @@ def test_lagrange_reduce_preserves_lattice_and_shortens():
         if det == 0:
             continue
         bases.append((b1, b2))
-    cols = (np.array(col) for col in zip(*(b1 + b2 for b1, b2 in bases)))
-    reduced = modsolve._gauss_reduce(*cols).T.tolist()
+    reduced = modsolve._gauss_reduce(np.array([b1 + b2 for b1, b2 in bases]).T).T.tolist()
     for (b1, b2), (a, b, c, d) in zip(bases, reduced):
         det = b1[0] * b2[1] - b1[1] * b2[0]
         r1, r2 = (a, b), (c, d)
