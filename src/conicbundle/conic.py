@@ -35,10 +35,10 @@ that is not convex fails.  The rows left, of all lattices of a fibre,
 form one table, streamed in bounded chunks through one acceptance test.
 Fixed budgets bound the rows a fibre may build and the cells it may scan.
 
-A fibre's table (its floor, classes, lattices, rows and the count of its
-counted rows) is built for many fibres at once by `fibre_tables`.  Per
-fibre only the classes mod each prime power of det(Pi) are solved, in
-Python; a group of fibres then gets, on arrays, the class and lattice of
+A fibre's table (its floor, lattices, rows and the count of its counted
+rows) is built for many fibres at once by `fibre_tables`.  Per fibre only
+the classes mod each prime power of det(Pi) are solved, in Python; a group
+of fibres of one dtype then gets, on arrays, the class and lattice of
 every divisor from the grid of its fibres' prime-power choices (joined by
 a Garner step per prime), the half-widths, reduced bases and row ranges,
 and, a piece of whole fibres at a time, the rows, their clipping to the
@@ -141,13 +141,8 @@ def parameterize(C: FibreConic, u: int, v: int) -> tuple[int, int, int]:
     return _edge_components(C.coeffs, v, u)
 
 
-def height(C: FibreConic, p) -> int:
-    """Weighted sup-norm height of the primitive form of p."""
-    x, y, z = projective_normal(p)
-    return max(abs(x), C.weight * abs(y), abs(z))
-
-
 def point_from_pair(C: FibreConic, u: int, v: int) -> HeightedPoint:
+    """The point of (u, v), primitive, with its weighted sup-norm height."""
     x, y, z = projective_normal(parameterize(C, u, v))
     return HeightedPoint(x, y, z, max(abs(x), C.weight * abs(y), abs(z)))
 
@@ -322,7 +317,7 @@ class _Collector:
 
     def feed(self, u: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         """Count the pairs (u, v) of layer g (per cell): coprime, owner of
-        +-(u, v), content g.  Exact on int64 rows that `_enumerate` judged
+        +-(u, v), content g.  Exact on int64 rows that `_int64_ok` judged
         safe and on object rows alike.
 
         d = gcd(u, v) divides L and d^2 divides q2, so d | gcd(|L|, |q2|):
@@ -352,15 +347,13 @@ _CELL_BUDGET = 1 << 24
 
 class FibreTable(NamedTuple):
     """What count_points needs of a fibre besides its conic: the floor m,
-    the lattices of every layer (the base box first) with the class (sigma,
-    tau) of each (rows 0 and 1 of `classes`; the box's is (0, 1)), the rows
-    left to scan, and the count of the rows counted by congruences (None
-    where the table was built without counting).  The long rows come
-    clipped to the height hull, and the counted ones emptied, a piece of
-    whole fibres at a time; neither depends on the piece."""
+    the lattices of every layer (the base box first), the rows left to
+    scan, and the count of the rows counted by congruences (None where the
+    table was built without counting).  The long rows come clipped to the
+    height hull, and the counted ones emptied, a piece of whole fibres at a
+    time; neither depends on the piece."""
 
     m: Fraction
-    classes: np.ndarray
     lats: Lattices
     rows: Rows
     counted: int | None
@@ -396,51 +389,39 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
     its long rows are counted by congruences where that pays.
 
     Per fibre the floor, the factorisation and the lattices of its classes
-    mod prime powers come from `_layers`.  A group of at most _BASES
-    lattices and _GROUP_FIBRES fibres (or one fibre) then gets, as arrays,
-    the classes and Hermite bases of every divisor from the grid of its
-    fibres' prime-power choices (`divisor_grid`), their half-widths, reduced
-    bases, row ranges and row budgets, all checked before any row is built:
-    in one build for the fibres that fit int64 (`_int64_ok`) and in one on
-    object arrays for the others.  The rows are built, clipped to the height
+    mod prime powers come from `_layers`.  A group of consecutive fibres of
+    one dtype, int64 where they fit it (`_int64_ok`) and object arrays
+    elsewhere, and of at most _BASES lattices (or one fibre) then gets, as
+    arrays, the classes and Hermite bases of every divisor from the grid of
+    its fibres' prime-power choices (`divisor_grid`), their half-widths,
+    reduced bases, row ranges and row budgets, all checked before any row
+    is built (`_lattice_tables`).  The rows are built, clipped to the height
     hull and counted a piece of whole fibres at a time (`_row_pieces`), each
     lattice with its own fibre's forms, weight and primes, so no count
     depends on the group or the piece.  More rows in a fibre than
     _ROW_BUDGET raise ArithmeticError.
     """
-    group, size = [], 0
+    group, size, narrow = [], 0, None
     for C in conics:
         m, primes, top = _layers(C, bound)
         n = prod(1 + len(lattices) for lattices in primes)
-        if group and (size + n > _BASES or len(group) == _GROUP_FIBRES):
-            yield from _group_tables(group, bound, count)
+        ok = _int64_ok(C, bound, *top)
+        if group and (size + n > _BASES or ok != narrow):
+            yield from _lattice_tables(group, bound, count, np.int64 if narrow else object)
             group, size = [], 0
-        group.append((C, m, primes, top))
-        size += n
-    yield from _group_tables(group, bound, count)
-
-
-def _group_tables(group, bound, count):
-    """The FibreTables of a group of fibres (C, m, primes, (g, U) of the
-    largest layer), in order: the lattices of its int64 fibres built
-    together, and those of its object fibres together; a dtype that no
-    fibre takes builds nothing."""
-    narrow = [_int64_ok(C, bound, *top) for C, _, _, top in group]
-    built = {ok: _lattice_tables([(C, m, primes) for (C, m, primes, _), n
-                                  in zip(group, narrow) if n == ok], bound, count, dtype)
-             for ok, dtype in ((True, np.int64), (False, object)) if ok in narrow}
-    for (_, m, _, _), ok in zip(group, narrow):
-        yield FibreTable(m, *next(built[ok]))
+        group.append((C, m, primes))
+        size, narrow = size + n, ok
+    if group:
+        yield from _lattice_tables(group, bound, count, np.int64 if narrow else object)
 
 
 def _lattice_tables(fibres, bound, count, dtype):
-    """The classes, lattices, rows and count of each fibre (C, m, primes),
-    on `dtype` arrays, as the last four fields of its FibreTable: the base
-    box (b1 = (0, 1), so n1 = v, and rows u = 0..u1), then the lattice of
-    every class of every divisor g > 1 with classes, all from one
-    `divisor_grid` (whose divisor 1 is the box).  The half-widths, bases,
-    row ranges and row budgets are built and checked here; the rows when
-    the iterator returned is read."""
+    """The FibreTable of each fibre (C, m, primes) of a group, in order, on
+    `dtype` arrays: the base box (b1 = (0, 1), so n1 = v, and rows u =
+    0..u1), then the lattice of every class of every divisor g > 1 with
+    classes, all from one `divisor_grid` (whose divisor 1 is the box).  The
+    half-widths, bases, row ranges and row budgets are built and checked
+    here; the rows, by `_row_pieces`, when the iterator returned is read."""
     g, gp, u0, d, sigma = divisor_grid([primes for _, _, primes in fibres], dtype)
     sizes = [prod(1 + len(lats) for lats in primes) for _, _, primes in fibres]
     first = list(accumulate(sizes, initial=0))[:-1]
@@ -486,12 +467,13 @@ def _half_widths(g, ms, sizes, bound):
 
 
 def _row_pieces(fibres, bound, count, classes, lats, n2_lo, n2_hi, first, sizes, rows):
-    """(classes, Lattices, Rows, counted) of each fibre (C, m, primes), a
-    piece of whole fibres of at most _CHUNK rows, or one fibre that alone
-    has more, at a time: one `lattice_rows` call builds the piece's rows, one
+    """The FibreTable of each fibre (C, m, primes) of a group, whose
+    lattices have the classes `classes` (rows sigma and tau), a piece of
+    whole fibres of at most _CHUNK rows, or one fibre that alone has more,
+    at a time: one `lattice_rows` call builds the piece's rows, one
     `_height_rows` call clips its long rows (more than _LONG_ROW box cells)
-    and, if count, one `_count_rows` call counts those of its fibres whose
-    long rows hold at least _COUNT_CELLS box cells."""
+    and, if count, one `_count_rows` call counts and empties those of its
+    fibres whose long rows hold at least _COUNT_CELLS box cells."""
     start = 0
     while start < len(first):
         stop, total = start + 1, rows[start]
@@ -505,39 +487,27 @@ def _row_pieces(fibres, bound, count, classes, lats, n2_lo, n2_hi, first, sizes,
         long = np.flatnonzero(piece.hi - piece.lo >= _LONG_ROW)
         counted = [0 if count else None] * (stop - start)
         if len(long):
-            piece, totals = _clip_piece([C for C, _, _ in fibres[start:stop]],
-                                        classes[:, l0:l1], bound, count, piece_lats,
-                                        sizes[start:stop], rows[start:stop], piece, long)
-            counted = totals or counted
+            # box cells per long row, before clipping; those of fibre
+            # start + f are long[ends[f]:ends[f + 1]]
+            span = piece.hi[long] - piece.lo[long]
+            ends = np.searchsorted(long, np.cumsum([0] + rows[start:stop]))
+            piece, P, Q = _height_rows([C for C, _, _ in fibres[start:stop]], sizes[start:stop],
+                                       bound, piece_lats, piece, long)
+            if count:
+                cells = np.diff(np.concatenate([[0], np.cumsum(span)])[ends])
+                mine = np.repeat(cells >= _COUNT_CELLS, np.diff(ends))
+                if mine.any():
+                    counted, piece = _count_rows(classes[:, l0:l1], sizes[start:stop],
+                                                 piece_lats, piece, long[mine], P[:, mine],
+                                                 Q[:, mine])
         r = 0
         for f, total in zip(range(start, stop), counted):
             a, n = first[f], rows[f]
-            yield (classes[:, a:a + sizes[f]], Lattices(*(x[a:a + sizes[f]] for x in lats)),
-                   Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])), total)
+            yield FibreTable(fibres[f][1], Lattices(*(x[a:a + sizes[f]] for x in lats)),
+                             Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])),
+                             total)
             r += n
         start = stop
-
-
-def _clip_piece(conics, classes, bound, count, lats, sizes, rows, piece, long):
-    """The rows of a piece of fibres (conics, and the classes of their
-    lattices lats), with the long rows `long` clipped to the height hull
-    (`_height_rows`) and, if count, those of the fibres whose long rows hold
-    at least _COUNT_CELLS box cells counted by congruences (`_count_rows`)
-    and emptied; and the count of each fibre, or None where no fibre was
-    counted."""
-    # box cells per long row, before clipping; those of fibre f are
-    # long[ends[f]:ends[f + 1]]
-    span = piece.hi[long] - piece.lo[long]
-    ends = np.searchsorted(long, np.cumsum([0] + rows))
-    piece, P, Q = _height_rows(conics, sizes, bound, lats, piece, long)
-    if count:
-        cells = np.diff(np.concatenate([[0], np.cumsum(span)])[ends])
-        mine = np.repeat(cells >= _COUNT_CELLS, np.diff(ends))
-        if mine.any():
-            totals, piece = _count_rows(classes, sizes, lats, piece, long[mine], P[:, mine],
-                                        Q[:, mine])
-            return piece, totals
-    return piece, None
 
 
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
@@ -562,19 +532,17 @@ _TERMS = 1 << 13
 _COUNT_CELLS = 1 << 11
 # the cells of one acceptance-test call, and the rows of one lattice_rows call
 _CHUNK = 4096
-# A group of fibres, whose divisor grid and bases are built together, holds
-# at most _BASES lattices and _GROUP_FIBRES fibres (or one fibre); its
-# classes and conics stay alive until its last fibre is counted.  A group
-# costs ~0.25 ms of array calls, and its grid ~20 us more per prime after
-# the first, so one fibre a group made S1 at B = 100 (cutoff 28) three
-# times as slow.  S1 fibres (~4.5 lattices each) fill 64 fibres first;
+# A group of fibres of one dtype, whose divisor grid and bases are built
+# together, holds at most _BASES lattices (or one fibre); its classes and
+# conics stay alive until its last fibre is counted.  A group costs ~0.25
+# ms of array calls, and its grid ~20 us more per prime after the first, so
+# one fibre a group made S1 at B = 100 (cutoff 28) three times as slow.
 # _BASES binds on the split surface (~106 lattices a fibre).  In 6
 # alternating perfbench count-wide runs (2 cores) the median wall_s was
 # 0.480 s at 512 lattices, 0.428 s at 1024 and 0.406 s at 2048 (0.552 s
 # before the grid), at a median peak RSS of 37.00, 37.00 and 37.21 MiB
 # (37.32 MiB).
 _BASES = 1 << 11
-_GROUP_FIBRES = 64
 
 
 def _height_rows(conics, sizes, bound: int, lats: Lattices, rows: Rows, long):
@@ -912,35 +880,6 @@ def _part_count(qs, ones, bits, n2, bottom, length, first, table, n_max):
     return int(np.array(mu)[t] @ f.sum(axis=1))
 
 
-def _enumerate(C, bound, table: FibreTable, want_points):
-    """Shared enumeration core, on the fibre's table: every lattice of the
-    fibre (the base box is layer 1) in one row table, whose long rows come
-    clipped to their height hull and, in a counting table, counted by
-    congruences where that pays; every other cell is scanned, each pair
-    counted in the layer of its exact content.  More cells to scan than
-    _CELL_BUDGET raise ArithmeticError before the scan, and a counting
-    table, which keeps no points of its counted rows, raises ValueError
-    where the points are wanted."""
-    _, _, lats, rows, counted = table
-    if want_points and counted is not None:
-        raise ValueError("the points of a fibre need a table built without counting")
-    # the last lattice is one of the largest layer, of the largest U
-    u_cap = int(lats.U[-1])
-    col = _Collector(C, bound, want_points)
-    # a row holds at most 2 u_cap + 1 cells
-    if len(rows.lat) * (2 * u_cap + 1) > _CELL_BUDGET:
-        cells = int(np.maximum(rows.hi - rows.lo + 1, 0).sum())
-        if cells > _CELL_BUDGET:
-            raise ArithmeticError(
-                f"cell budget exceeded: the fibre has {cells} cells to scan, "
-                f"more than the {_CELL_BUDGET} one fibre may scan"
-            )
-    for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
-        col.feed(u, v, g)
-    points = sorted(col.points) if want_points else None
-    return (counted or 0) + col.count, points
-
-
 def _layers(C: FibreConic, bound: int):
     """The certified floor m, the lattices of the classes mod the prime
     powers of |det(Pi)| (`divisor_solutions`), per prime with classes, the
@@ -968,8 +907,10 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     table is C's FibreTable at this B, as `fibre_tables` yields it for many
     fibres at once, its rows already clipped and, where that pays, counted a
     piece of fibres at a time; without one, a table of C alone is built the
-    same way, without counting where want_points.  A counting table has no
-    points of its counted rows: with want_points it raises ValueError.
+    same way, without counting where want_points.  Every row the table
+    leaves is scanned, in chunks of _CHUNK cells, each pair counted in the
+    layer of its exact content.  A counting table has no points of its
+    counted rows: with want_points it raises ValueError.
 
     A base box covers all parameters giving points with unit content; for
     every divisor g of |det(Pi)| the parameters giving content-g points lie
@@ -995,11 +936,25 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     bound = height_bound(B)
     if table is None:
         table = next(fibre_tables([C], bound, count=not want_points))
-    count, points = _enumerate(C, bound, table, want_points)
+    m, lats, rows, counted = table
+    if want_points and counted is not None:
+        raise ValueError("the points of a fibre need a table built without counting")
+    # the last lattice is one of the largest layer, of the largest U, and a
+    # row holds at most 2 U + 1 cells
+    if len(rows.lat) * (2 * int(lats.U[-1]) + 1) > _CELL_BUDGET:
+        cells = int(np.maximum(rows.hi - rows.lo + 1, 0).sum())
+        if cells > _CELL_BUDGET:
+            raise ArithmeticError(
+                f"cell budget exceeded: the fibre has {cells} cells to scan, "
+                f"more than the {_CELL_BUDGET} one fibre may scan"
+            )
+    col = _Collector(C, bound, want_points)
+    for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
+        col.feed(u, v, g)
     return ConicCountResult(
-        count=count,
-        points=points,
-        min_norm=table.m,
+        count=(counted or 0) + col.count,
+        points=sorted(col.points) if want_points else None,
+        min_norm=m,
         certified=True,
     )
 

@@ -23,7 +23,6 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from itertools import tee
 from pathlib import Path
 
 from .analytic import (
@@ -238,13 +237,13 @@ _TASK_FIBRES = 64
 
 
 def _count_task(args):
-    """(key, count) per fibre of a task (keys, conics, bound): the conics
-    are zipped with their tables, which fibre_tables builds a group at a
-    time, and each is counted by count_points."""
-    keys, conics, bound = args
-    mine, theirs = tee(conics)
+    """(key, count) per fibre of a task (X, [(key, FibreIndex), ...],
+    bound): its conics, zipped with the tables fibre_tables builds for them
+    a group at a time, each counted by count_points."""
+    X, fibres, bound = args
+    conics = [fibre_conic(X, idx) for _, idx in fibres]
     return [(key, count_points(conic, bound, table=table).count)
-            for key, conic, table in zip(keys, mine, fibre_tables(theirs, bound))]
+            for (key, _), conic, table in zip(fibres, conics, fibre_tables(conics, bound))]
 
 
 def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
@@ -255,7 +254,9 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
     fibre counted so far at that bound, keyed "s:t".  It is read once, only
     the fibres it lacks are counted, and if any were, it is written back
     once, extended.  A record that is not a dict of counts is a miss, and so
-    is an entry that is not an int >= 0, for its fibre alone.
+    is an entry that is not an int >= 0, for its fibre alone.  The missing
+    fibres are cut into tasks of _TASK_FIBRES, each of which builds and
+    counts its own conics, in this process or in a pool of workers.
     """
     params = {"B": bound}
     hit = None if cache is None else cache.get(X.surface_hash, "fibre-counts", params)
@@ -264,24 +265,21 @@ def _fibre_counts(X: CubicSurfaceNF, fibres: list[FibreIndex], bound: int,
              if isinstance(stored, dict) else {})
     keys = [f"{idx.s}:{idx.t}" for idx in fibres]
     missing = [(key, idx) for key, idx in zip(keys, fibres) if key not in known]
+    tasks = [(X, missing[i:i + _TASK_FIBRES], bound)
+             for i in range(0, len(missing), _TASK_FIBRES)]
     # the pool forks all its processes at the first submit, so no more
-    # than there are tasks or cores; a single task takes the serial path
-    workers = min(workers, -(-len(missing) // _TASK_FIBRES), os.cpu_count() or 1)
+    # than there are tasks or cores; a single task runs in this process
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing costs ~25 ms that one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [([key for key, _ in part], [fibre_conic(X, idx) for _, idx in part], bound)
-                 for part in (missing[i:i + _TASK_FIBRES]
-                              for i in range(0, len(missing), _TASK_FIBRES))]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for counted in pool.map(_count_task, tasks):
                 known.update(counted)
     else:
-        # lazily: the conics of a group, with their edge pieces, are dropped
-        # once the group is counted
-        known.update(_count_task(([key for key, _ in missing],
-                                  (fibre_conic(X, idx) for _, idx in missing), bound)))
+        for counted in map(_count_task, tasks):
+            known.update(counted)
     # the last writer wins: runs sharing the directory can drop each other's
     # entries, never corrupt them, as each put is atomic
     if missing and cache is not None:

@@ -16,11 +16,11 @@ from conicbundle.conic import (
     edge_norm,
     count_points,
     count_points_reference,
-    height,
+    HeightedPoint,
     parameterize,
     point_from_pair,
 )
-from conicbundle.modsolve import BASIS_G, Rows, class_bases, iter_lattice_points
+from conicbundle.modsolve import BASIS_G, Rows, class_bases, divisor_grid, iter_lattice_points
 from conicbundle.numth import is_prime
 from conicbundle.surface import domain_B, fibre_conic
 
@@ -84,8 +84,8 @@ def test_parameterize_known_split_conic():
 
 def test_height_weighting():
     C = FibreConic(1, 2, 1, 1, 0, weight=3)
-    assert height(C, (2, 1, -5)) == 5
-    assert height(C, (2, 2, -5)) == 6  # weight multiplies |y|
+    assert point_from_pair(C, 1, 3) == HeightedPoint(5, -4, 15, 15)
+    assert point_from_pair(C, 1, 2) == HeightedPoint(4, -3, 8, 9)  # weight multiplies |y|
 
 
 def test_point_from_pair_normalizes():
@@ -312,12 +312,19 @@ def _table(C, B, int64_ok=True):
         return next(conic.fibre_tables([C], B))
 
 
+def _classes(C, B):
+    """The class (sigma, tau) of each of the fibre's lattices, in the order
+    of its table (the box's is (0, 1))."""
+    _, _, _, d, sigma = divisor_grid([conic._layers(C, B)[1]], object)
+    return np.array([sigma, d])
+
+
 def _box_table(C, B, int64_ok=True):
     """The fibre's classes, lattices and box rows, none of them clipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is long
         table = _table(C, B, int64_ok)
-    return table.classes, table.lats, table.rows
+    return _classes(C, B), table.lats, table.rows
 
 
 def _row_tables(C, B, int64_ok):
@@ -359,16 +366,21 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(gp, at, k, r, sigma, b
     C = FibreConic(1, 1, 0, 0, 1)  # the guard on coefficients and det holds
     assert conic._int64_ok(C, 1, top, u_top) == (j < 0)
     fibres = [(C, m, primes)]
+    # the classes (sigma : d) of the table's grid, against the object grid
+    narrow, wide = ([x.tolist() for x in divisor_grid([primes], dtype)[3:]]
+                    for dtype in (np.int64 if j < 0 else object, object))
+    assert narrow == wide
 
     def tables():
         exact = next(conic._lattice_tables(fibres, 1, False, object))
-        table = next(conic._group_tables([(C, m, primes, (top, u_top))], 1, False))
-        assert exact[1].U.dtype == object
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conic, "_layers", lambda *args: (m, primes, (top, u_top)))
+            table = next(conic.fibre_tables([C], 1, count=False))
+        assert exact.lats.U.dtype == object
         assert table.lats.U.dtype == (np.int64 if j < 0 else object)
         assert table.lats.U.max() == u_top and table.lats.g.max() == top
         assert (0, top) in zip(abs(table.lats.b2u).tolist(), abs(table.lats.b2v).tolist())
-        assert table.classes.tolist() == exact[0].tolist()
-        return exact[1:], table.lats, table.rows
+        return exact[1:3], table.lats, table.rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is clipped: the box rows
@@ -835,14 +847,14 @@ def test_fibre_tables_give_the_single_fibre_counts(s1, split_surface, monkeypatc
         want = [count_points(C, B).count for C in conics]
         for size in (1, 10**9):
             monkeypatch.setattr(conic, "_BASES", size)
-            monkeypatch.setattr(conic, "_GROUP_FIBRES", size)
             assert _table_counts(conics, B) == want, (x, size)
 
 
 def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface, monkeypatch):
-    # all fibres in one group: with every fibre on int64, one int64 build
-    # and no object one; with every other fibre forced onto object arrays,
-    # one build per dtype.  Each count is that of the fibre counted alone
+    # no bound on a group's lattices: with every fibre on int64, one int64
+    # build and no object one; with every other fibre forced onto object
+    # arrays, one build per run of one dtype, in order, that is one per
+    # fibre.  Each count is that of the fibre counted alone
     conics = _fibre_conics(split_surface, 8)
     want = [count_points(C, 300).count for C in conics]
     lattice_tables, calls = conic._lattice_tables, []
@@ -853,7 +865,6 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
 
     monkeypatch.setattr(conic, "_lattice_tables", recording)
     monkeypatch.setattr(conic, "_BASES", 10**9)
-    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
     assert _table_counts(conics, 300) == want
     assert calls == [(np.int64, conics)]
     calls.clear()
@@ -862,15 +873,16 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
     monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C not in wide and int64_ok(C, *args))
     dtypes = [t.lats.g.dtype for t in conic.fibre_tables(conics, 300)]
     assert dtypes == [np.dtype(object) if C in wide else np.dtype(np.int64) for C in conics]
-    assert calls == [(np.int64, conics[::2]), (object, conics[1::2])]
+    assert calls == [(object if C in wide else np.int64, [C]) for C in conics]
     assert _table_counts(conics, 300) == want
 
 
 def test_a_group_of_int64_and_object_grids_gives_the_reference_counts(monkeypatch, c12):
     # fibres whose divisor grids fit int64 beside fibres past the int64
-    # reach (coefficients or det past it, several primes each), all in one
-    # group: one divisor_grid call per dtype, and each count is that of the
-    # fibre counted alone and of the reference
+    # reach (coefficients or det past it, several primes each), with no
+    # bound on a group's lattices: one divisor_grid call per run of one
+    # dtype, in order, and each count is that of the fibre counted alone
+    # and of the reference
     wide = [FibreConic(4, 0, -5, 6 * (2**32 - 1), -2),
             FibreConic(1, 1, 0, 0, 10000000019 * 30000000001)]
     conics = [c12, wide[0], C36, wide[1], FibreConic(6, 0, 0, -6, 0)]
@@ -882,11 +894,10 @@ def test_a_group_of_int64_and_object_grids_gives_the_reference_counts(monkeypatc
 
     monkeypatch.setattr(conic, "divisor_grid", recording)
     monkeypatch.setattr(conic, "_BASES", 10**9)
-    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
     for B in (5, 40):
         calls.clear()
         tables = list(conic.fibre_tables(conics, B))
-        assert calls == [(np.int64, 3), (object, 2)]
+        assert calls == [(np.int64, 1), (object, 1), (np.int64, 1), (object, 1), (np.int64, 1)]
         assert [t.lats.g.dtype == object for t in tables] == [C in wide for C in conics]
         want = [count_points_reference(C, B) for C in conics]
         assert [count_points(C, B, table=t).count for C, t in zip(conics, tables)] == want
@@ -908,7 +919,6 @@ def test_counts_do_not_depend_on_the_piece(s1, monkeypatch):
         for size in (1, 10**9):
             monkeypatch.setattr(conic, "_CHUNK", chunk)
             monkeypatch.setattr(conic, "_BASES", size)
-            monkeypatch.setattr(conic, "_GROUP_FIBRES", size)
             counts.append(_table_counts(conics, B))
     assert all(c == counts[0] for c in counts)
     assert len(conics) == 384 and sum(counts[0]) == 2288864
@@ -933,7 +943,6 @@ def test_a_piece_of_counted_and_uncounted_fibres_beside_an_object_fibre(s1, monk
     monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C is not wide and int64_ok(C, *args))
     monkeypatch.setattr(conic, "_height_rows", recording)
     monkeypatch.setattr(conic, "_BASES", 10**9)
-    monkeypatch.setattr(conic, "_GROUP_FIBRES", 10**9)
     tables = list(conic.fibre_tables(conics, B))
     assert [t.lats.g.dtype == object for t in tables] == [C is wide for C in conics]
     counted = {C for C, t in zip(conics, tables) if t.counted}
@@ -989,7 +998,7 @@ def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     C, B = FibreConic(7, -4, 11, -1, 10), 114
     table = _table(C, B)
-    classes, lats, rows = table.classes, table.lats, table.rows
+    classes, lats, rows = _classes(C, B), table.lats, table.rows
     primes, kill, _ = conic._lattice_events(lats, classes, range(len(lats.g)))
     assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
                for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))

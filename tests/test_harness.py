@@ -739,15 +739,23 @@ def test_per_fibre_counts_do_not_depend_on_workers_or_task_size(split_surface, m
 
     fibres = list(domain_B(split_surface, 8))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    count_task = harness._count_task
     # at B = 10^4 every fibre has long rows, clipped a piece of fibres at a
     # time, and most are counted by congruences: the task boundaries cut
-    # the fibres into other pieces
+    # the fibres into other pieces.  One worker runs the same tasks as two,
+    # in this process: one per _TASK_FIBRES fibres, of their keys and
+    # indices and no conics
     for B in (100, 10**4):
         one = harness._fibre_counts(split_surface, fibres, B, None, 1)
-        monkeypatch.setattr(harness, "_TASK_FIBRES", 64)
-        assert harness._fibre_counts(split_surface, fibres, B, None, 2) == one
-        monkeypatch.setattr(harness, "_TASK_FIBRES", 7)
-        assert harness._fibre_counts(split_surface, fibres, B, None, 2) == one
+        for size in (64, 7):
+            monkeypatch.setattr(harness, "_TASK_FIBRES", size)
+            tasks = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_count_task", lambda task: tasks.append(task) or count_task(task))
+                assert harness._fibre_counts(split_surface, fibres, B, None, 1) == one
+            assert tasks == [(split_surface, [(f"{idx.s}:{idx.t}", idx) for idx in part], B)
+                             for part in (fibres[i:i + size] for i in range(0, len(fibres), size))]
+            assert harness._fibre_counts(split_surface, fibres, B, None, 2) == one
 
 
 def test_a_fibre_past_the_row_budget_in_a_group_is_refused(s1, s1_file, monkeypatch, capsys):
@@ -759,7 +767,6 @@ def test_a_fibre_past_the_row_budget_in_a_group_is_refused(s1, s1_file, monkeypa
     i = rows.index(max(rows))
     assert 0 < i < len(conics) - 1
     monkeypatch.setattr(conicbundle.conic, "_BASES", 10**9)
-    monkeypatch.setattr(conicbundle.conic, "_GROUP_FIBRES", 10**9)
     monkeypatch.setattr(conicbundle.conic, "_ROW_BUDGET", rows[i] - 1)
     message = (f"row budget exceeded: the fibre's lattices have {rows[i]} rows, more than "
                f"the {rows[i] - 1} one fibre may build")
