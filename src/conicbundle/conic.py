@@ -31,20 +31,21 @@ but the height is a residue of n1 modulo one prime (coprimality, and the
 classes of the layers above), so inclusion-exclusion over those primes
 counts its cells in a few terms, its height set being the interval less
 at most one hole per component, where the side of the height condition
-that is not convex fails.  The rows left, of all lattices of a fibre,
-form one table, streamed in bounded chunks through one acceptance test.
-Fixed budgets bound the rows a fibre may build and the cells it may scan.
+that is not convex fails.  The rows left, of all lattices of a piece of
+fibres, form one table, streamed in bounded chunks through one acceptance
+test, each cell with its own fibre's coefficients.  Fixed budgets bound the
+rows a fibre may build and the cells it may scan.
 
-A fibre's table (its floor, lattices, rows and the count of its counted
-rows) is built for many fibres at once by `fibre_tables`.  Per fibre only
-the classes mod each prime power of det(Pi) are solved, in Python; a group
-of fibres of one dtype then gets, on arrays, the class and lattice of
-every divisor from the grid of its fibres' prime-power choices (joined by
-a Garner step per prime), the half-widths, reduced bases and row ranges,
+A fibre's table (its floor, its count and, where wanted, its points) is
+built for many fibres at once by `fibre_tables`.  Per fibre only the
+classes mod each prime power of det(Pi) are solved, in Python; a group of
+fibres of one dtype then gets, on arrays, the class and lattice of every
+divisor from the grid of its fibres' prime-power choices (joined by a
+Garner step per prime), the half-widths, reduced bases and row ranges,
 and, a piece of whole fibres at a time, the rows, their clipping to the
-height hull and their counting by congruences.  What a table leaves is
-scanned per fibre, by `count_points`, and no count depends on the group or
-the piece it was built in.
+height hull, their counting by congruences and the scan of what is left.
+`count_points` only reads a fibre's table, and no count depends on the
+group or the piece it was built in.
 
 Each point is counted once, by the one parameter pair that owns it: of
 +-(u, v) the owner has u > 0, or u = 0 and v > 0, and a coprime pair whose
@@ -295,47 +296,16 @@ def _forms(C: FibreConic):
     return ((C.cxy, C.cyz, 0), (C.cxx, C.cxz, C.czz), (0, C.cxy, C.cyz))
 
 
-def _content_height(C: FibreConic, u, v):
-    """(|L|, |q2|, max(|q1|, w |q2|, |q3|)) of q(u, v), L = cxy u + cyz v:
+def _content_height(c, u, v):
+    """(|L|, |q2|, max(|q1|, w |q2|, |q3|)) of q(u, v), L = cxy u + cyz v,
+    c = (cxx, cxy, cxz, cyz, czz, w) (scalars, or one entry per cell):
     q1 = u L and q3 = v L, so max(|q1|, |q3|) = max(|u|, |v|) |L|, and for
     coprime (u, v) the content gcd(q1, q2, q3) is gcd(|L|, |q2|)."""
-    L = np.abs(C.cxy * u + C.cyz * v)
-    q2 = np.abs(C.cxx * u * u + C.cxz * u * v + C.czz * v * v)
-    hw = np.maximum(np.maximum(np.abs(u), np.abs(v)) * L, C.weight * q2)
+    cxx, cxy, cxz, cyz, czz, w = c
+    L = np.abs(cxy * u + cyz * v)
+    q2 = np.abs(cxx * u * u + cxz * u * v + czz * v * v)
+    hw = np.maximum(np.maximum(np.abs(u), np.abs(v)) * L, w * q2)
     return L, q2, hw
-
-
-class _Collector:
-    """Chunk pipeline: ownership and height in one mask, then exact content
-    on the cells that pass it, count."""
-
-    def __init__(self, C: FibreConic, bound: int, want_points: bool):
-        self.C = C
-        self.bound = bound
-        self.count = 0
-        self.points: list[HeightedPoint] | None = [] if want_points else None
-
-    def feed(self, u: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
-        """Count the pairs (u, v) of layer g (per cell): coprime, owner of
-        +-(u, v), content g.  Exact on int64 rows that `_int64_ok` judged
-        safe and on object rows alike.
-
-        d = gcd(u, v) divides L and d^2 divides q2, so d | gcd(|L|, |q2|):
-        "coprime with content g" is "gcd(|L|, |q2|) = g and gcd(u, v, g) = 1",
-        which needs one gcd on the cells that own their pair and pass the
-        height test, and a second only where that one holds and g > 1."""
-        L, q2, hw = _content_height(self.C, u, v)
-        i = np.flatnonzero(((u > 0) | ((u == 0) & (v > 0))) & (hw <= self.bound * g))
-        g = g[i]
-        ok = np.gcd(L[i], q2[i]) == g
-        deep = np.flatnonzero(ok & (g > 1))
-        ok[deep] = np.gcd(np.gcd(u[i[deep]], g[deep]), v[i[deep]]) == 1
-        self.count += int(np.count_nonzero(ok))
-        if self.points is not None:
-            i = i[ok]
-            self.points.extend(
-                point_from_pair(self.C, a, b) for a, b in zip(u[i].tolist(), v[i].tolist())
-            )
 
 
 # Work budgets of one fibre, refused before the work starts: the rows of its
@@ -346,17 +316,13 @@ _CELL_BUDGET = 1 << 24
 
 
 class FibreTable(NamedTuple):
-    """What count_points needs of a fibre besides its conic: the floor m,
-    the lattices of every layer (the base box first), the rows left to
-    scan, and the count of the rows counted by congruences (None where the
-    table was built without counting).  The long rows come clipped to the
-    height hull, and the counted ones emptied, a piece of whole fibres at a
-    time; neither depends on the piece."""
+    """A fibre's count as `fibre_tables` leaves it: the floor m, the number
+    of accepted points, and those points, sorted, where they were wanted
+    (None elsewhere)."""
 
     m: Fraction
-    lats: Lattices
-    rows: Rows
-    counted: int | None
+    count: int
+    points: list[HeightedPoint] | None
 
 
 def _int64_ok(C: FibreConic, bound: int, g: int, u_cap: int) -> bool:
@@ -364,7 +330,8 @@ def _int64_ok(C: FibreConic, bound: int, g: int, u_cap: int) -> bool:
     with g and u_cap the index and half-width of its largest layer (g = 1
     and the base box's where it has none), whose U and U g are the largest.
     Each clause keeps products below 2^62: 3 max|c| U^2 w those of
-    `_Collector.feed` (3 summed coefficient*U^2 terms, the weighted norm),
+    `_scan` (3 summed coefficient*U^2 terms, the weighted norm, each cell
+    with its own fibre's coefficients and weight),
     so U < 2^30.2; bound |det| its bound*g (g | det); and U g < 2^61 those
     of the lattices.  `divisor_grid` builds every layer's class and Hermite
     basis with values and products below g, the product of the largest
@@ -383,10 +350,11 @@ def _int64_ok(C: FibreConic, bound: int, g: int, u_cap: int) -> bool:
             and u_cap * g < 2**61)
 
 
-def fibre_tables(conics, bound: int, *, count: bool = True):
+def fibre_tables(conics, bound: int, *, want_points: bool = False):
     """The FibreTable of each conic in turn (bound = floor of the height
-    bound), built for a group of fibres at a time; unless count is False,
-    its long rows are counted by congruences where that pays.
+    bound), built for a group of fibres at a time: with its points where
+    want_points, and otherwise with its long rows counted by congruences
+    where that pays.
 
     Per fibre the floor, the factorisation and the lattices of its classes
     mod prime powers come from `_layers`.  A group of consecutive fibres of
@@ -396,10 +364,11 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
     its fibres' prime-power choices (`divisor_grid`), their half-widths,
     reduced bases, row ranges and row budgets, all checked before any row
     is built (`_lattice_tables`).  The rows are built, clipped to the height
-    hull and counted a piece of whole fibres at a time (`_row_pieces`), each
-    lattice with its own fibre's forms, weight and primes, so no count
-    depends on the group or the piece.  More rows in a fibre than
-    _ROW_BUDGET raise ArithmeticError.
+    hull, counted and scanned a piece of whole fibres at a time
+    (`_row_pieces`), each lattice and cell with its own fibre's forms,
+    weight and primes, so no count depends on the group or the piece.  More
+    rows in a fibre than _ROW_BUDGET, or more cells left to scan than
+    _CELL_BUDGET, raise ArithmeticError.
     """
     group, size, narrow = [], 0, None
     for C in conics:
@@ -407,15 +376,15 @@ def fibre_tables(conics, bound: int, *, count: bool = True):
         n = prod(1 + len(lattices) for lattices in primes)
         ok = _int64_ok(C, bound, *top)
         if group and (size + n > _BASES or ok != narrow):
-            yield from _lattice_tables(group, bound, count, np.int64 if narrow else object)
+            yield from _lattice_tables(group, bound, want_points, np.int64 if narrow else object)
             group, size = [], 0
         group.append((C, m, primes))
         size, narrow = size + n, ok
     if group:
-        yield from _lattice_tables(group, bound, count, np.int64 if narrow else object)
+        yield from _lattice_tables(group, bound, want_points, np.int64 if narrow else object)
 
 
-def _lattice_tables(fibres, bound, count, dtype):
+def _lattice_tables(fibres, bound, want_points, dtype):
     """The FibreTable of each fibre (C, m, primes) of a group, in order, on
     `dtype` arrays: the base box (b1 = (0, 1), so n1 = v, and rows u =
     0..u1), then the lattice of every class of every divisor g > 1 with
@@ -441,7 +410,7 @@ def _lattice_tables(fibres, bound, count, dtype):
                 f"row budget exceeded: the fibre's lattices have {n} rows, "
                 f"more than the {_ROW_BUDGET} one fibre may build"
             )
-    return _row_pieces(fibres, bound, count, np.array([sigma, d]), lats, n2_lo, n2, first,
+    return _row_pieces(fibres, bound, want_points, np.array([sigma, d]), lats, n2_lo, n2, first,
                        sizes, rows)
 
 
@@ -466,14 +435,15 @@ def _half_widths(g, ms, sizes, bound):
     return s + 1
 
 
-def _row_pieces(fibres, bound, count, classes, lats, n2_lo, n2_hi, first, sizes, rows):
+def _row_pieces(fibres, bound, want_points, classes, lats, n2_lo, n2_hi, first, sizes, rows):
     """The FibreTable of each fibre (C, m, primes) of a group, whose
     lattices have the classes `classes` (rows sigma and tau), a piece of
     whole fibres of at most _CHUNK rows, or one fibre that alone has more,
     at a time: one `lattice_rows` call builds the piece's rows, one
-    `_height_rows` call clips its long rows (more than _LONG_ROW box cells)
-    and, if count, one `_count_rows` call counts and empties those of its
-    fibres whose long rows hold at least _COUNT_CELLS box cells."""
+    `_height_rows` call clips its long rows (more than _LONG_ROW box cells),
+    unless want_points one `_count_rows` call counts and empties those of
+    its fibres whose long rows hold at least _COUNT_CELLS box cells, and one
+    `_scan` call scans the rest."""
     start = 0
     while start < len(first):
         stop, total = start + 1, rows[start]
@@ -482,32 +452,69 @@ def _row_pieces(fibres, bound, count, classes, lats, n2_lo, n2_hi, first, sizes,
             stop += 1
         l0 = first[start]
         l1 = first[stop - 1] + sizes[stop - 1]
+        conics = [C for C, _, _ in fibres[start:stop]]
+        # the fibre (in the piece) of each of its lattices
+        owner = np.arange(stop - start).repeat(sizes[start:stop])
         piece_lats = Lattices(*(x[l0:l1] for x in lats))
         piece = lattice_rows(piece_lats, n2_lo[l0:l1], n2_hi[l0:l1])
-        long = np.flatnonzero(piece.hi - piece.lo >= _LONG_ROW)
-        counted = [0 if count else None] * (stop - start)
+        long = (piece.hi - piece.lo >= _LONG_ROW).nonzero()[0]
+        counted = [0] * (stop - start)
         if len(long):
             # box cells per long row, before clipping; those of fibre
             # start + f are long[ends[f]:ends[f + 1]]
             span = piece.hi[long] - piece.lo[long]
             ends = np.searchsorted(long, np.cumsum([0] + rows[start:stop]))
-            piece, P, Q = _height_rows([C for C, _, _ in fibres[start:stop]], sizes[start:stop],
-                                       bound, piece_lats, piece, long)
-            if count:
+            piece, P, Q = _height_rows(conics, owner, bound, piece_lats, piece, long)
+            if not want_points:
                 cells = np.diff(np.concatenate([[0], np.cumsum(span)])[ends])
                 mine = np.repeat(cells >= _COUNT_CELLS, np.diff(ends))
                 if mine.any():
-                    counted, piece = _count_rows(classes[:, l0:l1], sizes[start:stop],
-                                                 piece_lats, piece, long[mine], P[:, mine],
-                                                 Q[:, mine])
-        r = 0
-        for f, total in zip(range(start, stop), counted):
-            a, n = first[f], rows[f]
-            yield FibreTable(fibres[f][1], Lattices(*(x[a:a + sizes[f]] for x in lats)),
-                             Rows(piece.lat[r:r + n] - (a - l0), *(x[r:r + n] for x in piece[1:])),
-                             total)
-            r += n
+                    counted, piece = _count_rows(classes[:, l0:l1], owner, piece_lats, piece,
+                                                 long[mine], P[:, mine], Q[:, mine])
+        counts, points = _scan(conics, bound, piece_lats, piece, owner, want_points)
+        for (_, m, _), total, n, found in zip(fibres[start:stop], counted, counts, points):
+            yield FibreTable(m, total + n, found)
         start = stop
+
+
+def _scan(conics, bound: int, lats: Lattices, rows: Rows, owner, want_points: bool):
+    """The count of each fibre (conics[f]) of a piece over the rows left to
+    scan, lattice l of lats being one of fibre owner[l], and its points,
+    sorted, where want_points (else None).  A fibre with more cells to scan
+    than _CELL_BUDGET raises ArithmeticError before any cell is scanned.
+
+    The cells, in chunks of _CHUNK, are tested each with its own fibre's
+    coefficients and weight, in the lattices' dtype (`_int64_ok`): ownership
+    of +-(u, v) and height in one mask, then the content.  d = gcd(u, v)
+    divides L and d^2 divides q2, so "coprime with content g" is "gcd(|L|,
+    |q2|) = g and gcd(u, v, g) = 1": one gcd on the cells that pass the
+    mask, and a second only where that one holds and g > 1."""
+    fib = owner[rows.lat]
+    # a row holds at most 2 U + 1 cells; every fibre has rows
+    if len(fib) * (2 * int(lats.U.max()) + 1) > _CELL_BUDGET:
+        tally = np.maximum(rows.hi - rows.lo + 1, 0)
+        for n in np.add.reduceat(tally, fib.searchsorted(np.arange(len(conics)))).tolist():
+            if n > _CELL_BUDGET:
+                raise ArithmeticError(
+                    f"cell budget exceeded: the fibre has {n} cells to scan, "
+                    f"more than the {_CELL_BUDGET} one fibre may scan"
+                )
+    coeffs = np.array([(*C.coeffs, C.weight) for C in conics], dtype=lats.g.dtype)
+    counts, points = np.zeros(len(conics), dtype=np.int64), [[] for _ in conics]
+    for u, v, g, r in iter_lattice_points(lats, rows, _CHUNK):
+        f = fib[r]
+        L, q2, hw = _content_height(coeffs.take(f, axis=0).T, u, v)
+        i = (((u > 0) | ((u == 0) & (v > 0))) & (hw <= bound * g)).nonzero()[0]
+        g = g[i]
+        ok = np.gcd(L[i], q2[i]) == g
+        deep = (ok & (g > 1)).nonzero()[0]
+        ok[deep] = np.gcd(np.gcd(u[i[deep]], g[deep]), v[i[deep]]) == 1
+        i = i[ok]
+        counts += np.bincount(f[i], minlength=len(conics))
+        if want_points:
+            for k, a, b in zip(f[i].tolist(), u[i].tolist(), v[i].tolist()):
+                points[k].append(point_from_pair(conics[k], a, b))
+    return counts.tolist(), [sorted(found) if want_points else None for found in points]
 
 
 # Only rows of more than _LONG_ROW box cells are clipped: on a 2-core box
@@ -545,11 +552,11 @@ _CHUNK = 4096
 _BASES = 1 << 11
 
 
-def _height_rows(conics, sizes, bound: int, lats: Lattices, rows: Rows, long):
+def _height_rows(conics, owner, bound: int, lats: Lattices, rows: Rows, long):
     """Clip the n1 range of the rows `long` (index array) of a piece of
     fibres to a hull of the height region and find the holes the hull
-    leaves.  The lattices of fibre f (conics[f]) are the next sizes[f] of
-    lats.  Returns the rows and, per component (row k) and long row, the
+    leaves.  Lattice l of lats is one of fibre owner[l] (conics[owner[l]]).
+    Returns the rows and, per component (row k) and long row, the
     ends P, Q of its hole (P > Q where it has none).
 
     Along a row, component k of q is F_k = A n1^2 + B n2 n1 + C n2^2 with
@@ -563,17 +570,17 @@ def _height_rows(conics, sizes, bound: int, lats: Lattices, rows: Rows, long):
     own fibre's forms and weight.
     """
     used, col = np.unique(rows.lat[long], return_inverse=True)
-    owner = np.repeat(np.arange(len(sizes)), sizes)[used]
+    fib = owner[used]
     b1u, b1v, b2u, b2v, g = (x[used].astype(object) for x in lats[:5])
     # lattice, component k, coefficient j
-    forms = np.array([_forms(C) for C in conics], dtype=object)[owner]
+    forms = np.array([_forms(C) for C in conics], dtype=object)[fib]
     A, B, Cn = ((forms * np.array(monomials, dtype=object).T[:, None, :]).sum(axis=2).T
                 for monomials in ([b1u * b1u, b1u * b1v, b1v * b1v],
                                   [2 * b1u * b2u, b1u * b2v + b1v * b2u, 2 * b1v * b2v],
                                   [b2u * b2u, b2u * b2v, b2v * b2v]))
     s = np.where(A < 0, -1, 1)
     cap = bound * g
-    weight = np.array([C.weight for C in conics], dtype=object)[owner]
+    weight = np.array([C.weight for C in conics], dtype=object)[fib]
     exact = np.array([np.abs(A), s * B, s * Cn, [cap, cap // weight, cap]], dtype=object)
     tables = _hull_tables(exact)
     lo, hi = rows.lo.copy(), rows.hi.copy()
@@ -746,13 +753,13 @@ def _lattice_events(lats: Lattices, classes, used):
     return primes, kill, terms
 
 
-def _count_rows(classes, sizes, lats, rows, long, P, Q):
+def _count_rows(classes, owner, lats, rows, long, P, Q):
     """Count the accepted cells of those clipped rows `long` of a piece of
     fibres, with holes [P, Q] from `_height_rows`, that congruences count in
     no more terms than the rows have cells, and return the count of each
-    fibre and the rows with those emptied.  The lattices of fibre f are the
-    next sizes[f] of lats, their classes those of `classes`.  Rows n2 = 0
-    are left to the scan.
+    fibre and the rows with those emptied.  Lattice l of lats is one of
+    fibre owner[l], of the class of column l of `classes`.  Rows n2 = 0 are
+    left to the scan.
 
     Along row n2 of a lattice of layer g, a cell n1 of the hull [a, b] is
     accepted iff it lies outside the row's holes (has height <= bound*g),
@@ -768,6 +775,7 @@ def _count_rows(classes, sizes, lats, rows, long, P, Q):
     (0, -1), lies in a lattice u = 0 mod g (b1 = (0, 1)) only, on its row
     n2 = 0.
     """
+    sizes = np.bincount(owner).tolist()
     totals = [0] * len(sizes)
     sel = np.flatnonzero((rows.n2[long] != 0) & (rows.lo[long] <= rows.hi[long]))
     if not len(sel):
@@ -777,7 +785,7 @@ def _count_rows(classes, sizes, lats, rows, long, P, Q):
     # the fibre of each row, and per fibre its layer primes, and per lattice
     # its kill bits and terms
     first = np.cumsum(sizes) - sizes
-    fib = np.searchsorted(first, lat, side="right") - 1
+    fib = owner[lat]
     primes, kill, tables = [[]] * len(sizes), [], []
     for f, (l0, size) in enumerate(zip(first.tolist(), sizes)):
         used = {l - l0 for l in lat[fib == f].tolist()}
@@ -905,12 +913,10 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     """Exact number of rational points on C with height <= B.
 
     table is C's FibreTable at this B, as `fibre_tables` yields it for many
-    fibres at once, its rows already clipped and, where that pays, counted a
-    piece of fibres at a time; without one, a table of C alone is built the
-    same way, without counting where want_points.  Every row the table
-    leaves is scanned, in chunks of _CHUNK cells, each pair counted in the
-    layer of its exact content.  A counting table has no points of its
-    counted rows: with want_points it raises ValueError.
+    fibres at once; without one, a table of C alone is built the same way,
+    with its points where want_points.  A table without points, as those
+    that count by congruences are, is refused where want_points, by
+    ValueError.
 
     A base box covers all parameters giving points with unit content; for
     every divisor g of |det(Pi)| the parameters giving content-g points lie
@@ -919,14 +925,14 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     lattice exist and how far each row may reach; a row longer than
     _LONG_ROW cells is narrowed to its height interval, the cells that can
     satisfy the three convex height conditions and u >= 0, and then, unless
-    the table is built without counting or the long rows are few
-    (_COUNT_CELLS), counted by congruences (`_count_rows`) where that takes
-    no more terms than it has cells.  The ends of that interval and of its
-    holes are exact, from the integer square roots of the quadratics'
-    discriminants, and every other cell is verified by exact evaluation, so
-    the floor `min_norm` only ever affects completeness, and it is
-    certified.  A fibre needing more than _ROW_BUDGET rows or _CELL_BUDGET
-    cells to scan raises ArithmeticError.
+    the points are wanted or the long rows are few (_COUNT_CELLS), counted
+    by congruences (`_count_rows`) where that takes no more terms than it
+    has cells.  The ends of that interval and of its holes are exact, from
+    the integer square roots of the quadratics' discriminants, and every
+    other cell is verified by exact evaluation (`_scan`), so the floor
+    `min_norm` only ever affects completeness, and it is certified.  A
+    fibre needing more than _ROW_BUDGET rows or _CELL_BUDGET cells to scan
+    raises ArithmeticError.
 
     Each point has one owner: the coprime pair (u, v) with u > 0, or u = 0
     and v > 0, counted only in the layer of the exact content g of q(u, v).
@@ -935,26 +941,13 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
     """
     bound = height_bound(B)
     if table is None:
-        table = next(fibre_tables([C], bound, count=not want_points))
-    m, lats, rows, counted = table
-    if want_points and counted is not None:
+        table = next(fibre_tables([C], bound, want_points=want_points))
+    if want_points and table.points is None:
         raise ValueError("the points of a fibre need a table built without counting")
-    # the last lattice is one of the largest layer, of the largest U, and a
-    # row holds at most 2 U + 1 cells
-    if len(rows.lat) * (2 * int(lats.U[-1]) + 1) > _CELL_BUDGET:
-        cells = int(np.maximum(rows.hi - rows.lo + 1, 0).sum())
-        if cells > _CELL_BUDGET:
-            raise ArithmeticError(
-                f"cell budget exceeded: the fibre has {cells} cells to scan, "
-                f"more than the {_CELL_BUDGET} one fibre may scan"
-            )
-    col = _Collector(C, bound, want_points)
-    for u, v, g in iter_lattice_points(lats, rows, _CHUNK):
-        col.feed(u, v, g)
     return ConicCountResult(
-        count=(counted or 0) + col.count,
-        points=sorted(col.points) if want_points else None,
-        min_norm=m,
+        count=table.count,
+        points=table.points if want_points else None,
+        min_norm=table.m,
         certified=True,
     )
 

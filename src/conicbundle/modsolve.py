@@ -235,8 +235,8 @@ BASIS_G = 1 << 30
 
 
 class Lattices(NamedTuple):
-    """The lattices of one fibre, one entry each: reduced basis b1, b2, layer
-    g and box half-width U (int64 or object arrays)."""
+    """The lattices of a fibre or a piece of fibres, one entry each: reduced
+    basis b1, b2, layer g and box half-width U (int64 or object arrays)."""
 
     b1u: np.ndarray
     b1v: np.ndarray
@@ -292,20 +292,22 @@ def lattice_rows(lats: Lattices, n2_lo: np.ndarray, n2_hi: np.ndarray) -> Rows:
 
 
 def iter_lattice_points(lats: Lattices, rows: Rows, chunk: int):
-    """Yield the rows' cells as (u, v, g) arrays of at most `chunk` cells,
-    splitting rows across chunks."""
+    """Yield the rows' cells as (u, v, g, row) arrays of at most `chunk`
+    cells, row the index of each cell's row, splitting rows across chunks."""
     lat = rows.lat
     b1u, b1v, g = lats.b1u[lat], lats.b1v[lat], lats.g[lat]
     u0, v0 = rows.n2 * lats.b2u[lat], rows.n2 * lats.b2v[lat]
-    counts = np.maximum(rows.hi - rows.lo + 1, 0).astype(np.int64)
-    ends = np.cumsum(counts)
+    counts = np.maximum(rows.hi - rows.lo + 1, 0).astype(np.int64, copy=False)
+    ends = counts.cumsum()
     starts = ends - counts
+    # cell k of the stream is n1 = k - starts + lo of its row
+    offset = rows.lo - starts
     total = int(ends[-1]) if len(ends) else 0
     for s in range(0, total, chunk):
         e = min(s + chunk, total)
-        r0 = int(np.searchsorted(ends, s, side="right"))
-        r1 = int(np.searchsorted(ends, e, side="left")) + 1
+        r0 = int(ends.searchsorted(s, side="right"))
+        r1 = int(ends.searchsorted(e, side="left")) + 1
         take = np.minimum(ends[r0:r1], e) - np.maximum(starts[r0:r1], s)
-        rep = np.repeat(np.arange(r0, r1), take)
-        n1 = rows.lo[rep] + (np.arange(s, e) - starts[rep])
-        yield n1 * b1u[rep] + u0[rep], n1 * b1v[rep] + v0[rep], g[rep]
+        rep = np.arange(r0, r1).repeat(take)
+        n1 = np.arange(s, e) + offset[rep]
+        yield n1 * b1u[rep] + u0[rep], n1 * b1v[rep] + v0[rep], g[rep], rep

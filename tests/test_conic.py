@@ -20,7 +20,7 @@ from conicbundle.conic import (
     parameterize,
     point_from_pair,
 )
-from conicbundle.modsolve import BASIS_G, Rows, class_bases, divisor_grid, iter_lattice_points
+from conicbundle.modsolve import BASIS_G, Lattices, Rows, class_bases, divisor_grid
 from conicbundle.numth import is_prime
 from conicbundle.surface import domain_B, fibre_conic
 
@@ -304,12 +304,32 @@ def test_count_points_want_points(c12):
         assert seen == {point_from_pair(C, u, v).triple for u, v, _ in _accepted_pairs(C, B)}
 
 
+def _scanned(build, scan=True):
+    """(conics, lattices, rows) of each `_scan` call that build() makes:
+    the rows each piece leaves to scan, and their lattices.  Unless scan,
+    no cell is scanned and every count is 0."""
+    calls, scan_cells = [], conic._scan
+
+    def spy(conics, bound, lats, rows, owner, want_points):
+        calls.append((conics, lats, rows))
+        if not scan:
+            return [0] * len(conics), [None] * len(conics)
+        return scan_cells(conics, bound, lats, rows, owner, want_points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "_scan", spy)
+        build()
+    return calls
+
+
 def _table(C, B, int64_ok=True):
-    """The fibre's table, on object arrays unless int64_ok."""
+    """The fibre's lattices and the rows it leaves to scan, on object
+    arrays unless int64_ok."""
     with pytest.MonkeyPatch.context() as mp:
         if not int64_ok:
             mp.setattr(conic, "_int64_ok", lambda *args: False)
-        return next(conic.fibre_tables([C], B))
+        ((_, lats, rows),) = _scanned(lambda: next(conic.fibre_tables([C], B)), scan=False)
+    return lats, rows
 
 
 def _classes(C, B):
@@ -323,8 +343,8 @@ def _box_table(C, B, int64_ok=True):
     """The fibre's classes, lattices and box rows, none of them clipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is long
-        table = _table(C, B, int64_ok)
-    return _classes(C, B), table.lats, table.rows
+        lats, rows = _table(C, B, int64_ok)
+    return _classes(C, B), lats, rows
 
 
 def _row_tables(C, B, int64_ok):
@@ -332,7 +352,8 @@ def _row_tables(C, B, int64_ok):
     them, then the long rows and the ends P, Q of their holes."""
     _, lats, box = _box_table(C, B, int64_ok)
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
-    return lats, box, *conic._height_rows([C], [len(lats.g)], B, lats, box, long), long
+    owner = np.zeros(len(lats.g), dtype=np.int64)
+    return lats, box, *conic._height_rows([C], owner, B, lats, box, long), long
 
 
 @given(
@@ -372,15 +393,17 @@ def test_fibre_lattices_just_below_and_at_the_int64_reach(gp, at, k, r, sigma, b
     assert narrow == wide
 
     def tables():
-        exact = next(conic._lattice_tables(fibres, 1, False, object))
+        ((_, *exact),) = _scanned(lambda: next(conic._lattice_tables(fibres, 1, True, object)),
+                                  scan=False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conic, "_layers", lambda *args: (m, primes, (top, u_top)))
-            table = next(conic.fibre_tables([C], 1, count=False))
-        assert exact.lats.U.dtype == object
-        assert table.lats.U.dtype == (np.int64 if j < 0 else object)
-        assert table.lats.U.max() == u_top and table.lats.g.max() == top
-        assert (0, top) in zip(abs(table.lats.b2u).tolist(), abs(table.lats.b2v).tolist())
-        return exact[1:3], table.lats, table.rows
+            ((_, lats, rows),) = _scanned(
+                lambda: next(conic.fibre_tables([C], 1, want_points=True)), scan=False)
+        assert exact[0].U.dtype == object
+        assert lats.U.dtype == (np.int64 if j < 0 else object)
+        assert lats.U.max() == u_top and lats.g.max() == top
+        assert (0, top) in zip(abs(lats.b2u).tolist(), abs(lats.b2v).tolist())
+        return exact, lats, rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conic, "_LONG_ROW", 2**62)  # no row is clipped: the box rows
@@ -604,7 +627,7 @@ def test_content_height_equals_three_gcds(dtype):
             pairs += [(rng.randint(0, hi), rng.randint(-hi, hi)) for _ in range(40)]
         pairs = [(u, v) for u, v in pairs if gcd(u, v) == 1]
         u, v = (np.array(col, dtype=dtype) for col in zip(*pairs))
-        L, q2, hw = conic._content_height(C, u, v)
+        L, q2, hw = conic._content_height((*C.coeffs, C.weight), u, v)
         content = np.gcd(L, q2)
         for (a, b), c, h in zip(pairs, content.tolist(), hw.tolist()):
             q1 = C.cxy * a * a + C.cyz * a * b
@@ -618,7 +641,7 @@ def test_content_height_equals_three_gcds(dtype):
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_collector_filter_equals_coprime_then_content(dtype):
-    # feed tests the height first and the content as gcd(L, q2) = g with
+    # _scan tests the height first and the content as gcd(L, q2) = g with
     # gcd(u, v, g) = 1; the reference takes coprime pairs, then the content
     # gcd(q1, q2, q3) = g and the height max(|q1|, w |q2|, |q3|) <= B g
     rng = random.Random(29)
@@ -645,30 +668,33 @@ def test_collector_filter_equals_coprime_then_content(dtype):
             if ((a > 0 or (a == 0 and b > 0)) and gcd(a, b) == 1 and gcd(q1, q2, q3) == gs[-1]
                     and max(abs(q1), C.weight * abs(q2), abs(q3)) <= B * gs[-1]):
                 want.append(point_from_pair(C, a, b))
-        col = conic._Collector(C, B, want_points=True)
+        # each cell the one cell n1 = u of row n2 = v of a lattice of its own,
+        # of basis (1, 0), (0, 1) and layer g
+        n = len(cells)
+        one, zero = np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
+        lats = Lattices(one, zero, zero, one, np.array(gs, dtype=dtype), one)
         u, v = (np.array(col_, dtype=dtype) for col_ in zip(*cells))
-        col.feed(u, v, np.array(gs, dtype=dtype))
-        assert col.count == len(want)
-        assert col.points == want
+        owner = np.zeros(n, dtype=np.int64)
+        (count,), (points,) = conic._scan([C], B, lats, Rows(np.arange(n), v, u, u), owner, True)
+        assert count == len(want)
+        assert points == sorted(want)
         accepted += len(want)
     assert accepted > 500
 
 
 def test_count_points_bigint_path_matches_int64(monkeypatch, c12):
     default = [count_points(C, 300, want_points=True) for C in (c12, C36)]
-    feed = conic._Collector.feed
-    dtypes = set()
 
-    def feed_recording(self, u, v, g):
-        dtypes.update((u.dtype, v.dtype, g.dtype))
-        feed(self, u, v, g)
+    def exact_counts():
+        for C, res in zip((c12, C36), default):
+            exact = count_points(C, 300, want_points=True)
+            assert exact.count == res.count
+            assert exact.points == res.points
 
     monkeypatch.setattr(conic, "_int64_ok", lambda *args: False)
-    monkeypatch.setattr(conic._Collector, "feed", feed_recording)
-    for C, res in zip((c12, C36), default):
-        exact = count_points(C, 300, want_points=True)
-        assert exact.count == res.count
-        assert exact.points == res.points
+    scanned = _scanned(exact_counts)
+    # the cells n1 b1 + n2 b2 and their layers g
+    dtypes = {x.dtype for _, lats, rows in scanned for x in (lats.b1u, lats.g, rows.lo)}
     assert dtypes == {np.dtype(object)}
     # coefficients too large for int64: det = 4 * 36 * (2^32 - 1)^2
     C = FibreConic(4, 0, -5, 6 * (2**32 - 1), -2)
@@ -714,16 +740,10 @@ def test_enumerate_int64_guard_at_its_bound(mirror, s, w, B, delta):
     big = -(-2**62 // (3 * u_cap * u_cap * w)) + delta
     C = conic_with(big)
     assert conic._layers(C, B)[2][1] == u_cap
-    dtypes = set()
-    feed = conic._Collector.feed
-
-    def feed_recording(self, u, v, g):
-        dtypes.add(u.dtype)
-        feed(self, u, v, g)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conic._Collector, "feed", feed_recording)
-        assert count_points(C, B).count == count_points_reference(C, B)
+    counts = []
+    scanned = _scanned(lambda: counts.append(count_points(C, B).count))
+    assert counts == [count_points_reference(C, B)]
+    dtypes = {x.dtype for _, lats, rows in scanned for x in (lats.b1u, rows.lo)}
     below = 3 * big * u_cap * u_cap * w < 2**62
     assert below == (delta < 0)
     assert dtypes == {np.dtype(np.int64) if below else np.dtype(object)}
@@ -740,15 +760,14 @@ def _counted_rows(C, B):
     long = np.flatnonzero(box.hi - box.lo >= conic._LONG_ROW)
     if not len(long):
         return 0, 0, 0, 0
-    rows, P, Q = conic._height_rows([C], [len(lats.g)], B, lats, box, long)
-    (total,), left = conic._count_rows(classes, [len(lats.g)], lats, rows, long, P, Q)
+    owner = np.zeros(len(lats.g), dtype=np.int64)
+    rows, P, Q = conic._height_rows([C], owner, B, lats, box, long)
+    (total,), left = conic._count_rows(classes, owner, lats, rows, long, P, Q)
     done = np.flatnonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))
     assert np.all(rows.n2[done] != 0)  # the rows n2 = 0 are scanned
-    col = conic._Collector(C, B, want_points=False)
-    for u, v, g in iter_lattice_points(lats, Rows(*(x[done] for x in rows)), 4096):
-        col.feed(u, v, g)
+    (scanned,), _ = conic._scan([C], B, lats, Rows(*(x[done] for x in rows)), owner, False)
     holed = np.intersect1d(done, long[(P <= Q).any(axis=0)])
-    return total, col.count, len(done), len(holed)
+    return total, scanned, len(done), len(holed)
 
 
 @pytest.mark.parametrize("B, step", [(10**2, 1), (10**3, 1), (10**4, 1), (10**5, 8)])
@@ -783,16 +802,30 @@ def test_count_points_equals_the_point_list(s1, split_surface, B, step):
             assert count_points(C, B).count == len(count_points(C, B, want_points=True).points)
 
 
-def test_points_need_a_table_built_without_counting(s1):
+def test_points_need_a_table_built_without_counting(s1, monkeypatch):
     # a counting table keeps no points of its counted rows, so it is
     # refused where the points are wanted; a table built without counting
     # gives them all
     B, conics = 10**5, _fibre_conics(s1, 3)
-    C, table = next((C, t) for C, t in zip(conics, conic.fibre_tables(conics, B)) if t.counted)
+    count_rows, counted = conic._count_rows, []
+
+    def recording(*args):
+        totals, left = count_rows(*args)
+        counted.extend(totals)
+        return totals, left
+
+    monkeypatch.setattr(conic, "_count_rows", recording)
+    for C in conics:
+        counted.clear()
+        table = next(conic.fibre_tables([C], B))
+        if any(counted):
+            break
+    assert any(counted)
     with pytest.raises(ValueError, match="without counting"):
         count_points(C, B, want_points=True, table=table)
-    plain = next(conic.fibre_tables([C], B, count=False))
-    assert plain.counted is None
+    counted.clear()
+    plain = next(conic.fibre_tables([C], B, want_points=True))
+    assert counted == [] and plain.points is not None
     points = count_points(C, B, want_points=True, table=plain).points
     assert len(points) == count_points(C, B, table=table).count
 
@@ -859,9 +892,9 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
     want = [count_points(C, 300).count for C in conics]
     lattice_tables, calls = conic._lattice_tables, []
 
-    def recording(fibres, bound, count, dtype):
+    def recording(fibres, bound, want_points, dtype):
         calls.append((dtype, [C for C, _, _ in fibres]))
-        return lattice_tables(fibres, bound, count, dtype)
+        return lattice_tables(fibres, bound, want_points, dtype)
 
     monkeypatch.setattr(conic, "_lattice_tables", recording)
     monkeypatch.setattr(conic, "_BASES", 10**9)
@@ -871,7 +904,8 @@ def test_a_group_of_int64_and_object_fibres_gives_the_same_counts(split_surface,
     wide = set(conics[1::2])
     int64_ok = conic._int64_ok
     monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C not in wide and int64_ok(C, *args))
-    dtypes = [t.lats.g.dtype for t in conic.fibre_tables(conics, 300)]
+    scanned = _scanned(lambda: list(conic.fibre_tables(conics, 300)))
+    dtypes = [lats.g.dtype for piece, lats, _ in scanned for C in piece]
     assert dtypes == [np.dtype(object) if C in wide else np.dtype(np.int64) for C in conics]
     assert calls == [(object if C in wide else np.int64, [C]) for C in conics]
     assert _table_counts(conics, 300) == want
@@ -896,9 +930,11 @@ def test_a_group_of_int64_and_object_grids_gives_the_reference_counts(monkeypatc
     monkeypatch.setattr(conic, "_BASES", 10**9)
     for B in (5, 40):
         calls.clear()
-        tables = list(conic.fibre_tables(conics, B))
+        tables = []
+        scanned = _scanned(lambda: tables.extend(conic.fibre_tables(conics, B)))
         assert calls == [(np.int64, 1), (object, 1), (np.int64, 1), (object, 1), (np.int64, 1)]
-        assert [t.lats.g.dtype == object for t in tables] == [C in wide for C in conics]
+        assert ([lats.g.dtype == object for piece, lats, _ in scanned for C in piece]
+                == [C in wide for C in conics])
         want = [count_points_reference(C, B) for C in conics]
         assert [count_points(C, B, table=t).count for C, t in zip(conics, tables)] == want
         assert [count_points(C, B).count for C in conics] == want
@@ -933,23 +969,52 @@ def test_a_piece_of_counted_and_uncounted_fibres_beside_an_object_fibre(s1, monk
     conics = _fibre_conics(s1, B**0.25)[:15]
     want = [count_points(C, B).count for C in conics]
     wide = conics[8]
-    int64_ok, height_rows = conic._int64_ok, conic._height_rows
-    pieces = []
+    int64_ok, height_rows, count_rows = conic._int64_ok, conic._height_rows, conic._count_rows
+    pieces, counted = [], set()
 
     def recording(piece, *args):
         pieces.append(list(piece))
         return height_rows(piece, *args)
 
+    def counting(*args):
+        totals, left = count_rows(*args)
+        counted.update(C for C, n in zip(pieces[-1], totals) if n)
+        return totals, left
+
     monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C is not wide and int64_ok(C, *args))
     monkeypatch.setattr(conic, "_height_rows", recording)
+    monkeypatch.setattr(conic, "_count_rows", counting)
     monkeypatch.setattr(conic, "_BASES", 10**9)
-    tables = list(conic.fibre_tables(conics, B))
-    assert [t.lats.g.dtype == object for t in tables] == [C is wide for C in conics]
-    counted = {C for C, t in zip(conics, tables) if t.counted}
+    tables = []
+    scanned = _scanned(lambda: tables.extend(conic.fibre_tables(conics, B)))
+    assert ([lats.g.dtype == object for piece, lats, _ in scanned for C in piece]
+            == [C is wide for C in conics])
     assert [wide] in pieces
     assert any(len(counted.intersection(p)) not in (0, len(p)) for p in pieces)
     assert wide in counted
     assert [count_points(C, B, table=t).count for C, t in zip(conics, tables)] == want
+
+
+def test_points_of_a_piece_of_many_fibres(s1, monkeypatch):
+    # every fibre of S1 up to fibre height 5, with their points: the int64
+    # fibres share pieces, and the one forced onto object arrays is a piece
+    # of its own; each fibre's points are those of the oracle, and as many
+    # as the reference counts.  B = 200, as the two Python oracles take ~70
+    # s at B = 1000 (2 cores), where the test passes too
+    B = 200
+    conics = _fibre_conics(s1, 5)
+    wide = conics[len(conics) // 2]
+    int64_ok = conic._int64_ok
+    monkeypatch.setattr(conic, "_int64_ok", lambda C, *args: C is not wide and int64_ok(C, *args))
+    tables = []
+    scanned = _scanned(lambda: tables.extend(conic.fibre_tables(conics, B, want_points=True)))
+    assert [wide] in [piece for piece, _, _ in scanned]
+    assert max(len(piece) for piece, _, _ in scanned) > 1
+    for C, table in zip(conics, tables):
+        want = sorted(point_from_pair(C, u, v) for u, v, _ in _accepted_pairs(C, B))
+        assert table.points == want
+        assert table.count == len(want) == count_points_reference(C, B)
+    assert sum(len(table.points) > 1 for table in tables) > 1
 
 
 def _det(coeffs):
@@ -967,8 +1032,8 @@ def test_row_counts_on_random_conics_vs_reference(monkeypatch):
     monkeypatch.setattr(conic, "_int64_ok", lambda *args: int64_ok(*args) and not wide)
     counted = []
 
-    def counting(layers, sizes, lats, rows, *args):
-        totals, left = count_rows(layers, sizes, lats, rows, *args)
+    def counting(layers, owner, lats, rows, *args):
+        totals, left = count_rows(layers, owner, lats, rows, *args)
         counted.append(int(np.count_nonzero((left.hi != rows.hi) & (rows.lo <= rows.hi))))
         return totals, left
 
@@ -997,8 +1062,8 @@ def test_row_counts_where_a_prime_rejects_every_residue(monkeypatch):
     # or alpha = 0 mod p (content g p), every cell is rejected: it counts 0
     monkeypatch.setattr(conic, "_LONG_ROW", 0)
     C, B = FibreConic(7, -4, 11, -1, 10), 114
-    table = _table(C, B)
-    classes, lats, rows = _classes(C, B), table.lats, table.rows
+    lats, rows = _table(C, B)
+    classes = _classes(C, B)
     primes, kill, _ = conic._lattice_events(lats, classes, range(len(lats.g)))
     assert any(n2 and any(kill[l] >> i & 1 and n2 % p == 0 for i, p in enumerate(primes))
                for l, n2 in zip(rows.lat.tolist(), rows.n2.tolist()))

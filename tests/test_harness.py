@@ -763,7 +763,16 @@ def test_a_fibre_past_the_row_budget_in_a_group_is_refused(s1, s1_file, monkeypa
     # it, and with the budget one row short of it, the group is refused
     # before any table of it is yielded, and the CLI exits 2 with one line
     conics = [fibre_conic(s1, idx) for idx in domain_B(s1, 5)]
-    rows = [len(next(conicbundle.conic.fibre_tables([C], 100)).rows.lat) for C in conics]
+    scan, rows = conicbundle.conic._scan, []
+
+    def spy(fibres, bound, lats, piece, *args):
+        rows.append(len(piece.lat))  # a fibre alone is one piece
+        return scan(fibres, bound, lats, piece, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(conicbundle.conic, "_scan", spy)
+        for C in conics:
+            next(conicbundle.conic.fibre_tables([C], 100))
     i = rows.index(max(rows))
     assert 0 < i < len(conics) - 1
     monkeypatch.setattr(conicbundle.conic, "_BASES", 10**9)
@@ -922,6 +931,45 @@ def test_cli_count_fibre_points_scan_every_row_within_the_cell_budget(s1_file, c
     assert captured.out == ""
     assert captured.err == ("error[ArithmeticError]: cell budget exceeded: the fibre has 99071 "
                             "cells to scan, more than the 10000 one fibre may scan\n")
+
+
+@pytest.mark.parametrize("int64", [True, False])
+def test_a_fibre_past_the_cell_budget_inside_a_piece_is_refused(s1_file, capsys, monkeypatch,
+                                                                int64):
+    # count-surface at height 100, cutoff 5: its 40 fibres, on int64 or all
+    # on object arrays, are one piece, and the fibre with the most cells to
+    # scan is not its first.  With the budget one cell short of it, it is
+    # refused with its own count before any cell of the piece is scanned
+    if not int64:
+        monkeypatch.setattr(conicbundle.conic, "_int64_ok", lambda *args: False)
+    scan, lattice_points, pieces, scans = (conicbundle.conic._scan,
+                                           conicbundle.conic.iter_lattice_points, [], [])
+
+    def spy(conics, bound, lats, rows, owner, want_points):
+        cells = [0] * len(conics)
+        for f, n in zip(owner[rows.lat].tolist(), (rows.hi - rows.lo + 1).tolist()):
+            cells[f] += max(n, 0)
+        pieces.append(cells)
+        return scan(conics, bound, lats, rows, owner, want_points)
+
+    monkeypatch.setattr(conicbundle.conic, "_scan", spy)
+    monkeypatch.setattr(conicbundle.conic, "iter_lattice_points",
+                        lambda *args: scans.append(args) or lattice_points(*args))
+    argv = ["--no-cache", "count-surface", s1_file, "--height", 100, "--cutoff", 5]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    (cells,) = pieces
+    top = max(cells)
+    assert len(cells) == 40 and cells.count(top) == 1 and cells.index(top) > 0
+    pieces.clear()
+    scans.clear()
+    monkeypatch.setattr(conicbundle.conic, "_CELL_BUDGET", top - 1)
+    assert run_cli(*argv) == 2
+    assert pieces == [cells] and scans == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error[ArithmeticError]: cell budget exceeded: the fibre has {top} "
+                            f"cells to scan, more than the {top - 1} one fibre may scan\n")
 
 
 @pytest.mark.parametrize("argv", [

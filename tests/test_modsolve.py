@@ -87,8 +87,9 @@ def half_box_cells(lattices, chunk=4_000_000, dtype=np.int64):
     cap = lats.U * (abs(lats.b1u) + abs(lats.b1v)) // det + 1
     rows = lattice_rows(lats, -cap, cap)
     out = []
-    for u, v, g in iter_lattice_points(lats, rows, chunk):
+    for u, v, g, r in iter_lattice_points(lats, rows, chunk):
         assert len(u) <= chunk
+        assert rows.lat[r].tolist() == g.tolist()  # each cell's row is of its lattice
         out.extend(zip(u.tolist(), v.tolist(), g.tolist()))
     return out
 

@@ -95,12 +95,15 @@ def test_tracer_counts_each_fibre_of_a_count_surface_run_once(split_surface, spl
     # the benchmark's count-wide checks conic.points against the printed
     # counts (its EXPECTED_POINTS): the fibre sum is the count plus each
     # shared point of the section line once per fibre, and the tables built
-    # for many fibres at once still leave one count_points call per fibre
+    # for many fibres at once still leave one count_points call per fibre,
+    # but one scan (iter_lattice_points call) per piece of fibres
     argv = ["--no-cache", "count-surface", split_file, "--height", "40", "--cutoff", "4"]
-    out, (calls, points) = _traced_run(["conic.count_points.calls", "conic.points"], argv)
+    out, (calls, points, scans) = _traced_run(
+        ["conic.count_points.calls", "conic.points", "modsolve.iter_lattice_points.calls"], argv)
     (count,) = [int(line.split(": ")[1]) for line in out if line.startswith("count: ")]
     fibres = len(list(domain_B(split_surface, 4)))
     shared = sum(1 for d in section_base_directions(split_surface) if max(map(abs, d)) <= 40)
     assert calls == fibres
+    assert scans < fibres
     assert points == count + shared * fibres
     assert shared == 1 and count > 0
