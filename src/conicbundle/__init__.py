@@ -1,7 +1,7 @@
 """Exact point counts, local densities, and prime-sum analysis for cubic
 surfaces fibred into conics over the projective line."""
 
-from .conic import FibreConic, count_points, count_points_reference
+from .conic import FibreConic, count_points
 from .densities import (
     ToleranceNotMet,
     local_density_report,
@@ -46,7 +46,6 @@ __all__ = [
     "ToleranceNotMet",
     "analyze",
     "count_points",
-    "count_points_reference",
     "count_surface",
     "domain_B",
     "factor_over_q",

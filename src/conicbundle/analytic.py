@@ -4,8 +4,7 @@ The engine room for the growth-exponent experiments: distinct-root counts
 of binary forms modulo every prime of an array at once (one numpy kernel
 per block of primes, exact in int64 while degree * p^2 < 2^63), the
 degeneracy count for the fibration discriminant, partial sums of
-multiplicative functions with exponent fitting, and the height-weighted
-lattice sums.
+multiplicative functions with exponent fitting, and the final lemma's sum.
 
 Prime sums take one path.  A MultiplicativeFn gives its values at a whole
 prime array at once, exactly as integer numerators and denominators and as
@@ -17,10 +16,6 @@ fixed point rounded down at every step.  For floats one walk of the
 segmented prime sieve, in blocks, feeds every running prime sum, so it
 holds the primes up to sqrt(x), one segment, one block and O(sqrt(x))
 values.
-
-Sums of explicit terms go through one exact-or-floored summation: exact
-Fractions for small arguments, otherwise every term rounded down at 96
-fractional bits, a lower bound with error below terms * 2^-96.
 """
 
 from __future__ import annotations
@@ -34,20 +29,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .forms import BinaryForm, factor_over_q, resultant
-from .numth import factor, prime_segments, primes_up_to
-from .surface import CubicSurfaceNF, singular_fibre_indices
+from .forms import BinaryForm, resultant
+from .numth import prime_segments, primes_up_to
+from .surface import CubicSurfaceNF
 from .zpoly import gf_roots, z_derivative
 
 _FIX_BITS = 96
-
-
-def _rational_sum(terms, exact: bool) -> Fraction:
-    """Sum of the nonnegative n / d over the (n, d) terms: exact, or with
-    every term floored at 96 fractional bits (a lower bound)."""
-    if exact:
-        return sum((Fraction(n, d) for n, d in terms), Fraction(0))
-    return Fraction(sum((n << _FIX_BITS) // d for n, d in terms), 1 << _FIX_BITS)
 
 
 # --------------------------------------------------------------------------
@@ -244,31 +231,14 @@ def delta_factor_data(X: CubicSurfaceNF) -> DeltaFactorData:
 # the degeneracy count rho* for the discriminant
 
 
-def varrho_star_delta(X: CubicSurfaceNF, a: int) -> int:
-    """Primitive pairs (s, t) mod a with the discriminant divisible by a.
-
-    Multiplicative in a; per prime it is (p - 1) times the number of
-    projective root classes.  Only squarefree moduli are accepted.
-    """
-    if a < 1:
-        raise ValueError("modulus must be positive")
-    if a == 1:
-        return 1
-    fa = factor(a)
-    if not fa.is_squarefree():
-        raise ValueError(f"{a} is not squarefree")
-    out = 1
-    for p, _ in fa.factors:
-        out *= (p - 1) * projective_roots_mod_p(X.disc, p)
-    return out
-
-
 def rho_star_prime_vector(
     X: CubicSurfaceNF, ps: np.ndarray, data: DeltaFactorData
 ) -> np.ndarray:
-    """varrho_star_delta at every prime in ps, as one array.
+    """rho*(p) at every prime in ps, as one array: the primitive pairs
+    (s, t) mod p with the discriminant divisible by p, which is (p - 1)
+    times the number of projective root classes of the discriminant.
 
-    Off the w_f primes this is the per-factor sum of root counts; the
+    Off the w_f primes the root classes are the per-factor sum; the
     finitely many w_f primes are recomputed directly from the full
     discriminant.  data is delta_factor_data(X), computed once by the caller.
     """
@@ -278,31 +248,6 @@ def rho_star_prime_vector(
     for i in np.flatnonzero(_divides(data.w_f, ps)).tolist():
         n[i] = projective_roots_mod_p(X.disc, int(ps[i]))
     return (ps - 1) * n
-
-
-# --------------------------------------------------------------------------
-# prime statistics of one irreducible factor
-
-
-def tau_statistics(
-    delta: BinaryForm, x: int, exact_threshold: int = 10**4
-) -> tuple[Fraction, float]:
-    """(sum of tau(p)/p, sum of tau(p) log p / p) over primes p <= x.
-
-    tau counts distinct projective roots mod p.  The first component is
-    exact up to the 96-bit floor (fully exact below the threshold); the
-    second is float by nature of the log weight.
-    """
-    fac = factor_over_q(delta)
-    if fac.distinct_count != 1 or fac.factors[0][1] != 1 or abs(fac.content) != 1:
-        raise ValueError("tau statistics want a primitive irreducible form")
-    ps = shared_primes(int(x))
-    taus = projective_root_counts(delta, ps)
-    terms = ((t, p) for t, p in zip(taus.tolist(), ps.tolist()) if t)
-    harmonic = _rational_sum(terms, x <= exact_threshold)
-    logs = np.log(ps.astype(np.float64))
-    weighted = float(np.sum(taus * logs / ps))
-    return harmonic, weighted
 
 
 # --------------------------------------------------------------------------
@@ -600,44 +545,3 @@ def final_lemma_sum(
     g = rho_delta_fn(X, strict_wf)
     (total,) = _exact_sums(g, [x], floored=x > exact_threshold)
     return total
-
-
-# --------------------------------------------------------------------------
-# height-weighted lattice sum in a congruence class
-
-
-def G_sum(
-    X: CubicSurfaceNF,
-    sigma: int,
-    tau: int,
-    a: int,
-    x: int,
-    exact_threshold: int = 2000,
-) -> Fraction:
-    """Sum of 1/max(|s|,|t|)^2 over coprime (s,t) = (sigma,tau) mod a,
-    s > 0, height <= x, discriminant nonzero.
-
-    Counts the pairs of each height with one bincount per row s, so the
-    rational arithmetic touches one term per height value.  Exact below
-    the threshold, 96-bit floored above it.
-    """
-    if a < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(math.gcd(sigma, tau), a) != 1:
-        raise ValueError("class not primitive for the modulus")
-    x = int(x)
-    if x < 1:
-        raise ValueError("need x >= 1")
-    # per height h, the pairs of the class with max(s, |t|) = h: one
-    # bincount per row s of the class, t over the class in [-x, x]
-    counts = np.zeros(x + 1, dtype=np.int64)
-    t = np.arange(-x + (tau + x) % a, x + 1, a, dtype=np.int64)
-    for s in range(1 + (sigma - 1) % a, x + 1, a):
-        keep = np.gcd(s, t) == 1
-        counts += np.bincount(np.maximum(s, np.abs(t[keep])), minlength=x + 1)
-    for i in singular_fibre_indices(X):
-        h = max(i.s, abs(i.t))
-        if i.s > 0 and h <= x and (i.s - sigma) % a == 0 and (i.t - tau) % a == 0:
-            counts[h] -= 1
-    terms = [(n, h * h) for h, n in enumerate(counts.tolist()) if n > 0]
-    return _rational_sum(terms, x <= exact_threshold)

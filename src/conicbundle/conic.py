@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from math import floor, gcd, inf, isqrt, prod
+from math import floor, inf, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -950,34 +950,3 @@ def count_points(C: FibreConic, B, *, want_points: bool = False,
         min_norm=table.m,
         certified=True,
     )
-
-
-def count_points_reference(C: FibreConic, B) -> int:
-    """Independent oracle: solve Q = 0 directly over |x|, |z| <= B.
-
-    Q is linear in y once (x, z) is fixed, so each coprime-coordinate choice
-    determines at most one y.  Never touches the parameterization.
-    """
-    bound = floor(B)
-    w = C.weight
-    total = 1 if w <= bound else 0  # (0:1:0) is on every conic of this shape
-    for x in range(-bound, bound + 1):
-        for z in range(-bound, bound + 1):
-            if x == 0 and z == 0:
-                continue
-            lin = C.cxy * x + C.cyz * z
-            rest = C.cxx * x * x + C.cxz * x * z + C.czz * z * z
-            if lin == 0:
-                # lin = rest = 0 would put a whole line on the conic
-                assert rest != 0
-                continue
-            if rest % lin:
-                continue
-            y = -rest // lin
-            if x < 0 or (x == 0 and y < 0) or (x == 0 and y == 0 and z < 0):
-                continue
-            if gcd(gcd(abs(x), abs(y)), abs(z)) != 1:
-                continue
-            if max(abs(x), w * abs(y), abs(z)) <= bound:
-                total += 1
-    return total

@@ -6,7 +6,6 @@ Coefficient convention: ``coeffs[i]`` multiplies ``s**(d-i) * t**i`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from numbers import Integral
 
 from . import zpoly
@@ -63,21 +62,6 @@ class BinaryForm:
 
     def scale(self, k: int) -> "BinaryForm":
         return BinaryForm(tuple(k * c for c in self.coeffs))
-
-    def partial_s(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm((0,))
-        return BinaryForm(tuple((d - i) * self.coeffs[i] for i in range(d)))
-
-    def partial_t(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm((0,))
-        return BinaryForm(tuple(i * self.coeffs[i] for i in range(1, d + 1)))
-
-    def content(self) -> int:
-        return gcd(*self.coeffs) or 1
 
     def primitive(self) -> tuple[int, "BinaryForm"]:
         """(signed content, primitive form with positive first nonzero coefficient).

@@ -143,9 +143,11 @@ class ResultCache:
 
     def get(self, surface_id: str, op: str, params: dict) -> dict | None:
         path = self._path(surface_id, op, params)
+        # ValueError covers bytes that are not UTF-8 as well as bad JSON,
+        # and RecursionError a record nested past the decoder's depth
         try:
             record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
             return None
         # a cache file is outside input: a stale, colliding or malformed
         # record is a miss, and callers check the result dict's own fields

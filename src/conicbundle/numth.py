@@ -6,7 +6,6 @@ fixed schedule of parameters, so repeated runs factor the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, log, prod
 
@@ -214,15 +213,3 @@ def euler_phi(a: int) -> int:
     for p, _ in factor(a).factors:
         result = result // p * (p - 1)
     return result
-
-
-def phi_dagger(a: int) -> Fraction:
-    """prod over p | a of (1 + 1/p); equals 1 at a = 1."""
-    if a < 1:
-        raise ValueError("phi_dagger wants a positive integer")
-    out = Fraction(1)
-    if a > 1:
-        for p, _ in factor(a).factors:
-            out *= Fraction(p + 1, p)
-    return out
-

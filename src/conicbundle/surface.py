@@ -224,23 +224,6 @@ def _as_form(f, degree: int, key: str) -> BinaryForm:
     return f
 
 
-def find_rational_singular_points(X: CubicSurfaceNF, bound: int) -> list[ProjPoint3]:
-    """Primitive points of height <= bound where F and all four partials vanish."""
-    a, d, f, b, e = X.cxx, X.cxz, X.czz, X.cxy, X.cyz
-    return sorted(
-        _cubic_zeros(
-            bound,
-            [
-                (a, d, f, b, e, None),
-                tuple(g.partial_s() for g in (a, d, f, b, e)) + (None,),
-                tuple(g.partial_t() for g in (a, d, f, b, e)) + (None,),
-                (None, None, None, a.scale(2), d, b),
-                (None, None, None, d, f.scale(2), e),
-            ],
-        )
-    )
-
-
 def _cubic_zeros(bound: int, polys) -> list[ProjPoint3]:
     """Primitive normalized points of sup norm <= bound where every poly vanishes.
 
@@ -297,14 +280,6 @@ def fibre_conic(X: CubicSurfaceNF, idx: FibreIndex) -> FibreConic:
         czz=X.czz(s, t),
         weight=idx.height,
     )
-
-
-def phi_map(idx: FibreIndex, p) -> ProjPoint3:
-    """Plane point (x : y : z) into the fibre plane: (s y : t y : x : z)."""
-    x, y, z = p
-    if x == 0 and y == 0 and z == 0:
-        raise ValueError("zero vector is not projective")
-    return ProjPoint3.from_raw(idx.s * y, idx.t * y, x, z)
 
 
 def fibration_index(X: CubicSurfaceNF, p: ProjPoint3) -> FibreIndex:

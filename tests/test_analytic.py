@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conicbundle import analytic, numth
 from conicbundle.analytic import (
-    G_sum,
     MultiplicativeFn,
     delta_factor_data,
     final_lemma_sum,
@@ -24,12 +23,10 @@ from conicbundle.analytic import (
     rho_star_prime_vector,
     shared_primes,
     squarefree_harmonic,
-    tau_statistics,
-    varrho_star_delta,
     wirsing_sum,
 )
 from conicbundle.forms import BinaryForm
-from conicbundle.numth import euler_phi, phi_dagger
+from conicbundle.numth import factor
 from conicbundle.zpoly import z_add, z_mul
 
 
@@ -49,6 +46,25 @@ def scan_varrho(X, a):
             if X.disc.evaluate(s, t) % a == 0:
                 n += 1
     return n
+
+
+def varrho_star_delta(X, a):
+    """Primitive pairs (s, t) mod a with the discriminant divisible by a.
+
+    Multiplicative in a; per prime it is (p - 1) times the number of
+    projective root classes.  Only squarefree moduli are accepted.
+    """
+    if a < 1:
+        raise ValueError("modulus must be positive")
+    if a == 1:
+        return 1
+    fa = factor(a)
+    if not fa.is_squarefree():
+        raise ValueError(f"{a} is not squarefree")
+    out = 1
+    for p, _ in fa.factors:
+        out *= (p - 1) * projective_roots_mod_p(X.disc, p)
+    return out
 
 
 # ---------------------------------------------------------------- root counts
@@ -262,46 +278,6 @@ def test_prime_identity_off_w_f(s1, split_surface):
             if data.w_f % p != 0:
                 per_factor = sum(projective_roots_mod_p(f, p) for f in data.delta_i)
                 assert direct == (p - 1) * per_factor
-
-
-# ---------------------------------------------------------------- tau
-
-
-XSQ_PLUS_1 = BinaryForm((1, 0, 1))
-
-
-def test_tau_closed_form_exact():
-    # roots of s^2 + t^2 mod p: one at p = 2, two iff p = 1 mod 4
-    harmonic, _ = tau_statistics(XSQ_PLUS_1, 9000)
-    expected = Fraction(1, 2) + 2 * sum(
-        (Fraction(1, p) for p in sympy.primerange(3, 9001) if p % 4 == 1),
-        Fraction(0),
-    )
-    assert harmonic == expected
-
-
-def test_tau_floored_is_lower_bound():
-    exact, w1 = tau_statistics(XSQ_PLUS_1, 12000, exact_threshold=20000)
-    floored, w2 = tau_statistics(XSQ_PLUS_1, 12000, exact_threshold=10000)
-    assert floored <= exact
-    assert exact - floored <= 12000 * Fraction(1, 2**96)
-    assert w1 == w2
-
-
-def test_tau_weighted_residual_band():
-    # measured transient: log x minus the weighted sum sits near 1.85
-    for x in (10**3, 10**4, 10**5):
-        _, weighted = tau_statistics(XSQ_PLUS_1, x)
-        assert 1.7 <= math.log(x) - weighted <= 2.0
-
-
-def test_tau_rejects_non_irreducible():
-    with pytest.raises(ValueError):
-        tau_statistics(BinaryForm((1, 0, -1)), 100)  # splits
-    with pytest.raises(ValueError):
-        tau_statistics(BinaryForm((2, 0, 2)), 100)  # content 2
-    with pytest.raises(ValueError):
-        tau_statistics(BinaryForm((1, 0, 2, 0, 1)), 100)  # square of a quadratic
 
 
 # ---------------------------------------------------------------- wirsing
@@ -686,11 +662,6 @@ def brute_final_lemma(X, x, rho_at):
     return sum((Fraction(n, d) for n, d in brute_final_lemma_terms(X, x, rho_at)), Fraction(0))
 
 
-def floor96(terms):
-    """The sum with every term floored at 96 fractional bits."""
-    return Fraction(sum((n << 96) // d for n, d in terms), 1 << 96)
-
-
 def test_final_lemma_matches_brute(s1, split_surface):
     x = 300
     for X in (s1, split_surface):
@@ -731,16 +702,6 @@ def test_floored_final_lemma_within_the_derived_bound(s1, split_surface, x):
         assert 0 <= exact - floored < floored_error_bound(x)
 
 
-def test_floored_sums_floor_each_term_at_96_bits():
-    # tau(p) of s^2 + t^2: one root at p = 2, two iff p = 1 mod 4
-    taus = [(1 if p == 2 else 2 if p % 4 == 1 else 0, p) for p in sympy.primerange(2, 12001)]
-    terms = [(t, p) for t, p in taus if t]
-    floored, _ = tau_statistics(XSQ_PLUS_1, 12000, exact_threshold=10000)
-    assert floored == floor96(terms)
-    exact = sum((Fraction(n, d) for n, d in terms), Fraction(0))
-    assert floored != Fraction(math.floor(exact * 2**96), 2**96)
-
-
 def test_final_lemma_edges(s1):
     assert final_lemma_sum(s1, 1) == 1
     with pytest.raises(ValueError):
@@ -763,69 +724,3 @@ def test_final_lemma_agrees_with_wirsing_route(s1, split_surface):
     for X in (s1, split_surface):
         rep = wirsing_sum(rho_delta_fn(X), 800, checkpoints=[800])
         assert dict(rep.sums_at)[800] == final_lemma_sum(X, 800)
-
-
-# ---------------------------------------------------------------- G sum
-
-
-def brute_G(X, sigma, tau, a, x):
-    tot = Fraction(0)
-    for s in range(1, x + 1):
-        for t in range(-x, x + 1):
-            if math.gcd(s, abs(t)) != 1:
-                continue
-            if max(s, abs(t)) > x:
-                continue
-            if (s - sigma) % a or (t - tau) % a:
-                continue
-            if X.disc.evaluate(s, t) == 0:
-                continue
-            tot += Fraction(1, max(s, abs(t)) ** 2)
-    return tot
-
-
-def test_g_sum_frozen_fixture(s1):
-    assert G_sum(s1, 0, 0, 1, 10) == Fraction(197053, 26460)
-
-
-def test_g_sum_matches_brute(s1, split_surface):
-    assert G_sum(s1, 0, 0, 1, 20) == brute_G(s1, 0, 0, 1, 20)
-    # split exercises the singular-fibre exclusion
-    assert G_sum(split_surface, 0, 0, 1, 25) == brute_G(split_surface, 0, 0, 1, 25)
-    for a, sig, tau in ((2, 1, 0), (2, 1, 1), (3, 2, 1), (5, 3, 4), (6, 1, 2)):
-        assert G_sum(s1, sig, tau, a, 30) == brute_G(s1, sig, tau, a, 30)
-
-
-def test_g_sum_rejects_imprimitive_class(s1):
-    with pytest.raises(ValueError):
-        G_sum(s1, 2, 2, 2, 10)
-    with pytest.raises(ValueError):
-        G_sum(s1, 0, 3, 3, 10)
-
-
-def test_g_sum_monotone(s1):
-    assert G_sum(s1, 0, 0, 1, 50) >= G_sum(s1, 0, 0, 1, 30)
-
-
-def test_g_sum_floored_route_is_lower_bound(s1):
-    exact = G_sum(s1, 0, 0, 1, 120, exact_threshold=2000)
-    floored = G_sum(s1, 0, 0, 1, 120, exact_threshold=10)
-    assert floored <= exact
-    assert exact - floored < Fraction(1, 10**20)
-
-
-def test_g_sum_log_ratio_band(s1):
-    # frozen measurement: G/log x moves 2.69091 -> 2.62602 over a decade
-    g3 = float(G_sum(s1, 0, 0, 1, 10**3)) / math.log(10**3)
-    assert g3 == pytest.approx(2.69091, abs=5e-4)
-
-
-def test_modulus_penalty_bounded_below(s1):
-    # G(x, a) * a * phi(a) * phi_dagger(a) / log x stays above 1 in the
-    # (1, 0) class; measured 2.72 / 3.36 / 5.39 / 5.20 at x = 2000
-    x = 2000
-    for a, frozen in ((2, 2.7249), (3, 3.3603), (5, 5.3906), (6, 5.2010)):
-        v = G_sum(s1, 1, 0, a, x)
-        penalty = float(v) * a * euler_phi(a) * phi_dagger(a) / math.log(x)
-        assert penalty > 1.0
-        assert penalty == pytest.approx(frozen, abs=2e-3)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 from time import perf_counter
 
 import numpy as np
@@ -15,7 +15,6 @@ from conicbundle.conic import (
     edge_coeffs,
     edge_norm,
     count_points,
-    count_points_reference,
     HeightedPoint,
     parameterize,
     point_from_pair,
@@ -45,6 +44,37 @@ def _accepted_pairs(C, B, U=None):
             c = gcd(gcd(abs(x), abs(y)), abs(z))
             if max(abs(x), C.weight * abs(y), abs(z)) <= B * c:
                 yield u, v, c
+
+
+def count_points_reference(C: FibreConic, B) -> int:
+    """Independent oracle: solve Q = 0 directly over |x|, |z| <= B.
+
+    Q is linear in y once (x, z) is fixed, so each coprime-coordinate choice
+    determines at most one y.  Never touches the parameterization.
+    """
+    bound = floor(B)
+    w = C.weight
+    total = 1 if w <= bound else 0  # (0:1:0) is on every conic of this shape
+    for x in range(-bound, bound + 1):
+        for z in range(-bound, bound + 1):
+            if x == 0 and z == 0:
+                continue
+            lin = C.cxy * x + C.cyz * z
+            rest = C.cxx * x * x + C.cxz * x * z + C.czz * z * z
+            if lin == 0:
+                # lin = rest = 0 would put a whole line on the conic
+                assert rest != 0
+                continue
+            if rest % lin:
+                continue
+            y = -rest // lin
+            if x < 0 or (x == 0 and y < 0) or (x == 0 and y == 0 and z < 0):
+                continue
+            if gcd(gcd(abs(x), abs(y)), abs(z)) != 1:
+                continue
+            if max(abs(x), w * abs(y), abs(z)) <= bound:
+                total += 1
+    return total
 
 
 def count_points_single_box(C, B):

@@ -41,7 +41,6 @@ def test_binary_form_str():
 
 def test_content_and_primitive():
     f = BinaryForm((6, -9, 12))
-    assert f.content() == 3
     sign_content, prim = f.primitive()
     assert sign_content in (3, -3)
     assert [c * sign_content for c in prim.coeffs] == list(f.coeffs)

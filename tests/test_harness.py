@@ -556,6 +556,25 @@ def test_cli_count_surface_cached_rerun_identical(s1_file, tmp_path, capsys):
     assert "count: 1642" in first
 
 
+# bytes that are not UTF-8, and an array nested past the JSON decoder's depth
+@pytest.mark.parametrize("junk", [b"\xff", b"[" * 200_000], ids=["not-utf8", "deep"])
+def test_cli_undecodable_cache_records_are_misses(s1_file, tmp_path, capsys, junk):
+    args = ("--cache-dir", tmp_path, "count-surface", s1_file, "--height", 30, "--cutoff", 5)
+    assert run_cli(*args) == 0
+    cold = capsys.readouterr().out
+    records = sorted(tmp_path.glob("*.txt"))
+    assert len(records) == 2  # the count record and the fibre counts
+    for path in records:
+        path.write_bytes(junk)
+    assert run_cli(*args) == 0
+    rerun = capsys.readouterr().out
+    assert _without_runtime(rerun) == _without_runtime(cold)
+    for path in records:
+        assert isinstance(json.loads(path.read_text())["result"], dict)
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out == rerun  # replayed from the rewritten records
+
+
 def test_cli_count_surface_direct_guard(s1_file, capsys):
     rc = run_cli("--no-cache", "count-surface", s1_file,
                  "--height", 250, "--method", "direct")

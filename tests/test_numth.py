@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
 
@@ -16,7 +15,6 @@ from conicbundle.numth import (
     euler_phi,
     factor,
     is_prime,
-    phi_dagger,
     prime_segments,
     primes_up_to,
 )
@@ -149,17 +147,6 @@ def test_is_squarefree():
 def test_euler_phi_against_sympy():
     for n in range(1, 500):
         assert euler_phi(n) == sympy.totient(n)
-
-
-def test_phi_dagger_multiplicative():
-    # prod over p | n of (1 + 1/p)
-    assert phi_dagger(1) == 1
-    assert phi_dagger(6) == Fraction(3, 2) * Fraction(4, 3)
-    for n in range(2, 200):
-        expect = Fraction(1)
-        for p, _ in factor(n).factors:
-            expect *= 1 + Fraction(1, p)
-        assert phi_dagger(n) == expect
 
 
 def test_projective_normal():

@@ -26,15 +26,21 @@ from conicbundle.surface import (
     domain_B,
     fibration_index,
     fibre_conic,
-    find_rational_singular_points,
     load_surface,
-    phi_map,
     pi_bracket,
     section_base_directions,
     surface_from_dict,
     validate,
     zeta2_bracket,
 )
+
+
+def phi_map(idx: FibreIndex, p) -> ProjPoint3:
+    """Plane point (x : y : z) into the fibre plane: (s y : t y : x : z)."""
+    x, y, z = p
+    if x == 0 and y == 0 and z == 0:
+        raise ValueError("zero vector is not projective")
+    return ProjPoint3.from_raw(idx.s * y, idx.t * y, x, z)
 
 
 def test_s1_invariants(s1):
@@ -99,16 +105,6 @@ def test_validate_refuses_non_integer_coefficients(a, s1):
         validate(a, [0, 1], [1, -1], [1, 0, 1], [0, 1, 0])
     X = validate(np.array([1, 0]), [0, 1], [1, -1], [1, 0, 1], [np.int8(0), 1, 0])
     assert X.surface_hash == s1.surface_hash
-
-
-def test_validate_singular_point_search_rejects(split_surface):
-    # the split surface is singular at the pencil base point
-    pts = find_rational_singular_points(split_surface, 1)
-    assert ProjPoint3.from_raw(0, 0, 1, -1) in pts
-
-
-def test_s1_smooth_at_small_heights(s1):
-    assert find_rational_singular_points(s1, 4) == []
 
 
 def test_evaluate_matches_forms(s1):
